@@ -25,7 +25,6 @@ from .bounds import (
     double_commutator,
     double_commutator_direct,
     free_energy_curvature,
-    kernel_xcothx_inv,
     lower_bound,
     thermo_susceptibility,
     upper_bound,
@@ -124,7 +123,6 @@ __all__ = [
     "family_at_beta",
     "free_energy_curvature",
     "gf_fidelity",
-    "kernel_xcothx_inv",
     "kondo_roepstorff",
     "kondo_toy",
     "lower_bound",

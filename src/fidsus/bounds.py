@@ -35,7 +35,6 @@ from .fidelity import (
     ds2_spectral,
 )
 from .gibbs import PerturbedFamily, correlation_G, thermal_average
-from .kernels import tanh_over_x
 
 __all__ = [
     "BoundReport",
@@ -46,24 +45,10 @@ __all__ = [
     "double_commutator",
     "double_commutator_direct",
     "free_energy_curvature",
-    "kernel_xcothx_inv",
     "lower_bound",
     "thermo_susceptibility",
     "upper_bound",
 ]
-
-
-def kernel_xcothx_inv(x):
-    """Kernel tanh(x)/x = 1/(x coth x), the quantum suppression factor.
-
-    This is the factor by which a pair's contribution to chi_F falls
-    short of its contribution to the upper bound.  It equals 1 at x = 0
-    and decays like 1/|x|, which is the whole content of the sandwich:
-    classical pairs saturate, far-separated pairs are suppressed.
-    Delegates to the guarded series/direct evaluation shared with the
-    fidelity kernels; accepts scalars or arrays.
-    """
-    return tanh_over_x(x)
 
 
 def bd_inner_product(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -75,12 +60,8 @@ def bd_inner_product(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> f
     same kernel that appears inside chi_F, so both bounds and the
     susceptibility are built from one audited code path.
     """
-    _, bgap, lp_low, lp_geo, deg = _pair_grids(fam, tols)
-    pair = _ratio_kernel(bgap, lp_low, lp_geo, deg) * np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(pair, 0.0)
-    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-    diag = float(np.dot(fam.populations, delta_d**2))
-    return 0.5 * float(pair.sum()) + diag
+    g = _pair_grids(fam, tols)
+    return 0.5 * float((_ratio_kernel(g) * g.s_abs2).sum()) + g.var_d
 
 
 def bd_integral_oracle(
@@ -127,10 +108,8 @@ def double_commutator(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> 
         ``tols.dcomm_agreement_rel``, check "dcomm_negative" if either
         route is negative beyond rounding.
     """
-    gap, bgap, lp_low, _, _ = _pair_grids(fam, tols)
-    term = np.exp(lp_low) * (-np.expm1(-bgap)) * gap * np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(term, 0.0)
-    spectral = float(term.sum())
+    g = _pair_grids(fam, tols)
+    spectral = float((np.exp(g.lp_low) * (-np.expm1(-g.bgap)) * g.gap * g.s_abs2).sum())
 
     direct = double_commutator_direct(fam)
     if spectral < -1e-12 or direct < -1e-12:

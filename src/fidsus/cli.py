@@ -34,8 +34,8 @@ from typing import Dict, List, Optional
 
 from .bounds import BoundReport, bound_report
 from .errors import CrossCheckError, ModelParseError
-from .models import MODEL_KINDS, ModelSpec, build_model
-from .plotting import emit_plot
+from .models import MODEL_KINDS, ModelSpec, _strict_json, build_model
+from .plotting import emit_plot, write_text_atomic
 from .sweep import SweepSpec, run_sweep
 from .verify import run_verify
 
@@ -87,19 +87,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--path", default=None, help="matrix file for kind 'file'")
 
 
-def _strict_json(path: str):
-    def bad_const(name):
-        raise ModelParseError(f"{path}: non-finite constant {name!r}")
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text, parse_constant=bad_const)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(f"{path}: {exc.msg} at position {exc.pos}") from None
-    return obj
-
-
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None) is None:
         return
@@ -130,7 +117,8 @@ def _model_spec(args: argparse.Namespace) -> ModelSpec:
         value = getattr(args, name)
         if value is not None and name in declared_p:
             params[name] = float(value)
-    if getattr(args, "symmetric_sector", None) and "symmetric_sector" in declared_p:
+    switches = MODEL_KINDS[kind].get("switches", ())
+    if args.symmetric_sector and "symmetric_sector" in switches:
         params["symmetric_sector"] = 1.0
     for name, _ in _CUTOFF_FLAGS:
         value = getattr(args, name)
@@ -207,21 +195,16 @@ def _render_json(fields: List[tuple]) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_out(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     spec = _model_spec(args)
     fam = build_model(spec)
     rep = bound_report(fam)
     fields = _report_fields(spec, int(fam.eigenvalues.size), rep)
     text = _render_json(fields) if args.json else _render_text(fields)
-    _write_out(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        write_text_atomic(args.out, text)
     return 0
 
 
@@ -276,6 +259,8 @@ def _cmd_models(args: argparse.Namespace) -> int:
                 for name, default in decl.items()
             )
             sys.stdout.write(f"    {which}: {rendered}\n")
+        for name in entry.get("switches", ()):
+            sys.stdout.write(f"    switch: --{name.replace('_', '-')} (default off)\n")
         if kind == "file":
             sys.stdout.write("    options: --path (required)\n")
         if kind == "random":

@@ -10,6 +10,7 @@ taken in the symmetric form sqrt(p_m p_n) so Hermiticity survives exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -91,12 +92,28 @@ class ChiFGIntegral(NamedTuple):
     quadrature: float
 
 
-def _pair_grids(fam: PerturbedFamily, tols: Tolerances):
+class _PairGrid(NamedTuple):
+    gap: np.ndarray
+    bgap: np.ndarray
+    lp_low: np.ndarray
+    lp_geo: np.ndarray
+    deg: np.ndarray
+    s_abs2: np.ndarray
+    delta_d: np.ndarray
+    var_d: float
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_grids(fam: PerturbedFamily, tols: Tolerances) -> _PairGrid:
     """Symmetric pair quantities shared by every spectral sum.
 
     Returns the absolute gaps |T_m - T_n|, the scaled gaps beta|T_m - T_n|,
     log of the larger population of each pair, the geometric-mean log
-    population, and the degeneracy mask (diagonal included).
+    population, the degeneracy mask (diagonal included), |S_mn|^2 with
+    its diagonal zeroed, the centred diagonal S_mm - <S> and its
+    population variance.  The last family's grid is cached (families
+    hash by identity), so one report builds it once; its arrays are
+    read-only because every caller shares them.
     """
     ev = fam.eigenvalues
     lp = fam.log_populations
@@ -105,21 +122,27 @@ def _pair_grids(fam: PerturbedFamily, tols: Tolerances):
     lp_low = np.maximum(lp[:, None], lp[None, :])
     lp_geo = 0.5 * (lp[:, None] + lp[None, :])
     deg = bgap < tols.degenerate_gap
-    return gap, bgap, lp_low, lp_geo, deg
+    s_abs2 = np.abs(fam.s_eig) ** 2
+    np.fill_diagonal(s_abs2, 0.0)
+    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
+    var_d = float(np.dot(fam.populations, delta_d**2))
+    for arr in (gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d):
+        arr.setflags(write=False)
+    return _PairGrid(gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d, var_d)
 
 
-def _ratio_kernel(bgap, lp_low, lp_geo, deg):
+def _ratio_kernel(g: _PairGrid) -> np.ndarray:
     """Pair kernel (p_n - p_m)/X_mn, shared by chi_F and the BD product.
 
     Evaluated from the lower level as p_low (1 - e^{-2X})/X with
     X = beta|T_m - T_n|/2; inside the degeneracy window the limit
     2 sqrt(p_m p_n).
     """
-    x = 0.5 * np.where(deg, 1.0, bgap)
+    x = 0.5 * np.where(g.deg, 1.0, g.bgap)
     return np.where(
-        deg,
-        2.0 * np.exp(lp_geo),
-        np.exp(lp_low) * (-np.expm1(-2.0 * x)) / x,
+        g.deg,
+        2.0 * np.exp(g.lp_geo),
+        np.exp(g.lp_low) * (-np.expm1(-2.0 * x)) / x,
     )
 
 
@@ -134,16 +157,15 @@ def rho_prime(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarr
     up to rounding.
     """
     beta = fam.beta
-    _, bgap, lp_low, lp_geo, deg = _pair_grids(fam, tols)
-    safe = np.where(deg, 1.0, bgap)
+    g = _pair_grids(fam, tols)
+    safe = np.where(g.deg, 1.0, g.bgap)
     kern = np.where(
-        deg,
-        beta * np.exp(lp_geo),
-        beta * np.exp(lp_low) * (-np.expm1(-safe)) / safe,
+        g.deg,
+        beta * np.exp(g.lp_geo),
+        beta * np.exp(g.lp_low) * (-np.expm1(-safe)) / safe,
     )
     out = np.array(fam.s_eig * kern, dtype=complex)
-    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-    np.fill_diagonal(out, beta * fam.populations * delta_d)
+    np.fill_diagonal(out, beta * fam.populations * g.delta_d)
     return out
 
 
@@ -165,15 +187,10 @@ def chi_f_spectral(
         If the kernel and direct routes disagree beyond tolerance.
     """
     beta = fam.beta
-    _, bgap, lp_low, lp_geo, deg = _pair_grids(fam, tols)
-    x = 0.5 * bgap
-    ratio1 = _ratio_kernel(bgap, lp_low, lp_geo, deg)
-    pair = ratio1 * tanh_over_x(x) * np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(pair, 0.0)
+    g = _pair_grids(fam, tols)
+    pair = _ratio_kernel(g) * tanh_over_x(0.5 * g.bgap) * g.s_abs2
     quantum = 0.125 * beta * beta * float(pair.sum())
-
-    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-    classical = 0.25 * beta * beta * float(np.dot(fam.populations, delta_d**2))
+    classical = 0.25 * beta * beta * g.var_d
     total = classical + quantum
 
     p = fam.populations
@@ -187,7 +204,7 @@ def chi_f_spectral(
             f"beyond {tols.chi_internal_rel:g} relative"
         )
 
-    n_deg = (int(np.count_nonzero(deg)) - fam.dim) // 2
+    n_deg = (int(np.count_nonzero(g.deg)) - fam.dim) // 2
     return FidelitySusceptibility(
         total=total,
         classical=classical,
@@ -205,19 +222,15 @@ def ds2_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float
     this second composition keeps the equality test meaningful.
     """
     beta = fam.beta
-    gap, bgap, lp_low, lp_geo, deg = _pair_grids(fam, tols)
-    q = -np.expm1(-bgap)
-    safe_gap = np.where(deg, 1.0, gap)
+    g = _pair_grids(fam, tols)
+    q = -np.expm1(-g.bgap)
+    safe_gap = np.where(g.deg, 1.0, g.gap)
     w = np.where(
-        deg,
-        0.5 * beta * beta * np.exp(lp_geo),
-        np.exp(lp_low) * q * q / (safe_gap * safe_gap * (2.0 - q)),
+        g.deg,
+        0.5 * beta * beta * np.exp(g.lp_geo),
+        np.exp(g.lp_low) * q * q / (safe_gap * safe_gap * (2.0 - q)),
     )
-    pair = w * np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(pair, 0.0)
-    off = 0.5 * float(pair.sum())
-    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-    return 0.25 * beta * beta * float(np.dot(fam.populations, delta_d**2)) + off
+    return 0.25 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
 
 
 def chi_fg_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -228,19 +241,15 @@ def chi_fg_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> fl
     difference rewritten as p_low expm1(-X)^2 so it never cancels.
     """
     beta = fam.beta
-    gap, bgap, lp_low, lp_geo, deg = _pair_grids(fam, tols)
-    e = np.expm1(-0.5 * bgap)
-    safe_gap = np.where(deg, 1.0, gap)
+    g = _pair_grids(fam, tols)
+    e = np.expm1(-0.5 * g.bgap)
+    safe_gap = np.where(g.deg, 1.0, g.gap)
     w = np.where(
-        deg,
-        0.25 * beta * beta * np.exp(lp_geo),
-        np.exp(lp_low) * e * e / (safe_gap * safe_gap),
+        g.deg,
+        0.25 * beta * beta * np.exp(g.lp_geo),
+        np.exp(g.lp_low) * e * e / (safe_gap * safe_gap),
     )
-    pair = w * np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(pair, 0.0)
-    off = 0.5 * float(pair.sum())
-    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-    return 0.125 * beta * beta * float(np.dot(fam.populations, delta_d**2)) + off
+    return 0.125 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
 
 
 def chi_fg_integral(
@@ -280,11 +289,9 @@ def chi_fg_integral(
     g_small = expx_xm1_over_x2(np.where(small, ab, 0.0))
     safe_a = np.where(small, 1.0, a)
     large = (np.exp(lp_m + ab) * (ab - 1.0) + p_m) / (safe_a * safe_a)
-    terms = np.where(small, p_m * (b * b) * g_small, large) * np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(terms, 0.0)
-    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-    var_d = float(np.dot(fam.populations, delta_d**2))
-    closed = 0.125 * beta * beta * var_d + float(terms.sum())
+    grid = _pair_grids(fam, tols)
+    terms = np.where(small, p_m * (b * b) * g_small, large) * grid.s_abs2
+    closed = 0.125 * beta * beta * grid.var_d + float(terms.sum())
 
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     taus = 0.5 * b * (nodes + 1.0)

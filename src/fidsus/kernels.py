@@ -5,19 +5,14 @@ well defined for all real arguments, switches to a series where direct
 evaluation would lose precision, and stays inside its proven envelope.
 """
 
+import math
+
 import numpy as np
 
 from .config import DEFAULT_TOLS
 
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 # Taylor coefficients of (e^x (x - 1) + 1) / x^2 = sum_{k>=2} (k-1) x^(k-2) / k!
-_G_COEFFS = tuple((k - 1) / _factorial(k) for k in range(2, 15))
+_G_COEFFS = tuple((k - 1) / math.factorial(k) for k in range(2, 15))
 
 
 def tanh_over_x(x, series_cutoff=None):

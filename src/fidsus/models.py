@@ -593,6 +593,20 @@ def _parse_matrix(obj, name: str, dim: int) -> np.ndarray:
     return out
 
 
+def _strict_json(path):
+    """Parse a UTF-8 JSON file; bad syntax and NaN/Infinity raise ModelParseError."""
+
+    def no_constants(name: str):
+        raise ModelParseError(f"{path}: non-finite literal {name!r} not allowed")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text, parse_constant=no_constants)
+    except json.JSONDecodeError as exc:
+        raise ModelParseError(f"{path}: {exc}") from None
+
+
 def model_from_file(path, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
     """Build a family from a matrix file.
 
@@ -602,17 +616,7 @@ def model_from_file(path, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
     content, NaN/Inf literals, unknown keys, and malformed entries are
     all rejected; Hermiticity is enforced by the family constructor.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-
-    def no_constants(name: str):
-        raise ModelParseError(f"non-finite literal {name!r} not allowed")
-
-    try:
-        obj = json.loads(text, parse_constant=no_constants)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(f"{path}: {exc}") from None
-
+    obj = _strict_json(path)
     if not isinstance(obj, dict):
         raise ModelSchemaError(f"{path}: top level must be one object")
     allowed = {"dim", "beta", "N", "T", "S"}
@@ -646,11 +650,12 @@ def model_from_file(path, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
 class ModelSpec:
     """Declarative description of a family: kind plus parameter maps.
 
-    ``parameters`` carries real-valued knobs, ``cutoffs`` integer ones
-    (truncations, mode counts, sizes), ``seed`` feeds random kinds, and
-    ``path`` points at a matrix file for kind "file".  Validation
-    happens in `build_model`, which consults `MODEL_KINDS` for what each
-    kind requires.
+    ``parameters`` carries real-valued knobs and any on/off switches the
+    kind declares (0 or 1), ``cutoffs`` integer ones (truncations, mode
+    counts, sizes), ``seed`` feeds random kinds, and ``path`` points at a
+    matrix file for kind "file".  Validation happens in `build_model`,
+    which consults `MODEL_KINDS` for what each kind requires; only the
+    declared real parameters can be swept.
     """
 
     kind: str
@@ -672,9 +677,9 @@ MODEL_KINDS: Dict[str, Dict[str, object]] = {
             "eps": None,
             "lambda": None,
             "beta": None,
-            "symmetric_sector": 0.0,
         },
         "cutoffs": {"n_atoms": None, "n_max": None},
+        "switches": ("symmetric_sector",),
         "doc": "N atoms and one boson mode; driving term is the field quadrature",
     },
     "kondo_toy": {
@@ -704,7 +709,8 @@ def _collect(spec: ModelSpec, which: str) -> Dict[str, float]:
     """Merge declared defaults with the given values, rejecting strays."""
     declared = MODEL_KINDS[spec.kind][which]
     given = spec.parameters if which == "parameters" else spec.cutoffs
-    unknown = sorted(set(given) - set(declared))
+    switches = () if which == "cutoffs" else MODEL_KINDS[spec.kind].get("switches", ())
+    unknown = sorted(set(given) - set(declared) - set(switches))
     if unknown:
         raise ModelSchemaError(
             f"kind {spec.kind!r} does not take {which} {unknown}; "
@@ -719,6 +725,13 @@ def _collect(spec: ModelSpec, which: str) -> Dict[str, float]:
         else:
             raise ModelSchemaError(f"kind {spec.kind!r} requires {which[:-1]} {name!r}")
     return merged
+
+
+def _switch(spec: ModelSpec, name: str) -> bool:
+    value = spec.parameters.get(name, 0)
+    if value not in (0, 1):
+        raise ModelSchemaError(f"switch {name!r} must be 0 or 1, got {value!r}")
+    return bool(value)
 
 
 def build_model(spec: ModelSpec, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
@@ -748,7 +761,7 @@ def build_model(spec: ModelSpec, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFa
             params["eps"],
             params["lambda"],
             params["beta"],
-            symmetric_sector=bool(params["symmetric_sector"]),
+            symmetric_sector=_switch(spec, "symmetric_sector"),
             tols=tols,
         )
     if spec.kind == "kondo_toy":

@@ -6,6 +6,9 @@ assets, no fonts beyond the generic ``sans-serif`` family, no styling
 beyond inline attributes, so the output bytes are a pure function of the
 input data and render anywhere.  Coordinates are printed with two
 decimals to keep files small and byte-stable.
+
+Every output file of the package (CSV, SVG, report text) goes through
+`write_text_atomic`, so a failed write never touches an existing file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Dict, List, Sequence
 
 from .errors import EmptyDataError, MissingColumnError
 
-__all__ = ["emit_plot", "read_columns", "render_svg"]
+__all__ = ["emit_plot", "read_columns", "render_svg", "write_text_atomic"]
 
 _WIDTH = 800.0
 _HEIGHT = 500.0
@@ -35,6 +38,28 @@ _PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step, or leave it as it was.
+
+    The text goes to a new file beside the target, which is then renamed
+    over it; on any failure only that temporary file is removed.  It is
+    created with mode 0o666, so the umask decides the final permissions
+    as it does for a new file made by ``open(path, "w")``.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_columns(csv_path: str, names: Sequence[str]) -> Dict[str, List[float]]:
@@ -192,11 +217,4 @@ def emit_plot(csv_path: str, columns: Sequence[str], svg_path: str) -> None:
     if not names:
         raise MissingColumnError("no data columns requested")
     data = read_columns(csv_path, names)
-    text = render_svg(data["param"], {n: data[n] for n in names})
-    try:
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except BaseException:
-        if os.path.exists(svg_path):
-            os.remove(svg_path)
-        raise
+    write_text_atomic(svg_path, render_svg(data["param"], {n: data[n] for n in names}))

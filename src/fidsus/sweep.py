@@ -15,7 +15,6 @@ the eigensolver is deterministic.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -26,6 +25,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import ModelSchemaError
 from .gibbs import family_at_beta
 from .models import MODEL_KINDS, ModelSpec, build_model
+from .plotting import emit_plot, write_text_atomic
 
 __all__ = [
     "CSV_HEADER",
@@ -145,21 +145,15 @@ def compute_rows(
 ) -> List[SweepRow]:
     """Evaluate every grid point; nothing touches the filesystem here."""
     grid = sweep_grid(spec)
-    rows: List[SweepRow] = []
     if spec.sweep_param == "beta":
         base = build_model(_model_at(spec, grid[0]), tols)
-        rep = bound_report(base, tols, check_chi_n=check_chi_n)
-        rows.append(_row_from_report(grid[0], rep))
-        for value in grid[1:]:
-            fam = family_at_beta(base, float(value))
-            rep = bound_report(fam, tols, check_chi_n=check_chi_n)
-            rows.append(_row_from_report(value, rep))
-        return rows
-    for value in grid:
-        fam = build_model(_model_at(spec, value), tols)
-        rep = bound_report(fam, tols, check_chi_n=check_chi_n)
-        rows.append(_row_from_report(value, rep))
-    return rows
+        fams = (family_at_beta(base, float(value)) for value in grid)
+    else:
+        fams = (build_model(_model_at(spec, value), tols) for value in grid)
+    return [
+        _row_from_report(value, bound_report(fam, tols, check_chi_n=check_chi_n))
+        for value, fam in zip(grid, fams)
+    ]
 
 
 def _fmt(x: float) -> str:
@@ -203,23 +197,14 @@ def run_sweep(
     """Compute the sweep and write the CSV (and optional SVG) outputs.
 
     All points are evaluated before the first byte is written, so an
-    error at any grid point aborts with no output file.  If a file of
-    the target name already exists and the write itself fails partway,
-    the partial file is removed before the error propagates.
+    error at any grid point aborts with no output file.  Each file is
+    replaced atomically, so a failed write leaves any existing file of
+    the target name as it was.
     """
     rows = compute_rows(spec, tols, check_chi_n=check_chi_n)
     if spec.csv_path is not None:
-        text = format_csv(rows)
-        try:
-            with open(spec.csv_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except BaseException:
-            if os.path.exists(spec.csv_path):
-                os.remove(spec.csv_path)
-            raise
+        write_text_atomic(spec.csv_path, format_csv(rows))
         if spec.svg_path is not None:
-            from .plotting import emit_plot
-
             emit_plot(
                 spec.csv_path,
                 ["chi_f", "ub", "lb_paper"],

@@ -17,7 +17,8 @@ from fidsus.bounds import (
     thermo_susceptibility,
     upper_bound,
 )
-from fidsus.fidelity import chi_f_spectral, chi_fg_spectral, ds2_spectral
+from fidsus.config import DEFAULT_TOLS, Tolerances
+from fidsus.fidelity import _pair_grids, chi_f_spectral, chi_fg_spectral, ds2_spectral
 from fidsus.gibbs import family_at_beta, make_family
 from fidsus.models import random_pair, single_spin
 
@@ -179,3 +180,35 @@ def test_upper_gap_shrinks_at_least_linearly_in_beta():
         gaps.append((upper_bound(cold) - chi) / upper_bound(cold))
     for lo, hi in zip(gaps[1:], gaps[:-1]):
         assert math.log2(hi / lo) >= 0.9
+
+
+def test_one_report_builds_the_pair_grid_once():
+    """Every spectral sum of a report reads one cached, read-only grid."""
+    fam = random_pair(9, 21, beta=1.3)
+    _pair_grids.cache_clear()
+    rep = bound_report(fam, check_chi_n=False)
+    assert _pair_grids.cache_info().misses == 1
+    assert _pair_grids.cache_info().hits >= 5
+
+    grid = _pair_grids(fam, DEFAULT_TOLS)
+    for arr in (grid.gap, grid.bgap, grid.lp_low, grid.lp_geo, grid.deg,
+                grid.s_abs2, grid.delta_d):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        grid.s_abs2[0, 1] = 0.0
+    assert np.all(np.diagonal(grid.s_abs2) == 0.0)
+
+    # the tolerances are part of the key: a wider degeneracy window
+    # gets its own grid rather than the cached one
+    wide = Tolerances(degenerate_gap=2.0)
+    other = _pair_grids(fam, wide)
+    assert _pair_grids.cache_info().misses == 2
+    assert np.count_nonzero(other.deg) > np.count_nonzero(grid.deg)
+
+    # a second family never sees the first one's grid, and the cache
+    # changes no number
+    hot = family_at_beta(fam, 2.6)
+    hot_rep = bound_report(hot, check_chi_n=False)
+    _pair_grids.cache_clear()
+    assert bound_report(hot, check_chi_n=False) == hot_rep
+    assert bound_report(fam, check_chi_n=False) == rep

@@ -2,17 +2,24 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fidsus.cli
+import fidsus.plotting
 import fidsus.sweep
 from fidsus.cli import main
-from fidsus.errors import CrossCheckError, EmptyDataError, MissingColumnError
+from fidsus.errors import (
+    CrossCheckError,
+    EmptyDataError,
+    MissingColumnError,
+    ModelSchemaError,
+)
 from fidsus.models import ModelSpec, build_model
 from fidsus.bounds import bound_report
-from fidsus.plotting import emit_plot, read_columns, render_svg
+from fidsus.plotting import emit_plot, read_columns, render_svg, write_text_atomic
 from fidsus.sweep import (
     CSV_HEADER,
     SweepSpec,
@@ -156,6 +163,52 @@ def test_failed_grid_point_leaves_no_file(tmp_path, monkeypatch):
     assert not target.exists()
 
 
+def _fail_sweep_csv(tmp_path, target, monkeypatch):
+    monkeypatch.setattr(fidsus.sweep, "format_csv", lambda rows: "param\n\ud800\n")
+    with pytest.raises(UnicodeEncodeError):
+        run_sweep(spin_spec(steps=2, csv_path=str(target)))
+
+
+def _fail_plot(tmp_path, target, monkeypatch):
+    monkeypatch.setattr(fidsus.plotting, "render_svg", lambda x, series: "<svg>\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        emit_plot(write_csv(tmp_path, "param,a\n0,1\n1,2\n"), ["a"], str(target))
+
+
+def _fail_report_out(tmp_path, target, monkeypatch):
+    monkeypatch.setattr(fidsus.cli, "_render_text", lambda fields: "chi_f = \ud800\n")
+    argv = ["report", "--model", "single_spin", "--h3", "1.0", "--out", str(target)]
+    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("write", [_fail_sweep_csv, _fail_plot, _fail_report_out])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, capsys, write):
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails midway
+    target = tmp_path / "old.out"
+    target.write_bytes(b"previous output\n")
+    write(tmp_path, target, monkeypatch)
+    capsys.readouterr()
+    assert target.read_bytes() == b"previous output\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_replaces_and_follows_umask(tmp_path):
+    target = tmp_path / "new.txt"
+    old_mask = os.umask(0o027)
+    try:
+        write_text_atomic(str(target), "first\n")
+        write_text_atomic(str(target), "second\n")
+    finally:
+        os.umask(old_mask)
+    assert target.read_bytes() == b"second\n"
+    assert os.stat(target).st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["new.txt"]
+    missing = tmp_path / "no_dir" / "x.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        write_text_atomic(str(missing), "text")
+    assert info.value.filename == str(missing)  # errors name the target
+
+
 def test_run_sweep_emits_svg(tmp_path):
     csv_p = tmp_path / "s.csv"
     svg_p = tmp_path / "s.svg"
@@ -282,6 +335,43 @@ def test_cli_models_list(capsys):
     for kind in ("single_spin", "dicke", "kondo_toy", "random", "tfim", "file"):
         assert kind in out
     assert "h3 (required)" in out
+
+
+_DICKE_FLAGS = ["--model", "dicke", "--n-atoms", "2", "--n-max", "8", "--omega", "2",
+                "--eps", "1", "--lambda", "0.5", "--beta", "1"]
+
+
+def test_symmetric_sector_is_a_switch_not_a_parameter(tmp_path, capsys):
+    model = ModelSpec(
+        "dicke",
+        {"omega": 2.0, "eps": 1.0, "lambda": 0.5, "beta": 1.0},
+        {"n_atoms": 2, "n_max": 8},
+    )
+    with pytest.raises(ModelSchemaError):
+        SweepSpec(model=model, sweep_param="symmetric_sector", start=0, stop=1, steps=3)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", *_DICKE_FLAGS, "--sweep-param", "symmetric_sector",
+            "--from", "0", "--to", "1", "--steps", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert "symmetric_sector" in capsys.readouterr().err
+    assert not out.exists()
+
+    assert main(["models", "list"]) == 0
+    listing = capsys.readouterr().out
+    assert "symmetric_sector=" not in listing
+    assert "--symmetric-sector" in listing
+
+    # the flag and the config key still build the sector model
+    assert main(["report", *_DICKE_FLAGS, "--symmetric-sector", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 9 * 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"symmetric_sector": True}), encoding="utf-8")
+    assert main(["report", *_DICKE_FLAGS, "--config", str(cfg), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 9 * 3
+    assert build_model(model).dim == 9 * 4
+    half = replace(model, parameters={**model.parameters, "symmetric_sector": 0.5})
+    with pytest.raises(ModelSchemaError):
+        build_model(half)
 
 
 def test_cli_sweep_and_plot(tmp_path, capsys):

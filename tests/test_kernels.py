@@ -67,10 +67,3 @@ def test_expx_xm1_over_x2_series_and_direct():
     xs = np.linspace(-1e-3, 1e-3, 2001)
     vals = expx_xm1_over_x2(xs)
     assert np.all(np.abs(np.diff(vals)) < 1e-6)
-
-
-def test_kernel_alias_in_bounds_module():
-    from fidsus.bounds import kernel_xcothx_inv
-
-    x = np.linspace(-30.0, 30.0, 101)
-    np.testing.assert_array_equal(kernel_xcothx_inv(x), tanh_over_x(x))
