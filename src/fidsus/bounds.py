@@ -27,6 +27,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import CrossCheckError
 from .fidelity import (
+    _gauss_legendre,
     _pair_grids,
     _perturbed_spectrum,
     _ratio_kernel,
@@ -79,10 +80,9 @@ def bd_integral_oracle(
     """
     if nodes < 16:
         raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
+    x, w = _gauss_legendre(int(nodes))
     lam = 0.5 * (x + 1.0)
-    values = [correlation_G(fam, float(t * fam.beta)) for t in lam]
-    return 0.5 * float(np.dot(w, values))
+    return 0.5 * float(np.dot(w, correlation_G(fam, lam * fam.beta)))
 
 
 def double_commutator(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:

@@ -19,14 +19,11 @@ class Tolerances:
         Allowed asymmetry ``||M - M^H||_F`` relative to ``max(1, ||M||_F)``
         for matrices that are claimed Hermitian.
     basis_unitarity : float
-        Allowed ``||B^H B - I||_F`` per unit dimension for eigenbases.
+        Allowed ``||B^H B - I||_F`` per unit dimension for the eigenbases
+        ``eig_hermitian`` returns.
     eig_residual : float
-        Allowed ``||H B - B diag||_F`` relative to ``max(1, ||H||_F)``.
-    jacobi_off_frobenius : float
-        Convergence target for the off-diagonal Frobenius norm of the
-        Jacobi iteration, relative to ``||H||_F``.
-    jacobi_max_sweeps : int
-        Sweep budget before the eigensolver gives up.
+        Allowed ``||H B - B diag||_F`` relative to ``max(1, ||H||_F)`` for
+        the decompositions ``eig_hermitian`` returns.
     psd_clip : float
         Most negative eigenvalue tolerated when clipping a nominally
         positive semidefinite matrix.
@@ -58,8 +55,6 @@ class Tolerances:
     hermitian_rel: float = 1e-12
     basis_unitarity: float = 1e-10
     eig_residual: float = 1e-10
-    jacobi_off_frobenius: float = 1e-13
-    jacobi_max_sweeps: int = 100
     psd_clip: float = 1e-12
     density_trace: float = 1e-10
     degenerate_gap: float = 1e-7

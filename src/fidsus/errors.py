@@ -14,7 +14,7 @@ class NonFiniteError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """The Jacobi eigensolver did not reach its threshold in budget."""
+    """A factorization did not converge or failed its own accuracy check."""
 
 
 class NegativeEigenvalueError(ValueError):

@@ -146,6 +146,15 @@ def _ratio_kernel(g: _PairGrid) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def rho_prime(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Derivative of the Gibbs state at h = 0, in the T-eigenbasis.
 
@@ -293,11 +302,9 @@ def chi_fg_integral(
     terms = np.where(small, p_m * (b * b) * g_small, large) * grid.s_abs2
     closed = 0.125 * beta * beta * grid.var_d + float(terms.sum())
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = _gauss_legendre(quad_nodes)
     taus = 0.5 * b * (nodes + 1.0)
-    quad = 0.5 * b * float(
-        np.sum(weights * np.array([t * correlation_G(fam, t) for t in taus]))
-    )
+    quad = 0.5 * b * float(np.sum(weights * (taus * correlation_G(fam, taus))))
 
     if abs(closed - quad) > tols.quadrature_agreement_rel * max(1.0, abs(closed)):
         raise QuadratureDisagreementError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -263,7 +264,7 @@ def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
     return value
 
 
-def correlation_G(fam: PerturbedFamily, tau: float) -> float:
+def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float | np.ndarray:
     """Imaginary-time autocorrelation G(tau) of the perturbation.
 
     G(tau) = sum_{m,n} p_m e^{tau (T_m - T_n)} |S_mn|^2 - <S>^2 for
@@ -272,17 +273,25 @@ def correlation_G(fam: PerturbedFamily, tau: float) -> float:
     zero, so the sum never overflows however large beta is.  The diagonal
     part is accumulated in the mean-subtracted form so the tau-independent
     variance comes out without cancellation.
+
+    ``tau`` is a float, or a 1-d sequence of floats for which an array of
+    G values is returned; the tau-independent terms are then formed once,
+    and each value is bit-identical to a scalar call.
     """
-    tau = float(tau)
     beta = fam.beta
-    if not math.isfinite(tau) or tau < 0.0 or tau > beta:
-        raise TauOutOfRangeError(f"tau must lie in [0, beta={beta!r}], got {tau!r}")
-    lam = tau / beta
+    scalar = np.ndim(tau) == 0
+    taus = [float(tau)] if scalar else [float(t) for t in tau]
+    for t in taus:
+        if not math.isfinite(t) or t < 0.0 or t > beta:
+            raise TauOutOfRangeError(f"tau must lie in [0, beta={beta!r}], got {t!r}")
     lp = fam.log_populations
-    weights = np.exp((1.0 - lam) * lp[:, None] + lam * lp[None, :])
     s_abs2 = np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(weights, 0.0)
-    off = float(np.sum(weights * s_abs2))
     delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
     diag = float(np.dot(fam.populations, delta_d**2))
-    return off + diag
+    values = []
+    for t in taus:
+        lam = t / beta
+        weights = np.exp((1.0 - lam) * lp[:, None] + lam * lp[None, :])
+        np.fill_diagonal(weights, 0.0)
+        values.append(float(np.sum(weights * s_abs2)) + diag)
+    return values[0] if scalar else np.array(values)

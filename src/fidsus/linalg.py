@@ -1,10 +1,11 @@
 """Dense Hermitian linear algebra.
 
-The eigensolver is a self-contained cyclic Jacobi iteration for complex
-Hermitian matrices.  It is deterministic (fixed pivot order, stable tie
-break, pinned eigenvector phases), accurate at desk scale, and carries
-its own residual checks so downstream spectral sums can trust the
-decomposition without re-validating.
+The eigensolver is LAPACK's Hermitian driver through ``np.linalg.eigh``.
+Its output is normalized (nondecreasing eigenvalues, pinned eigenvector
+phases) and checked (residual and unitarity) before it is returned, so
+downstream spectral sums can trust the decomposition without
+re-validating.  Singular values come from one-sided Jacobi rotations,
+which keep the relative accuracy of tiny values.
 """
 
 import math
@@ -113,101 +114,42 @@ def validate_hermitian(matrix, tols: Tolerances = DEFAULT_TOLS) -> HermitianOper
     return HermitianOperator(matrix=_freeze(sym), dim=sym.shape[0])
 
 
-def _offdiag_sq(a):
-    # summed from the off-diagonal entries themselves; forming
-    # ||A||_F^2 - ||diag||^2 would cancel to noise near convergence
-    abs2 = a.real * a.real + a.imag * a.imag
-    np.fill_diagonal(abs2, 0.0)
-    return float(abs2.sum())
-
-
-def _jacobi(matrix, tols: Tolerances):
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Sweeps pivots in fixed row-major order, so the rotation sequence and
-    therefore every output bit is reproducible for identical input.
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    fro = float(np.linalg.norm(a))
-    if n == 1 or fro == 0.0:
-        return np.diagonal(a).real.copy(), v
-    thresh = tols.jacobi_off_frobenius * fro
-    # rotations on elements below skip_tol cannot lift the total
-    # off-diagonal norm above thresh, so they are not worth applying
-    skip_tol = thresh / n
-    for sweep in range(tols.jacobi_max_sweeps + 1):
-        if math.sqrt(_offdiag_sq(a)) <= thresh:
-            break
-        if sweep == tols.jacobi_max_sweeps:
-            raise NoConvergenceError(
-                f"jacobi got stuck above threshold after {tols.jacobi_max_sweeps} sweeps"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip_tol:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                w = apq / mag
-                wc = w.conjugate()
-                # unitary U embeds [[c, s], [-s wc, c wc]] at (p, q)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - (s * wc) * col_q
-                a[:, q] = s * col_p + (c * wc) * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - (s * w) * row_q
-                a[q, :] = s * row_p + (c * w) * row_q
-                a[p, p] = app - t * mag
-                a[q, q] = aqq + t * mag
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - (s * wc) * vcol_q
-                v[:, q] = s * vcol_p + (c * wc) * vcol_q
-    return np.diagonal(a).real.copy(), v
-
-
 def eig_hermitian(op: HermitianOperator, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator.
 
-    Eigenvalues are sorted nondecreasing with ties broken by original
-    Jacobi output order (stable sort), and each eigenvector's phase is
-    fixed by making its largest-magnitude component real positive.
+    Eigenvalues are sorted nondecreasing with ties broken by the order
+    ``np.linalg.eigh`` returns them in (stable sort), and each
+    eigenvector's phase is fixed by making its first largest-magnitude
+    component real positive.  Inside a degenerate eigenspace the basis is
+    whichever one LAPACK picks.  Every reported sum is invariant under
+    that choice except the split of chi_F into its diagonal and
+    off-diagonal parts, which is taken in this basis.
 
     Raises
     ------
     NoConvergenceError
-        If the sweep budget runs out, or the decomposition fails its own
-        residual or unitarity check.
+        If LAPACK does not converge, or the decomposition fails its own
+        residual (``tols.eig_residual``) or unitarity
+        (``tols.basis_unitarity``) check.
     """
-    evals, basis = _jacobi(op.matrix, tols)
+    try:
+        evals, basis = np.linalg.eigh(op.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
     basis = basis[:, order]
-    for j in range(op.dim):
-        i = int(np.argmax(np.abs(basis[:, j])))
-        z = basis[i, j]
-        m = abs(z)
-        if m > 0.0:
-            basis[:, j] *= z.conjugate() / m
+    # each column's pivot is its first largest-magnitude component, nonzero
+    # in a unit vector; np.hypot divides by the libm magnitude, which the
+    # SIMD np.abs of a complex array may miss in the last bit
+    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(op.dim)]
+    basis *= pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
     resid = float(np.linalg.norm(op.matrix @ basis - basis * evals))
     scale = max(1.0, float(np.linalg.norm(op.matrix)))
-    if resid > tols.eig_residual * scale:
+    if not resid <= tols.eig_residual * scale:
         raise NoConvergenceError(f"eigendecomposition residual {resid:.3e} too large")
     unit = float(np.linalg.norm(basis.conj().T @ basis - np.eye(op.dim)))
-    if unit > tols.basis_unitarity * op.dim:
+    if not unit <= tols.basis_unitarity * op.dim:
         raise NoConvergenceError(f"eigenbasis unitarity defect {unit:.3e} too large")
     return SpectralDecomposition(
         eigenvalues=_freeze(evals), basis=_freeze(basis), dim=op.dim

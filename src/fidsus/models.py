@@ -253,8 +253,10 @@ def dicke_cutoff_shift(
     """Relative chi_F shift between the given family and n_max + 4."""
     T, S = _dicke_matrices(n_atoms, n_max + 4, omega, eps, lam, symmetric_sector)
     wide = make_family(T, S, beta, particle_count=n_atoms, tols=tols)
-    chi = chi_f_spectral(fam, tols).total
+    # wide first: the pair-grid cache keeps only the last family's grid,
+    # and the caller goes on to evaluate fam
     chi_wide = chi_f_spectral(wide, tols).total
+    chi = chi_f_spectral(fam, tols).total
     return abs(chi - chi_wide) / max(1.0, abs(chi))
 
 

@@ -1,5 +1,6 @@
 """Upper/lower bound machinery and the curvature cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from fidsus.bounds import (
 from fidsus.config import DEFAULT_TOLS, Tolerances
 from fidsus.fidelity import _pair_grids, chi_f_spectral, chi_fg_spectral, ds2_spectral
 from fidsus.gibbs import family_at_beta, make_family
-from fidsus.models import random_pair, single_spin
+from fidsus.models import dicke, random_pair, single_spin
 
 
 @pytest.mark.parametrize("h3", [0.1, 0.3, 1.0, 2.5, 5.0])
@@ -212,3 +213,42 @@ def test_one_report_builds_the_pair_grid_once():
     _pair_grids.cache_clear()
     assert bound_report(hot, check_chi_n=False) == hot_rep
     assert bound_report(fam, check_chi_n=False) == rep
+
+
+def test_dicke_probe_keeps_the_family_grid_cached():
+    """The cutoff probe evaluates the wider family first, so the report on
+    the built family reuses the grid the probe left behind."""
+    _pair_grids.cache_clear()
+    fam = dicke(2, 8, 2, 1, 0.5, 1)
+    bound_report(fam, check_chi_n=False)
+    assert _pair_grids.cache_info().misses == 2
+
+
+def test_report_is_invariant_under_a_change_of_basis():
+    """LAPACK picks an arbitrary basis inside each degenerate eigenspace;
+    no reported sum may depend on that choice."""
+    rng = np.random.default_rng(61)
+    levels = np.repeat([-0.4, 0.3, 1.1, 1.6, 2.5], [3, 1, 2, 3, 1])
+    dim = levels.size
+    t = np.diag(levels).astype(complex)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    s = 0.5 * (g + g.conj().T)
+
+    def fields(t, s):
+        rep = bound_report(make_family(t, s, 1.7, particle_count=2))
+        flat = dataclasses.asdict(rep)
+        flat.update({f"per_particle.{k}": v for k, v in flat.pop("per_particle").items()})
+        # the diagonal/off-diagonal split of chi_f is taken in the
+        # eigenbasis, so inside a degenerate eigenspace it follows the
+        # basis; only the sum is a property of the family
+        flat["chi_f_split"] = flat.pop("chi_f_classical") + flat.pop("chi_f_quantum")
+        return flat
+
+    base = fields(t, s)
+    assert base["degenerate_pair_count"] == 3 + 1 + 3
+    for _ in range(4):
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        moved = fields(u @ t @ u.conj().T, u @ s @ u.conj().T)
+        assert moved.keys() == base.keys()
+        for key, value in base.items():
+            assert moved[key] == pytest.approx(value, rel=1e-12, abs=0), key

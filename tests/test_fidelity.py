@@ -12,6 +12,7 @@ from fidsus.errors import (
     NotDensityMatrixError,
 )
 from fidsus.fidelity import (
+    _gauss_legendre,
     bures_distance,
     chi_f_fd,
     chi_f_ground_state,
@@ -177,6 +178,17 @@ def test_chi_fg_spectral_vs_integral():
         both = chi_fg_integral(fam)
         assert abs(fg - both.closed_form) <= 1e-8 * max(1.0, fg)
         assert abs(both.closed_form - both.quadrature) <= 1e-9 * max(1.0, fg)
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    x, w = _gauss_legendre(64)
+    assert _gauss_legendre(64) == (x, w)
+    assert _gauss_legendre(64)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+    np.testing.assert_array_equal(x, ref_x)
+    np.testing.assert_array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_chi_fg_between_half_and_full_ds2():

@@ -135,3 +135,27 @@ def test_thermal_average_shape_check():
     fam = make_family(np.diag([0.0, 1.0]), np.eye(2), 1.0)
     with pytest.raises(DimensionMismatchError):
         thermal_average(fam, np.zeros((2, 3)))
+
+
+def test_correlation_on_a_node_list_matches_the_per_tau_formula():
+    """Each value of a tau list equals, bit for bit, the per-tau formula."""
+    rng = np.random.default_rng(16)
+    fam = make_family(random_hermitian(rng, 7), random_hermitian(rng, 7), 1.9)
+    taus = 0.5 * fam.beta * (np.polynomial.legendre.leggauss(64)[0] + 1.0)
+
+    def reference(tau):
+        lam = tau / fam.beta
+        lp = fam.log_populations
+        weights = np.exp((1.0 - lam) * lp[:, None] + lam * lp[None, :])
+        np.fill_diagonal(weights, 0.0)
+        off = float(np.sum(weights * np.abs(fam.s_eig) ** 2))
+        delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
+        return off + float(np.dot(fam.populations, delta_d**2))
+
+    ref = np.array([reference(float(t)) for t in taus])
+    np.testing.assert_array_equal(correlation_G(fam, taus), ref)
+    scalars = [correlation_G(fam, t) for t in taus]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_array_equal(scalars, ref)
+    with pytest.raises(TauOutOfRangeError):
+        correlation_G(fam, [0.0, 1.01 * fam.beta])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from fidsus.errors import NotHermitianError, NotSquareError
+from fidsus.errors import NoConvergenceError, NotHermitianError, NotSquareError
 from fidsus.linalg import (
     apply_spectral_function,
     eig_hermitian,
@@ -23,6 +23,12 @@ def test_eigenvalues_match_numpy(dim):
         np.testing.assert_allclose(
             dec.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=1e-11 * dim
         )
+    # a spectrum known by construction, independent of any eigensolver
+    lam = np.sort(rng.normal(size=dim))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = np.linalg.qr(g)[0]
+    dec = eig_hermitian(validate_hermitian((u * lam) @ u.conj().T))
+    np.testing.assert_allclose(dec.eigenvalues, lam, rtol=0, atol=1e-12 * dim)
 
 
 def test_eigenbasis_reconstructs_matrix():
@@ -67,6 +73,40 @@ def test_already_diagonal_is_fixed_point():
     np.testing.assert_allclose(dec.eigenvalues, [-1.0, 0.5, 3.0], atol=0)
     # basis must be a signed permutation (here: a permutation)
     np.testing.assert_allclose(np.abs(dec.basis), np.eye(3)[:, [1, 2, 0]], atol=0)
+
+
+def test_eigensolver_failure_is_a_typed_error(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        eig_hermitian(validate_hermitian(np.diag([1.0, 2.0])))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # unitary but not an eigenbasis
+        (lambda b: np.roll(b, 1, axis=1), "residual"),
+        # exact eigenvectors, but not unit length
+        (lambda b: b * (1.0 + 1e-6), "unitarity"),
+        # NaN must not slip past the comparisons
+        (lambda b: np.full_like(b, np.nan), "residual"),
+    ],
+    ids=["not_eigenvectors", "not_unit_length", "nan"],
+)
+def test_postconditions_reject_a_corrupted_basis(monkeypatch, corrupt, message):
+    eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        evals, basis = eigh(matrix)
+        return evals, corrupt(basis)
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    h = random_hermitian(np.random.default_rng(5), 6)
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergenceError, match=message):
+        eig_hermitian(validate_hermitian(h))
 
 
 def test_validate_hermitian_rejects():
