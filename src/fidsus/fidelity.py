@@ -294,7 +294,7 @@ def chi_fg_integral(
     ab = b * a
     small = np.abs(ab) < 0.5
     lp_m = np.broadcast_to(lp[:, None], ab.shape)
-    p_m = np.exp(lp_m)
+    p_m = np.broadcast_to(fam.populations[:, None], ab.shape)
     g_small = expx_xm1_over_x2(np.where(small, ab, 0.0))
     safe_a = np.where(small, 1.0, a)
     large = (np.exp(lp_m + ab) * (ab - 1.0) + p_m) / (safe_a * safe_a)

@@ -264,6 +264,12 @@ def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
     return value
 
 
+# correlation_G takes tau nodes in blocks whose (nodes, n, n) temporaries
+# hold about this many float64 elements (2 MiB), which bounds its memory
+# at any dim and any node count.
+_BLOCK_ELEMENTS = 2**18
+
+
 def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float | np.ndarray:
     """Imaginary-time autocorrelation G(tau) of the perturbation.
 
@@ -275,23 +281,48 @@ def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float |
     variance comes out without cancellation.
 
     ``tau`` is a float, or a 1-d sequence of floats for which an array of
-    G values is returned; the tau-independent terms are then formed once,
-    and each value is bit-identical to a scalar call.
+    G values is returned.  The tau-independent terms are formed once, and
+    the nodes are evaluated in blocks, each one broadcast over a
+    (nodes, n, n) array: a block holds max(1, 2**18 // n**2) nodes, so a
+    temporary holds about 2**18 float64 elements (2 MiB), or one n x n
+    grid once n > 512, and memory does not grow with the number of
+    nodes.  Each value is still one elementwise exp and one pairwise sum
+    over its own n x n slice, bit-identical to a scalar call.
+
+    Raises
+    ------
+    TauOutOfRangeError
+        If ``tau`` is not a float or a 1-d sequence of floats, or a value
+        lies outside [0, beta].
     """
     beta = fam.beta
-    scalar = np.ndim(tau) == 0
-    taus = [float(tau)] if scalar else [float(t) for t in tau]
-    for t in taus:
-        if not math.isfinite(t) or t < 0.0 or t > beta:
-            raise TauOutOfRangeError(f"tau must lie in [0, beta={beta!r}], got {t!r}")
+    try:
+        taus = np.asarray(tau)
+        well_formed = taus.ndim <= 1 and taus.dtype.kind in "iuf"
+    except ValueError:  # ragged nested sequences
+        well_formed = False
+    if not well_formed:
+        raise TauOutOfRangeError(
+            f"tau must be a float or a 1-d sequence of floats in [0, beta={beta!r}], "
+            f"got {tau!r}"
+        )
+    flat = np.atleast_1d(taus).astype(float)
+    outside = flat[~((flat >= 0.0) & (flat <= beta))]
+    if outside.size:
+        raise TauOutOfRangeError(
+            f"tau must lie in [0, beta={beta!r}], got {float(outside[0])!r}"
+        )
+    lam = flat / beta
     lp = fam.log_populations
     s_abs2 = np.abs(fam.s_eig) ** 2
+    np.fill_diagonal(s_abs2, 0.0)
     delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
     diag = float(np.dot(fam.populations, delta_d**2))
-    values = []
-    for t in taus:
-        lam = t / beta
-        weights = np.exp((1.0 - lam) * lp[:, None] + lam * lp[None, :])
-        np.fill_diagonal(weights, 0.0)
-        values.append(float(np.sum(weights * s_abs2)) + diag)
-    return values[0] if scalar else np.array(values)
+    values = np.empty(lam.shape)
+    step = max(1, _BLOCK_ELEMENTS // fam.dim**2)
+    for lo in range(0, lam.size, step):
+        block = lam[lo : lo + step, None, None]
+        weights = np.exp((1.0 - block) * lp[:, None] + block * lp[None, :])
+        weights *= s_abs2
+        values[lo : lo + step] = np.sum(weights, axis=(1, 2)) + diag
+    return float(values[0]) if taus.ndim == 0 else values

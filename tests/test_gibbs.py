@@ -1,7 +1,11 @@
 """Thermal-state construction and imaginary-time correlators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_hermitian
@@ -108,8 +112,19 @@ def test_correlation_against_heisenberg_picture():
 
 def test_correlation_tau_range():
     fam = make_family(np.diag([0.0, 1.0]), np.eye(2), 1.0)
-    for tau in (-0.1, 1.1):
-        with pytest.raises(TauOutOfRangeError):
+    for tau in (-0.1, 1.1, np.nan, np.inf, [0.5, np.nan]):
+        with pytest.raises(TauOutOfRangeError, match=r"in \[0, beta"):
+            correlation_G(fam, tau)
+    malformed = (
+        [[0.1, 0.2]],
+        np.array([[0.2]]),
+        [0.1, None],
+        [[0.1], [0.2, 0.3]],
+        np.array([0.2j]),
+        "0.5",
+    )
+    for tau in malformed:
+        with pytest.raises(TauOutOfRangeError, match="1-d sequence of floats"):
             correlation_G(fam, tau)
 
 
@@ -137,10 +152,14 @@ def test_thermal_average_shape_check():
         thermal_average(fam, np.zeros((2, 3)))
 
 
-def test_correlation_on_a_node_list_matches_the_per_tau_formula():
-    """Each value of a tau list equals, bit for bit, the per-tau formula."""
+@pytest.mark.parametrize("dim", [7, 128])
+def test_correlation_on_a_node_list_matches_the_per_tau_formula(dim):
+    """Each value of a tau list equals, bit for bit, the per-tau formula.
+
+    At dim 128 the 64 nodes are evaluated in several blocks.
+    """
     rng = np.random.default_rng(16)
-    fam = make_family(random_hermitian(rng, 7), random_hermitian(rng, 7), 1.9)
+    fam = make_family(random_hermitian(rng, dim), random_hermitian(rng, dim), 1.9)
     taus = 0.5 * fam.beta * (np.polynomial.legendre.leggauss(64)[0] + 1.0)
 
     def reference(tau):
@@ -159,3 +178,52 @@ def test_correlation_on_a_node_list_matches_the_per_tau_formula():
     np.testing.assert_array_equal(scalars, ref)
     with pytest.raises(TauOutOfRangeError):
         correlation_G(fam, [0.0, 1.01 * fam.beta])
+
+
+def test_correlation_memory_is_bounded_by_blocking():
+    """64 nodes at dim 256 never hold a (64, 256, 256) temporary (32 MiB)."""
+    rng = np.random.default_rng(17)
+    fam = make_family(random_hermitian(rng, 256), random_hermitian(rng, 256), 2.0)
+    taus = np.linspace(0.0, fam.beta, 64)
+    tracemalloc.start()
+    try:
+        correlation_G(fam, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@st.composite
+def clustered_families(draw):
+    """Families whose T has clusters of levels, exactly degenerate or split
+    by tiny gaps, at any beta in [1e-3, 1e3]."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    width = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-4]))
+    spacing = draw(st.floats(0.05, 3.0))
+    levels = np.concatenate(
+        [k * spacing + width * np.arange(size) for k, size in enumerate(sizes)]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.diag(levels).astype(complex)
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(random_hermitian(rng, levels.size))
+        t = q @ t @ q.conj().T
+    beta = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return make_family(t, random_hermitian(rng, levels.size), beta)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(fam=clustered_families(), lam=st.floats(0.0, 1.0))
+def test_correlation_properties_on_clustered_spectra(fam, lam):
+    """G is finite, nonnegative, symmetric about beta/2 and largest at the
+    endpoints (a positive sum of exponentials in tau is convex)."""
+    tau = lam * fam.beta
+    g0, g_tau, g_mirror, g_beta = correlation_G(
+        fam, [0.0, tau, fam.beta - tau, fam.beta]
+    )
+    assert np.all(np.isfinite([g0, g_tau, g_mirror, g_beta]))
+    assert min(g0, g_tau, g_mirror, g_beta) >= 0.0
+    assert g_tau == pytest.approx(g_mirror, rel=1e-12, abs=1e-14)
+    assert g_beta == pytest.approx(g0, rel=1e-12, abs=1e-14)
+    assert g_tau <= g0 * (1.0 + 1e-12) + 1e-14
