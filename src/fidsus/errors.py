@@ -17,10 +17,6 @@ class NoConvergenceError(RuntimeError):
     """A factorization did not converge or failed its own accuracy check."""
 
 
-class NegativeEigenvalueError(ValueError):
-    """An eigenvalue is below the positive-semidefinite clip tolerance."""
-
-
 class NotDensityMatrixError(ValueError):
     """Input is not Hermitian, unit-trace, and positive semidefinite."""
 

@@ -241,8 +241,9 @@ def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
 def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
     """Average Tr(rho A) for A given in the T-eigenbasis.
 
-    Returns the real part; an imaginary residue above 1e-12 (which a
-    Hermitian A cannot produce beyond rounding) is reported as a warning.
+    Returns the real part; an imaginary residue above 1e-12 relative to
+    ``max(1, ||A||_F)`` (which a Hermitian A cannot produce beyond
+    rounding of order eps ||A||) is reported as a warning.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -251,13 +252,14 @@ def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"operator is {A.shape[0]}x{A.shape[0]} but the family has dim {fam.dim}"
         )
+    scale = max(1.0, float(np.linalg.norm(A)))
     asym = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if asym > 1e-10 * max(1.0, float(np.linalg.norm(A))):
+    if asym > 1e-10 * scale:
         raise NotHermitianError(f"operator is not Hermitian: defect {asym:.3e}")
     diag = np.diagonal(A)
     value = float(np.dot(fam.populations, np.real(diag)))
     residue = abs(float(np.dot(fam.populations, np.imag(diag))))
-    if residue > 1e-12:
+    if residue > 1e-12 * scale:
         warnings.warn(
             f"thermal average has imaginary residue {residue:.3e}", stacklevel=2
         )

@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
-    NegativeEigenvalueError,
     NoConvergenceError,
     NonFiniteError,
     NotHermitianError,
@@ -27,8 +26,6 @@ __all__ = [
     "SpectralDecomposition",
     "validate_hermitian",
     "eig_hermitian",
-    "apply_spectral_function",
-    "psd_sqrt",
 ]
 
 
@@ -154,63 +151,6 @@ def eig_hermitian(op: HermitianOperator, tols: Tolerances = DEFAULT_TOLS) -> Spe
     return SpectralDecomposition(
         eigenvalues=_freeze(evals), basis=_freeze(basis), dim=op.dim
     )
-
-
-def apply_spectral_function(decomp: SpectralDecomposition, func) -> np.ndarray:
-    """Assemble ``B diag(f(lambda)) B^H`` for a real function ``f``.
-
-    Parameters
-    ----------
-    decomp : SpectralDecomposition
-        Decomposition to act on.
-    func : callable
-        Maps a 1-d array of eigenvalues to real values elementwise.
-
-    Returns
-    -------
-    ndarray
-        Hermitian matrix function of the operator (symmetrized).
-
-    Raises
-    ------
-    NonFiniteError
-        If ``f`` produces NaN or infinity on any eigenvalue.
-    """
-    vals = np.asarray(func(decomp.eigenvalues), dtype=float)
-    if vals.shape != decomp.eigenvalues.shape:
-        vals = np.array([float(func(x)) for x in decomp.eigenvalues])
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteError("spectral function produced non-finite values")
-    m = (decomp.basis * vals) @ decomp.basis.conj().T
-    return 0.5 * (m + m.conj().T)
-
-
-def psd_sqrt(op_or_decomp, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Principal square root of a positive semidefinite operator.
-
-    Eigenvalues in ``[-psd_clip, 0)`` are treated as rounding noise and
-    clipped to zero; anything more negative raises.
-
-    Parameters
-    ----------
-    op_or_decomp : HermitianOperator or SpectralDecomposition
-        Operator to take the root of.
-
-    Raises
-    ------
-    NegativeEigenvalueError
-        If an eigenvalue is below ``-psd_clip``.
-    """
-    if isinstance(op_or_decomp, SpectralDecomposition):
-        decomp = op_or_decomp
-    else:
-        decomp = eig_hermitian(op_or_decomp, tols)
-    low = float(decomp.eigenvalues.min()) if decomp.dim else 0.0
-    if low < -tols.psd_clip:
-        raise NegativeEigenvalueError(
-            f"eigenvalue {low:.3e} below clip tolerance -{tols.psd_clip:.1e}"
-        )
-    return apply_spectral_function(decomp, lambda lam: np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def singular_values_onesided(b: np.ndarray) -> np.ndarray:

@@ -137,12 +137,7 @@ def _model_at(spec: SweepSpec, value: float) -> ModelSpec:
     return replace(spec.model, parameters=params)
 
 
-def compute_rows(
-    spec: SweepSpec,
-    tols: Tolerances = DEFAULT_TOLS,
-    *,
-    check_chi_n: bool = True,
-) -> List[SweepRow]:
+def compute_rows(spec: SweepSpec, tols: Tolerances = DEFAULT_TOLS) -> List[SweepRow]:
     """Evaluate every grid point; nothing touches the filesystem here."""
     grid = sweep_grid(spec)
     if spec.sweep_param == "beta":
@@ -151,7 +146,7 @@ def compute_rows(
     else:
         fams = (build_model(_model_at(spec, value), tols) for value in grid)
     return [
-        _row_from_report(value, bound_report(fam, tols, check_chi_n=check_chi_n))
+        _row_from_report(value, bound_report(fam, tols))
         for value, fam in zip(grid, fams)
     ]
 
@@ -188,12 +183,7 @@ def format_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(
-    spec: SweepSpec,
-    tols: Tolerances = DEFAULT_TOLS,
-    *,
-    check_chi_n: bool = True,
-) -> List[SweepRow]:
+def run_sweep(spec: SweepSpec, tols: Tolerances = DEFAULT_TOLS) -> List[SweepRow]:
     """Compute the sweep and write the CSV (and optional SVG) outputs.
 
     All points are evaluated before the first byte is written, so an
@@ -201,7 +191,7 @@ def run_sweep(
     replaced atomically, so a failed write leaves any existing file of
     the target name as it was.
     """
-    rows = compute_rows(spec, tols, check_chi_n=check_chi_n)
+    rows = compute_rows(spec, tols)
     if spec.csv_path is not None:
         write_text_atomic(spec.csv_path, format_csv(rows))
         if spec.svg_path is not None:

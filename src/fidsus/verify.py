@@ -24,6 +24,7 @@ from typing import Callable, List
 import numpy as np
 
 from .bounds import (
+    BoundReport,
     bd_integral_oracle,
     bound_report,
     double_commutator_direct,
@@ -93,6 +94,14 @@ def _random_family(seed: int, dim: int, beta: float):
     return random_pair(dim, seed, 1.0, 1.0, beta)
 
 
+def _sandwich_violation(rep: BoundReport) -> float:
+    """How far chi_f lies outside [max(lb_paper, chi_fg, 0), ub]; <= 0 inside."""
+    return max(
+        max(rep.lower_paper, rep.lower_aasc, 0.0) - rep.chi_f,
+        rep.chi_f - rep.upper,
+    )
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -110,9 +119,10 @@ def _suite_kernels(seed, instances, dim_max, out):
     over = float(np.max(f - 1.0))
     under = float(np.max(np.maximum(1.0 - x * x / 3.0, 0.0) - f))
     positive = bool(np.all(f > 0.0))
+    # spread across the series/direct switchover at x = +-1e-4
     c = 1e-4
-    lo = np.nextafter(c, 0.0)
-    jump = abs(float(tanh_over_x(np.array([lo]))[0]) - float(tanh_over_x(np.array([c]))[0]))
+    edge = np.array([np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)])
+    jump = max(float(np.ptp(tanh_over_x(sign * edge))) for sign in (1.0, -1.0))
     out.append(
         CheckResult(
             "kernel_bounds",
@@ -131,7 +141,6 @@ def _suite_random(seed, instances, dim_max, out):
     dims = rng.integers(2, dim_max + 1, size=instances)
     betas = 10.0 ** rng.uniform(-1.0, 1.0, size=instances)
 
-    sandwich_fail = 0
     worst_sandwich = -np.inf
     worst_ds2 = 0.0
     worst_window = -np.inf
@@ -145,30 +154,22 @@ def _suite_random(seed, instances, dim_max, out):
     for k in range(instances):
         fam = _random_family(fam_seeds[k], int(dims[k]), float(betas[k]))
         rep = bound_report(fam, check_chi_n=False)
-        norm = max(1.0, abs(rep.chi_f))
-        slack = max(
-            max(rep.lower_paper, rep.lower_aasc, 0.0) - rep.chi_f,
-            rep.chi_f - rep.upper,
-        ) / norm
-        worst_sandwich = max(worst_sandwich, slack)
-        if not rep.sandwich_ok:
-            sandwich_fail += 1
-        worst_ds2 = max(worst_ds2, abs(rep.ds2 - rep.chi_f) / norm)
-        wnorm = max(1.0, rep.ds2)
+        worst_sandwich = max(worst_sandwich, _sandwich_violation(rep))
+        worst_ds2 = max(
+            worst_ds2, abs(rep.ds2 - rep.chi_f) / max(rep.chi_f, 1e-300)
+        )
         worst_window = max(
             worst_window,
-            (0.5 * rep.ds2 - rep.lower_aasc) / wnorm,
-            (rep.lower_aasc - rep.ds2) / wnorm,
+            0.5 * rep.ds2 - rep.lower_aasc,
+            rep.lower_aasc - rep.ds2,
         )
-        worst_fg_le = max(worst_fg_le, (rep.lower_aasc - rep.chi_f) / norm)
-        fg = chi_fg_integral(fam)
+        worst_fg_le = max(worst_fg_le, rep.lower_aasc - rep.chi_f)
         worst_fg_quad = max(
             worst_fg_quad,
-            abs(rep.lower_aasc - fg.closed_form) / max(1.0, rep.lower_aasc),
+            abs(rep.lower_aasc - chi_fg_integral(fam).closed_form),
         )
-        bd_q = bd_integral_oracle(fam)
         worst_bd_quad = max(
-            worst_bd_quad, abs(rep.bd_product - bd_q) / max(1.0, rep.bd_product)
+            worst_bd_quad, abs(rep.bd_product - bd_integral_oracle(fam))
         )
         direct = double_commutator_direct(fam)
         worst_dcomm = max(
@@ -188,8 +189,8 @@ def _suite_random(seed, instances, dim_max, out):
     out.append(
         CheckResult(
             "sandwich",
-            sandwich_fail == 0 and worst_sandwich <= 1e-10,
-            f"fails={sandwich_fail} worst_slack={_e(worst_sandwich)} "
+            worst_sandwich <= 1e-10,
+            f"worst_slack={_e(worst_sandwich)} "
             f"tol=1.0e-10 n={instances} deg_pairs={deg_total}",
         )
     )
@@ -249,7 +250,7 @@ def _suite_oracles(seed, instances, dim_max, out):
     rng = np.random.default_rng([seed, 3])
     fam_seeds = _seeds(seed, 30, count)
     dims = rng.integers(2, min(8, dim_max) + 1, size=count)
-    betas = 10.0 ** rng.uniform(-1.0, 0.7, size=count)
+    betas = 10.0 ** rng.uniform(-1.0, 1.0, size=count)
 
     worst_fd = 0.0
     worst_chi_n = 0.0
@@ -312,14 +313,15 @@ def _suite_taylor(seed, instances, dim_max, out):
 
 def _suite_commuting(seed, instances, dim_max, out):
     rng = np.random.default_rng([seed, 4])
+    count = 25
     worst = 0.0
-    for _ in range(20):
+    for _ in range(count):
         dim = int(rng.integers(2, dim_max + 1))
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         v = np.linalg.qr(g)[0]
         t_diag = rng.normal(size=dim)
         s_diag = rng.normal(size=dim)
-        beta = float(rng.uniform(0.5, 3.0))
+        beta = float(rng.uniform(0.2, 5.0))
         T = v @ np.diag(t_diag) @ v.conj().T
         S = v @ np.diag(s_diag) @ v.conj().T
         fam = make_family(0.5 * (T + T.conj().T), 0.5 * (S + S.conj().T), beta)
@@ -341,14 +343,15 @@ def _suite_commuting(seed, instances, dim_max, out):
         CheckResult(
             "commuting_saturation",
             worst <= 1e-12,
-            f"worst={_e(worst)} tol=1.0e-12 n=20",
+            f"worst={_e(worst)} tol=1.0e-12 n={count}",
         )
     )
 
 
 def _suite_single_spin(seed, instances, dim_max, out):
+    fields = [0.1 * k for k in range(1, 51)]
     worst = 0.0
-    for h3 in (0.1, 0.5, 1.0, 2.0, 5.0):
+    for h3 in fields:
         fam = single_spin(h3)
         ref = single_spin_closed_forms(h3)
         rep = bound_report(fam, check_chi_n=False)
@@ -363,7 +366,7 @@ def _suite_single_spin(seed, instances, dim_max, out):
         CheckResult(
             "single_spin_closed_forms",
             worst <= 1e-12,
-            f"worst={_e(worst)} tol=1.0e-12",
+            f"worst={_e(worst)} tol=1.0e-12 n={len(fields)}",
         )
     )
 
@@ -371,7 +374,7 @@ def _suite_single_spin(seed, instances, dim_max, out):
 def _suite_kondo(seed, instances, dim_max, out):
     worst_rot1 = 0.0
     worst_rot2 = 0.0
-    sandwich_fail = 0
+    worst_sandwich = -np.inf
     envelope_hit = 0
     cap_hit = 0
     total = 0
@@ -380,8 +383,7 @@ def _suite_kondo(seed, instances, dim_max, out):
             fam = kondo_toy(1, (0.0, 0.5), j, beta)
             rep = bound_report(fam, check_chi_n=False)
             total += 1
-            if not rep.sandwich_ok:
-                sandwich_fail += 1
+            worst_sandwich = max(worst_sandwich, _sandwich_violation(rep))
             worst_rot1 = max(worst_rot1, abs(thermal_average(fam, fam.s_eig)))
             s3sq = thermal_average(fam, fam.s_eig @ fam.s_eig)
             worst_rot2 = max(worst_rot2, abs(s3sq - 0.25))
@@ -401,8 +403,8 @@ def _suite_kondo(seed, instances, dim_max, out):
     out.append(
         CheckResult(
             "kondo_sandwich",
-            sandwich_fail == 0,
-            f"fails={sandwich_fail} n={total}",
+            worst_sandwich <= 1e-10,
+            f"worst_slack={_e(worst_sandwich)} tol=1.0e-10 n={total}",
         )
     )
     out.append(

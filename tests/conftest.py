@@ -1,6 +1,7 @@
 import numpy as np
-import pytest
+from hypothesis import strategies as st
 
+from fidsus.gibbs import make_family
 from fidsus.models import random_pair
 
 
@@ -16,12 +17,27 @@ def seeded_families(master_seed, count, dim_lo, dim_hi, beta_lo, beta_hi):
     return fams
 
 
-@pytest.fixture(scope="session")
-def thousand_families():
-    """The 1000-instance random suite, dims 2-12, beta in [0.1, 10]."""
-    return seeded_families(20260822, 1000, 2, 12, 0.1, 10.0)
-
-
 def random_hermitian(rng, dim, scale=1.0):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (g + g.conj().T)
+
+
+@st.composite
+def clustered_families(draw, s_scales=st.just(1.0)):
+    """Families whose T has clusters of levels, exactly degenerate or split
+    by tiny gaps, at any beta in [1e-3, 1e3]; S is a random Hermitian
+    matrix times a factor drawn from ``s_scales``."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    width = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-4]))
+    spacing = draw(st.floats(0.05, 3.0))
+    levels = np.concatenate(
+        [k * spacing + width * np.arange(size) for k, size in enumerate(sizes)]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.diag(levels).astype(complex)
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(random_hermitian(rng, levels.size))
+        t = q @ t @ q.conj().T
+    beta = 10.0 ** draw(st.floats(-3.0, 3.0))
+    s = random_hermitian(rng, levels.size, draw(s_scales))
+    return make_family(t, s, beta)

@@ -1,49 +1,49 @@
 """End-to-end acceptance checks.
 
-Each test covers one published guarantee of the package, prints a single
-PASS/FAIL line with the measured margins, and enforces the stated
-runtime budget where one applies.  Tolerances here are contractual;
-loosening them is a behavior change, not a test fix.
+Every published invariant and its contract threshold lives in
+``fidsus.verify``.  One seed-42 verify run serves the module; each test
+asserts that verify's checks behind one guarantee passed and prints
+their lines.  The small-field expansion and the atom-field cutoff have
+no verify equivalent and measure their own margins.  Loosening a
+threshold is a behavior change, not a test fix.
 """
 
-import math
 import time
 
 import numpy as np
+import pytest
 
-from conftest import seeded_families
-from fidsus.bounds import (
-    bd_inner_product,
-    bd_integral_oracle,
-    bound_report,
-    double_commutator,
-    free_energy_curvature,
-    lower_bound,
-    thermo_susceptibility,
-    upper_bound,
-)
-from fidsus.fidelity import (
-    chi_f_fd,
-    chi_f_spectral,
-    chi_fg_integral,
-    chi_fg_spectral,
-    perturbed_density,
-    rho_prime,
-    uhlmann_fidelity,
-)
-from fidsus.gibbs import family_at_beta, make_family, thermal_average
-from fidsus.kernels import tanh_over_x
-from fidsus.models import (
-    dicke,
-    dicke_tc,
-    kondo_roepstorff,
-    kondo_toy,
-    random_pair,
-    single_spin,
-)
+from fidsus.bounds import bound_report, double_commutator
+from fidsus.fidelity import chi_f_spectral, perturbed_density, uhlmann_fidelity
+from fidsus.gibbs import family_at_beta
+from fidsus.models import ModelSpec, dicke, dicke_tc, random_pair
 from fidsus.sweep import SweepSpec, run_sweep
-from fidsus.models import ModelSpec
 from fidsus.verify import run_verify
+
+# verify's hard checks, grouped by the verify suite that runs them
+HARD_CHECKS = (
+    "kernel_bounds", "kernel_even",
+    "sandwich", "ds2_equals_chi_f", "chi_fg_window", "chi_fg_below_chi_f",
+    "chi_fg_quadrature", "bd_quadrature", "dcomm_two_forms", "nonnegativity",
+    "chi_f_vs_fd", "chi_n_vs_curvature", "rho_prime_traceless",
+    "rho_taylor_quadratic",
+    "commuting_saturation",
+    "single_spin_closed_forms",
+    "kondo_rotation_invariance", "kondo_sandwich", "kondo_weak_coupling_pinch",
+    "dicke_sandwich", "dicke_tc_roots",
+    "tfim_structure",
+    "model_file_contract",
+    "deterministic_rebuild",
+    "upper_gap_beta_scaling",
+)
+
+
+@pytest.fixture(scope="module")
+def verified():
+    """The seed-42 verify summary and the seconds it took."""
+    t0 = time.perf_counter()
+    summary = run_verify(seed=42, instances=1000, dim_max=12)
+    return summary, time.perf_counter() - t0
 
 
 def _criterion(name, ok, detail):
@@ -51,126 +51,52 @@ def _criterion(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-_cache = {}
+def _checks_passed(verified, *names):
+    """Print verify's line for each named check and assert they passed."""
+    summary, _ = verified
+    lines = {line.split(" ")[1]: line for line in summary.text.splitlines()[1:-1]}
+    results = {r.name: r for r in summary.results}
+    for name in names:
+        print(lines[name])
+    failed = [name for name in names if not results[name].passed]
+    assert not failed, f"verify checks failed: {failed}"
 
 
-def _suite():
-    """The shared 1000-instance random suite with one report per family."""
-    if "reports" not in _cache:
-        fams = seeded_families(20260822, 1000, 2, 12, 0.1, 10.0)
-        _cache["families"] = fams
-        _cache["reports"] = [bound_report(f, check_chi_n=False) for f in fams]
-    return _cache["families"], _cache["reports"]
+def test_verify_reports_every_hard_check(verified):
+    summary, elapsed = verified
+    assert sorted(r.name for r in summary.results if r.hard) == sorted(HARD_CHECKS)
+    _checks_passed(verified, *HARD_CHECKS)
+    _criterion("verify_budget", elapsed < 30.0, f"elapsed={elapsed:.1f}s (<30s)")
 
 
-def test_single_spin_closed_forms_sweep():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for k in range(1, 51):
-        h3 = 0.1 * k
-        fam = single_spin(h3)
-        th = math.tanh(h3)
-        worst = max(
-            worst,
-            abs(chi_f_spectral(fam).total - th * th / (4.0 * h3 * h3)),
-            abs(bd_inner_product(fam) - th / h3),
-            abs(double_commutator(fam) - 4.0 * h3 * th),
-            abs(lower_bound(fam) - (th / (4.0 * h3)) * (1.0 - h3 * h3 / 3.0)),
-        )
-    elapsed = time.perf_counter() - t0
-    _criterion(
-        "single_spin_closed_forms",
-        worst <= 1e-12 and elapsed < 1.0,
-        f"worst_abs={worst:.3e} (<=1e-12), elapsed={elapsed:.2f}s (<1s)",
+def test_single_spin_closed_forms_sweep(verified):
+    _checks_passed(verified, "single_spin_closed_forms")
+
+
+def test_sandwich_on_thousand_random_families(verified):
+    _checks_passed(verified, "sandwich", "nonnegativity")
+
+
+def test_independent_oracles_agree(verified):
+    _checks_passed(verified, "chi_f_vs_fd", "chi_n_vs_curvature", "bd_quadrature")
+
+
+def test_cross_formula_identities_on_suite(verified):
+    _checks_passed(
+        verified,
+        "ds2_equals_chi_f",
+        "chi_fg_quadrature",
+        "chi_fg_window",
+        "chi_fg_below_chi_f",
+        "dcomm_two_forms",
     )
 
 
-def test_sandwich_on_thousand_random_families():
-    t0 = time.perf_counter()
-    _, reports = _suite()
-    violation = 0.0
-    for rep in reports:
-        lb = max(rep.lower_paper, rep.lower_aasc, 0.0)
-        violation = max(violation, lb - rep.chi_f, rep.chi_f - rep.upper)
-    elapsed = time.perf_counter() - t0
-    _criterion(
-        "thousand_family_sandwich",
-        violation <= 1e-10 and elapsed < 30.0,
-        f"worst_violation={violation:.3e} (<=1e-10), "
-        f"elapsed={elapsed:.1f}s (<30s), n=1000",
-    )
+def test_commuting_families_saturate_bounds(verified):
+    _checks_passed(verified, "commuting_saturation")
 
 
-def test_independent_oracles_agree():
-    t0 = time.perf_counter()
-    w_fd = w_bd = w_cn = 0.0
-    for fam in seeded_families(20260823, 100, 2, 8, 0.1, 10.0):
-        chi = chi_f_spectral(fam).total
-        w_fd = max(w_fd, abs(chi - chi_f_fd(fam, 1e-3)) / max(1.0, chi))
-        w_bd = max(w_bd, abs(bd_inner_product(fam) - bd_integral_oracle(fam)))
-        cn = thermo_susceptibility(fam, check=False)
-        w_cn = max(w_cn, abs(cn - free_energy_curvature(fam)) / max(1.0, abs(cn)))
-    elapsed = time.perf_counter() - t0
-    _criterion(
-        "independent_oracles",
-        w_fd <= 1e-6 and w_bd <= 1e-9 and w_cn <= 1e-6 and elapsed < 60.0,
-        f"chi_f_fd_rel={w_fd:.3e} (<=1e-6), bd_quad_abs={w_bd:.3e} (<=1e-9), "
-        f"chi_n_fd_rel={w_cn:.3e} (<=1e-6), elapsed={elapsed:.1f}s (<60s)",
-    )
-
-
-def test_cross_formula_identities_on_suite():
-    t0 = time.perf_counter()
-    fams, reports = _suite()
-    w_ds2 = w_quad = w_window = w_order = 0.0
-    for fam, rep in zip(fams, reports):
-        chi, fg, d2 = rep.chi_f, rep.lower_aasc, rep.ds2
-        w_ds2 = max(w_ds2, abs(d2 - chi) / max(1e-300, chi))
-        w_quad = max(w_quad, abs(fg - chi_fg_integral(fam).closed_form))
-        w_window = max(w_window, 0.5 * d2 - fg, fg - d2)
-        w_order = max(w_order, fg - chi)
-    elapsed = time.perf_counter() - t0
-    _criterion(
-        "cross_formula_identities",
-        w_ds2 <= 1e-10 and w_quad <= 1e-8 and w_window <= 1e-12 and w_order <= 1e-12,
-        f"ds2_rel={w_ds2:.3e} (<=1e-10), fg_vs_integral={w_quad:.3e} (<=1e-8), "
-        f"window_violation={w_window:.3e} (<=1e-12), "
-        f"fg_above_chi={w_order:.3e} (<=1e-12), elapsed={elapsed:.1f}s",
-    )
-
-
-def test_commuting_families_saturate_bounds():
-    rng = np.random.default_rng(20260824)
-    worst = 0.0
-    for _ in range(25):
-        dim = int(rng.integers(2, 11))
-        q, _r = np.linalg.qr(
-            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        )
-        t = q @ np.diag(rng.normal(size=dim)) @ q.conj().T
-        s = q @ np.diag(rng.normal(size=dim)) @ q.conj().T
-        beta = float(rng.uniform(0.2, 5.0))
-        fam = make_family(t, s, beta)
-        chi = chi_f_spectral(fam).total
-        p = fam.populations
-        sd = np.real(np.diagonal(fam.s_eig))
-        var = float(np.dot(p, (sd - np.dot(p, sd)) ** 2))
-        scale = max(1.0, chi)
-        worst = max(
-            worst,
-            abs(upper_bound(fam) - chi) / scale,
-            abs(lower_bound(fam) - chi) / scale,
-            abs(chi - 0.25 * beta * beta * var) / scale,
-            abs(chi_fg_spectral(fam) - 0.5 * chi) / scale,
-        )
-    _criterion(
-        "commuting_saturation",
-        worst <= 1e-12,
-        f"worst_normalized={worst:.3e} (<=1e-12), n=25",
-    )
-
-
-def test_small_field_fidelity_expansion():
+def test_small_field_fidelity_expansion(verified):
     fam = random_pair(4, 7, 1.0, 1.0, 1.0)
     chi = chi_f_spectral(fam).total
     rho0 = np.diag(fam.populations).astype(complex)
@@ -180,51 +106,21 @@ def test_small_field_fidelity_expansion():
         return abs((1.0 - f) - 0.5 * chi * h * h)
 
     ratios = [err(h) / err(0.5 * h) for h in (1e-2, 5e-3)]
-    trace = abs(complex(np.trace(rho_prime(fam))))
     _criterion(
         "small_field_expansion",
-        min(ratios) >= 4.0 and trace <= 1e-10,
-        f"remainder_ratios={ratios[0]:.3f},{ratios[1]:.3f} (>=4), "
-        f"trace_rho_prime={trace:.3e} (<=1e-10)",
+        min(ratios) >= 4.0,
+        f"remainder_ratios={ratios[0]:.3f},{ratios[1]:.3f} (>=4)",
     )
+    _checks_passed(verified, "rho_prime_traceless", "rho_taylor_quadratic")
 
 
-def test_impurity_grid_invariants_and_pinch():
-    t0 = time.perf_counter()
-    w_mean = w_second = w_sandwich = 0.0
-    inside = 0
-    for beta in (0.5, 1.0, 2.0):
-        for j in (0.25, 0.5, 1.0):
-            fam = kondo_toy(1, (0.0, 0.5), j, beta)
-            w_mean = max(w_mean, abs(thermal_average(fam, fam.s_eig)))
-            second = thermal_average(fam, fam.s_eig @ fam.s_eig)
-            w_second = max(w_second, abs(second - 0.25))
-            rep = bound_report(fam, check_chi_n=False)
-            lb = max(rep.lower_paper, rep.lower_aasc, 0.0)
-            w_sandwich = max(w_sandwich, lb - rep.chi_f, rep.chi_f - rep.upper)
-            # free-band envelope, evaluated against the toy for the record
-            rec = kondo_roepstorff(beta, j, 1)
-            chi4 = 4.0 * rep.chi_f / beta
-            inside += int(rec.lower <= chi4 <= rec.upper)
-    pinch = kondo_roepstorff(0.05, 0.5, 1)
-    gap = (pinch.upper - pinch.lower) / pinch.upper
-    elapsed = time.perf_counter() - t0
-    print(
-        f"REPORT impurity_envelope: (4/beta)chi_f inside the free-band "
-        f"envelope on {inside}/9 grid points (not asserted)"
-    )
-    _criterion(
-        "impurity_invariants_and_pinch",
-        w_mean <= 1e-12
-        and w_second <= 1e-10
-        and w_sandwich <= 1e-10
-        and pinch.beta_eps <= 1e-3
-        and gap <= 2e-3
-        and elapsed < 120.0,
-        f"worst_mean={w_mean:.3e} (<=1e-12), worst_second={w_second:.3e} "
-        f"(<=1e-10), sandwich_violation={w_sandwich:.3e}, "
-        f"pinch_beta_eps={pinch.beta_eps:.3e} gap={gap:.3e} (<=2e-3), "
-        f"elapsed={elapsed:.1f}s (<120s)",
+def test_impurity_grid_invariants_and_pinch(verified):
+    _checks_passed(
+        verified,
+        "kondo_rotation_invariance",
+        "kondo_sandwich",
+        "kondo_curie_envelope",
+        "kondo_weak_coupling_pinch",
     )
 
 
@@ -273,27 +169,12 @@ def test_atom_field_cutoff_and_curvature_gap():
     )
 
 
-def test_kernel_envelope_on_million_points():
-    x = np.linspace(-50.0, 50.0, 1_000_000)
-    y = tanh_over_x(x)
-    over = int(np.count_nonzero(y > 1.0))
-    under = int(np.count_nonzero(y < 1.0 - x * x / 3.0))
-    a = np.nextafter(1e-4, 0.0)
-    b = np.nextafter(1e-4, 1.0)
-    jump = max(
-        abs(float(tanh_over_x(np.array([a]))[0] - tanh_over_x(np.array([b]))[0])),
-        abs(float(tanh_over_x(np.array([-a]))[0] - tanh_over_x(np.array([-b]))[0])),
-    )
-    _criterion(
-        "kernel_envelope",
-        over == 0 and under == 0 and jump <= 1e-15,
-        f"points_above_one={over}, points_below_parabola={under}, "
-        f"switchover_jump={jump:.3e} (<=1e-15), n=1000000",
-    )
+def test_kernel_envelope_and_switchover(verified):
+    _checks_passed(verified, "kernel_bounds", "kernel_even")
 
 
-def test_byte_for_byte_determinism(tmp_path):
-    first = run_verify(seed=42, instances=1000, dim_max=12)
+def test_byte_for_byte_determinism(verified, tmp_path):
+    first, _ = verified
     second = run_verify(seed=42, instances=1000, dim_max=12)
     spec = lambda path: SweepSpec(  # noqa: E731
         model=ModelSpec("random", {"beta": 0.5}, {"dim": 6}, seed=9),

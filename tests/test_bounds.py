@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import seeded_families
+from conftest import clustered_families, seeded_families
 from fidsus.bounds import (
     bd_inner_product,
     bd_integral_oracle,
@@ -252,3 +255,21 @@ def test_report_is_invariant_under_a_change_of_basis():
         assert moved.keys() == base.keys()
         for key, value in base.items():
             assert moved[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    fam=clustered_families(s_scales=st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+)
+def test_report_on_clustered_spectra_at_any_norm(fam):
+    """Clustered and exactly degenerate spectra, beta 1e-3 to 1e3 and
+    ||S|| over twelve decades: the report is finite and warning-free, the
+    sandwich holds and ds2 equals chi_f."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bound_report(fam, check_chi_n=False)
+    fields = dataclasses.asdict(rep)
+    assert fields.pop("per_particle") is None
+    assert all(math.isfinite(v) for v in fields.values())
+    assert rep.sandwich_ok
+    assert abs(rep.ds2 - rep.chi_f) <= 1e-10 * max(1.0, abs(rep.chi_f))

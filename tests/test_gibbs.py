@@ -1,6 +1,7 @@
 """Thermal-state construction and imaginary-time correlators."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_hermitian
+from conftest import clustered_families, random_hermitian
+from fidsus.bounds import double_commutator_direct
 from fidsus.errors import (
     DimensionMismatchError,
     NonPositiveBetaError,
@@ -152,6 +154,21 @@ def test_thermal_average_shape_check():
         thermal_average(fam, np.zeros((2, 3)))
 
 
+def test_thermal_average_residue_warning_is_relative_to_the_norm():
+    """An imaginary residue warns above 1e-12 max(1, ||A||_F): a genuine
+    one still does, rounding on a large-norm operator does not."""
+    fam = make_family(np.diag([0.0, 1.0]), np.eye(2), 1.0)
+    residue = 1e-11j * np.eye(2)
+    with pytest.warns(UserWarning, match="imaginary residue"):
+        thermal_average(fam, np.eye(2) + residue)
+    rng = np.random.default_rng(8)
+    big = make_family(random_hermitian(rng, 6), random_hermitian(rng, 6, 1e6), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert thermal_average(fam, 1e6 * np.eye(2) + residue) == pytest.approx(1e6)
+        double_commutator_direct(big)
+
+
 @pytest.mark.parametrize("dim", [7, 128])
 def test_correlation_on_a_node_list_matches_the_per_tau_formula(dim):
     """Each value of a tau list equals, bit for bit, the per-tau formula.
@@ -192,25 +209,6 @@ def test_correlation_memory_is_bounded_by_blocking():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-
-
-@st.composite
-def clustered_families(draw):
-    """Families whose T has clusters of levels, exactly degenerate or split
-    by tiny gaps, at any beta in [1e-3, 1e3]."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
-    width = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-4]))
-    spacing = draw(st.floats(0.05, 3.0))
-    levels = np.concatenate(
-        [k * spacing + width * np.arange(size) for k, size in enumerate(sizes)]
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    t = np.diag(levels).astype(complex)
-    if draw(st.booleans()):
-        q, _ = np.linalg.qr(random_hermitian(rng, levels.size))
-        t = q @ t @ q.conj().T
-    beta = 10.0 ** draw(st.floats(-3.0, 3.0))
-    return make_family(t, random_hermitian(rng, levels.size), beta)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -6,9 +6,7 @@ import pytest
 from conftest import random_hermitian
 from fidsus.errors import NoConvergenceError, NotHermitianError, NotSquareError
 from fidsus.linalg import (
-    apply_spectral_function,
     eig_hermitian,
-    psd_sqrt,
     singular_values_onesided,
     validate_hermitian,
 )
@@ -123,25 +121,6 @@ def test_validated_matrix_is_readonly():
     op = validate_hermitian(np.eye(3))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 2.0
-
-
-def test_apply_spectral_function_exp():
-    from scipy.linalg import expm
-
-    rng = np.random.default_rng(17)
-    h = random_hermitian(rng, 6)
-    dec = eig_hermitian(validate_hermitian(h))
-    np.testing.assert_allclose(
-        apply_spectral_function(dec, np.exp), expm(h), atol=1e-10
-    )
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(23)
-    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    m = g @ g.conj().T
-    r = psd_sqrt(validate_hermitian(m))
-    np.testing.assert_allclose(r @ r, m, atol=1e-10)
 
 
 def test_singular_values_match_numpy():
