@@ -19,6 +19,7 @@ invalidate every sandwich test downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,12 +116,13 @@ def double_commutator(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> 
     if spectral < -1e-12 or direct < -1e-12:
         raise CrossCheckError(
             "dcomm_negative",
-            f"double commutator negative: spectral {spectral!r}, direct {direct!r}",
+            f"double commutator negative: spectral {float(spectral)!r}, "
+            f"direct {float(direct)!r}",
         )
     if abs(spectral - direct) > tols.dcomm_agreement_rel * max(1.0, abs(spectral)):
         raise CrossCheckError(
             "dcomm_forms",
-            f"spectral form {spectral!r} and commutator form {direct!r} disagree "
+            f"spectral form {float(spectral)!r} and commutator form {float(direct)!r} disagree "
             f"beyond {tols.dcomm_agreement_rel:g} relative",
         )
     return spectral
@@ -171,7 +173,7 @@ def free_energy_curvature(
     """
     beta = fam.beta
     n = fam.particle_count
-    h_eff = step / np.sqrt(max(1.0, beta))
+    h_eff = step / math.sqrt(max(1.0, beta))
     f0 = -fam.ensemble.log_z / (beta * n)
 
     def free_energy(h: float) -> float:
@@ -223,7 +225,7 @@ def thermo_susceptibility(
         if abs(chi - fd) > tols.fd_oracle_rel * max(1.0, abs(chi)):
             raise CrossCheckError(
                 "chi_n_oracle",
-                f"spectral chi_N {chi!r} and free-energy finite difference {fd!r} "
+                f"spectral chi_N {float(chi)!r} and free-energy finite difference {float(fd)!r} "
                 f"disagree beyond {tols.fd_oracle_rel:g} relative",
             )
     return chi

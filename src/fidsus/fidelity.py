@@ -31,12 +31,7 @@ from .errors import (
 )
 from .gibbs import PerturbedFamily, correlation_G
 from .kernels import expx_xm1_over_x2, tanh_over_x
-from .linalg import (
-    HermitianOperator,
-    eig_hermitian,
-    singular_values_onesided,
-    validate_hermitian,
-)
+from .linalg import HermitianOperator, eig_hermitian, validate_hermitian
 
 __all__ = [
     "FidelitySusceptibility",
@@ -61,8 +56,12 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class FidelitySusceptibility:
-    """Fidelity susceptibility split into its diagonal and off-diagonal parts.
+    """Fidelity susceptibility split into its classical and quantum parts.
 
+    The classical part comes from the eigenspace averages of S, the
+    quantum part from everything else: the coherences between different
+    eigenspaces and the spread of S inside each one.  Both are
+    independent of the basis chosen inside a degenerate eigenspace.
     ``total = classical + quantum`` holds by construction; both parts are
     sums of nonnegative terms.  ``degenerate_pair_count`` reports how many
     unordered level pairs fell inside the degeneracy window and were
@@ -163,7 +162,7 @@ def rho_prime(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarr
     so the subtraction never cancels; inside the degeneracy window the
     quotient goes to its limit in the symmetrized form beta sqrt(p_m p_n).
     Diagonal elements are beta p_m (S_mm - <S>).  The result is traceless
-    up to rounding.
+    up to rounding, and real when ``fam.s_eig`` is.
     """
     beta = fam.beta
     g = _pair_grids(fam, tols)
@@ -173,7 +172,7 @@ def rho_prime(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarr
         beta * np.exp(g.lp_geo),
         beta * np.exp(g.lp_low) * (-np.expm1(-safe)) / safe,
     )
-    out = np.array(fam.s_eig * kern, dtype=complex)
+    out = fam.s_eig * kern
     np.fill_diagonal(out, beta * fam.populations * g.delta_d)
     return out
 
@@ -183,12 +182,24 @@ def chi_f_spectral(
 ) -> FidelitySusceptibility:
     """Fidelity susceptibility from the spectral kernel sum.
 
-    The quantum part is (beta^2/8) sum_{m != n} of
-    [p_n (1 - e^{-2x})/x] [tanh(x)/x] |S_nm|^2 with x = beta(T_m - T_n)/2;
-    the classical part is (beta^2/4) times the population variance of the
-    diagonal of S.  The same quantity is recomputed from |rho'_mn|^2 /
-    (2(p_m + p_n)) and the two routes must agree, which catches kernel
-    regressions at the call site rather than in downstream bounds.
+    The total is (beta^2/4) times the population variance of the diagonal
+    of S plus (beta^2/8) sum_{m != n} of
+    [p_n (1 - e^{-2x})/x] [tanh(x)/x] |S_nm|^2 with x = beta(T_m - T_n)/2.
+    The classical part is (beta^2/4) times the population variance of the
+    eigenspace averages tr_E(S)/d_E, a trace and so independent of the
+    basis inside each eigenspace; consecutive levels closer than the
+    degeneracy window (``beta * gap < tols.degenerate_gap``, the test the
+    pair kernels use) form one eigenspace.  Inside a window whose levels
+    are split by a tiny gap, the average is weighted by the populations,
+    so the variance of the diagonal splits exactly into the variance of
+    the averages plus the population-weighted spread of S_mm about them.
+    The quantum part is the pair sum plus (beta^2/4) times that spread.
+    On a nondegenerate spectrum the spread is zero and the classical part
+    is the variance of the diagonal itself.
+
+    The total is recomputed from |rho'_mn|^2 / (2(p_m + p_n)) and the two
+    routes must agree, which catches kernel regressions at the call site
+    rather than in downstream bounds.
 
     Raises
     ------
@@ -197,19 +208,28 @@ def chi_f_spectral(
     """
     beta = fam.beta
     g = _pair_grids(fam, tols)
+    p = fam.populations
     pair = _ratio_kernel(g) * tanh_over_x(0.5 * g.bgap) * g.s_abs2
-    quantum = 0.125 * beta * beta * float(pair.sum())
-    classical = 0.25 * beta * beta * g.var_d
+    # a new eigenspace starts wherever the sorted spectrum leaves the
+    # degeneracy window; S_mm - <S> is averaged over each one with weights
+    # p_m / p_first, all 1 on an exact degeneracy
+    first = np.concatenate(([True], ~np.diagonal(g.deg, 1)))
+    space = np.cumsum(first) - 1
+    lp = fam.log_populations
+    w = np.exp(lp - lp[first][space])
+    avg = (np.bincount(space, w * g.delta_d) / np.bincount(space, w))[space]
+    spread = float(np.dot(p, (g.delta_d - avg) ** 2))
+    quantum = 0.125 * beta * beta * float(pair.sum()) + 0.25 * beta * beta * spread
+    classical = 0.25 * beta * beta * float(np.dot(p, avg**2))
     total = classical + quantum
 
-    p = fam.populations
     num = np.abs(rho_prime(fam, tols)) ** 2
     den = 2.0 * (p[:, None] + p[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = float(np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum())
     if abs(total - direct) > tols.chi_internal_rel * max(1.0, abs(total)):
         raise InternalFormMismatchError(
-            f"kernel form {total!r} and direct form {direct!r} disagree "
+            f"kernel form {float(total)!r} and direct form {float(direct)!r} disagree "
             f"beyond {tols.chi_internal_rel:g} relative"
         )
 
@@ -308,7 +328,7 @@ def chi_fg_integral(
 
     if abs(closed - quad) > tols.quadrature_agreement_rel * max(1.0, abs(closed)):
         raise QuadratureDisagreementError(
-            f"closed form {closed!r} vs {quad_nodes}-node quadrature {quad!r}"
+            f"closed form {float(closed)!r} vs {quad_nodes}-node quadrature {float(quad)!r}"
         )
     return ChiFGIntegral(closed_form=closed, quadrature=quad)
 
@@ -330,7 +350,7 @@ def chi_f_ground_state(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) ->
 
 def _perturbed_spectrum(fam: PerturbedFamily, h: float, tols: Tolerances):
     """Spectrum and log populations of H(h) = T - h S at the family's beta."""
-    a = np.diag(fam.eigenvalues).astype(complex) - h * fam.s_eig
+    a = np.diag(fam.eigenvalues) - h * fam.s_eig
     d = eig_hermitian(validate_hermitian(a, tols), tols)
     shifted = -fam.beta * (d.eigenvalues - d.eigenvalues[0])
     return d, shifted - np.logaddexp.reduce(shifted)
@@ -354,18 +374,14 @@ def _tr_sqrt_psd(m: np.ndarray, tols: Tolerances) -> float:
     lam = d.eigenvalues
     if float(lam[0]) < -tols.psd_clip * max(1.0, float(np.abs(lam).max())):
         raise NotDensityMatrixError(
-            f"product matrix has eigenvalue {lam[0]!r} below the PSD clip"
+            f"product matrix has eigenvalue {float(lam[0])!r} below the PSD clip"
         )
     return float(np.sqrt(np.clip(lam, 0.0, None)).sum())
 
 
 def _density_spectrum(rho, tols: Tolerances):
     try:
-        op = (
-            rho
-            if isinstance(rho, HermitianOperator)
-            else validate_hermitian(np.asarray(rho, dtype=complex), tols)
-        )
+        op = rho if isinstance(rho, HermitianOperator) else validate_hermitian(rho, tols)
     except (NotSquareError, NotHermitianError, NonFiniteError) as exc:
         raise NotDensityMatrixError(str(exc)) from exc
     d = eig_hermitian(op, tols)
@@ -443,10 +459,15 @@ def chi_f_fd(fam: PerturbedFamily, h: float, tols: Tolerances = DEFAULT_TOLS) ->
     symmetric quotient chi(step) = (2 - F_+ - F_-)/step^2 and Richardson
     extrapolates: (4 chi(h/2) - chi(h))/3, which cancels the step^2 error
     and every odd order.  Each fidelity is taken as the nuclear norm of
-    sqrt(rho(0)) sqrt(rho(step)) with the factor assembled entrywise in
-    log space, so the tiny singular values that feed 1 - F keep relative
-    accuracy; an eigendecomposition of the formed product would bury them
-    in noise amplified by 1/step^2.
+    sqrt(rho(0)) sqrt(rho(step)), the factor assembled entrywise in log
+    space so it never overflows, and its singular values come from
+    LAPACK's ``np.linalg.svd`` (real or complex, as the factor is).  Only
+    the sum F matters, and its absolute error of about n eps stays well
+    below 1 - F ~ chi_f step^2 / 2 while 1 - F is above the cancellation
+    floor.  An eigendecomposition of the formed product
+    sqrt(rho(0)) rho(step) sqrt(rho(0)) would instead take square roots
+    of eigenvalues known to absolute eps, an error of order sqrt(eps)
+    that 1/step^2 then amplifies.
 
     Raises
     ------
@@ -467,7 +488,7 @@ def chi_f_fd(fam: PerturbedFamily, h: float, tols: Tolerances = DEFAULT_TOLS) ->
         for sign in (1.0, -1.0):
             d, lph = _perturbed_spectrum(fam, sign * step, tols)
             factor = np.exp(0.5 * (lp0[:, None] + lph[None, :])) * d.basis
-            loss = 1.0 - float(singular_values_onesided(factor).sum())
+            loss = 1.0 - float(np.linalg.svd(factor, compute_uv=False).sum())
             if loss < floor:
                 raise StepTooSmallError(
                     f"1 - F = {loss:.3e} at step {sign * step:g} is below "
@@ -492,7 +513,7 @@ def rho_taylor_check(
     h = float(h)
     if not 0.0 < h <= 0.1:
         raise ValueError(f"step must lie in (0, 0.1], got {h!r}")
-    rho0 = np.diag(fam.populations).astype(complex)
+    rho0 = np.diag(fam.populations)
     rp = rho_prime(fam, tols)
 
     cache: dict[float, np.ndarray] = {}

@@ -60,8 +60,8 @@ __all__ = [
 
 DIMENSION_BUDGET = 4096
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SZ = np.diag([1.0, -1.0]).astype(complex)
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.diag([1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def single_spin_closed_forms(h3: float) -> SingleSpinClosedForms:
 
 
 def _boson_annihilator(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    a = np.zeros((n_max + 1, n_max + 1))
     for n in range(1, n_max + 1):
         a[n - 1, n] = math.sqrt(n)
     return a
@@ -124,23 +124,23 @@ def _collective_spin(n_atoms: int) -> Tuple[np.ndarray, np.ndarray]:
     """(J_x, J_z) on the maximal-spin sector j = N/2, m descending."""
     j = 0.5 * n_atoms
     m = j - np.arange(n_atoms + 1)
-    jz = np.diag(m).astype(complex)
-    lower = np.zeros((n_atoms + 1, n_atoms + 1), dtype=complex)
+    jz = np.diag(m)
+    lower = np.zeros((n_atoms + 1, n_atoms + 1))
     for i in range(n_atoms):
         # J- |j, m> = sqrt(j(j+1) - m(m-1)) |j, m-1>
         lower[i + 1, i] = math.sqrt(j * (j + 1.0) - m[i] * (m[i] - 1.0))
-    jx = 0.5 * (lower + lower.conj().T)
+    jx = 0.5 * (lower + lower.T)
     return jx, jz
 
 
 def _site_spin(n_atoms: int) -> Tuple[np.ndarray, np.ndarray]:
     """(J_x, J_z) as sums of single-site Pauli halves on the full 2^N space."""
     dim = 2**n_atoms
-    jx = np.zeros((dim, dim), dtype=complex)
-    jz = np.zeros((dim, dim), dtype=complex)
+    jx = np.zeros((dim, dim))
+    jz = np.zeros((dim, dim))
     for site in range(n_atoms):
-        left = np.eye(2**site, dtype=complex)
-        right = np.eye(2 ** (n_atoms - site - 1), dtype=complex)
+        left = np.eye(2**site)
+        right = np.eye(2 ** (n_atoms - site - 1))
         jx += np.kron(np.kron(left, 0.5 * _SX), right)
         jz += np.kron(np.kron(left, 0.5 * _SZ), right)
     return jx, jz
@@ -150,15 +150,15 @@ def _dicke_matrices(
     n_atoms: int, n_max: int, omega: float, eps: float, lam: float, symmetric_sector: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     a = _boson_annihilator(n_max)
-    quad = a + a.conj().T
-    number = a.conj().T @ a
+    quad = a + a.T
+    number = a.T @ a
     if symmetric_sector:
         jx, jz = _collective_spin(n_atoms)
     else:
         jx, jz = _site_spin(n_atoms)
     atom_dim = jx.shape[0]
-    eye_b = np.eye(n_max + 1, dtype=complex)
-    eye_a = np.eye(atom_dim, dtype=complex)
+    eye_b = np.eye(n_max + 1)
+    eye_a = np.eye(atom_dim)
     T = (
         omega * np.kron(number, eye_a)
         + eps * np.kron(eye_b, jz)
@@ -437,8 +437,8 @@ def kondo_toy(
     if abs(mean) > 1e-12 or abs(second - casimir_third) > 1e-10:
         raise CrossCheckError(
             "kondo_rotation",
-            f"rotational invariance violated: <S3> = {mean!r}, "
-            f"<S3^2> = {second!r} vs s(s+1)/3 = {casimir_third!r}",
+            f"rotational invariance violated: <S3> = {float(mean)!r}, "
+            f"<S3^2> = {float(second)!r} vs s(s+1)/3 = {float(casimir_third)!r}",
         )
     return fam
 
@@ -555,14 +555,14 @@ def tfim(
         raise DimensionBudgetError(f"dimension {dim} exceeds budget {DIMENSION_BUDGET}")
 
     def site_op(op: np.ndarray, i: int) -> np.ndarray:
-        left = np.eye(2**i, dtype=complex)
-        right = np.eye(2 ** (n_sites - i - 1), dtype=complex)
+        left = np.eye(2**i)
+        right = np.eye(2 ** (n_sites - i - 1))
         return np.kron(np.kron(left, op), right)
 
-    T = np.zeros((dim, dim), dtype=complex)
+    T = np.zeros((dim, dim))
     for i in range(n_sites - 1):
         T -= j_coupling * site_op(_SZ, i) @ site_op(_SZ, i + 1)
-    S = np.zeros((dim, dim), dtype=complex)
+    S = np.zeros((dim, dim))
     for i in range(n_sites):
         S += site_op(_SX, i)
     T -= g_field * S

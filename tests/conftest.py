@@ -26,7 +26,9 @@ def random_hermitian(rng, dim, scale=1.0):
 def clustered_families(draw, s_scales=st.just(1.0)):
     """Families whose T has clusters of levels, exactly degenerate or split
     by tiny gaps, at any beta in [1e-3, 1e3]; S is a random Hermitian
-    matrix times a factor drawn from ``s_scales``."""
+    matrix times a factor drawn from ``s_scales``.  Both operators are
+    drawn either complex or real symmetric, so the family runs on the
+    complex or the float64 path."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     width = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-4]))
     spacing = draw(st.floats(0.05, 3.0))
@@ -34,10 +36,16 @@ def clustered_families(draw, s_scales=st.just(1.0)):
         [k * spacing + width * np.arange(size) for k, size in enumerate(sizes)]
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    t = np.diag(levels).astype(complex)
+    real = draw(st.booleans())
+
+    def hermitian(scale=1.0):
+        h = random_hermitian(rng, levels.size, scale)
+        return h.real if real else h
+
+    t = np.diag(levels)
     if draw(st.booleans()):
-        q, _ = np.linalg.qr(random_hermitian(rng, levels.size))
+        q, _ = np.linalg.qr(hermitian())
         t = q @ t @ q.conj().T
     beta = 10.0 ** draw(st.floats(-3.0, 3.0))
-    s = random_hermitian(rng, levels.size, draw(s_scales))
+    s = hermitian(draw(s_scales))
     return make_family(t, s, beta)

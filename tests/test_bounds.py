@@ -22,9 +22,10 @@ from fidsus.bounds import (
     upper_bound,
 )
 from fidsus.config import DEFAULT_TOLS, Tolerances
+from fidsus.errors import CutoffConvergenceWarning
 from fidsus.fidelity import _pair_grids, chi_f_spectral, chi_fg_spectral, ds2_spectral
 from fidsus.gibbs import family_at_beta, make_family
-from fidsus.models import dicke, random_pair, single_spin
+from fidsus.models import dicke, kondo_toy, random_pair, single_spin, tfim
 
 
 @pytest.mark.parametrize("h3", [0.1, 0.3, 1.0, 2.5, 5.0])
@@ -241,20 +242,54 @@ def test_report_is_invariant_under_a_change_of_basis():
         rep = bound_report(make_family(t, s, 1.7, particle_count=2))
         flat = dataclasses.asdict(rep)
         flat.update({f"per_particle.{k}": v for k, v in flat.pop("per_particle").items()})
-        # the diagonal/off-diagonal split of chi_f is taken in the
-        # eigenbasis, so inside a degenerate eigenspace it follows the
-        # basis; only the sum is a property of the family
-        flat["chi_f_split"] = flat.pop("chi_f_classical") + flat.pop("chi_f_quantum")
         return flat
 
     base = fields(t, s)
     assert base["degenerate_pair_count"] == 3 + 1 + 3
+    # the classical and quantum parts are compared separately below
+    assert base["chi_f_classical"] > 0.0 and base["chi_f_quantum"] > 0.0
     for _ in range(4):
         u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
         moved = fields(u @ t @ u.conj().T, u @ s @ u.conj().T)
         assert moved.keys() == base.keys()
         for key, value in base.items():
             assert moved[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: single_spin(0.8),
+        lambda: dicke(2, 8, 2.0, 1.0, 0.5, 1.3),
+        lambda: kondo_toy(1, [0.0, 0.5], 0.8, 1.5),
+        lambda: tfim(4, 1.0, 0.7, 1.5),
+    ],
+    ids=["single_spin", "dicke", "kondo_toy", "tfim"],
+)
+def test_real_family_matches_its_complex_phase_conjugate(build):
+    """A diagonal phase unitary D makes T and S complex without changing
+    the family, so the complex path is a reference for the float64 one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fam = build()
+    b = fam.ensemble.spectrum.basis
+    t = (b * fam.eigenvalues) @ b.T
+    s = b @ fam.s_eig @ b.T
+    phase = np.exp(2j * np.pi * np.random.default_rng(fam.dim).random(fam.dim))
+    d = np.diag(phase)
+    real = make_family(t, s, fam.beta, fam.particle_count)
+    cplx = make_family(d @ t @ d.conj().T, d @ s @ d.conj().T, fam.beta, fam.particle_count)
+    assert real.s_eig.dtype == np.float64 and cplx.s_eig.dtype == np.complex128
+    want = dataclasses.asdict(bound_report(cplx))
+    got = dataclasses.asdict(bound_report(real))
+    for part in (want, got):
+        part.update({f"per_particle.{k}": v for k, v in (part.pop("per_particle") or {}).items()})
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        # a part of chi_f that vanishes by symmetry (the classical part
+        # of a parity-odd S) is rounding noise, measured against chi_f
+        floor = 1e-12 * want["chi_f"] if key.startswith("chi_f_") else 0.0
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=floor), key
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -121,6 +121,27 @@ def test_quantum_part_vanishes_when_commuting():
     assert parts.total == pytest.approx(0.25 * 1.3**2 * var, rel=1e-14)
 
 
+def test_classical_part_is_the_variance_of_eigenspace_averages():
+    """On a degenerate T the classical part comes from tr_E(S)/d_E, read
+    here straight off the diagonal blocks of S in T's own basis."""
+    rng = np.random.default_rng(56)
+    levels = np.repeat([-0.5, 0.2, 1.0, 1.7], [2, 3, 1, 2])
+    s = random_hermitian(rng, levels.size)
+    beta = 1.4
+    for t_dtype, s_op in ((complex, s), (float, s.real)):
+        parts = chi_f_spectral(make_family(np.diag(levels).astype(t_dtype), s_op, beta))
+        p = np.exp(-beta * levels) / np.exp(-beta * levels).sum()
+        d = np.real(np.diagonal(s_op))
+        mean = float(np.dot(p, d))
+        avg = np.concatenate(
+            [np.full(k, d[levels == e].mean()) for e, k in zip(*np.unique(levels, return_counts=True))]
+        )
+        classical = 0.25 * beta**2 * float(np.dot(p, (avg - mean) ** 2))
+        assert parts.classical == pytest.approx(classical, rel=1e-12)
+        assert parts.quantum > 0.0
+        assert parts.total == parts.classical + parts.quantum
+
+
 def test_ds2_equals_chi_f():
     for fam in seeded_families(2003, 40, 2, 12, 0.1, 10.0):
         chi = chi_f_spectral(fam).total

@@ -444,3 +444,14 @@ def test_cli_cross_check_failure_maps_to_two(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "internal consistency check failed" in err
+
+
+def test_cross_check_messages_print_plain_floats(capsys):
+    # the chi_N oracle's step still misses at beta = 0.001, so this report
+    # exits 2; its message must show plain floats, not numpy reprs
+    rc = main(["report", "--model", "random", "--dim", "5", "--beta", "0.001", "--seed", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "spectral chi_N 0.00373" in err
+    assert "finite difference 0.00373" in err
+    assert "np.float64" not in err

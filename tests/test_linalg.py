@@ -5,11 +5,7 @@ import pytest
 
 from conftest import random_hermitian
 from fidsus.errors import NoConvergenceError, NotHermitianError, NotSquareError
-from fidsus.linalg import (
-    eig_hermitian,
-    singular_values_onesided,
-    validate_hermitian,
-)
+from fidsus.linalg import eig_hermitian, validate_hermitian
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21])
@@ -82,19 +78,22 @@ def test_eigensolver_failure_is_a_typed_error(monkeypatch):
         eig_hermitian(validate_hermitian(np.diag([1.0, 2.0])))
 
 
+_CORRUPTIONS = [
+    # unitary but not an eigenbasis
+    ("not_eigenvectors", lambda b: np.roll(b, 1, axis=1), "residual"),
+    # exact eigenvectors, but not unit length
+    ("not_unit_length", lambda b: b * (1.0 + 1e-6), "unitarity"),
+    # NaN must not slip past the comparisons
+    ("nan", lambda b: np.full_like(b, np.nan), "residual"),
+]
+
+
 @pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        # unitary but not an eigenbasis
-        (lambda b: np.roll(b, 1, axis=1), "residual"),
-        # exact eigenvectors, but not unit length
-        (lambda b: b * (1.0 + 1e-6), "unitarity"),
-        # NaN must not slip past the comparisons
-        (lambda b: np.full_like(b, np.nan), "residual"),
-    ],
-    ids=["not_eigenvectors", "not_unit_length", "nan"],
+    "corrupt, message, dtype",
+    [pytest.param(c, m, np.complex128, id=name) for name, c, m in _CORRUPTIONS]
+    + [pytest.param(c, m, np.float64, id=f"real-{name}") for name, c, m in _CORRUPTIONS],
 )
-def test_postconditions_reject_a_corrupted_basis(monkeypatch, corrupt, message):
+def test_postconditions_reject_a_corrupted_basis(monkeypatch, corrupt, message, dtype):
     eigh = np.linalg.eigh
 
     def corrupted(matrix):
@@ -103,8 +102,10 @@ def test_postconditions_reject_a_corrupted_basis(monkeypatch, corrupt, message):
 
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
     h = random_hermitian(np.random.default_rng(5), 6)
+    op = validate_hermitian(h.real if dtype == np.float64 else h)
+    assert op.matrix.dtype == dtype
     with np.errstate(invalid="ignore"), pytest.raises(NoConvergenceError, match=message):
-        eig_hermitian(validate_hermitian(h))
+        eig_hermitian(op)
 
 
 def test_validate_hermitian_rejects():
@@ -123,17 +124,31 @@ def test_validated_matrix_is_readonly():
         op.matrix[0, 0] = 2.0
 
 
-def test_singular_values_match_numpy():
-    rng = np.random.default_rng(31)
-    for shape in ((4, 4), (6, 6), (8, 8)):
-        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        sv = singular_values_onesided(b)
-        ref = np.linalg.svd(b, compute_uv=False)
-        np.testing.assert_allclose(np.sort(sv)[::-1], ref, rtol=1e-10, atol=1e-12)
+def test_real_operators_are_stored_and_decomposed_as_float64():
+    rng = np.random.default_rng(17)
+    h = random_hermitian(rng, 7)
+    sym = h.real
+    for given in (sym, sym.astype(complex), sym.astype(np.float32), np.eye(3, dtype=int)):
+        op = validate_hermitian(given)
+        assert op.matrix.dtype == np.float64
+        dec = eig_hermitian(op)
+        assert dec.basis.dtype == np.float64 and dec.eigenvalues.dtype == np.float64
+    real = eig_hermitian(validate_hermitian(sym))
+    cplx = eig_hermitian(validate_hermitian(h))
+    assert cplx.basis.dtype == np.complex128
+    np.testing.assert_allclose(real.eigenvalues, np.linalg.eigvalsh(sym), rtol=0, atol=1e-13)
+    # the phase pin of a real basis is a sign: the pivot is +|pivot|
+    pivots = real.basis[np.argmax(np.abs(real.basis), axis=0), np.arange(7)]
+    assert np.all(pivots > 0.0)
 
 
-def test_singular_values_of_tiny_columns():
-    # one-sided accuracy: small singular values keep relative precision
-    b = np.diag([1.0, 1e-8, 1e-12]).astype(complex)
-    sv = np.sort(singular_values_onesided(b))
-    np.testing.assert_allclose(sv, [1e-12, 1e-8, 1.0], rtol=1e-12)
+def test_one_tiny_imaginary_entry_keeps_the_operator_complex():
+    h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    h[0, 1] = 1e-300j
+    h[1, 0] = -1e-300j
+    op = validate_hermitian(h)
+    assert op.matrix.dtype == np.complex128
+    assert op.matrix[0, 1] == 1e-300j
+    # an imaginary part that symmetrizes to exact zero is dropped
+    h[1, 0] = 1e-300j
+    assert validate_hermitian(h).matrix.dtype == np.float64

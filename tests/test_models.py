@@ -221,6 +221,24 @@ def test_tfim_classical_part_vanishes():
     assert parts.quantum > 0.0
 
 
+def test_real_models_run_in_float64():
+    """Every physical model is real symmetric in its basis, so its
+    eigensolve and its rotated S run in float64; GUE draws stay complex."""
+    real = [
+        single_spin(0.6),
+        dicke(2, 6, 2.0, 1.0, 0.5, 1.0),
+        dicke(2, 6, 2.0, 1.0, 0.5, 1.0, symmetric_sector=True),
+        kondo_toy(1, [0.0, 0.5], 0.8, 1.5),
+        tfim(3, 1.0, 0.5, 1.2),
+    ]
+    for fam in real:
+        assert fam.ensemble.spectrum.basis.dtype == np.float64
+        assert fam.s_eig.dtype == np.float64
+    fam = random_pair(5, 0)
+    assert fam.ensemble.spectrum.basis.dtype == np.complex128
+    assert fam.s_eig.dtype == np.complex128
+
+
 def test_tfim_metadata_and_validation():
     fam = tfim(4, 1.0, 0.7, 0.9)
     assert fam.particle_count == 4
