@@ -29,7 +29,6 @@ from .bounds import (
     thermo_susceptibility,
     upper_bound,
 )
-from .config import DEFAULT_TOLS, Tolerances
 from .fidelity import (
     ChiFGIntegral,
     FidelitySusceptibility,
@@ -84,7 +83,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BoundReport",
     "ChiFGIntegral",
-    "DEFAULT_TOLS",
     "DickeTc",
     "FidelitySusceptibility",
     "GibbsEnsemble",
@@ -97,7 +95,6 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "TaylorRemainder",
-    "Tolerances",
     "VerifySummary",
     "bd_inner_product",
     "bd_integral_oracle",

@@ -25,11 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DCOMM_AGREEMENT_REL, FD_ORACLE_REL, SANDWICH_SLACK
 from .errors import CrossCheckError
 from .fidelity import (
-    _gauss_legendre,
-    _pair_grids,
+    _gauss_legendre_64,
     _perturbed_spectrum,
     _ratio_kernel,
     chi_f_spectral,
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 
-def bd_inner_product(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
+def bd_inner_product(fam: PerturbedFamily) -> float:
     """Bogoliubov-Duhamel inner product (dS; dS) of the perturbation.
 
     Spectral form: (1/2) sum over ordered pairs m != n of
@@ -62,13 +61,11 @@ def bd_inner_product(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> f
     same kernel that appears inside chi_F, so both bounds and the
     susceptibility are built from one audited code path.
     """
-    g = _pair_grids(fam, tols)
+    g = fam.pair_grid
     return 0.5 * float((_ratio_kernel(g) * g.s_abs2).sum()) + g.var_d
 
 
-def bd_integral_oracle(
-    fam: PerturbedFamily, nodes: int = 64, tols: Tolerances = DEFAULT_TOLS
-) -> float:
+def bd_integral_oracle(fam: PerturbedFamily) -> float:
     """(dS; dS) from its defining imaginary-time integral.
 
     Gauss-Legendre quadrature of the two-point function G over
@@ -79,14 +76,12 @@ def bd_integral_oracle(
     independent route used to audit `bd_inner_product`; it shares no
     kernel code with it.
     """
-    if nodes < 16:
-        raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
-    x, w = _gauss_legendre(int(nodes))
+    x, w = _gauss_legendre_64()
     lam = 0.5 * (x + 1.0)
     return 0.5 * float(np.dot(w, correlation_G(fam, lam * fam.beta)))
 
 
-def double_commutator(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
+def double_commutator(fam: PerturbedFamily) -> float:
     """Thermal expectation <[[S, T], S]>, the lower-bound curvature term.
 
     Computed two ways and returned only after they agree:
@@ -106,10 +101,10 @@ def double_commutator(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> 
     ------
     CrossCheckError
         check "dcomm_forms" if the routes disagree beyond
-        ``tols.dcomm_agreement_rel``, check "dcomm_negative" if either
+        ``DCOMM_AGREEMENT_REL``, check "dcomm_negative" if either
         route is negative beyond rounding.
     """
-    g = _pair_grids(fam, tols)
+    g = fam.pair_grid
     spectral = float((np.exp(g.lp_low) * (-np.expm1(-g.bgap)) * g.gap * g.s_abs2).sum())
 
     direct = double_commutator_direct(fam)
@@ -119,11 +114,11 @@ def double_commutator(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> 
             f"double commutator negative: spectral {float(spectral)!r}, "
             f"direct {float(direct)!r}",
         )
-    if abs(spectral - direct) > tols.dcomm_agreement_rel * max(1.0, abs(spectral)):
+    if abs(spectral - direct) > DCOMM_AGREEMENT_REL * max(1.0, abs(spectral)):
         raise CrossCheckError(
             "dcomm_forms",
             f"spectral form {float(spectral)!r} and commutator form {float(direct)!r} disagree "
-            f"beyond {tols.dcomm_agreement_rel:g} relative",
+            f"beyond {DCOMM_AGREEMENT_REL:g} relative",
         )
     return spectral
 
@@ -140,13 +135,13 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
     return thermal_average(fam, k @ fam.s_eig - fam.s_eig @ k)
 
 
-def upper_bound(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
+def upper_bound(fam: PerturbedFamily) -> float:
     """Upper bound (beta^2/4)(dS; dS) on the fidelity susceptibility."""
     beta = fam.beta
-    return 0.25 * beta * beta * bd_inner_product(fam, tols)
+    return 0.25 * beta * beta * bd_inner_product(fam)
 
 
-def lower_bound(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
+def lower_bound(fam: PerturbedFamily) -> float:
     """Lower bound: the upper bound minus (beta^3/48) <[[S, T], S]>.
 
     Returned as computed, without clipping at zero: a negative value is
@@ -154,30 +149,29 @@ def lower_bound(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
     chi_F apply max(lower, 0) themselves.
     """
     beta = fam.beta
-    return upper_bound(fam, tols) - beta * beta * beta * double_commutator(fam, tols) / 48.0
+    return upper_bound(fam) - beta * beta * beta * double_commutator(fam) / 48.0
 
 
-def free_energy_curvature(
-    fam: PerturbedFamily,
-    tols: Tolerances = DEFAULT_TOLS,
-    *,
-    step: float = 1e-3,
-) -> float:
+# step of the chi_N oracle at beta <= 1; it shrinks as 1/sqrt(beta) above
+_FD_STEP = 1e-3
+
+
+def free_energy_curvature(fam: PerturbedFamily) -> float:
     """Measure -d^2f/dh^2 at h = 0 by Richardson-extrapolated differences.
 
     f(h) = -ln Z(h)/(beta N) is the free energy density of the shifted
     Hamiltonian T - h S.  The value returned is an independent oracle for
     ``thermo_susceptibility``: it never touches the spectral pair sums,
-    only ln Z at four displaced fields.  The effective step is
-    ``step / sqrt(max(1, beta))``; see ``thermo_susceptibility`` for why.
+    only ln Z at four displaced fields.  The step is
+    ``1e-3 / sqrt(max(1, beta))``; see ``thermo_susceptibility`` for why.
     """
     beta = fam.beta
     n = fam.particle_count
-    h_eff = step / math.sqrt(max(1.0, beta))
+    h_eff = _FD_STEP / math.sqrt(max(1.0, beta))
     f0 = -fam.ensemble.log_z / (beta * n)
 
     def free_energy(h: float) -> float:
-        d, lp = _perturbed_spectrum(fam, h, tols)
+        d, lp = _perturbed_spectrum(fam, h)
         log_z = -float(lp[0]) - beta * float(d.eigenvalues[0])
         return -log_z / (beta * n)
 
@@ -187,13 +181,7 @@ def free_energy_curvature(
     return -(4.0 * second_diff(0.5 * h_eff) - second_diff(h_eff)) / 3.0
 
 
-def thermo_susceptibility(
-    fam: PerturbedFamily,
-    tols: Tolerances = DEFAULT_TOLS,
-    *,
-    check: bool = True,
-    step: float = 1e-3,
-) -> float:
+def thermo_susceptibility(fam: PerturbedFamily, *, check: bool = True) -> float:
     """Thermodynamic susceptibility chi_N = (beta/N) (dS; dS).
 
     The static response of <S>/N to the field h, i.e. the second
@@ -201,8 +189,7 @@ def thermo_susceptibility(
     ``check`` enabled (the default) that derivative is also measured
     directly by Richardson-extrapolated central differences of
     f(h) = -ln Z(h)/(beta N) and the two must agree; the finite
-    difference costs four extra eigendecompositions, so sweeps over many
-    points may disable it after the first point.
+    difference costs four extra eigendecompositions.
 
     The step shrinks as 1/sqrt(beta) above beta = 1.  The floor on the
     second difference of ln Z is the absolute rounding of the computed
@@ -215,18 +202,18 @@ def thermo_susceptibility(
     ------
     CrossCheckError
         check "chi_n_oracle" if the finite difference disagrees beyond
-        ``tols.fd_oracle_rel``.
+        ``FD_ORACLE_REL``.
     """
     beta = fam.beta
     n = fam.particle_count
-    chi = beta * bd_inner_product(fam, tols) / n
+    chi = beta * bd_inner_product(fam) / n
     if check:
-        fd = free_energy_curvature(fam, tols, step=step)
-        if abs(chi - fd) > tols.fd_oracle_rel * max(1.0, abs(chi)):
+        fd = free_energy_curvature(fam)
+        if abs(chi - fd) > FD_ORACLE_REL * max(1.0, abs(chi)):
             raise CrossCheckError(
                 "chi_n_oracle",
                 f"spectral chi_N {float(chi)!r} and free-energy finite difference {float(fd)!r} "
-                f"disagree beyond {tols.fd_oracle_rel:g} relative",
+                f"disagree beyond {FD_ORACLE_REL:g} relative",
             )
     return chi
 
@@ -253,7 +240,7 @@ class BoundReport:
     ``lower_aasc`` is chi_F^G, which lower-bounds chi_F for free because
     the integrated kernel is pointwise smaller.  ``sandwich_ok`` records
     whether max(lower_paper, lower_aasc, 0) <= chi_f <= upper held to
-    within the configured slack.  ``per_particle`` is populated when the
+    within ``SANDWICH_SLACK`` (relative).  ``per_particle`` is populated when the
     family declares more than one particle.
     """
 
@@ -274,12 +261,7 @@ class BoundReport:
     per_particle: Optional[PerParticleBounds] = None
 
 
-def bound_report(
-    fam: PerturbedFamily,
-    tols: Tolerances = DEFAULT_TOLS,
-    *,
-    check_chi_n: bool = True,
-) -> BoundReport:
+def bound_report(fam: PerturbedFamily, *, check_chi_n: bool = True) -> BoundReport:
     """Evaluate chi_F together with every bound and cross-check at once.
 
     One eigendecomposition (already inside ``fam``) serves all entries;
@@ -287,16 +269,16 @@ def bound_report(
     forwarded through ``check_chi_n``.
     """
     beta = fam.beta
-    chi = chi_f_spectral(fam, tols)
-    bd = bd_inner_product(fam, tols)
-    dcomm = double_commutator(fam, tols)
+    chi = chi_f_spectral(fam)
+    bd = bd_inner_product(fam)
+    dcomm = double_commutator(fam)
     upper = 0.25 * beta * beta * bd
     lower = upper - beta * beta * beta * dcomm / 48.0
-    aasc = chi_fg_spectral(fam, tols)
-    ds2 = ds2_spectral(fam, tols)
-    chi_n = thermo_susceptibility(fam, tols, check=check_chi_n)
+    aasc = chi_fg_spectral(fam)
+    ds2 = ds2_spectral(fam)
+    chi_n = thermo_susceptibility(fam, check=check_chi_n)
 
-    slack = tols.sandwich_slack * max(1.0, abs(chi.total))
+    slack = SANDWICH_SLACK * max(1.0, abs(chi.total))
     ok = bool(
         max(lower, aasc, 0.0) - slack <= chi.total <= upper + slack
     )

@@ -41,35 +41,17 @@ from .verify import run_verify
 
 __all__ = ["main"]
 
-_PARAM_FLAGS = [
-    ("h3", float),
-    ("omega", float),
-    ("eps", float),
-    ("lambda", float),
-    ("beta", float),
-    ("j", float),
-    ("g", float),
-    ("eps0", float),
-    ("eps1", float),
-    ("eps2", float),
-    ("t_scale", float),
-    ("s_scale", float),
-]
-_CUTOFF_FLAGS = [
-    ("n_atoms", int),
-    ("n_max", int),
-    ("s2", int),
-    ("modes", int),
-    ("dim", int),
-    ("n_sites", int),
-]
+
+def _declared(which: str) -> List[str]:
+    """Every name some model kind declares under ``which``, in registry order."""
+    return list(dict.fromkeys(name for kind in MODEL_KINDS.values() for name in kind[which]))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="model kind (see `fidsus models list`)")
-    for name, typ in _PARAM_FLAGS:
+    for name in _declared("parameters"):
         p.add_argument(
-            "--" + name.replace("_", "-"), dest=name, type=typ, default=None
+            "--" + name.replace("_", "-"), dest=name, type=float, default=None
         )
     p.add_argument(
         "--symmetric-sector",
@@ -79,9 +61,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="restrict the atom-field model to the maximal-spin sector",
     )
-    for name, typ in _CUTOFF_FLAGS:
+    for name in _declared("cutoffs"):
         p.add_argument(
-            "--" + name.replace("_", "-"), dest=name, type=typ, default=None
+            "--" + name.replace("_", "-"), dest=name, type=int, default=None
         )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--path", default=None, help="matrix file for kind 'file'")
@@ -109,21 +91,19 @@ def _model_spec(args: argparse.Namespace) -> ModelSpec:
         raise ModelParseError(
             f"unknown model kind {kind!r}; known: {sorted(MODEL_KINDS)}"
         )
-    declared_p = MODEL_KINDS[kind]["parameters"]
-    declared_c = MODEL_KINDS[kind]["cutoffs"]
-    params: Dict[str, float] = {}
-    cutoffs: Dict[str, int] = {}
-    for name, _ in _PARAM_FLAGS:
-        value = getattr(args, name)
-        if value is not None and name in declared_p:
-            params[name] = float(value)
-    switches = MODEL_KINDS[kind].get("switches", ())
-    if args.symmetric_sector and "symmetric_sector" in switches:
+    entry = MODEL_KINDS[kind]
+    params: Dict[str, float] = {
+        name: float(getattr(args, name))
+        for name in entry["parameters"]
+        if getattr(args, name) is not None
+    }
+    if args.symmetric_sector and "symmetric_sector" in entry.get("switches", ()):
         params["symmetric_sector"] = 1.0
-    for name, _ in _CUTOFF_FLAGS:
-        value = getattr(args, name)
-        if value is not None and name in declared_c:
-            cutoffs[name] = int(value)
+    cutoffs: Dict[str, int] = {
+        name: int(getattr(args, name))
+        for name in entry["cutoffs"]
+        if getattr(args, name) is not None
+    }
     return ModelSpec(
         kind=kind,
         parameters=params,

@@ -1,70 +1,55 @@
-"""Central numerical tolerance settings.
+"""Numerical thresholds of the library, fixed module constants.
 
-Every tolerance used by the library lives in one frozen record so that a
-single knob controls validation thresholds, degeneracy switches, and
-internal consistency checks.  Functions accept an optional ``tols``
-argument and fall back to :data:`DEFAULT_TOLS`.
+Every validation threshold, degeneracy switch and cross-check tolerance
+is a named constant here, read by name where it is used.  They are not
+options: no function takes a tolerance argument, so every report is
+computed against the same thresholds.
 """
 
-from dataclasses import dataclass
+HERMITIAN_REL = 1e-12
+"""Allowed asymmetry ``||M - M^H||_F`` relative to ``max(1, ||M||_F)``
+for matrices that are claimed Hermitian."""
 
+BASIS_UNITARITY = 1e-10
+"""Allowed ``||B^H B - I||_F`` per unit dimension for the eigenbases
+``eig_hermitian`` returns."""
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared across the library.
+EIG_RESIDUAL = 1e-10
+"""Allowed ``||H B - B diag||_F`` relative to ``max(1, ||H||_F)`` for the
+decompositions ``eig_hermitian`` returns."""
 
-    Attributes
-    ----------
-    hermitian_rel : float
-        Allowed asymmetry ``||M - M^H||_F`` relative to ``max(1, ||M||_F)``
-        for matrices that are claimed Hermitian.
-    basis_unitarity : float
-        Allowed ``||B^H B - I||_F`` per unit dimension for the eigenbases
-        ``eig_hermitian`` returns.
-    eig_residual : float
-        Allowed ``||H B - B diag||_F`` relative to ``max(1, ||H||_F)`` for
-        the decompositions ``eig_hermitian`` returns.
-    psd_clip : float
-        Most negative eigenvalue tolerated when clipping a nominally
-        positive semidefinite matrix.
-    density_trace : float
-        Allowed deviation of a density-matrix trace from one.
-    degenerate_gap : float
-        Pairs with ``|beta * (T_m - T_n)|`` below this switch to the
-        analytic degenerate limit of the thermal kernels.
-    ground_state_gap : float
-        Minimum spectral gap for the ground-state susceptibility formula.
-    kernel_series_cutoff : float
-        ``tanh(x)/x`` switches to its Taylor series below this ``|x|``.
-    chi_internal_rel : float
-        Allowed relative disagreement between the two internal forms of
-        the fidelity susceptibility.
-    dcomm_agreement_rel : float
-        Allowed relative disagreement between the spectral and direct
-        double-commutator evaluations.
-    quadrature_agreement_rel : float
-        Allowed relative disagreement between closed-form and quadrature
-        evaluations of the correlation integral.
-    fd_oracle_rel : float
-        Allowed relative disagreement against finite-difference oracles.
-    sandwich_slack : float
-        Slack used when checking that the susceptibility sits between its
-        lower and upper bounds.
-    """
+PSD_CLIP = 1e-12
+"""Most negative eigenvalue tolerated when clipping a nominally positive
+semidefinite matrix."""
 
-    hermitian_rel: float = 1e-12
-    basis_unitarity: float = 1e-10
-    eig_residual: float = 1e-10
-    psd_clip: float = 1e-12
-    density_trace: float = 1e-10
-    degenerate_gap: float = 1e-7
-    ground_state_gap: float = 1e-10
-    kernel_series_cutoff: float = 1e-4
-    chi_internal_rel: float = 1e-8
-    dcomm_agreement_rel: float = 1e-9
-    quadrature_agreement_rel: float = 1e-6
-    fd_oracle_rel: float = 1e-6
-    sandwich_slack: float = 1e-10
+DENSITY_TRACE = 1e-10
+"""Allowed deviation of a density-matrix trace from one."""
 
+DEGENERATE_GAP = 1e-7
+"""Pairs with ``|beta * (T_m - T_n)|`` below this switch to the analytic
+degenerate limit of the thermal kernels."""
 
-DEFAULT_TOLS = Tolerances()
+GROUND_STATE_GAP = 1e-10
+"""Minimum spectral gap for the ground-state susceptibility formula."""
+
+KERNEL_SERIES_CUTOFF = 1e-4
+"""``tanh(x)/x`` switches to its Taylor series below this ``|x|``."""
+
+CHI_INTERNAL_REL = 1e-8
+"""Allowed relative disagreement between the two internal forms of the
+fidelity susceptibility."""
+
+DCOMM_AGREEMENT_REL = 1e-9
+"""Allowed relative disagreement between the spectral and direct
+double-commutator evaluations."""
+
+QUADRATURE_AGREEMENT_REL = 1e-6
+"""Allowed relative disagreement between closed-form and quadrature
+evaluations of the correlation integral."""
+
+FD_ORACLE_REL = 1e-6
+"""Allowed relative disagreement against finite-difference oracles."""
+
+SANDWICH_SLACK = 1e-10
+"""Slack used when checking that the susceptibility sits between its
+lower and upper bounds."""

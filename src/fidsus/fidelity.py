@@ -17,7 +17,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import (
+    CHI_INTERNAL_REL,
+    DENSITY_TRACE,
+    GROUND_STATE_GAP,
+    PSD_CLIP,
+    QUADRATURE_AGREEMENT_REL,
+)
 from .errors import (
     DegenerateGroundStateError,
     DimensionMismatchError,
@@ -29,7 +35,7 @@ from .errors import (
     QuadratureDisagreementError,
     StepTooSmallError,
 )
-from .gibbs import PerturbedFamily, correlation_G
+from .gibbs import PerturbedFamily, _PairGrid, correlation_G
 from .kernels import expx_xm1_over_x2, tanh_over_x
 from .linalg import HermitianOperator, eig_hermitian, validate_hermitian
 
@@ -91,45 +97,6 @@ class ChiFGIntegral(NamedTuple):
     quadrature: float
 
 
-class _PairGrid(NamedTuple):
-    gap: np.ndarray
-    bgap: np.ndarray
-    lp_low: np.ndarray
-    lp_geo: np.ndarray
-    deg: np.ndarray
-    s_abs2: np.ndarray
-    delta_d: np.ndarray
-    var_d: float
-
-
-@functools.lru_cache(maxsize=1)
-def _pair_grids(fam: PerturbedFamily, tols: Tolerances) -> _PairGrid:
-    """Symmetric pair quantities shared by every spectral sum.
-
-    Returns the absolute gaps |T_m - T_n|, the scaled gaps beta|T_m - T_n|,
-    log of the larger population of each pair, the geometric-mean log
-    population, the degeneracy mask (diagonal included), |S_mn|^2 with
-    its diagonal zeroed, the centred diagonal S_mm - <S> and its
-    population variance.  The last family's grid is cached (families
-    hash by identity), so one report builds it once; its arrays are
-    read-only because every caller shares them.
-    """
-    ev = fam.eigenvalues
-    lp = fam.log_populations
-    gap = np.abs(ev[:, None] - ev[None, :])
-    bgap = fam.beta * gap
-    lp_low = np.maximum(lp[:, None], lp[None, :])
-    lp_geo = 0.5 * (lp[:, None] + lp[None, :])
-    deg = bgap < tols.degenerate_gap
-    s_abs2 = np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(s_abs2, 0.0)
-    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-    var_d = float(np.dot(fam.populations, delta_d**2))
-    for arr in (gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d):
-        arr.setflags(write=False)
-    return _PairGrid(gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d, var_d)
-
-
 def _ratio_kernel(g: _PairGrid) -> np.ndarray:
     """Pair kernel (p_n - p_m)/X_mn, shared by chi_F and the BD product.
 
@@ -145,16 +112,21 @@ def _ratio_kernel(g: _PairGrid) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+@functools.cache
+def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre rule on [-1, 1], read-only and shared.
+
+    Built on first use rather than at import: only the quadrature oracles
+    need it, and loading ``numpy.polynomial`` adds about 2 MiB to every
+    process that imports the package.
+    """
+    x, w = np.polynomial.legendre.leggauss(64)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def rho_prime(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def rho_prime(fam: PerturbedFamily) -> np.ndarray:
     """Derivative of the Gibbs state at h = 0, in the T-eigenbasis.
 
     Off-diagonal elements are S_mn (p_n - p_m)/(T_m - T_n) with the
@@ -165,7 +137,7 @@ def rho_prime(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarr
     up to rounding, and real when ``fam.s_eig`` is.
     """
     beta = fam.beta
-    g = _pair_grids(fam, tols)
+    g = fam.pair_grid
     safe = np.where(g.deg, 1.0, g.bgap)
     kern = np.where(
         g.deg,
@@ -177,9 +149,7 @@ def rho_prime(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarr
     return out
 
 
-def chi_f_spectral(
-    fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS
-) -> FidelitySusceptibility:
+def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     """Fidelity susceptibility from the spectral kernel sum.
 
     The total is (beta^2/4) times the population variance of the diagonal
@@ -188,7 +158,7 @@ def chi_f_spectral(
     The classical part is (beta^2/4) times the population variance of the
     eigenspace averages tr_E(S)/d_E, a trace and so independent of the
     basis inside each eigenspace; consecutive levels closer than the
-    degeneracy window (``beta * gap < tols.degenerate_gap``, the test the
+    degeneracy window (``beta * gap < DEGENERATE_GAP``, the test the
     pair kernels use) form one eigenspace.  Inside a window whose levels
     are split by a tiny gap, the average is weighted by the populations,
     so the variance of the diagonal splits exactly into the variance of
@@ -207,7 +177,7 @@ def chi_f_spectral(
         If the kernel and direct routes disagree beyond tolerance.
     """
     beta = fam.beta
-    g = _pair_grids(fam, tols)
+    g = fam.pair_grid
     p = fam.populations
     pair = _ratio_kernel(g) * tanh_over_x(0.5 * g.bgap) * g.s_abs2
     # a new eigenspace starts wherever the sorted spectrum leaves the
@@ -223,14 +193,14 @@ def chi_f_spectral(
     classical = 0.25 * beta * beta * float(np.dot(p, avg**2))
     total = classical + quantum
 
-    num = np.abs(rho_prime(fam, tols)) ** 2
+    num = np.abs(rho_prime(fam)) ** 2
     den = 2.0 * (p[:, None] + p[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = float(np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum())
-    if abs(total - direct) > tols.chi_internal_rel * max(1.0, abs(total)):
+    if abs(total - direct) > CHI_INTERNAL_REL * max(1.0, abs(total)):
         raise InternalFormMismatchError(
             f"kernel form {float(total)!r} and direct form {float(direct)!r} disagree "
-            f"beyond {tols.chi_internal_rel:g} relative"
+            f"beyond {CHI_INTERNAL_REL:g} relative"
         )
 
     n_deg = (int(np.count_nonzero(g.deg)) - fam.dim) // 2
@@ -242,7 +212,7 @@ def chi_f_spectral(
     )
 
 
-def ds2_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
+def ds2_spectral(fam: PerturbedFamily) -> float:
     """Leading coefficient of the squared Bures distance, d_B^2 / h^2.
 
     Evaluated as (beta^2/4) Var(S^d) plus the unordered pair sum of
@@ -251,7 +221,7 @@ def ds2_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float
     this second composition keeps the equality test meaningful.
     """
     beta = fam.beta
-    g = _pair_grids(fam, tols)
+    g = fam.pair_grid
     q = -np.expm1(-g.bgap)
     safe_gap = np.where(g.deg, 1.0, g.gap)
     w = np.where(
@@ -262,7 +232,7 @@ def ds2_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float
     return 0.25 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
 
 
-def chi_fg_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
+def chi_fg_spectral(fam: PerturbedFamily) -> float:
     """Green's-function susceptibility from its spectral sum.
 
     (beta^2/8) Var(S^d) plus the unordered pair sum of
@@ -270,7 +240,7 @@ def chi_fg_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> fl
     difference rewritten as p_low expm1(-X)^2 so it never cancels.
     """
     beta = fam.beta
-    g = _pair_grids(fam, tols)
+    g = fam.pair_grid
     e = np.expm1(-0.5 * g.bgap)
     safe_gap = np.where(g.deg, 1.0, g.gap)
     w = np.where(
@@ -281,16 +251,12 @@ def chi_fg_spectral(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> fl
     return 0.125 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
 
 
-def chi_fg_integral(
-    fam: PerturbedFamily,
-    quad_nodes: int = 64,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> ChiFGIntegral:
+def chi_fg_integral(fam: PerturbedFamily) -> ChiFGIntegral:
     """Green's-function susceptibility as int_0^{beta/2} tau G(tau) dtau.
 
     Two independent routes are evaluated and both returned: the per-term
-    closed form of the integral (primary), and Gauss-Legendre quadrature
-    of tau G(tau).  Each off-diagonal closed-form term is
+    closed form of the integral (primary), and 64-node Gauss-Legendre
+    quadrature of tau G(tau).  Each off-diagonal closed-form term is
     p_m |S_mn|^2 b^2 g(ab) with a = T_m - T_n, b = beta/2 and
     g(x) = (e^x (x - 1) + 1)/x^2; for ab >= 0.5 the product p_m e^{ab} is
     taken in log space, where the combined exponent is always nonpositive.
@@ -299,12 +265,7 @@ def chi_fg_integral(
     ------
     QuadratureDisagreementError
         If the two routes disagree beyond tolerance.
-    ValueError
-        If ``quad_nodes`` is below 16.
     """
-    quad_nodes = int(quad_nodes)
-    if quad_nodes < 16:
-        raise ValueError(f"need at least 16 quadrature nodes, got {quad_nodes}")
     beta = fam.beta
     b = 0.5 * beta
     ev = fam.eigenvalues
@@ -318,79 +279,76 @@ def chi_fg_integral(
     g_small = expx_xm1_over_x2(np.where(small, ab, 0.0))
     safe_a = np.where(small, 1.0, a)
     large = (np.exp(lp_m + ab) * (ab - 1.0) + p_m) / (safe_a * safe_a)
-    grid = _pair_grids(fam, tols)
+    grid = fam.pair_grid
     terms = np.where(small, p_m * (b * b) * g_small, large) * grid.s_abs2
     closed = 0.125 * beta * beta * grid.var_d + float(terms.sum())
 
-    nodes, weights = _gauss_legendre(quad_nodes)
+    nodes, weights = _gauss_legendre_64()
     taus = 0.5 * b * (nodes + 1.0)
     quad = 0.5 * b * float(np.sum(weights * (taus * correlation_G(fam, taus))))
 
-    if abs(closed - quad) > tols.quadrature_agreement_rel * max(1.0, abs(closed)):
+    if abs(closed - quad) > QUADRATURE_AGREEMENT_REL * max(1.0, abs(closed)):
         raise QuadratureDisagreementError(
-            f"closed form {float(closed)!r} vs {quad_nodes}-node quadrature {float(quad)!r}"
+            f"closed form {float(closed)!r} vs 64-node quadrature {float(quad)!r}"
         )
     return ChiFGIntegral(closed_form=closed, quadrature=quad)
 
 
-def chi_f_ground_state(fam: PerturbedFamily, tols: Tolerances = DEFAULT_TOLS) -> float:
+def chi_f_ground_state(fam: PerturbedFamily) -> float:
     """Zero-temperature limit: sum over |S_n0|^2 / (T_n - T_0)^2."""
     ev = fam.eigenvalues
     if fam.dim == 1:
         return 0.0
     gap = float(ev[1] - ev[0])
-    if gap <= tols.ground_state_gap:
+    if gap <= GROUND_STATE_GAP:
         raise DegenerateGroundStateError(
-            f"ground-state gap {gap:.3e} is inside the tolerance "
-            f"{tols.ground_state_gap:g}"
+            f"ground-state gap {gap:.3e} is inside the tolerance {GROUND_STATE_GAP:g}"
         )
     col = fam.s_eig[1:, 0]
     return float(np.sum(np.abs(col) ** 2 / (ev[1:] - ev[0]) ** 2))
 
 
-def _perturbed_spectrum(fam: PerturbedFamily, h: float, tols: Tolerances):
+def _perturbed_spectrum(fam: PerturbedFamily, h: float):
     """Spectrum and log populations of H(h) = T - h S at the family's beta."""
     a = np.diag(fam.eigenvalues) - h * fam.s_eig
-    d = eig_hermitian(validate_hermitian(a, tols), tols)
+    d = eig_hermitian(validate_hermitian(a))
     shifted = -fam.beta * (d.eigenvalues - d.eigenvalues[0])
     return d, shifted - np.logaddexp.reduce(shifted)
 
 
-def perturbed_density(
-    fam: PerturbedFamily, h: float, tols: Tolerances = DEFAULT_TOLS
-) -> np.ndarray:
+def perturbed_density(fam: PerturbedFamily, h: float) -> np.ndarray:
     """Density matrix of H(h) = T - h S at the family's beta, in the T-eigenbasis.
 
     Used by the finite-difference oracles.  Diagonalizes the perturbed
     Hamiltonian in full, so the cost is one eigendecomposition per call.
     """
-    d, lp = _perturbed_spectrum(fam, float(h), tols)
+    d, lp = _perturbed_spectrum(fam, float(h))
     rho = (d.basis * np.exp(lp)) @ d.basis.conj().T
     return 0.5 * (rho + rho.conj().T)
 
 
-def _tr_sqrt_psd(m: np.ndarray, tols: Tolerances) -> float:
-    d = eig_hermitian(validate_hermitian(m, tols), tols)
+def _tr_sqrt_psd(m: np.ndarray) -> float:
+    d = eig_hermitian(validate_hermitian(m))
     lam = d.eigenvalues
-    if float(lam[0]) < -tols.psd_clip * max(1.0, float(np.abs(lam).max())):
+    if float(lam[0]) < -PSD_CLIP * max(1.0, float(np.abs(lam).max())):
         raise NotDensityMatrixError(
             f"product matrix has eigenvalue {float(lam[0])!r} below the PSD clip"
         )
     return float(np.sqrt(np.clip(lam, 0.0, None)).sum())
 
 
-def _density_spectrum(rho, tols: Tolerances):
+def _density_spectrum(rho):
     try:
-        op = rho if isinstance(rho, HermitianOperator) else validate_hermitian(rho, tols)
+        op = rho if isinstance(rho, HermitianOperator) else validate_hermitian(rho)
     except (NotSquareError, NotHermitianError, NonFiniteError) as exc:
         raise NotDensityMatrixError(str(exc)) from exc
-    d = eig_hermitian(op, tols)
+    d = eig_hermitian(op)
     tr = float(d.eigenvalues.sum())
-    if abs(tr - 1.0) > tols.density_trace:
-        raise NotDensityMatrixError(f"trace is {tr!r}, not 1 within {tols.density_trace:g}")
-    if float(d.eigenvalues[0]) < -tols.psd_clip:
+    if abs(tr - 1.0) > DENSITY_TRACE:
+        raise NotDensityMatrixError(f"trace is {tr!r}, not 1 within {DENSITY_TRACE:g}")
+    if float(d.eigenvalues[0]) < -PSD_CLIP:
         raise NotDensityMatrixError(
-            f"eigenvalue {float(d.eigenvalues[0])!r} below -{tols.psd_clip:g}"
+            f"eigenvalue {float(d.eigenvalues[0])!r} below -{PSD_CLIP:g}"
         )
     return d
 
@@ -401,7 +359,7 @@ def _psd_power(d, exponent: float) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def uhlmann_fidelity(rho1, rho2, tols: Tolerances = DEFAULT_TOLS) -> float:
+def uhlmann_fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
 
     Parameters
@@ -420,16 +378,16 @@ def uhlmann_fidelity(rho1, rho2, tols: Tolerances = DEFAULT_TOLS) -> float:
     NotDensityMatrixError
         If either input fails the density-matrix checks.
     """
-    d1 = _density_spectrum(rho1, tols)
-    d2 = _density_spectrum(rho2, tols)
+    d1 = _density_spectrum(rho1)
+    d2 = _density_spectrum(rho2)
     if d1.dim != d2.dim:
         raise DimensionMismatchError(f"dimensions {d1.dim} and {d2.dim} differ")
     s1 = _psd_power(d1, 0.5)
     m = s1 @ _psd_power(d2, 1.0) @ s1
-    return _tr_sqrt_psd(0.5 * (m + m.conj().T), tols)
+    return _tr_sqrt_psd(0.5 * (m + m.conj().T))
 
 
-def gf_fidelity(rho1, rho2, tols: Tolerances = DEFAULT_TOLS) -> float:
+def gf_fidelity(rho1, rho2) -> float:
     """Green's-function fidelity Tr sqrt(rho1^{1/2} rho2^{1/2}).
 
     Evaluated through the Hermitian similarity
@@ -437,22 +395,22 @@ def gf_fidelity(rho1, rho2, tols: Tolerances = DEFAULT_TOLS) -> float:
     normalized to 1 on identical mixed states: for rho1 = rho2 = I/2 it
     returns sqrt(2).
     """
-    d1 = _density_spectrum(rho1, tols)
-    d2 = _density_spectrum(rho2, tols)
+    d1 = _density_spectrum(rho1)
+    d2 = _density_spectrum(rho2)
     if d1.dim != d2.dim:
         raise DimensionMismatchError(f"dimensions {d1.dim} and {d2.dim} differ")
     q1 = _psd_power(d1, 0.25)
     m = q1 @ _psd_power(d2, 0.5) @ q1
-    return _tr_sqrt_psd(0.5 * (m + m.conj().T), tols)
+    return _tr_sqrt_psd(0.5 * (m + m.conj().T))
 
 
-def bures_distance(rho1, rho2, tols: Tolerances = DEFAULT_TOLS) -> float:
+def bures_distance(rho1, rho2) -> float:
     """Bures distance sqrt(2 - 2 F(rho1, rho2))."""
-    f = uhlmann_fidelity(rho1, rho2, tols)
+    f = uhlmann_fidelity(rho1, rho2)
     return math.sqrt(max(0.0, 2.0 - 2.0 * f))
 
 
-def chi_f_fd(fam: PerturbedFamily, h: float, tols: Tolerances = DEFAULT_TOLS) -> float:
+def chi_f_fd(fam: PerturbedFamily, h: float) -> float:
     """Finite-difference susceptibility, the oracle for chi_f_spectral.
 
     Builds rho(+-h) and rho(+-h/2) by full exponentiation, forms the
@@ -486,7 +444,7 @@ def chi_f_fd(fam: PerturbedFamily, h: float, tols: Tolerances = DEFAULT_TOLS) ->
     def quotient(step: float) -> float:
         defect = 0.0
         for sign in (1.0, -1.0):
-            d, lph = _perturbed_spectrum(fam, sign * step, tols)
+            d, lph = _perturbed_spectrum(fam, sign * step)
             factor = np.exp(0.5 * (lp0[:, None] + lph[None, :])) * d.basis
             loss = 1.0 - float(np.linalg.svd(factor, compute_uv=False).sum())
             if loss < floor:
@@ -500,9 +458,7 @@ def chi_f_fd(fam: PerturbedFamily, h: float, tols: Tolerances = DEFAULT_TOLS) ->
     return (4.0 * quotient(0.5 * h) - quotient(h)) / 3.0
 
 
-def rho_taylor_check(
-    fam: PerturbedFamily, h: float, tols: Tolerances = DEFAULT_TOLS
-) -> TaylorRemainder:
+def rho_taylor_check(fam: PerturbedFamily, h: float) -> TaylorRemainder:
     """Probe the Taylor structure of rho(h) by finite differences.
 
     Checks that first and second finite-difference derivatives are
@@ -514,13 +470,13 @@ def rho_taylor_check(
     if not 0.0 < h <= 0.1:
         raise ValueError(f"step must lie in (0, 0.1], got {h!r}")
     rho0 = np.diag(fam.populations)
-    rp = rho_prime(fam, tols)
+    rp = rho_prime(fam)
 
     cache: dict[float, np.ndarray] = {}
 
     def rho_at(step: float) -> np.ndarray:
         if step not in cache:
-            cache[step] = perturbed_density(fam, step, tols)
+            cache[step] = perturbed_density(fam, step)
         return cache[step]
 
     tr1 = abs(complex(np.trace(rho_at(h) - rho_at(-h)))) / (2.0 * h)

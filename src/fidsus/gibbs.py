@@ -9,14 +9,15 @@ temperatures never overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEGENERATE_GAP
 from .errors import (
     DimensionMismatchError,
     NonPositiveBetaError,
@@ -81,6 +82,17 @@ class GibbsEnsemble:
         return self.spectrum.eigenvalues
 
 
+class _PairGrid(NamedTuple):
+    gap: np.ndarray
+    bgap: np.ndarray
+    lp_low: np.ndarray
+    lp_geo: np.ndarray
+    deg: np.ndarray
+    s_abs2: np.ndarray
+    delta_d: np.ndarray
+    var_d: float
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbedFamily:
     """A Gibbs family H(h) = T - h S frozen at the h = 0 point.
@@ -116,6 +128,33 @@ class PerturbedFamily:
     @property
     def log_populations(self) -> np.ndarray:
         return self.ensemble.log_populations
+
+    @functools.cached_property
+    def pair_grid(self) -> _PairGrid:
+        """Symmetric pair quantities shared by every spectral sum.
+
+        The absolute gaps |T_m - T_n|, the scaled gaps beta|T_m - T_n|,
+        log of the larger population of each pair, the geometric-mean log
+        population, the degeneracy mask ``beta * gap < DEGENERATE_GAP``
+        (diagonal included), |S_mn|^2 with its diagonal zeroed, the
+        centred diagonal S_mm - <S> and its population variance.  Built
+        on first use and kept with the family, so one report builds it
+        once; its arrays are read-only because every sum shares them.
+        """
+        ev = self.eigenvalues
+        lp = self.log_populations
+        gap = np.abs(ev[:, None] - ev[None, :])
+        bgap = self.beta * gap
+        lp_low = np.maximum(lp[:, None], lp[None, :])
+        lp_geo = 0.5 * (lp[:, None] + lp[None, :])
+        deg = bgap < DEGENERATE_GAP
+        s_abs2 = np.abs(self.s_eig) ** 2
+        np.fill_diagonal(s_abs2, 0.0)
+        delta_d = np.real(np.diagonal(self.s_eig)) - self.s_mean
+        var_d = float(np.dot(self.populations, delta_d**2))
+        for arr in (gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d):
+            arr.setflags(write=False)
+        return _PairGrid(gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d, var_d)
 
 
 def _check_beta(beta: float) -> float:
@@ -153,22 +192,17 @@ def build_gibbs_from_spectrum(
     )
 
 
-def build_gibbs(
-    T: HermitianOperator | np.ndarray,
-    beta: float,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> GibbsEnsemble:
+def build_gibbs(T: HermitianOperator | np.ndarray, beta: float) -> GibbsEnsemble:
     """Diagonalize T and build the Gibbs ensemble at inverse temperature beta."""
     if not isinstance(T, HermitianOperator):
-        T = validate_hermitian(T, tols)
-    return build_gibbs_from_spectrum(eig_hermitian(T, tols), beta)
+        T = validate_hermitian(T)
+    return build_gibbs_from_spectrum(eig_hermitian(T), beta)
 
 
 def attach_perturbation(
     ens: GibbsEnsemble,
     S: HermitianOperator | np.ndarray,
     particle_count: int = 1,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> PerturbedFamily:
     """Rotate the perturbation into the T-eigenbasis and record its mean.
 
@@ -186,7 +220,7 @@ def attach_perturbation(
     PerturbedFamily
     """
     if not isinstance(S, HermitianOperator):
-        S = validate_hermitian(S, tols)
+        S = validate_hermitian(S)
     if S.dim != ens.dim:
         raise DimensionMismatchError(
             f"perturbation is {S.dim}x{S.dim} but T is {ens.dim}x{ens.dim}"
@@ -195,7 +229,7 @@ def attach_perturbation(
         raise ValueError(f"particle_count must be >= 1, got {particle_count}")
     b = ens.spectrum.basis
     s_eig = b.conj().T @ S.matrix @ b
-    # the rotation is unitary up to tols.basis_unitarity, so Hermiticity
+    # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
     # survives to the same order; re-symmetrize to make it exact
     asym = float(np.max(np.abs(s_eig - s_eig.conj().T)))
     scale = max(1.0, float(np.linalg.norm(s_eig)))
@@ -216,10 +250,9 @@ def make_family(
     S: HermitianOperator | np.ndarray,
     beta: float,
     particle_count: int = 1,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> PerturbedFamily:
     """One-step constructor: diagonalize T, thermalize, attach S."""
-    return attach_perturbation(build_gibbs(T, beta, tols), S, particle_count, tols)
+    return attach_perturbation(build_gibbs(T, beta), S, particle_count)
 
 
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
@@ -280,7 +313,8 @@ def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float |
     (1 - tau/beta) log p_m + (tau/beta) log p_n, which is bounded above by
     zero, so the sum never overflows however large beta is.  The diagonal
     part is accumulated in the mean-subtracted form so the tau-independent
-    variance comes out without cancellation.
+    variance comes out without cancellation.  |S_mn|^2, the centred
+    diagonal and its variance are read from the family's pair grid.
 
     ``tau`` is a float, or a 1-d sequence of floats for which an array of
     G values is returned.  The tau-independent terms are formed once, and
@@ -316,15 +350,12 @@ def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float |
         )
     lam = flat / beta
     lp = fam.log_populations
-    s_abs2 = np.abs(fam.s_eig) ** 2
-    np.fill_diagonal(s_abs2, 0.0)
-    delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-    diag = float(np.dot(fam.populations, delta_d**2))
+    g = fam.pair_grid
     values = np.empty(lam.shape)
     step = max(1, _BLOCK_ELEMENTS // fam.dim**2)
     for lo in range(0, lam.size, step):
         block = lam[lo : lo + step, None, None]
         weights = np.exp((1.0 - block) * lp[:, None] + block * lp[None, :])
-        weights *= s_abs2
-        values[lo : lo + step] = np.sum(weights, axis=(1, 2)) + diag
+        weights *= g.s_abs2
+        values[lo : lo + step] = np.sum(weights, axis=(1, 2)) + g.var_d
     return float(values[0]) if taus.ndim == 0 else values

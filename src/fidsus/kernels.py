@@ -9,16 +9,16 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import KERNEL_SERIES_CUTOFF
 
 # Taylor coefficients of (e^x (x - 1) + 1) / x^2 = sum_{k>=2} (k-1) x^(k-2) / k!
 _G_COEFFS = tuple((k - 1) / math.factorial(k) for k in range(2, 15))
 
 
-def tanh_over_x(x, series_cutoff=None):
+def tanh_over_x(x):
     """Evaluate ``tanh(x)/x`` with its removable singularity filled in.
 
-    Below ``series_cutoff`` the truncated series ``1 - x^2/3 + 2x^4/15``
+    Below ``KERNEL_SERIES_CUTOFF`` the truncated series ``1 - x^2/3 + 2x^4/15``
     is used.  The returned values are clamped into ``[1 - x^2/3, 1]``:
     the bounds hold exactly in real arithmetic, and raw ``tanh`` rounding
     can otherwise stray one ulp outside near the switchover.
@@ -27,22 +27,18 @@ def tanh_over_x(x, series_cutoff=None):
     ----------
     x : array_like
         Real argument, any sign.
-    series_cutoff : float, optional
-        Switch point for the series branch.
 
     Returns
     -------
     ndarray or float
         ``tanh(x)/x``, even in ``x``, inside ``[1 - x^2/3, 1]``.
     """
-    if series_cutoff is None:
-        series_cutoff = DEFAULT_TOLS.kernel_series_cutoff
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     a = np.abs(np.atleast_1d(arr))
     x2 = a * a
     lower = 1.0 - x2 / 3.0
-    small = a < series_cutoff
+    small = a < KERNEL_SERIES_CUTOFF
     safe = np.where(small, 1.0, a)
     direct = np.tanh(safe) / safe
     series = lower + (2.0 / 15.0) * x2 * x2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import BASIS_UNITARITY, EIG_RESIDUAL, HERMITIAN_REL
 from .errors import (
     NoConvergenceError,
     NonFiniteError,
@@ -74,16 +74,14 @@ def _freeze(arr):
     return arr
 
 
-def validate_hermitian(matrix, tols: Tolerances = DEFAULT_TOLS) -> HermitianOperator:
+def validate_hermitian(matrix) -> HermitianOperator:
     """Check and wrap a matrix as a Hermitian operator.
 
     Parameters
     ----------
     matrix : array_like
-        Square real or complex matrix.
-    tols : Tolerances, optional
-        Tolerance record; ``hermitian_rel`` bounds the allowed asymmetry
-        relative to ``max(1, ||M||_F)``.
+        Square real or complex matrix.  ``HERMITIAN_REL`` bounds its
+        allowed asymmetry relative to ``max(1, ||M||_F)``.
 
     Returns
     -------
@@ -112,9 +110,9 @@ def validate_hermitian(matrix, tols: Tolerances = DEFAULT_TOLS) -> HermitianOper
     mh = m.conj().T if np.iscomplexobj(m) else m.T
     scale = max(1.0, float(np.linalg.norm(m)))
     asym = float(np.linalg.norm(m - mh))
-    if asym > tols.hermitian_rel * scale:
+    if asym > HERMITIAN_REL * scale:
         raise NotHermitianError(
-            f"asymmetry {asym:.3e} exceeds {tols.hermitian_rel:.1e} * {scale:.3e}"
+            f"asymmetry {asym:.3e} exceeds {HERMITIAN_REL:.1e} * {scale:.3e}"
         )
     sym = 0.5 * (m + mh)
     if np.iscomplexobj(sym) and not sym.imag.any():
@@ -122,7 +120,7 @@ def validate_hermitian(matrix, tols: Tolerances = DEFAULT_TOLS) -> HermitianOper
     return HermitianOperator(matrix=_freeze(sym), dim=sym.shape[0])
 
 
-def eig_hermitian(op: HermitianOperator, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
+def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator.
 
     Eigenvalues are sorted nondecreasing with ties broken by the order
@@ -139,8 +137,8 @@ def eig_hermitian(op: HermitianOperator, tols: Tolerances = DEFAULT_TOLS) -> Spe
     ------
     NoConvergenceError
         If LAPACK does not converge, or the decomposition fails its own
-        residual (``tols.eig_residual``) or unitarity
-        (``tols.basis_unitarity``) check.
+        residual (``EIG_RESIDUAL``) or unitarity (``BASIS_UNITARITY``)
+        check.
     """
     try:
         evals, basis = np.linalg.eigh(op.matrix)
@@ -157,10 +155,10 @@ def eig_hermitian(op: HermitianOperator, tols: Tolerances = DEFAULT_TOLS) -> Spe
     basis *= pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
     resid = float(np.linalg.norm(op.matrix @ basis - basis * evals))
     scale = max(1.0, float(np.linalg.norm(op.matrix)))
-    if not resid <= tols.eig_residual * scale:
+    if not resid <= EIG_RESIDUAL * scale:
         raise NoConvergenceError(f"eigendecomposition residual {resid:.3e} too large")
     unit = float(np.linalg.norm(basis.conj().T @ basis - np.eye(op.dim)))
-    if not unit <= tols.basis_unitarity * op.dim:
+    if not unit <= BASIS_UNITARITY * op.dim:
         raise NoConvergenceError(f"eigenbasis unitarity defect {unit:.3e} too large")
     return SpectralDecomposition(
         eigenvalues=_freeze(evals), basis=_freeze(basis), dim=op.dim

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     CrossCheckError,
     CutoffConvergenceWarning,
@@ -68,7 +67,7 @@ _SZ = np.diag([1.0, -1.0])
 # single spin
 
 
-def single_spin(h3: float, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
+def single_spin(h3: float) -> PerturbedFamily:
     """Single spin-1/2 in a field: T = -h3 sigma_z, S = sigma_x, beta = 1.
 
     The inverse temperature is absorbed into the dimensionless field h3,
@@ -78,7 +77,7 @@ def single_spin(h3: float, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
     h3 = float(h3)
     if not math.isfinite(h3):
         raise ValueError(f"h3 must be finite, got {h3!r}")
-    return make_family(-h3 * _SZ, _SX, 1.0, tols=tols)
+    return make_family(-h3 * _SZ, _SX, 1.0)
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,6 @@ def dicke(
     lam: float,
     beta: float,
     symmetric_sector: bool = False,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> PerturbedFamily:
     """N two-level atoms coupled to one bosonic mode, truncated at n_max.
 
@@ -217,7 +215,7 @@ def dicke(
         raise DimensionBudgetError(f"dimension {dim} exceeds budget {DIMENSION_BUDGET}")
 
     T, S = _dicke_matrices(n_atoms, n_max, omega, eps, lam, symmetric_sector)
-    fam = make_family(T, S, beta, particle_count=n_atoms, tols=tols)
+    fam = make_family(T, S, beta, particle_count=n_atoms)
 
     probe_dim = (n_max + 5) * atom_dim
     if probe_dim > DIMENSION_BUDGET:
@@ -228,7 +226,7 @@ def dicke(
         )
         return fam
     shift = dicke_cutoff_shift(fam, n_atoms, n_max, omega, eps, lam, beta,
-                               symmetric_sector, tols)
+                               symmetric_sector)
     if shift > 1e-4:
         warnings.warn(
             f"chi_F shifts by {shift:.3e} relative when the boson cutoff grows "
@@ -248,15 +246,16 @@ def dicke_cutoff_shift(
     lam: float,
     beta: float,
     symmetric_sector: bool = False,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
-    """Relative chi_F shift between the given family and n_max + 4."""
-    T, S = _dicke_matrices(n_atoms, n_max + 4, omega, eps, lam, symmetric_sector)
-    wide = make_family(T, S, beta, particle_count=n_atoms, tols=tols)
-    # wide first: the pair-grid cache keeps only the last family's grid,
-    # and the caller goes on to evaluate fam
-    chi_wide = chi_f_spectral(wide, tols).total
-    chi = chi_f_spectral(fam, tols).total
+    """Relative chi_F shift between the given family and n_max + 4.
+
+    The wider family is dropped as soon as its chi_F is known, so its pair
+    grid is never held next to the grid of ``fam``.
+    """
+    wide = _dicke_matrices(n_atoms, n_max + 4, omega, eps, lam, symmetric_sector)
+    chi_wide = chi_f_spectral(make_family(*wide, beta, particle_count=n_atoms)).total
+    del wide
+    chi = chi_f_spectral(fam).total
     return abs(chi - chi_wide) / max(1.0, abs(chi))
 
 
@@ -364,7 +363,6 @@ def kondo_toy(
     mode_energies,
     j_coupling: float,
     beta: float,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> PerturbedFamily:
     """Magnetic impurity exchange-coupled to a few conduction modes.
 
@@ -427,13 +425,15 @@ def kondo_toy(
         - j_coupling * (np.kron(nx, s1) + np.kron(ny, s2op) + np.kron(nz, s3))
     )
     S = np.kron(eye_f, s3)
-    fam = make_family(T, S, beta, tols=tols)
+    fam = make_family(T, S, beta)
 
     spin = 0.5 * s2
     casimir_third = spin * (spin + 1.0) / 3.0
     mean = thermal_average(fam, fam.s_eig)
+    # <S_3^2> = sum_m p_m sum_k |b_km|^2 (S_3^2)_kk, as kron(I, S_3^2) is diagonal
+    d = np.tile(np.real(np.diagonal(s3 @ s3)), fermion_dim)
     b = fam.ensemble.spectrum.basis
-    second = thermal_average(fam, b.conj().T @ np.kron(eye_f, s3 @ s3) @ b)
+    second = float(np.dot(fam.populations, d @ np.abs(b) ** 2))
     if abs(mean) > 1e-12 or abs(second - casimir_third) > 1e-10:
         raise CrossCheckError(
             "kondo_rotation",
@@ -512,7 +512,6 @@ def random_pair(
     t_scale: float = 1.0,
     s_scale: float = 1.0,
     beta: float = 1.0,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> PerturbedFamily:
     """GUE-style random (T, S) pair, deterministic per (seed, dim).
 
@@ -531,7 +530,7 @@ def random_pair(
 
     T = draw(float(t_scale))
     S = draw(float(s_scale))
-    return make_family(T, S, beta, tols=tols)
+    return make_family(T, S, beta)
 
 
 def tfim(
@@ -539,7 +538,6 @@ def tfim(
     j_coupling: float,
     g_field: float,
     beta: float,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> PerturbedFamily:
     """Open transverse-field Ising chain driven by the total transverse field.
 
@@ -566,7 +564,7 @@ def tfim(
     for i in range(n_sites):
         S += site_op(_SX, i)
     T -= g_field * S
-    return make_family(T, S, beta, particle_count=n_sites, tols=tols)
+    return make_family(T, S, beta, particle_count=n_sites)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +607,7 @@ def _strict_json(path):
         raise ModelParseError(f"{path}: {exc}") from None
 
 
-def model_from_file(path, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
+def model_from_file(path) -> PerturbedFamily:
     """Build a family from a matrix file.
 
     The file is a UTF-8 text file holding exactly one JSON object with
@@ -641,7 +639,7 @@ def model_from_file(path, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
 
     T = _parse_matrix(obj["T"], "T", dim)
     S = _parse_matrix(obj["S"], "S", dim)
-    return make_family(T, S, float(beta), particle_count=n, tols=tols)
+    return make_family(T, S, float(beta), particle_count=n)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +734,7 @@ def _switch(spec: ModelSpec, name: str) -> bool:
     return bool(value)
 
 
-def build_model(spec: ModelSpec, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFamily:
+def build_model(spec: ModelSpec) -> PerturbedFamily:
     """Validate a `ModelSpec` and dispatch to the matching builder."""
     if spec.kind not in MODEL_KINDS:
         raise ModelSchemaError(
@@ -745,7 +743,7 @@ def build_model(spec: ModelSpec, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFa
     if spec.kind == "file":
         if not spec.path:
             raise ModelSchemaError('kind "file" requires a path')
-        return model_from_file(spec.path, tols)
+        return model_from_file(spec.path)
 
     params = _collect(spec, "parameters")
     cutoffs = _collect(spec, "cutoffs")
@@ -754,7 +752,7 @@ def build_model(spec: ModelSpec, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFa
             raise ModelSchemaError(f"cutoff {name!r} must be >= 1, got {value!r}")
 
     if spec.kind == "single_spin":
-        return single_spin(params["h3"], tols)
+        return single_spin(params["h3"])
     if spec.kind == "dicke":
         return dicke(
             cutoffs["n_atoms"],
@@ -764,14 +762,13 @@ def build_model(spec: ModelSpec, tols: Tolerances = DEFAULT_TOLS) -> PerturbedFa
             params["lambda"],
             params["beta"],
             symmetric_sector=_switch(spec, "symmetric_sector"),
-            tols=tols,
         )
     if spec.kind == "kondo_toy":
         energies = [params[f"eps{k}"] for k in range(int(cutoffs["modes"]))]
-        return kondo_toy(cutoffs["s2"], energies, params["j"], params["beta"], tols)
+        return kondo_toy(cutoffs["s2"], energies, params["j"], params["beta"])
     if spec.kind == "random":
         seed = 0 if spec.seed is None else int(spec.seed)
         return random_pair(
-            cutoffs["dim"], seed, params["t_scale"], params["s_scale"], params["beta"], tols
+            cutoffs["dim"], seed, params["t_scale"], params["s_scale"], params["beta"]
         )
-    return tfim(cutoffs["n_sites"], params["j"], params["g"], params["beta"], tols)
+    return tfim(cutoffs["n_sites"], params["j"], params["g"], params["beta"])

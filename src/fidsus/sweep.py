@@ -21,9 +21,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bounds import BoundReport, bound_report
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import ModelSchemaError
-from .gibbs import family_at_beta
+from .gibbs import PerturbedFamily, family_at_beta
 from .models import MODEL_KINDS, ModelSpec, build_model
 from .plotting import emit_plot, write_text_atomic
 
@@ -137,16 +136,25 @@ def _model_at(spec: SweepSpec, value: float) -> ModelSpec:
     return replace(spec.model, parameters=params)
 
 
-def compute_rows(spec: SweepSpec, tols: Tolerances = DEFAULT_TOLS) -> List[SweepRow]:
+def _with_grid(fam: PerturbedFamily) -> PerturbedFamily:
+    # build the grid while the previous point's family is still alive: that
+    # family's grid is then freed below this one, and the point's temporaries
+    # reuse its memory instead of the allocator returning it to the OS and
+    # faulting it back in at every point
+    fam.pair_grid
+    return fam
+
+
+def compute_rows(spec: SweepSpec) -> List[SweepRow]:
     """Evaluate every grid point; nothing touches the filesystem here."""
     grid = sweep_grid(spec)
     if spec.sweep_param == "beta":
-        base = build_model(_model_at(spec, grid[0]), tols)
-        fams = (family_at_beta(base, float(value)) for value in grid)
+        base = build_model(_model_at(spec, grid[0]))
+        fams = (_with_grid(family_at_beta(base, float(value))) for value in grid)
     else:
-        fams = (build_model(_model_at(spec, value), tols) for value in grid)
+        fams = (_with_grid(build_model(_model_at(spec, value))) for value in grid)
     return [
-        _row_from_report(value, bound_report(fam, tols))
+        _row_from_report(value, bound_report(fam))
         for value, fam in zip(grid, fams)
     ]
 
@@ -183,7 +191,7 @@ def format_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(spec: SweepSpec, tols: Tolerances = DEFAULT_TOLS) -> List[SweepRow]:
+def run_sweep(spec: SweepSpec) -> List[SweepRow]:
     """Compute the sweep and write the CSV (and optional SVG) outputs.
 
     All points are evaluated before the first byte is written, so an
@@ -191,7 +199,7 @@ def run_sweep(spec: SweepSpec, tols: Tolerances = DEFAULT_TOLS) -> List[SweepRow
     replaced atomically, so a failed write leaves any existing file of
     the target name as it was.
     """
-    rows = compute_rows(spec, tols)
+    rows = compute_rows(spec)
     if spec.csv_path is not None:
         write_text_atomic(spec.csv_path, format_csv(rows))
         if spec.svg_path is not None:

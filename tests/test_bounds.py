@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clustered_families, seeded_families
+from conftest import clustered_families, random_hermitian, seeded_families
 from fidsus.bounds import (
     bd_inner_product,
     bd_integral_oracle,
@@ -21,10 +21,10 @@ from fidsus.bounds import (
     thermo_susceptibility,
     upper_bound,
 )
-from fidsus.config import DEFAULT_TOLS, Tolerances
+from fidsus.config import DEGENERATE_GAP
 from fidsus.errors import CutoffConvergenceWarning
-from fidsus.fidelity import _pair_grids, chi_f_spectral, chi_fg_spectral, ds2_spectral
-from fidsus.gibbs import family_at_beta, make_family
+from fidsus.fidelity import chi_f_spectral, chi_fg_spectral, ds2_spectral
+from fidsus.gibbs import PerturbedFamily, family_at_beta, make_family
 from fidsus.models import dicke, kondo_toy, random_pair, single_spin, tfim
 
 
@@ -187,15 +187,29 @@ def test_upper_gap_shrinks_at_least_linearly_in_beta():
         assert math.log2(hi / lo) >= 0.9
 
 
-def test_one_report_builds_the_pair_grid_once():
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """Count the pair-grid builds, one list entry per family built for."""
+    built = []
+    prop = PerturbedFamily.pair_grid
+    real = prop.func
+
+    def counted(fam):
+        built.append(fam)
+        return real(fam)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return built
+
+
+def test_one_report_builds_the_pair_grid_once(grid_builds):
     """Every spectral sum of a report reads one cached, read-only grid."""
     fam = random_pair(9, 21, beta=1.3)
-    _pair_grids.cache_clear()
     rep = bound_report(fam, check_chi_n=False)
-    assert _pair_grids.cache_info().misses == 1
-    assert _pair_grids.cache_info().hits >= 5
+    assert grid_builds == [fam]
 
-    grid = _pair_grids(fam, DEFAULT_TOLS)
+    grid = fam.pair_grid
+    assert len(grid_builds) == 1
     for arr in (grid.gap, grid.bgap, grid.lp_low, grid.lp_geo, grid.deg,
                 grid.s_abs2, grid.delta_d):
         assert not arr.flags.writeable
@@ -203,29 +217,25 @@ def test_one_report_builds_the_pair_grid_once():
         grid.s_abs2[0, 1] = 0.0
     assert np.all(np.diagonal(grid.s_abs2) == 0.0)
 
-    # the tolerances are part of the key: a wider degeneracy window
-    # gets its own grid rather than the cached one
-    wide = Tolerances(degenerate_gap=2.0)
-    other = _pair_grids(fam, wide)
-    assert _pair_grids.cache_info().misses == 2
-    assert np.count_nonzero(other.deg) > np.count_nonzero(grid.deg)
-
     # a second family never sees the first one's grid, and the cache
     # changes no number
     hot = family_at_beta(fam, 2.6)
     hot_rep = bound_report(hot, check_chi_n=False)
-    _pair_grids.cache_clear()
-    assert bound_report(hot, check_chi_n=False) == hot_rep
-    assert bound_report(fam, check_chi_n=False) == rep
+    assert grid_builds == [fam, hot]
+    assert hot.pair_grid is not grid
+    assert bound_report(family_at_beta(fam, 2.6), check_chi_n=False) == hot_rep
+    assert bound_report(family_at_beta(fam, 1.3), check_chi_n=False) == rep
+    assert len(grid_builds) == 4
 
 
-def test_dicke_probe_keeps_the_family_grid_cached():
-    """The cutoff probe evaluates the wider family first, so the report on
-    the built family reuses the grid the probe left behind."""
-    _pair_grids.cache_clear()
+def test_dicke_probe_keeps_the_family_grid_cached(grid_builds):
+    """The cutoff probe builds the grid of the wider family and of the built
+    family once each, and the report on the built family reuses the latter."""
     fam = dicke(2, 8, 2, 1, 0.5, 1)
     bound_report(fam, check_chi_n=False)
-    assert _pair_grids.cache_info().misses == 2
+    assert len(grid_builds) == 2
+    assert grid_builds[0].dim > fam.dim
+    assert grid_builds[1] is fam
 
 
 def test_report_is_invariant_under_a_change_of_basis():
@@ -308,3 +318,33 @@ def test_report_on_clustered_spectra_at_any_norm(fam):
     assert all(math.isfinite(v) for v in fields.values())
     assert rep.sandwich_ok
     assert abs(rep.ds2 - rep.chi_f) <= 1e-10 * max(1.0, abs(rep.chi_f))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    beta=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    s_scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    others=st.lists(st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0)), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+)
+def test_report_is_continuous_across_the_degeneracy_window(beta, s_scale, others, seed, real):
+    """A level pair at 0 and (1 -+ 1e-6) DEGENERATE_GAP / beta sits just
+    inside and just outside the window: one pair leaves the limit kernel,
+    and every pair sum of the report stays put.  The classical/quantum
+    split may jump there, but it always adds up to chi_f."""
+    s = random_hermitian(np.random.default_rng(seed), 2 + len(others), s_scale)
+    s = s.real if real else s
+    inside, outside = (
+        bound_report(
+            make_family(np.diag([0.0, gap * DEGENERATE_GAP, *others]) / beta, s, beta),
+            check_chi_n=False,
+        )
+        for gap in (1.0 - 1e-6, 1.0 + 1e-6)
+    )
+    assert inside.degenerate_pair_count == outside.degenerate_pair_count + 1
+    for key in ("chi_f", "ds2", "lower_aasc", "bd_product", "upper", "lower_paper"):
+        a, b = getattr(inside, key), getattr(outside, key)
+        assert abs(a - b) <= 1e-11 * max(1.0, abs(a)), key
+    for rep in (inside, outside):
+        assert rep.chi_f_classical + rep.chi_f_quantum == rep.chi_f

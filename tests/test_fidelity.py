@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
+import fidsus.fidelity
 from conftest import random_hermitian, seeded_families
-from fidsus.config import Tolerances
 from fidsus.errors import (
     DegenerateGroundStateError,
     InternalFormMismatchError,
     NotDensityMatrixError,
 )
 from fidsus.fidelity import (
-    _gauss_legendre,
+    _gauss_legendre_64,
     bures_distance,
     chi_f_fd,
     chi_f_ground_state,
@@ -156,21 +156,22 @@ def test_ds2_matches_bures_curvature():
     assert db2 / h**2 == pytest.approx(ds2_spectral(fam), rel=2e-3)
 
 
-def test_internal_form_guard_fires_when_tightened():
+def test_internal_form_guard_fires_when_tightened(monkeypatch):
     # the two internal forms differ by an ulp or so on most families; with the
     # tolerance cranked below machine precision the guard must trip somewhere,
     # while the default tolerance never does
-    tight = Tolerances(chi_internal_rel=1e-18)
     fired = 0
     for seed in (3, 7, 55, 91):
         for dim in (6, 10, 12):
             fam = random_pair(dim, seed, 1.0, 1.0, 2.0)
             chi_f_spectral(fam)
-            try:
-                chi_f_spectral(fam, tight)
-            except InternalFormMismatchError as err:
-                assert err.check == "chi_f_forms"
-                fired += 1
+            with monkeypatch.context() as tight:
+                tight.setattr(fidsus.fidelity, "CHI_INTERNAL_REL", 1e-18)
+                try:
+                    chi_f_spectral(fam)
+                except InternalFormMismatchError as err:
+                    assert err.check == "chi_f_forms"
+                    fired += 1
     assert fired >= 3
 
 
@@ -202,12 +203,14 @@ def test_chi_fg_spectral_vs_integral():
 
 
 def test_gauss_legendre_rule_is_built_once_and_read_only():
-    x, w = _gauss_legendre(64)
-    assert _gauss_legendre(64) == (x, w)
-    assert _gauss_legendre(64)[0] is x
+    x, w = _gauss_legendre_64()
+    assert _gauss_legendre_64()[0] is x
+    assert x.shape == w.shape == (64,)
     ref_x, ref_w = np.polynomial.legendre.leggauss(64)
     np.testing.assert_array_equal(x, ref_x)
     np.testing.assert_array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
 

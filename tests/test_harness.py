@@ -1,12 +1,15 @@
 """Sweeps, CSV/SVG emission, the verify runner, and the CLI entry point."""
 
+import importlib
 import json
 import os
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fidsus
 import fidsus.cli
 import fidsus.plotting
 import fidsus.sweep
@@ -17,7 +20,7 @@ from fidsus.errors import (
     MissingColumnError,
     ModelSchemaError,
 )
-from fidsus.models import ModelSpec, build_model
+from fidsus.models import MODEL_KINDS, ModelSpec, build_model
 from fidsus.bounds import bound_report
 from fidsus.plotting import emit_plot, read_columns, render_svg, write_text_atomic
 from fidsus.sweep import (
@@ -150,11 +153,11 @@ def test_failed_grid_point_leaves_no_file(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = fidsus.sweep.bound_report
 
-    def flaky(fam, tols, **kw):
+    def flaky(fam, **kw):
         calls["n"] += 1
         if calls["n"] == 3:
             raise RuntimeError("synthetic failure at the third point")
-        return real(fam, tols, **kw)
+        return real(fam, **kw)
 
     monkeypatch.setattr(fidsus.sweep, "bound_report", flaky)
     target = tmp_path / "out.csv"
@@ -417,6 +420,28 @@ def test_cli_verify_small(capsys):
     assert "result: " in out
 
 
+@pytest.mark.parametrize("command", ["report", "sweep"])
+def test_cli_has_a_flag_for_every_declared_parameter_and_cutoff(command):
+    parser = fidsus.cli._build_parser()
+    for kind, entry in MODEL_KINDS.items():
+        for which, typ in (("parameters", float), ("cutoffs", int)):
+            for name in entry[which]:
+                flag = "--" + name.replace("_", "-")
+                args = parser.parse_args([command, "--model", kind, flag, "3"])
+                value = getattr(args, name)
+                assert type(value) is typ and value == 3, (kind, flag)
+
+
+def test_every_exported_name_resolves():
+    modules = [fidsus] + [
+        importlib.import_module(f"fidsus.{info.name}")
+        for info in pkgutil.iter_modules(fidsus.__path__)
+    ]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -436,7 +461,7 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_cli_cross_check_failure_maps_to_two(monkeypatch, capsys):
-    def boom(fam, tols=None, **kw):
+    def boom(fam, **kw):
         raise CrossCheckError("synthetic", "forced mismatch")
 
     monkeypatch.setattr(fidsus.cli, "bound_report", boom)

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import fidsus.models
 from fidsus.bounds import upper_bound
 from fidsus.errors import (
+    CrossCheckError,
     CutoffConvergenceWarning,
     DimensionBudgetError,
     ModelSchemaError,
@@ -144,6 +146,19 @@ def test_kondo_rotation_invariance_visible_from_outside():
     assert thermal_average(fam, fam.s_eig) == pytest.approx(0.0, abs=1e-12)
     s3sq = thermal_average(fam, fam.s_eig @ fam.s_eig)
     assert s3sq == pytest.approx(0.25, abs=1e-10)
+
+
+def test_kondo_rotation_check_rejects_an_anisotropic_impurity(monkeypatch):
+    real = fidsus.models._spin_matrices
+
+    def anisotropic(s2):
+        s1, s2op, s3 = real(s2)
+        return s1, s2op, 1.1 * s3
+
+    monkeypatch.setattr(fidsus.models, "_spin_matrices", anisotropic)
+    with pytest.raises(CrossCheckError) as err:
+        kondo_toy(1, (0.0, 0.4), 0.6, 1.2)
+    assert err.value.check == "kondo_rotation"
 
 
 def test_kondo_free_spin_limit():
