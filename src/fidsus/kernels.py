@@ -35,16 +35,23 @@ def tanh_over_x(x):
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
+    # three float temporaries in all, each ufunc writing into one of them:
+    # the values are those of where(small, 1 - x2/3 + (2/15) x2 x2,
+    # tanh(safe)/safe) clamped, op for op
     a = np.abs(np.atleast_1d(arr))
-    x2 = a * a
-    lower = 1.0 - x2 / 3.0
     small = a < KERNEL_SERIES_CUTOFF
-    safe = np.where(small, 1.0, a)
-    direct = np.tanh(safe) / safe
-    series = lower + (2.0 / 15.0) * x2 * x2
-    out = np.where(small, series, direct)
-    out = np.minimum(out, 1.0)
-    out = np.maximum(out, lower)
+    x2 = a * a
+    np.copyto(a, 1.0, where=small)  # a is now safe
+    out = np.tanh(a)
+    out /= a
+    np.multiply(x2, 2.0 / 15.0, out=a)
+    a *= x2
+    x2 /= 3.0
+    np.subtract(1.0, x2, out=x2)  # x2 is now lower
+    a += x2  # the series
+    np.copyto(out, a, where=small)
+    np.minimum(out, 1.0, out=out)
+    np.maximum(out, x2, out=out)
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 

@@ -4,11 +4,13 @@ The eigensolver is LAPACK's symmetric or Hermitian solver through
 ``np.linalg.eigh``.  Its output is normalized (nondecreasing eigenvalues,
 pinned eigenvector phases) and checked (residual and unitarity) before it
 is returned, so downstream spectral sums can trust the decomposition
-without re-validating.  A matrix with no imaginary part is stored and
+without re-validating.  A matrix whose exact zeros split it into blocks
+is solved block by block.  A matrix with no imaginary part is stored and
 decomposed as float64, so real models run LAPACK's real symmetric solver
 and real arithmetic throughout; complex input stays complex128.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +122,55 @@ def validate_hermitian(matrix) -> HermitianOperator:
     return HermitianOperator(matrix=_freeze(sym), dim=sym.shape[0])
 
 
+def _components(m: np.ndarray) -> list:
+    """Connected components of the exact nonzero pattern of a Hermitian matrix.
+
+    Each component is a sorted index array; components come in the order
+    of their smallest index.  The pattern of a validated operator is
+    symmetric, so a breadth-first search along rows finds every link.
+    """
+    linked = m != 0
+    # a row with no off-diagonal entry is a component of its own
+    lone = np.count_nonzero(linked, axis=1) <= linked.diagonal()
+    seen = lone.copy()
+    comps = []
+    for seed in range(m.shape[0]):
+        if lone[seed]:
+            comps.append(np.array([seed]))
+        elif not seen[seed]:
+            seen[seed] = True
+            members = [np.array([seed])]
+            while members[-1].size:
+                reached = np.flatnonzero(linked[members[-1]].any(axis=0) & ~seen)
+                seen[reached] = True
+                members.append(reached)
+            comps.append(np.sort(np.concatenate(members)))
+    return comps
+
+
+def _eigh(m: np.ndarray):
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
+
+
+def _pin_phases(basis: np.ndarray) -> None:
+    """Make each column's first largest-magnitude component real positive."""
+    # the pivot is nonzero in a unit vector; np.hypot divides by the libm
+    # magnitude, which the SIMD np.abs of a complex array may miss in the
+    # last bit (for a real basis the factor is the exact sign of the pivot)
+    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    basis *= pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
+
+
+def _defects(m: np.ndarray, evals: np.ndarray, basis: np.ndarray):
+    """Frobenius norms of the residual and of the unitarity defect."""
+    resid = float(np.linalg.norm(m @ basis - basis * evals))
+    unit = float(np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])))
+    return resid, unit
+
+
 def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator.
 
@@ -133,6 +184,18 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     the real and complex solvers pick differently; every reported
     quantity is invariant under that choice.
 
+    A matrix whose exact zeros split it into blocks (the connected
+    components of its nonzero pattern) is solved block by block:
+    ``np.linalg.eigh`` runs once per distinct block, and a block
+    bit-identical to an earlier one reuses that solution.  The block
+    spectra are concatenated in the order of each block's first index and
+    merged by the same stable sort, and each block's vectors are placed in
+    the dense basis, exactly zero off the block.  The residual and the
+    unitarity defect are the same Frobenius norms over the whole matrix,
+    summed block by block, as every cross-block entry is an exact zero.
+    A dense matrix, or one whose pattern is connected, goes through one
+    ``eigh`` of the whole.
+
     Raises
     ------
     NoConvergenceError
@@ -140,26 +203,47 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
         residual (``EIG_RESIDUAL``) or unitarity (``BASIS_UNITARITY``)
         check.
     """
-    try:
-        evals, basis = np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    basis = basis[:, order]
-    # each column's pivot is its first largest-magnitude component, nonzero
-    # in a unit vector; np.hypot divides by the libm magnitude, which the
-    # SIMD np.abs of a complex array may miss in the last bit (for a real
-    # basis the factor is the exact sign of the pivot)
-    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(op.dim)]
-    basis *= pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
-    resid = float(np.linalg.norm(op.matrix @ basis - basis * evals))
-    scale = max(1.0, float(np.linalg.norm(op.matrix)))
+    m = op.matrix
+    n = op.dim
+    comps = [] if np.count_nonzero(m) == n * n else _components(m)
+    if len(comps) <= 1:
+        evals, basis = _eigh(m)
+        order = np.argsort(evals, kind="stable")
+        evals = evals[order]
+        basis = basis[:, order]
+        _pin_phases(basis)
+        resid, unit = _defects(m, evals, basis)
+    else:
+        solved = {}  # block bytes -> (evals, pinned vectors, resid, unit)
+        placed = []
+        resid2 = unit2 = 0.0
+        for idx in comps:
+            sub = m[idx[:, None], idx]
+            key = sub.tobytes()
+            if key not in solved:
+                w, v = _eigh(sub)
+                _pin_phases(v)
+                solved[key] = (w, v, *_defects(sub, w, v))
+            w, v, r, u = solved[key]
+            resid2 += r * r
+            unit2 += u * u
+            placed.append((idx, w, v))
+        evals = np.concatenate([w for _, w, _ in placed])
+        order = np.argsort(evals, kind="stable")
+        evals = evals[order]
+        column = np.empty(n, dtype=np.intp)
+        column[order] = np.arange(n)
+        basis = np.zeros_like(m)
+        start = 0
+        for idx, _, v in placed:
+            basis[idx[:, None], column[start : start + idx.size]] = v
+            start += idx.size
+        resid, unit = math.sqrt(resid2), math.sqrt(unit2)
+    scale = max(1.0, float(np.linalg.norm(m)))
     if not resid <= EIG_RESIDUAL * scale:
         raise NoConvergenceError(f"eigendecomposition residual {resid:.3e} too large")
-    unit = float(np.linalg.norm(basis.conj().T @ basis - np.eye(op.dim)))
-    if not unit <= BASIS_UNITARITY * op.dim:
+    if not unit <= BASIS_UNITARITY * n:
         raise NoConvergenceError(f"eigenbasis unitarity defect {unit:.3e} too large")
     return SpectralDecomposition(
-        eigenvalues=_freeze(evals), basis=_freeze(basis), dim=op.dim
+        eigenvalues=_freeze(evals), basis=_freeze(basis), dim=n
     )

@@ -9,8 +9,11 @@ Dicke builder probes its boson cutoff by rebuilding four levels higher.
 
 Conventions fixed here and relied on by the matrix-file round trip:
 
-* tensor factors are ordered boson (x) atoms for the Dicke space and
+* tensor factors are ordered boson (x) spin for each Dicke block and
   fermion modes (x) impurity for the Kondo space;
+* the Dicke full space is a direct sum of spin-j blocks and the Ising
+  chain is built in its parity basis (see `dicke` and `tfim`), so their
+  symmetry blocks are exact zeros, which `eig_hermitian` splits on;
 * fermionic operators use the Jordan-Wigner chain over the mode list
   (k0 up, k0 down, k1 up, k1 down, ...), qubit |1> meaning occupied;
 * the conduction spin density at the impurity site carries an explicit
@@ -119,30 +122,34 @@ def _boson_annihilator(n_max: int) -> np.ndarray:
     return a
 
 
-def _collective_spin(n_atoms: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(J_x, J_z) on the maximal-spin sector j = N/2, m descending."""
-    j = 0.5 * n_atoms
-    m = j - np.arange(n_atoms + 1)
+def _collective_spin(j2: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(J_x, J_z) on spin j = j2/2, m descending from +j."""
+    j = 0.5 * j2
+    m = j - np.arange(j2 + 1)
     jz = np.diag(m)
-    lower = np.zeros((n_atoms + 1, n_atoms + 1))
-    for i in range(n_atoms):
+    lower = np.zeros((j2 + 1, j2 + 1))
+    for i in range(j2):
         # J- |j, m> = sqrt(j(j+1) - m(m-1)) |j, m-1>
         lower[i + 1, i] = math.sqrt(j * (j + 1.0) - m[i] * (m[i] - 1.0))
     jx = 0.5 * (lower + lower.T)
     return jx, jz
 
 
-def _site_spin(n_atoms: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(J_x, J_z) as sums of single-site Pauli halves on the full 2^N space."""
-    dim = 2**n_atoms
-    jx = np.zeros((dim, dim))
-    jz = np.zeros((dim, dim))
-    for site in range(n_atoms):
-        left = np.eye(2**site)
-        right = np.eye(2 ** (n_atoms - site - 1))
-        jx += np.kron(np.kron(left, 0.5 * _SX), right)
-        jz += np.kron(np.kron(left, 0.5 * _SZ), right)
-    return jx, jz
+def _spin_multiplicity(n_atoms: int, j2: int) -> int:
+    """Copies d_j of spin j = j2/2 in N spin-1/2: C(N, N/2-j) - C(N, N/2-j-1)."""
+    k = (n_atoms - j2) // 2
+    return math.comb(n_atoms, k) - (math.comb(n_atoms, k - 1) if k else 0)
+
+
+def _direct_sum(blocks: List[np.ndarray]) -> np.ndarray:
+    dim = sum(b.shape[0] for b in blocks)
+    out = np.zeros((dim, dim))
+    start = 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        out[start:stop, start:stop] = b
+        start = stop
+    return out
 
 
 def _dicke_matrices(
@@ -151,20 +158,22 @@ def _dicke_matrices(
     a = _boson_annihilator(n_max)
     quad = a + a.T
     number = a.T @ a
-    if symmetric_sector:
-        jx, jz = _collective_spin(n_atoms)
-    else:
-        jx, jz = _site_spin(n_atoms)
-    atom_dim = jx.shape[0]
     eye_b = np.eye(n_max + 1)
-    eye_a = np.eye(atom_dim)
-    T = (
-        omega * np.kron(number, eye_a)
-        + eps * np.kron(eye_b, jz)
-        + (lam / math.sqrt(n_atoms)) * np.kron(quad, jx)
-    )
-    S = 0.5 * math.sqrt(n_atoms) * np.kron(quad, eye_a)
-    return T, S
+    spins = [n_atoms] if symmetric_sector else range(n_atoms, -1, -2)
+    t_blocks, s_blocks = [], []
+    for j2 in spins:
+        jx, jz = _collective_spin(j2)
+        eye_a = np.eye(j2 + 1)
+        t = (
+            omega * np.kron(number, eye_a)
+            + eps * np.kron(eye_b, jz)
+            + (lam / math.sqrt(n_atoms)) * np.kron(quad, jx)
+        )
+        s = 0.5 * math.sqrt(n_atoms) * np.kron(quad, eye_a)
+        copies = _spin_multiplicity(n_atoms, j2)
+        t_blocks += [t] * copies
+        s_blocks += [s] * copies
+    return _direct_sum(t_blocks), _direct_sum(s_blocks)
 
 
 def dicke(
@@ -180,15 +189,21 @@ def dicke(
 
     T = omega a*a + eps J_z + lam N^{-1/2}(a + a*) J_x with collective
     spin operators J_alpha = (1/2) sum_i sigma_i^alpha, and the driving
-    term is the field quadrature S = sqrt(N)(a* + a)/2.  Basis order is
-    Fock (x) atoms.
+    term is the field quadrature S = sqrt(N)(a* + a)/2.
 
-    By default the atomic factor is the full 2^N product space, which
-    keeps the partition function honest for finite-size thermal
-    averages.  ``symmetric_sector`` restricts to the maximal collective
-    spin block j = N/2 of dimension N+1; that drops the multiplicities
-    of the lower-spin blocks from Z, so sector results are comparable
-    with each other but not term-by-term with the full space.
+    By default the atoms span their full 2^N space, which keeps the
+    partition function honest for finite-size thermal averages.  T is
+    collective, so that space is built as its decomposition into total
+    spin: the direct sum over j = N/2, N/2 - 1, ... (down to 0 or 1/2)
+    of d_j = C(N, N/2 - j) - C(N, N/2 - j - 1) identical copies of
+    boson (x) spin-j, each copy in Fock (x) m order with m descending
+    from +j.  This is unitarily equivalent to the product space of N
+    sites, so every reported quantity is the same, and the copies are
+    exact zero-separated blocks that `eig_hermitian` solves once.
+    ``symmetric_sector`` keeps only the first term, j = N/2, of dimension
+    (n_max + 1)(N + 1); that drops the multiplicities of the lower-spin
+    blocks from Z, so sector results are comparable with each other but
+    not term-by-term with the full space.
 
     Every build is followed by a cutoff probe: the family is rebuilt at
     n_max + 4 and the relative shift in chi_F is measured.  A shift
@@ -544,6 +559,15 @@ def tfim(
     T = -J sum_i sigma^z_i sigma^z_{i+1} - g sum_i sigma^x_i on an open
     chain, S = sum_i sigma^x_i, so the field h shifts g directly.
     N = n_sites.
+
+    The basis is the eigenbasis of the spin flip prod_i sigma^x_i:
+    index k < 2^(N-1) is (|r> + |~r>)/sqrt(2) with r = k, and index
+    2^(N-1) + r is (|r> - |~r>)/sqrt(2).  Here bit i of r is site i
+    (0 meaning sigma^z = +1), r runs over the states whose top bit
+    (site N-1) is 0, and ~r flips every bit.  Both T and S commute with
+    the flip, so the matrices are two exact blocks; every entry is an
+    integer times J or g, and at g = 0 T is diagonal and S has a zero
+    diagonal.
     """
     n_sites = int(n_sites)
     if not 2 <= n_sites <= 10:
@@ -552,18 +576,20 @@ def tfim(
     if dim > DIMENSION_BUDGET:
         raise DimensionBudgetError(f"dimension {dim} exceeds budget {DIMENSION_BUDGET}")
 
-    def site_op(op: np.ndarray, i: int) -> np.ndarray:
-        left = np.eye(2**i)
-        right = np.eye(2 ** (n_sites - i - 1))
-        return np.kron(np.kron(left, op), right)
-
-    T = np.zeros((dim, dim))
-    for i in range(n_sites - 1):
-        T -= j_coupling * site_op(_SZ, i) @ site_op(_SZ, i + 1)
+    half = dim // 2
+    r = np.arange(half)
+    bits = (r[:, None] >> np.arange(n_sites)) & 1
+    # sigma^z_i sigma^z_{i+1} is +1 where neighbouring bits agree, on r and ~r alike
+    agree = np.count_nonzero(bits[:, 1:] == bits[:, :-1], axis=1)
+    zz = (2 * agree - (n_sites - 1)).astype(float)
     S = np.zeros((dim, dim))
-    for i in range(n_sites):
-        S += site_op(_SX, i)
-    T -= g_field * S
+    for start, sign in ((0, 1.0), (half, -1.0)):
+        rows = start + r
+        for i in range(n_sites - 1):
+            S[rows, start + (r ^ (1 << i))] += 1.0
+        # sigma^x_{N-1} takes |r> + s|~r> to s(|r'> + s|~r'>), r' = r ^ (half - 1)
+        S[rows, start + (r ^ (half - 1))] += sign
+    T = np.diag(np.tile(-j_coupling * zz, 2)) - g_field * S
     return make_family(T, S, beta, particle_count=n_sites)
 
 

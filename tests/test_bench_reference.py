@@ -1,0 +1,57 @@
+"""The benchmark's correctness gate, run as a test.
+
+``perfbench/reference/*.csv`` hold the seed-0 rows the benchmark checks
+every sweep against.  These tests re-run each sweep through the CLI on the
+grid recorded there (first and last ``param``, row count) and hold the
+rows to the same gate: every reference column within 1e-8 of
+``max(1, |ref|)`` and the sandwich intact; the degenerate-pair count
+must also match.  They only read the tables.
+"""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from fidsus.cli import main
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+COLUMNS = ("param", "chi_f", "ub", "lb_paper", "chi_fg", "bd", "dcomm", "chi_n")
+TOL = 1e-8
+
+SWEEPS = {
+    "field_sweep": (
+        ["--model", "tfim", "--n-sites", "7", "--j", "1", "--beta", "2"],
+        ["--sweep-param", "g", "--scale", "linear"],
+    ),
+    "beta_sweep": (
+        ["--model", "dicke", "--n-atoms", "3", "--n-max", "12",
+         "--omega", "2", "--eps", "1", "--lambda", "1"],
+        ["--sweep-param", "beta", "--scale", "log"],
+    ),
+}
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_passes_the_benchmark_reference_gate(name, tmp_path):
+    refs = _rows(REFERENCE_DIR / f"{name}.csv")
+    model, sweep = SWEEPS[name]
+    out = tmp_path / "out.csv"
+    argv = ["sweep", *model, *sweep, "--from", refs[0]["param"], "--to",
+            refs[-1]["param"], "--steps", str(len(refs)), "--out", str(out)]
+    assert main(argv) == 0
+    rows = _rows(out)
+    assert len(rows) == len(refs)
+    for row, ref in zip(rows, refs):
+        assert row["sandwich_ok"] == "true"
+        assert row["degenerate_pairs"] == ref["degenerate_pairs"]
+        for col in COLUMNS:
+            want = float(ref[col])
+            assert abs(float(row[col]) - want) <= TOL * max(1.0, abs(want)), (
+                f"{name} param={ref['param']} {col}"
+            )

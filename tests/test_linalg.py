@@ -152,3 +152,105 @@ def test_one_tiny_imaginary_entry_keeps_the_operator_complex():
     # an imaginary part that symmetrizes to exact zero is dropped
     h[1, 0] = 1e-300j
     assert validate_hermitian(h).matrix.dtype == np.float64
+
+
+def _reference_eig_hermitian(op):
+    """The single-call algorithm: one eigh of the whole matrix, sorted and pinned."""
+    evals, basis = np.linalg.eigh(op.matrix)
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    basis = basis[:, order]
+    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(op.dim)]
+    basis *= pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
+    return evals, basis
+
+
+def _hermitian_with_spectrum(rng, lam, real):
+    g = random_hermitian(rng, len(lam))
+    u = np.linalg.qr(g.real if real else g)[0]
+    return (u * lam) @ u.conj().T
+
+
+def _permuted_blocks(rng, real):
+    """A direct sum with a repeated block, a 1x1 block and a level (0.25)
+    shared by two different blocks, its rows and columns riffled together
+    at random (each block keeps its own order, so both copies of the
+    repeated block read the same); returns the matrix, each block's
+    indices and the number of distinct blocks."""
+    a = _hermitian_with_spectrum(rng, [-1.0, 0.25, 2.0], real)
+    b = _hermitian_with_spectrum(rng, [0.25, 0.5, 1.5, 3.0], real)
+    c = random_hermitian(rng, 2)
+    blocks = [a, np.array([[0.7]]), b, a, c.real if real else c]
+    label = rng.permutation(np.repeat(np.arange(len(blocks)), [len(x) for x in blocks]))
+    h = np.zeros((label.size, label.size), dtype=float if real else complex)
+    members = [np.flatnonzero(label == k) for k in range(len(blocks))]
+    for idx, x in zip(members, blocks):
+        h[np.ix_(idx, idx)] = x
+    return h, members, len(blocks) - 1
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_block_eigensolver_on_a_permuted_direct_sum(monkeypatch, real):
+    rng = np.random.default_rng(21)
+    h, members, distinct = _permuted_blocks(rng, real)
+    op = validate_hermitian(h)
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counting(matrix):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    dec = eig_hermitian(op)
+    monkeypatch.undo()
+    # one eigh per distinct block: the repeated block is solved once
+    assert len(sizes) == distinct and max(sizes) < op.dim
+    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=1e-13)
+    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+    # 0.25 once in each copy of a and once in b
+    assert np.count_nonzero(np.abs(dec.eigenvalues - 0.25) < 1e-12) == 3
+    b = dec.basis
+    assert b.dtype == op.matrix.dtype
+    pivots = b[np.argmax(np.abs(b), axis=0), np.arange(op.dim)]
+    assert np.all(np.abs(pivots.imag) < 1e-15) and np.all(pivots.real > 0.0)
+    np.testing.assert_allclose(b.conj().T @ b, np.eye(op.dim), atol=1e-13)
+    np.testing.assert_allclose((b * dec.eigenvalues) @ b.conj().T, h, atol=1e-13)
+    # each column lives on one block and is an exact zero everywhere else
+    for col in b.T:
+        support = np.flatnonzero(col)
+        owner = [idx for idx in members if support[0] in idx]
+        assert len(owner) == 1 and np.all(np.isin(support, owner[0]))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", ["dense", "tridiagonal"])
+def test_irreducible_matrix_keeps_the_single_call_result(real, shape):
+    rng = np.random.default_rng(23)
+    h = random_hermitian(rng, 9)
+    if real:
+        h = h.real
+    if shape == "tridiagonal":
+        h = np.triu(np.tril(h, 1), -1)
+    op = validate_hermitian(h)
+    dec = eig_hermitian(op)
+    evals, basis = _reference_eig_hermitian(op)
+    assert np.array_equal(dec.eigenvalues, evals)
+    assert np.array_equal(dec.basis, basis)
+
+
+def test_a_corrupted_sub_block_is_rejected(monkeypatch):
+    rng = np.random.default_rng(29)
+    h, _, _ = _permuted_blocks(rng, real=True)
+    eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        evals, basis = eigh(matrix)
+        if matrix.shape[0] == 4:  # only the block b
+            basis = basis.copy()
+            basis[0, 0] += 1e-6
+        return evals, basis
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(NoConvergenceError, match="residual"):
+        eig_hermitian(validate_hermitian(h))

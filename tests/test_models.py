@@ -2,12 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import fidsus.models
-from fidsus.bounds import upper_bound
+from fidsus.bounds import bound_report, upper_bound
 from fidsus.errors import (
     CrossCheckError,
     CutoffConvergenceWarning,
@@ -428,3 +429,99 @@ def test_build_model_applies_declared_defaults():
     built = build_model(spec)
     direct = random_pair(4, 3, 1.0, 0.5, 2.0)
     assert np.array_equal(built.s_eig, direct.s_eig)
+
+
+# ---------------------------------------------------------------------------
+# the symmetry-sector builds against the product-space builds they replaced
+
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.diag([1.0, -1.0])
+
+
+def _site_op(op, i, n_sites):
+    return np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (n_sites - i - 1)))
+
+
+def _kron_dicke(n_atoms, n_max, omega, eps, lam, symmetric_sector):
+    """Boson (x) atoms, the atoms as 2^N sites or as the j = N/2 ladder."""
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    quad = a + a.T
+    number = a.T @ a
+    if symmetric_sector:
+        j = 0.5 * n_atoms
+        m = j - np.arange(n_atoms + 1)
+        lower = np.zeros((n_atoms + 1, n_atoms + 1))
+        for i in range(n_atoms):
+            lower[i + 1, i] = math.sqrt(j * (j + 1.0) - m[i] * (m[i] - 1.0))
+        jx, jz = 0.5 * (lower + lower.T), np.diag(m)
+    else:
+        jx = sum(_site_op(0.5 * _SX, i, n_atoms) for i in range(n_atoms))
+        jz = sum(_site_op(0.5 * _SZ, i, n_atoms) for i in range(n_atoms))
+    eye_b, eye_a = np.eye(n_max + 1), np.eye(jx.shape[0])
+    T = (
+        omega * np.kron(number, eye_a)
+        + eps * np.kron(eye_b, jz)
+        + (lam / math.sqrt(n_atoms)) * np.kron(quad, jx)
+    )
+    S = 0.5 * math.sqrt(n_atoms) * np.kron(quad, eye_a)
+    return T, S
+
+
+def _kron_tfim(n_sites, j_coupling, g_field):
+    T = -j_coupling * sum(
+        _site_op(_SZ, i, n_sites) @ _site_op(_SZ, i + 1, n_sites)
+        for i in range(n_sites - 1)
+    )
+    S = sum(_site_op(_SX, i, n_sites) for i in range(n_sites))
+    return T - g_field * S, S
+
+
+def _report_fields(rep, prefix=""):
+    out = {}
+    for name, value in vars(rep).items():
+        if hasattr(value, "__dict__"):
+            out.update(_report_fields(value, f"{prefix}{name}."))
+        else:
+            out[prefix + name] = value
+    return out
+
+
+def _assert_same_physics(ref, fam):
+    np.testing.assert_allclose(
+        fam.eigenvalues, ref.eigenvalues, rtol=0,
+        atol=1e-12 * max(1.0, float(np.abs(ref.eigenvalues).max())),
+    )
+    want = _report_fields(bound_report(ref))
+    got = _report_fields(bound_report(fam))
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, float):
+            assert abs(got[name] - value) <= 1e-12 * max(1.0, abs(value)), name
+        else:
+            assert got[name] == value, name
+
+
+@pytest.mark.parametrize("sector", [False, True], ids=["full", "sector"])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_dicke_matches_the_product_space_build(n_atoms, sector):
+    args = (n_atoms, 10, 2.0, 1.0, 1.0)
+    T, S = _kron_dicke(*args, sector)
+    ref = make_family(T, S, 1.3, particle_count=n_atoms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fam = dicke(*args, 1.3, symmetric_sector=sector)
+    assert fam.dim == ref.dim
+    if sector:
+        built = fidsus.models._dicke_matrices(*args, True)
+        assert np.array_equal(built[0], T) and np.array_equal(built[1], S)
+    _assert_same_physics(ref, fam)
+
+
+@pytest.mark.parametrize("g_field", [0.0, 0.7, 1.3])
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+def test_tfim_matches_the_product_space_build(n_sites, g_field):
+    ref = make_family(*_kron_tfim(n_sites, 1.0, g_field), 1.1, particle_count=n_sites)
+    fam = tfim(n_sites, 1.0, g_field, 1.1)
+    _assert_same_physics(ref, fam)
+    if g_field == 0.0:
+        assert bound_report(fam).chi_f_classical == 0.0
