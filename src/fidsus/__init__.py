@@ -9,11 +9,14 @@ thermodynamic susceptibility chi_N.  Everything is cross-checked against
 an independent second route (finite differences, quadratures, direct
 commutators), and the checks raise instead of warning.
 
-Entry points: `make_family` builds a family from matrices, the model
-builders in `fidsus.models` construct the closed-form and random test
-systems, `bound_report` evaluates one family completely, and the
-``fidsus`` command line wraps reports, sweeps, and the verification
-suite.
+One type holds the thermal state: a `PerturbedFamily` carries the
+eigendecomposition of T, S in that eigenbasis and the Boltzmann weights
+at one beta.  `make_family(T, S, beta)` builds one from matrices and
+`family_at_beta(fam, beta)` moves one to another temperature without a
+new eigensolve; the model builders in `fidsus.models` construct the
+closed-form and random test systems through `make_family`.
+`bound_report` evaluates one family completely, and the ``fidsus``
+command line wraps reports, sweeps, and the verification suite.
 """
 
 from .bounds import (
@@ -47,16 +50,13 @@ from .fidelity import (
     uhlmann_fidelity,
 )
 from .gibbs import (
-    GibbsEnsemble,
     PerturbedFamily,
-    build_gibbs,
-    build_gibbs_from_spectrum,
     correlation_G,
     family_at_beta,
     make_family,
     thermal_average,
 )
-from .kernels import expm1_over_x, expx_xm1_over_x2, tanh_over_x
+from .kernels import expx_xm1_over_x2, tanh_over_x
 from .models import (
     MODEL_KINDS,
     DickeTc,
@@ -85,7 +85,6 @@ __all__ = [
     "ChiFGIntegral",
     "DickeTc",
     "FidelitySusceptibility",
-    "GibbsEnsemble",
     "KondoBoundRecord",
     "MODEL_KINDS",
     "ModelSpec",
@@ -99,8 +98,6 @@ __all__ = [
     "bd_inner_product",
     "bd_integral_oracle",
     "bound_report",
-    "build_gibbs",
-    "build_gibbs_from_spectrum",
     "build_model",
     "bures_distance",
     "chi_f_fd",
@@ -115,7 +112,6 @@ __all__ = [
     "double_commutator",
     "double_commutator_direct",
     "ds2_spectral",
-    "expm1_over_x",
     "expx_xm1_over_x2",
     "family_at_beta",
     "free_energy_curvature",

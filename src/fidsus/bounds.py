@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DCOMM_AGREEMENT_REL, FD_ORACLE_REL, SANDWICH_SLACK
+from .config import DCOMM_AGREEMENT_REL, DCOMM_NEGATIVE, FD_ORACLE_REL, SANDWICH_SLACK
 from .errors import CrossCheckError
 from .fidelity import (
     _gauss_legendre_64,
@@ -108,7 +108,7 @@ def double_commutator(fam: PerturbedFamily) -> float:
     spectral = float((np.exp(g.lp_low) * (-np.expm1(-g.bgap)) * g.gap * g.s_abs2).sum())
 
     direct = double_commutator_direct(fam)
-    if spectral < -1e-12 or direct < -1e-12:
+    if spectral < -DCOMM_NEGATIVE or direct < -DCOMM_NEGATIVE:
         raise CrossCheckError(
             "dcomm_negative",
             f"double commutator negative: spectral {float(spectral)!r}, "
@@ -168,11 +168,10 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     beta = fam.beta
     n = fam.particle_count
     h_eff = _FD_STEP / math.sqrt(max(1.0, beta))
-    f0 = -fam.ensemble.log_z / (beta * n)
+    f0 = -fam.log_z / (beta * n)
 
     def free_energy(h: float) -> float:
-        d, lp = _perturbed_spectrum(fam, h)
-        log_z = -float(lp[0]) - beta * float(d.eigenvalues[0])
+        _, _, log_z = _perturbed_spectrum(fam, h)
         return -log_z / (beta * n)
 
     def second_diff(h: float) -> float:

@@ -1,7 +1,7 @@
 """Numerical thresholds of the library, fixed module constants.
 
-Every validation threshold, degeneracy switch and cross-check tolerance
-is a named constant here, read by name where it is used.  They are not
+Every validation threshold, warning threshold, degeneracy switch,
+cross-check tolerance and bisection width is a named constant here, read by name where it is used.  They are not
 options: no function takes a tolerance argument, so every report is
 computed against the same thresholds.
 """
@@ -17,6 +17,15 @@ BASIS_UNITARITY = 1e-10
 EIG_RESIDUAL = 1e-10
 """Allowed ``||H B - B diag||_F`` relative to ``max(1, ||H||_F)`` for the
 decompositions ``eig_hermitian`` returns."""
+
+EIGENBASIS_HERMITIAN = 1e-10
+"""Allowed largest ``|A_mn - conj(A_nm)|`` relative to ``max(1, ||A||_F)``
+for operators in the eigenbasis of T: S after its rotation there, and
+the operators passed to ``thermal_average``."""
+
+THERMAL_AVERAGE_RESIDUE = 1e-12
+"""Imaginary residue of ``thermal_average``, relative to
+``max(1, ||A||_F)``, above which it warns."""
 
 PSD_CLIP = 1e-12
 """Most negative eigenvalue tolerated when clipping a nominally positive
@@ -43,6 +52,10 @@ DCOMM_AGREEMENT_REL = 1e-9
 """Allowed relative disagreement between the spectral and direct
 double-commutator evaluations."""
 
+DCOMM_NEGATIVE = 1e-12
+"""Most negative value of either double-commutator evaluation accepted
+as rounding (absolute)."""
+
 QUADRATURE_AGREEMENT_REL = 1e-6
 """Allowed relative disagreement between closed-form and quadrature
 evaluations of the correlation integral."""
@@ -53,3 +66,18 @@ FD_ORACLE_REL = 1e-6
 SANDWICH_SLACK = 1e-10
 """Slack used when checking that the susceptibility sits between its
 lower and upper bounds."""
+
+DICKE_CUTOFF_SHIFT = 1e-4
+"""Relative shift of chi_F, when the boson cutoff grows by four levels,
+above which ``dicke`` warns that ``n_max`` is too small."""
+
+KONDO_S3_MEAN = 1e-12
+"""Allowed ``|<S_3>|`` in the rotational-invariance check of ``kondo_toy``."""
+
+KONDO_S3_SQUARE = 1e-10
+"""Allowed ``|<S_3^2> - s(s+1)/3|`` in the same check."""
+
+BISECTION_WIDTH = 1e-12
+"""Bisections stop once their bracket is this narrow: relative to
+``max(1, hi)`` for the implicit Dicke Tc, absolute for the root of the
+Roepstorff bracket, which lies in (0, 3)."""

@@ -35,7 +35,7 @@ from .errors import (
     QuadratureDisagreementError,
     StepTooSmallError,
 )
-from .gibbs import PerturbedFamily, _PairGrid, correlation_G
+from .gibbs import PerturbedFamily, _PairGrid, _log_weights, correlation_G
 from .kernels import expx_xm1_over_x2, tanh_over_x
 from .linalg import HermitianOperator, eig_hermitian, validate_hermitian
 
@@ -98,7 +98,7 @@ class ChiFGIntegral(NamedTuple):
 
 
 def _ratio_kernel(g: _PairGrid) -> np.ndarray:
-    """Pair kernel (p_n - p_m)/X_mn, shared by chi_F and the BD product.
+    """Pair kernel (p_n - p_m)/X_mn, shared by chi_F, rho' and the BD product.
 
     Evaluated from the lower level as p_low (1 - e^{-2X})/X with
     X = beta|T_m - T_n|/2; inside the degeneracy window the limit
@@ -129,22 +129,17 @@ def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
 def rho_prime(fam: PerturbedFamily) -> np.ndarray:
     """Derivative of the Gibbs state at h = 0, in the T-eigenbasis.
 
-    Off-diagonal elements are S_mn (p_n - p_m)/(T_m - T_n) with the
-    difference quotient rewritten as beta p_low (-expm1(-beta|D|))/(beta|D|)
-    so the subtraction never cancels; inside the degeneracy window the
-    quotient goes to its limit in the symmetrized form beta sqrt(p_m p_n).
-    Diagonal elements are beta p_m (S_mm - <S>).  The result is traceless
-    up to rounding, and real when ``fam.s_eig`` is.
+    Off-diagonal elements are S_mn (p_n - p_m)/(T_m - T_n), the
+    difference quotient being beta/2 times the ratio kernel shared with
+    chi_F and the BD product, so the subtraction never cancels; inside
+    the degeneracy window the quotient goes to its limit in the
+    symmetrized form beta sqrt(p_m p_n).  Diagonal elements are
+    beta p_m (S_mm - <S>).  The result is traceless up to rounding, and
+    real when ``fam.s_eig`` is.
     """
     beta = fam.beta
     g = fam.pair_grid
-    safe = np.where(g.deg, 1.0, g.bgap)
-    kern = np.where(
-        g.deg,
-        beta * np.exp(g.lp_geo),
-        beta * np.exp(g.lp_low) * (-np.expm1(-safe)) / safe,
-    )
-    out = fam.s_eig * kern
+    out = fam.s_eig * (0.5 * beta * _ratio_kernel(g))
     np.fill_diagonal(out, beta * fam.populations * g.delta_d)
     return out
 
@@ -309,11 +304,10 @@ def chi_f_ground_state(fam: PerturbedFamily) -> float:
 
 
 def _perturbed_spectrum(fam: PerturbedFamily, h: float):
-    """Spectrum and log populations of H(h) = T - h S at the family's beta."""
+    """Spectrum, log populations and log Z of H(h) = T - h S at the family's beta."""
     a = np.diag(fam.eigenvalues) - h * fam.s_eig
     d = eig_hermitian(validate_hermitian(a))
-    shifted = -fam.beta * (d.eigenvalues - d.eigenvalues[0])
-    return d, shifted - np.logaddexp.reduce(shifted)
+    return (d, *_log_weights(d.eigenvalues, fam.beta))
 
 
 def perturbed_density(fam: PerturbedFamily, h: float) -> np.ndarray:
@@ -322,7 +316,7 @@ def perturbed_density(fam: PerturbedFamily, h: float) -> np.ndarray:
     Used by the finite-difference oracles.  Diagonalizes the perturbed
     Hamiltonian in full, so the cost is one eigendecomposition per call.
     """
-    d, lp = _perturbed_spectrum(fam, float(h))
+    d, lp, _ = _perturbed_spectrum(fam, float(h))
     rho = (d.basis * np.exp(lp)) @ d.basis.conj().T
     return 0.5 * (rho + rho.conj().T)
 
@@ -450,7 +444,7 @@ def chi_f_fd(fam: PerturbedFamily, h: float) -> float:
     def quotient(step: float) -> float:
         defect = 0.0
         for sign in (1.0, -1.0):
-            d, lph = _perturbed_spectrum(fam, sign * step)
+            d, lph, _ = _perturbed_spectrum(fam, sign * step)
             factor = np.exp(0.5 * (lp0[:, None] + lph[None, :])) * d.basis
             loss = 1.0 - float(np.linalg.svd(factor, compute_uv=False).sum())
             if loss < floor:

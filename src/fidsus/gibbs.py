@@ -1,10 +1,14 @@
-"""Gibbs ensembles and perturbed one-parameter families.
+"""The Gibbs family of H(h) = T - h S at h = 0, the one thermal-state type.
 
 Everything downstream of this module works in the eigenbasis of the
 unperturbed Hamiltonian T: populations, perturbation matrix elements and
 imaginary-time correlations all derive from a single spectral
-decomposition.  Populations are kept in log space so that large inverse
-temperatures never overflow.
+decomposition.  A `PerturbedFamily` holds that decomposition, S rotated
+into it, and the Boltzmann weights at one beta.  `make_family` builds one
+from matrices and `family_at_beta` moves one to another temperature
+without re-diagonalizing; both take their weights from `_log_weights`.
+Populations are kept in log space so that large inverse temperatures
+never overflow.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEGENERATE_GAP
+from .config import DEGENERATE_GAP, EIGENBASIS_HERMITIAN, THERMAL_AVERAGE_RESIDUE
 from .errors import (
     DimensionMismatchError,
     NonPositiveBetaError,
@@ -32,54 +36,12 @@ from .linalg import (
 )
 
 __all__ = [
-    "GibbsEnsemble",
     "PerturbedFamily",
-    "build_gibbs",
-    "build_gibbs_from_spectrum",
-    "attach_perturbation",
     "make_family",
     "family_at_beta",
     "thermal_average",
     "correlation_G",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class GibbsEnsemble:
-    """Thermal state e^{-beta T}/Z held in diagonal (eigenbasis) form.
-
-    Attributes
-    ----------
-    beta : float
-        Inverse temperature, strictly positive.
-    spectrum : SpectralDecomposition
-        Decomposition of T; eigenvalues ascending.
-    populations : ndarray
-        Boltzmann weights p_n, nonnegative and summing to one.  Individual
-        entries may underflow to exact zero at extreme beta; see
-        ``underflow_count``.
-    log_populations : ndarray
-        log p_n, always finite.  All kernel evaluations use these.
-    log_z : float
-        log of the partition function.
-    underflow_count : int
-        Number of populations that flushed to zero in ``populations``.
-    """
-
-    beta: float
-    spectrum: SpectralDecomposition
-    populations: np.ndarray = field(repr=False)
-    log_populations: np.ndarray = field(repr=False)
-    log_z: float
-    underflow_count: int = 0
-
-    @property
-    def dim(self) -> int:
-        return self.spectrum.dim
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum.eigenvalues
 
 
 class _PairGrid(NamedTuple):
@@ -95,39 +57,54 @@ class _PairGrid(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PerturbedFamily:
-    """A Gibbs family H(h) = T - h S frozen at the h = 0 point.
+    """The Gibbs state e^{-beta T}/Z of a family H(h) = T - h S at h = 0.
 
     The perturbation is stored only in the T-eigenbasis (``s_eig``); the
     original basis is discarded after construction because every spectral
     formula downstream is written in eigenbasis matrix elements.
-    ``particle_count`` is metadata from the model builder used for
-    per-particle quantities; it is never inferred from the dimension.
+
+    Attributes
+    ----------
+    beta : float
+        Inverse temperature, strictly positive.
+    spectrum : SpectralDecomposition
+        Decomposition of T; eigenvalues ascending.
+    s_eig : ndarray
+        S in the eigenbasis of T, Hermitian.
+    log_populations : ndarray
+        log p_n, always finite.  All kernel evaluations use these.
+    populations : ndarray
+        Boltzmann weights p_n, nonnegative and summing to one.  Individual
+        entries may underflow to exact zero at extreme beta; see
+        ``underflow_count``.
+    log_z : float
+        log of the partition function.
+    s_mean : float
+        The thermal mean <S>.
+    underflow_count : int
+        Number of populations that flushed to zero in ``populations``.
+    particle_count : int
+        Metadata from the model builder used for per-particle quantities;
+        it is never inferred from the dimension.
     """
 
-    ensemble: GibbsEnsemble
+    beta: float
+    spectrum: SpectralDecomposition
     s_eig: np.ndarray = field(repr=False)
+    log_populations: np.ndarray = field(repr=False)
+    populations: np.ndarray = field(repr=False)
+    log_z: float
     s_mean: float
-    particle_count: int = 1
-
-    @property
-    def beta(self) -> float:
-        return self.ensemble.beta
+    underflow_count: int
+    particle_count: int
 
     @property
     def dim(self) -> int:
-        return self.ensemble.dim
+        return self.spectrum.dim
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self.ensemble.eigenvalues
-
-    @property
-    def populations(self) -> np.ndarray:
-        return self.ensemble.populations
-
-    @property
-    def log_populations(self) -> np.ndarray:
-        return self.ensemble.log_populations
+        return self.spectrum.eigenvalues
 
     @functools.cached_property
     def pair_grid(self) -> _PairGrid:
@@ -157,91 +134,41 @@ class PerturbedFamily:
         return _PairGrid(gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d, var_d)
 
 
-def _check_beta(beta: float) -> float:
+def _log_weights(eigenvalues: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """Log Boltzmann weights and log Z of an ascending spectrum at beta.
+
+    The exponents are taken relative to the lowest level, so each one is
+    nonpositive and the log-sum-exp never overflows.
+    """
+    shifted = -beta * (eigenvalues - eigenvalues[0])
+    lse = float(np.logaddexp.reduce(shifted))
+    return shifted - lse, lse - beta * float(eigenvalues[0])
+
+
+def _thermalize(
+    spectrum: SpectralDecomposition,
+    s_eig: np.ndarray,
+    beta: float,
+    particle_count: int,
+) -> PerturbedFamily:
+    """The family of a decomposed T and S in its eigenbasis at beta."""
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
         raise NonPositiveBetaError(f"beta must be positive and finite, got {beta!r}")
-    return beta
-
-
-def build_gibbs_from_spectrum(
-    spectrum: SpectralDecomposition, beta: float
-) -> GibbsEnsemble:
-    """Build the ensemble from an existing decomposition of T.
-
-    This is the cheap path for temperature sweeps: one diagonalization,
-    many ensembles.
-    """
-    beta = _check_beta(beta)
-    ev = spectrum.eigenvalues
-    shifted = -beta * (ev - ev[0])
-    lse = float(np.logaddexp.reduce(shifted))
-    lp = shifted - lse
+    lp, log_z = _log_weights(spectrum.eigenvalues, beta)
     lp.setflags(write=False)
     p = np.exp(lp)
     p.setflags(write=False)
-    underflow = int(np.count_nonzero(p == 0.0))
-    log_z = lse - beta * float(ev[0])
-    return GibbsEnsemble(
+    return PerturbedFamily(
         beta=beta,
         spectrum=spectrum,
-        populations=p,
+        s_eig=s_eig,
         log_populations=lp,
+        populations=p,
         log_z=log_z,
-        underflow_count=underflow,
-    )
-
-
-def build_gibbs(T: HermitianOperator | np.ndarray, beta: float) -> GibbsEnsemble:
-    """Diagonalize T and build the Gibbs ensemble at inverse temperature beta."""
-    if not isinstance(T, HermitianOperator):
-        T = validate_hermitian(T)
-    return build_gibbs_from_spectrum(eig_hermitian(T), beta)
-
-
-def attach_perturbation(
-    ens: GibbsEnsemble,
-    S: HermitianOperator | np.ndarray,
-    particle_count: int = 1,
-) -> PerturbedFamily:
-    """Rotate the perturbation into the T-eigenbasis and record its mean.
-
-    Parameters
-    ----------
-    ens : GibbsEnsemble
-        The unperturbed thermal state.
-    S : HermitianOperator or array
-        Perturbation in the original basis.
-    particle_count : int
-        Number of particles the model builder says S sums over.
-
-    Returns
-    -------
-    PerturbedFamily
-    """
-    if not isinstance(S, HermitianOperator):
-        S = validate_hermitian(S)
-    if S.dim != ens.dim:
-        raise DimensionMismatchError(
-            f"perturbation is {S.dim}x{S.dim} but T is {ens.dim}x{ens.dim}"
-        )
-    if particle_count < 1:
-        raise ValueError(f"particle_count must be >= 1, got {particle_count}")
-    b = ens.spectrum.basis
-    s_eig = b.conj().T @ S.matrix @ b
-    # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
-    # survives to the same order; re-symmetrize to make it exact
-    asym = float(np.max(np.abs(s_eig - s_eig.conj().T)))
-    scale = max(1.0, float(np.linalg.norm(s_eig)))
-    if asym > 1e-10 * scale:
-        raise NotHermitianError(
-            f"perturbation lost Hermiticity in the basis rotation: defect {asym:.3e}"
-        )
-    s_eig = 0.5 * (s_eig + s_eig.conj().T)
-    s_eig.setflags(write=False)
-    s_mean = float(np.dot(ens.populations, np.real(np.diagonal(s_eig))))
-    return PerturbedFamily(
-        ensemble=ens, s_eig=s_eig, s_mean=s_mean, particle_count=particle_count
+        s_mean=float(np.dot(p, np.real(np.diagonal(s_eig)))),
+        underflow_count=int(np.count_nonzero(p == 0.0)),
+        particle_count=particle_count,
     )
 
 
@@ -251,32 +178,63 @@ def make_family(
     beta: float,
     particle_count: int = 1,
 ) -> PerturbedFamily:
-    """One-step constructor: diagonalize T, thermalize, attach S."""
-    return attach_perturbation(build_gibbs(T, beta), S, particle_count)
+    """Diagonalize T, rotate S into its eigenbasis and thermalize at beta.
+
+    Parameters
+    ----------
+    T, S : HermitianOperator or array
+        Unperturbed Hamiltonian and perturbation in one basis.
+    beta : float
+        Inverse temperature, strictly positive and finite.
+    particle_count : int
+        Number of particles the model builder says S sums over.
+
+    Returns
+    -------
+    PerturbedFamily
+    """
+    if not isinstance(T, HermitianOperator):
+        T = validate_hermitian(T)
+    spectrum = eig_hermitian(T)
+    if not isinstance(S, HermitianOperator):
+        S = validate_hermitian(S)
+    if S.dim != T.dim:
+        raise DimensionMismatchError(
+            f"perturbation is {S.dim}x{S.dim} but T is {T.dim}x{T.dim}"
+        )
+    if particle_count < 1:
+        raise ValueError(f"particle_count must be >= 1, got {particle_count}")
+    b = spectrum.basis
+    s_eig = b.conj().T @ S.matrix @ b
+    # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
+    # survives to the same order; re-symmetrize to make it exact
+    asym = float(np.max(np.abs(s_eig - s_eig.conj().T)))
+    scale = max(1.0, float(np.linalg.norm(s_eig)))
+    if asym > EIGENBASIS_HERMITIAN * scale:
+        raise NotHermitianError(
+            f"perturbation lost Hermiticity in the basis rotation: defect {asym:.3e}"
+        )
+    s_eig = 0.5 * (s_eig + s_eig.conj().T)
+    s_eig.setflags(write=False)
+    return _thermalize(spectrum, s_eig, beta, particle_count)
 
 
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     """Rebuild the family at a different temperature without re-diagonalizing.
 
-    The eigenbasis and S_eig are temperature independent; only populations
-    and the perturbation mean change.
+    The eigenbasis and S_eig are temperature independent; only the
+    weights, log Z and the perturbation mean change.
     """
-    ens = build_gibbs_from_spectrum(fam.ensemble.spectrum, beta)
-    s_mean = float(np.dot(ens.populations, np.real(np.diagonal(fam.s_eig))))
-    return PerturbedFamily(
-        ensemble=ens,
-        s_eig=fam.s_eig,
-        s_mean=s_mean,
-        particle_count=fam.particle_count,
-    )
+    return _thermalize(fam.spectrum, fam.s_eig, beta, fam.particle_count)
 
 
 def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
     """Average Tr(rho A) for A given in the T-eigenbasis.
 
-    Returns the real part; an imaginary residue above 1e-12 relative to
-    ``max(1, ||A||_F)`` (which a Hermitian A cannot produce beyond
-    rounding of order eps ||A||) is reported as a warning.
+    Returns the real part; an imaginary residue above
+    ``THERMAL_AVERAGE_RESIDUE`` relative to ``max(1, ||A||_F)`` (which a
+    Hermitian A cannot produce beyond rounding of order eps ||A||) is
+    reported as a warning.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -287,12 +245,12 @@ def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
         )
     scale = max(1.0, float(np.linalg.norm(A)))
     asym = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if asym > 1e-10 * scale:
+    if asym > EIGENBASIS_HERMITIAN * scale:
         raise NotHermitianError(f"operator is not Hermitian: defect {asym:.3e}")
     diag = np.diagonal(A)
     value = float(np.dot(fam.populations, np.real(diag)))
     residue = abs(float(np.dot(fam.populations, np.imag(diag))))
-    if residue > 1e-12 * scale:
+    if residue > THERMAL_AVERAGE_RESIDUE * scale:
         warnings.warn(
             f"thermal average has imaginary residue {residue:.3e}", stacklevel=2
         )

@@ -55,16 +55,6 @@ def tanh_over_x(x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def expm1_over_x(x):
-    """Evaluate ``(e^x - 1)/x`` continuously through zero."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
-    safe = np.where(a == 0.0, 1.0, a)
-    out = np.where(a == 0.0, 1.0, np.expm1(safe) / safe)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
 def expx_xm1_over_x2(x):
     """Evaluate ``g(x) = (e^x (x - 1) + 1) / x^2`` stably.
 

@@ -30,6 +30,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .config import (
+    BISECTION_WIDTH,
+    DICKE_CUTOFF_SHIFT,
+    KONDO_S3_MEAN,
+    KONDO_S3_SQUARE,
+)
 from .errors import (
     CrossCheckError,
     CutoffConvergenceWarning,
@@ -242,7 +248,7 @@ def dicke(
         return fam
     shift = dicke_cutoff_shift(fam, n_atoms, n_max, omega, eps, lam, beta,
                                symmetric_sector)
-    if shift > 1e-4:
+    if shift > DICKE_CUTOFF_SHIFT:
         warnings.warn(
             f"chi_F shifts by {shift:.3e} relative when the boson cutoff grows "
             f"from {n_max} to {n_max + 4}; raise n_max",
@@ -328,7 +334,7 @@ def dicke_tc(omega: float, eps: float, lam: float) -> DickeTc:
     hi = max(1.0, 4.0 * lam * lam / omega)
     while f(hi) > 0.0:
         hi *= 2.0
-    while hi - lo > 1e-12 * max(1.0, hi):
+    while hi - lo > BISECTION_WIDTH * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
@@ -447,9 +453,9 @@ def kondo_toy(
     mean = thermal_average(fam, fam.s_eig)
     # <S_3^2> = sum_m p_m sum_k |b_km|^2 (S_3^2)_kk, as kron(I, S_3^2) is diagonal
     d = np.tile(np.real(np.diagonal(s3 @ s3)), fermion_dim)
-    b = fam.ensemble.spectrum.basis
+    b = fam.spectrum.basis
     second = float(np.dot(fam.populations, d @ np.abs(b) ** 2))
-    if abs(mean) > 1e-12 or abs(second - casimir_third) > 1e-10:
+    if abs(mean) > KONDO_S3_MEAN or abs(second - casimir_third) > KONDO_S3_SQUARE:
         raise CrossCheckError(
             "kondo_rotation",
             f"rotational invariance violated: <S3> = {float(mean)!r}, "
@@ -503,7 +509,7 @@ def kondo_roepstorff(beta: float, j_coupling: float, s2: int) -> KondoBoundRecor
     beta_eps = bj * math.tanh(bj) / (2.0 * casimir)
 
     lo, hi = 1e-12, 3.0
-    while hi - lo > 1e-12:
+    while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if _bracket(mid) > 0.0:
             lo = mid

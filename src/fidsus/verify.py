@@ -32,6 +32,7 @@ from .bounds import (
     thermo_susceptibility,
     upper_bound,
 )
+from .config import DCOMM_AGREEMENT_REL, FD_ORACLE_REL
 from .errors import (
     ModelParseError,
     ModelSchemaError,
@@ -232,8 +233,8 @@ def _suite_random(seed, instances, dim_max, out):
     out.append(
         CheckResult(
             "dcomm_two_forms",
-            worst_dcomm <= 1e-9,
-            f"worst={_e(worst_dcomm)} tol=1.0e-09",
+            worst_dcomm <= DCOMM_AGREEMENT_REL,
+            f"worst={_e(worst_dcomm)} tol={DCOMM_AGREEMENT_REL:.1e}",
         )
     )
     out.append(
@@ -275,8 +276,8 @@ def _suite_oracles(seed, instances, dim_max, out):
     out.append(
         CheckResult(
             "chi_n_vs_curvature",
-            worst_chi_n <= 1e-6,
-            f"worst={_e(worst_chi_n)} tol=1.0e-06 n={count}",
+            worst_chi_n <= FD_ORACLE_REL,
+            f"worst={_e(worst_chi_n)} tol={FD_ORACLE_REL:.1e} n={count}",
         )
     )
     out.append(

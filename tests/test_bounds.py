@@ -282,7 +282,7 @@ def test_real_family_matches_its_complex_phase_conjugate(build):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffConvergenceWarning)
         fam = build()
-    b = fam.ensemble.spectrum.basis
+    b = fam.spectrum.basis
     t = (b * fam.eigenvalues) @ b.T
     s = b @ fam.s_eig @ b.T
     phase = np.exp(2j * np.pi * np.random.default_rng(fam.dim).random(fam.dim))

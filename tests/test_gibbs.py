@@ -16,8 +16,8 @@ from fidsus.errors import (
     NonPositiveBetaError,
     TauOutOfRangeError,
 )
+from fidsus.fidelity import _perturbed_spectrum
 from fidsus.gibbs import (
-    build_gibbs,
     correlation_G,
     family_at_beta,
     make_family,
@@ -25,8 +25,13 @@ from fidsus.gibbs import (
 )
 
 
+def _unperturbed(t, beta):
+    """The family of T with S = 0: its Gibbs state alone."""
+    return make_family(t, np.zeros(np.shape(t)), beta)
+
+
 def test_two_level_partition_function():
-    ens = build_gibbs(np.diag([0.0, 1.0]).astype(complex), beta=2.0)
+    ens = _unperturbed(np.diag([0.0, 1.0]).astype(complex), beta=2.0)
     assert ens.log_z == pytest.approx(np.log(1.0 + np.exp(-2.0)), abs=1e-15)
     p = ens.populations
     np.testing.assert_allclose(
@@ -39,7 +44,7 @@ def test_populations_normalized_and_log_consistent():
     for _ in range(25):
         dim = int(rng.integers(2, 14))
         beta = float(10.0 ** rng.uniform(-2, 2))
-        ens = build_gibbs(random_hermitian(rng, dim), beta)
+        ens = _unperturbed(random_hermitian(rng, dim), beta)
         assert ens.populations.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(ens.populations >= 0.0)
         np.testing.assert_allclose(
@@ -52,18 +57,18 @@ def test_populations_normalized_and_log_consistent():
 def test_extreme_beta_no_overflow():
     rng = np.random.default_rng(6)
     h = random_hermitian(rng, 6)
-    ens = build_gibbs(h, beta=1e8)
+    ens = _unperturbed(h, beta=1e8)
     assert np.isfinite(ens.log_z)
     assert ens.populations[0] == pytest.approx(1.0, abs=1e-12)
     assert ens.underflow_count > 0
-    cold = build_gibbs(h, beta=1e-8)
+    cold = _unperturbed(h, beta=1e-8)
     np.testing.assert_allclose(cold.populations, np.full(6, 1 / 6), rtol=1e-6)
 
 
 def test_beta_validation():
     for beta in (0.0, -1.0, np.nan):
         with pytest.raises(NonPositiveBetaError):
-            build_gibbs(np.eye(2), beta)
+            _unperturbed(np.eye(2), beta)
 
 
 def test_thermal_average_against_expm():
@@ -130,17 +135,37 @@ def test_correlation_tau_range():
             correlation_G(fam, tau)
 
 
+def _real_and_complex_pairs(seed, dim):
+    rng = np.random.default_rng(seed)
+    t = random_hermitian(rng, dim)
+    s = random_hermitian(rng, dim)
+    return [(t.real, s.real), (t, s)]
+
+
 def test_family_at_beta_matches_fresh_build():
-    rng = np.random.default_rng(16)
-    t = random_hermitian(rng, 7)
-    s = random_hermitian(rng, 7)
-    base = make_family(t, s, 0.7, particle_count=3)
-    moved = family_at_beta(base, 2.9)
-    fresh = make_family(t, s, 2.9, particle_count=3)
-    np.testing.assert_array_equal(moved.eigenvalues, fresh.eigenvalues)
-    np.testing.assert_allclose(moved.populations, fresh.populations, rtol=1e-15)
-    assert moved.s_mean == pytest.approx(fresh.s_mean, abs=1e-14)
-    assert moved.particle_count == 3
+    """Moving a family to another beta gives, bit for bit, the family a
+    fresh build at that beta gives, for a real and a complex pair."""
+    for t, s in _real_and_complex_pairs(16, 7):
+        base = make_family(t, s, 0.7, particle_count=3)
+        moved = family_at_beta(base, 2.9)
+        fresh = make_family(t, s, 2.9, particle_count=3)
+        for name in ("log_populations", "populations", "s_eig", "eigenvalues"):
+            np.testing.assert_array_equal(getattr(moved, name), getattr(fresh, name))
+        for name in ("beta", "log_z", "s_mean", "underflow_count", "particle_count"):
+            assert getattr(moved, name) == getattr(fresh, name)
+        assert moved.particle_count == 3
+        assert moved.s_eig.dtype == (np.float64 if np.isrealobj(t) else np.complex128)
+
+
+def test_unperturbed_spectrum_repeats_the_family_weights():
+    """At h = 0 the displaced-field route reproduces the family's own log
+    weights and log Z exactly: both come from one routine."""
+    for t, s in _real_and_complex_pairs(18, 6):
+        fam = make_family(t, s, 1.3)
+        d, lp, log_z = _perturbed_spectrum(fam, 0.0)
+        np.testing.assert_array_equal(d.eigenvalues, fam.eigenvalues)
+        np.testing.assert_array_equal(lp, fam.log_populations)
+        assert log_z == fam.log_z
 
 
 def test_make_family_dimension_mismatch():

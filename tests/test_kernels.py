@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fidsus.config import KERNEL_SERIES_CUTOFF
-from fidsus.kernels import expm1_over_x, expx_xm1_over_x2, tanh_over_x
+from fidsus.kernels import expx_xm1_over_x2, tanh_over_x
 
 
 def _tanh_over_x_reference(x):
@@ -85,13 +85,6 @@ def test_series_switchover_continuous():
             - float(tanh_over_x(np.array([c]))[0])
         )
         assert gap <= 1e-15
-
-
-def test_expm1_over_x_against_library():
-    x = np.array([-20.0, -1.0, -1e-6, 1e-9, 1e-6, 0.5, 3.0, 20.0])
-    expected = np.expm1(x) / x
-    np.testing.assert_allclose(expm1_over_x(x), expected, rtol=1e-14)
-    assert expm1_over_x(np.array([0.0]))[0] == 1.0
 
 
 def test_expx_xm1_over_x2_series_and_direct():

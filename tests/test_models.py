@@ -248,10 +248,10 @@ def test_real_models_run_in_float64():
         tfim(3, 1.0, 0.5, 1.2),
     ]
     for fam in real:
-        assert fam.ensemble.spectrum.basis.dtype == np.float64
+        assert fam.spectrum.basis.dtype == np.float64
         assert fam.s_eig.dtype == np.float64
     fam = random_pair(5, 0)
-    assert fam.ensemble.spectrum.basis.dtype == np.complex128
+    assert fam.spectrum.basis.dtype == np.complex128
     assert fam.s_eig.dtype == np.complex128
 
 
