@@ -30,7 +30,6 @@ from .errors import CrossCheckError
 from .fidelity import (
     _gauss_legendre_64,
     _perturbed_spectrum,
-    _ratio_kernel,
     chi_f_spectral,
     chi_fg_spectral,
     ds2_spectral,
@@ -62,7 +61,7 @@ def bd_inner_product(fam: PerturbedFamily) -> float:
     susceptibility are built from one audited code path.
     """
     g = fam.pair_grid
-    return 0.5 * float((_ratio_kernel(g) * g.s_abs2).sum()) + g.var_d
+    return 0.5 * float((g.ratio * g.s_abs2).sum()) + g.var_d
 
 
 def bd_integral_oracle(fam: PerturbedFamily) -> float:
@@ -105,7 +104,7 @@ def double_commutator(fam: PerturbedFamily) -> float:
         route is negative beyond rounding.
     """
     g = fam.pair_grid
-    spectral = float((np.exp(g.lp_low) * (-np.expm1(-g.bgap)) * g.gap * g.s_abs2).sum())
+    spectral = float((g.p_low * (-np.expm1(-g.bgap)) * g.gap * g.s_abs2).sum())
 
     direct = double_commutator_direct(fam)
     if spectral < -DCOMM_NEGATIVE or direct < -DCOMM_NEGATIVE:
@@ -162,7 +161,14 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     f(h) = -ln Z(h)/(beta N) is the free energy density of the shifted
     Hamiltonian T - h S.  The value returned is an independent oracle for
     ``thermo_susceptibility``: it never touches the spectral pair sums,
-    only ln Z at four displaced fields.  The step is
+    only ln Z at four displaced fields, +-h/2 and +-h.  When the family
+    is ``sign_odd``, a diagonal sign flip D maps the displaced matrix
+    diag(T) - h S_eig to diag(T) + h S_eig entry for entry, in floating
+    point too, so ln Z(-h) = ln Z(h) and only +h/2 and +h are solved:
+    two eigendecompositions instead of four.  LAPACK may return the two
+    similar matrices' spectra a few ulps apart, so the value can move by
+    that rounding times 1/h^2, the floor the four-solve difference
+    already has.  The step is
     ``1e-3 / sqrt(max(1, beta))``; see ``thermo_susceptibility`` for why.
     """
     beta = fam.beta
@@ -175,7 +181,9 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
         return -log_z / (beta * n)
 
     def second_diff(h: float) -> float:
-        return (free_energy(h) - 2.0 * f0 + free_energy(-h)) / (h * h)
+        f_plus = free_energy(h)
+        f_minus = f_plus if fam.sign_odd else free_energy(-h)
+        return (f_plus - 2.0 * f0 + f_minus) / (h * h)
 
     return -(4.0 * second_diff(0.5 * h_eff) - second_diff(h_eff)) / 3.0
 
@@ -188,7 +196,8 @@ def thermo_susceptibility(fam: PerturbedFamily, *, check: bool = True) -> float:
     ``check`` enabled (the default) that derivative is also measured
     directly by Richardson-extrapolated central differences of
     f(h) = -ln Z(h)/(beta N) and the two must agree; the finite
-    difference costs four extra eigendecompositions.
+    difference costs four extra eigendecompositions, or two when the
+    family is ``sign_odd`` and ln Z(h) is even.
 
     The step shrinks as 1/sqrt(beta) above beta = 1.  The floor on the
     second difference of ln Z is the absolute rounding of the computed

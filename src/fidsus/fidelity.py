@@ -35,7 +35,7 @@ from .errors import (
     QuadratureDisagreementError,
     StepTooSmallError,
 )
-from .gibbs import PerturbedFamily, _PairGrid, _log_weights, correlation_G
+from .gibbs import PerturbedFamily, _log_weights, correlation_G
 from .kernels import expx_xm1_over_x2, tanh_over_x
 from .linalg import HermitianOperator, eig_hermitian, validate_hermitian
 
@@ -97,21 +97,6 @@ class ChiFGIntegral(NamedTuple):
     quadrature: float
 
 
-def _ratio_kernel(g: _PairGrid) -> np.ndarray:
-    """Pair kernel (p_n - p_m)/X_mn, shared by chi_F, rho' and the BD product.
-
-    Evaluated from the lower level as p_low (1 - e^{-2X})/X with
-    X = beta|T_m - T_n|/2; inside the degeneracy window the limit
-    2 sqrt(p_m p_n).
-    """
-    x = 0.5 * np.where(g.deg, 1.0, g.bgap)
-    return np.where(
-        g.deg,
-        2.0 * np.exp(g.lp_geo),
-        np.exp(g.lp_low) * (-np.expm1(-2.0 * x)) / x,
-    )
-
-
 @functools.cache
 def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     """The 64-node Gauss-Legendre rule on [-1, 1], read-only and shared.
@@ -139,7 +124,7 @@ def rho_prime(fam: PerturbedFamily) -> np.ndarray:
     """
     beta = fam.beta
     g = fam.pair_grid
-    out = fam.s_eig * (0.5 * beta * _ratio_kernel(g))
+    out = fam.s_eig * (0.5 * beta * g.ratio)
     np.fill_diagonal(out, beta * fam.populations * g.delta_d)
     return out
 
@@ -174,7 +159,7 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     beta = fam.beta
     g = fam.pair_grid
     p = fam.populations
-    pair = _ratio_kernel(g) * tanh_over_x(0.5 * g.bgap) * g.s_abs2
+    pair = g.ratio * tanh_over_x(0.5 * g.bgap) * g.s_abs2
     # a new eigenspace starts wherever the sorted spectrum leaves the
     # degeneracy window; S_mm - <S> is averaged over each one with weights
     # p_m / p_first, all 1 on an exact degeneracy
@@ -221,8 +206,8 @@ def ds2_spectral(fam: PerturbedFamily) -> float:
     safe_gap = np.where(g.deg, 1.0, g.gap)
     w = np.where(
         g.deg,
-        0.5 * beta * beta * np.exp(g.lp_geo),
-        np.exp(g.lp_low) * q * q / (safe_gap * safe_gap * (2.0 - q)),
+        0.5 * beta * beta * g.p_geo,
+        g.p_low * q * q / (safe_gap * safe_gap * (2.0 - q)),
     )
     return 0.25 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
 
@@ -240,8 +225,8 @@ def chi_fg_spectral(fam: PerturbedFamily) -> float:
     safe_gap = np.where(g.deg, 1.0, g.gap)
     w = np.where(
         g.deg,
-        0.25 * beta * beta * np.exp(g.lp_geo),
-        np.exp(g.lp_low) * e * e / (safe_gap * safe_gap),
+        0.25 * beta * beta * g.p_geo,
+        g.p_low * e * e / (safe_gap * safe_gap),
     )
     return 0.125 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
 

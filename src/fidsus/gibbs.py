@@ -4,7 +4,8 @@ Everything downstream of this module works in the eigenbasis of the
 unperturbed Hamiltonian T: populations, perturbation matrix elements and
 imaginary-time correlations all derive from a single spectral
 decomposition.  A `PerturbedFamily` holds that decomposition, S rotated
-into it, and the Boltzmann weights at one beta.  `make_family` builds one
+into it, whether a sign flip of that basis reverses S, and the Boltzmann
+weights at one beta.  `make_family` builds one
 from matrices and `family_at_beta` moves one to another temperature
 without re-diagonalizing; both take their weights from `_log_weights`.
 Populations are kept in log space so that large inverse temperatures
@@ -31,6 +32,7 @@ from .errors import (
 from .linalg import (
     HermitianOperator,
     SpectralDecomposition,
+    _bfs_levels,
     eig_hermitian,
     validate_hermitian,
 )
@@ -47,9 +49,10 @@ __all__ = [
 class _PairGrid(NamedTuple):
     gap: np.ndarray
     bgap: np.ndarray
-    lp_low: np.ndarray
-    lp_geo: np.ndarray
+    p_low: np.ndarray
+    p_geo: np.ndarray
     deg: np.ndarray
+    ratio: np.ndarray
     s_abs2: np.ndarray
     delta_d: np.ndarray
     var_d: float
@@ -71,6 +74,10 @@ class PerturbedFamily:
         Decomposition of T; eigenvalues ascending.
     s_eig : ndarray
         S in the eigenbasis of T, Hermitian.
+    sign_odd : bool
+        Whether a diagonal sign flip D = diag(+-1) maps ``s_eig`` to
+        ``-s_eig`` exactly (see `_sign_odd`).  D then commutes with
+        diag(T), so T - h S and T + h S are similar and ln Z(h) is even.
     log_populations : ndarray
         log p_n, always finite.  All kernel evaluations use these.
     populations : ndarray
@@ -91,6 +98,7 @@ class PerturbedFamily:
     beta: float
     spectrum: SpectralDecomposition
     s_eig: np.ndarray = field(repr=False)
+    sign_odd: bool
     log_populations: np.ndarray = field(repr=False)
     populations: np.ndarray = field(repr=False)
     log_z: float
@@ -111,27 +119,33 @@ class PerturbedFamily:
         """Symmetric pair quantities shared by every spectral sum.
 
         The absolute gaps |T_m - T_n|, the scaled gaps beta|T_m - T_n|,
-        log of the larger population of each pair, the geometric-mean log
-        population, the degeneracy mask ``beta * gap < DEGENERATE_GAP``
-        (diagonal included), |S_mn|^2 with its diagonal zeroed, the
-        centred diagonal S_mm - <S> and its population variance.  Built
-        on first use and kept with the family, so one report builds it
-        once; its arrays are read-only because every sum shares them.
+        the larger population of each pair, the geometric-mean population
+        sqrt(p_m p_n), the degeneracy mask ``beta * gap < DEGENERATE_GAP``
+        (diagonal included), the ratio kernel, |S_mn|^2 with its diagonal
+        zeroed, the centred diagonal S_mm - <S> and its population
+        variance.  The ratio kernel (p_n - p_m)/X_mn, shared by chi_F,
+        rho' and the BD product, is evaluated from the lower level as
+        p_low (1 - e^{-2X})/X with X = beta|T_m - T_n|/2, and inside the
+        degeneracy window as its limit 2 sqrt(p_m p_n).  Built on first
+        use and kept with the family, so one report builds it once; its
+        arrays are read-only because every sum shares them.
         """
         ev = self.eigenvalues
         lp = self.log_populations
         gap = np.abs(ev[:, None] - ev[None, :])
         bgap = self.beta * gap
-        lp_low = np.maximum(lp[:, None], lp[None, :])
-        lp_geo = 0.5 * (lp[:, None] + lp[None, :])
+        p_low = np.exp(np.maximum(lp[:, None], lp[None, :]))
+        p_geo = np.exp(0.5 * (lp[:, None] + lp[None, :]))
         deg = bgap < DEGENERATE_GAP
+        x = 0.5 * np.where(deg, 1.0, bgap)
+        ratio = np.where(deg, 2.0 * p_geo, p_low * (-np.expm1(-2.0 * x)) / x)
         s_abs2 = np.abs(self.s_eig) ** 2
         np.fill_diagonal(s_abs2, 0.0)
         delta_d = np.real(np.diagonal(self.s_eig)) - self.s_mean
         var_d = float(np.dot(self.populations, delta_d**2))
-        for arr in (gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d):
+        for arr in (gap, bgap, p_low, p_geo, deg, ratio, s_abs2, delta_d):
             arr.setflags(write=False)
-        return _PairGrid(gap, bgap, lp_low, lp_geo, deg, s_abs2, delta_d, var_d)
+        return _PairGrid(gap, bgap, p_low, p_geo, deg, ratio, s_abs2, delta_d, var_d)
 
 
 def _log_weights(eigenvalues: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -145,9 +159,31 @@ def _log_weights(eigenvalues: np.ndarray, beta: float) -> tuple[np.ndarray, floa
     return shifted - lse, lse - beta * float(eigenvalues[0])
 
 
+def _sign_odd(s_eig: np.ndarray) -> bool:
+    """Whether D s_eig D = -s_eig for some diagonal D = diag(+-1).
+
+    That holds exactly when the diagonal of ``s_eig`` is exactly zero and
+    its exact nonzero pattern is bipartite: D is +1 on the even
+    breadth-first levels of each component and -1 on the odd ones.  A
+    nonzero diagonal returns at once.  An all-zero S is odd.
+    """
+    if np.diagonal(s_eig).any():
+        return False
+    linked = s_eig != 0
+    n = linked.shape[0]
+    odd = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
+    for seed in range(n):
+        if not seen[seed]:
+            for depth, level in enumerate(_bfs_levels(linked, seed, seen)):
+                odd[level] = depth % 2 == 1
+    return not np.any(linked & (odd[:, None] == odd[None, :]))
+
+
 def _thermalize(
     spectrum: SpectralDecomposition,
     s_eig: np.ndarray,
+    sign_odd: bool,
     beta: float,
     particle_count: int,
 ) -> PerturbedFamily:
@@ -163,6 +199,7 @@ def _thermalize(
         beta=beta,
         spectrum=spectrum,
         s_eig=s_eig,
+        sign_odd=sign_odd,
         log_populations=lp,
         populations=p,
         log_z=log_z,
@@ -216,16 +253,17 @@ def make_family(
         )
     s_eig = 0.5 * (s_eig + s_eig.conj().T)
     s_eig.setflags(write=False)
-    return _thermalize(spectrum, s_eig, beta, particle_count)
+    return _thermalize(spectrum, s_eig, _sign_odd(s_eig), beta, particle_count)
 
 
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     """Rebuild the family at a different temperature without re-diagonalizing.
 
-    The eigenbasis and S_eig are temperature independent; only the
-    weights, log Z and the perturbation mean change.
+    The eigenbasis, S_eig and its sign parity are temperature
+    independent; only the weights, log Z and the perturbation mean
+    change.
     """
-    return _thermalize(fam.spectrum, fam.s_eig, beta, fam.particle_count)
+    return _thermalize(fam.spectrum, fam.s_eig, fam.sign_odd, beta, fam.particle_count)
 
 
 def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:

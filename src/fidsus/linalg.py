@@ -122,6 +122,20 @@ def validate_hermitian(matrix) -> HermitianOperator:
     return HermitianOperator(matrix=_freeze(sym), dim=sym.shape[0])
 
 
+def _bfs_levels(linked: np.ndarray, seed: int, seen: np.ndarray):
+    """Yield the breadth-first levels of ``seed``'s component, marking them seen.
+
+    ``linked`` is a symmetric boolean pattern; each level is an index
+    array, the first one ``[seed]``.
+    """
+    seen[seed] = True
+    level = np.array([seed])
+    while level.size:
+        yield level
+        level = np.flatnonzero(linked[level].any(axis=0) & ~seen)
+        seen[level] = True
+
+
 def _components(m: np.ndarray) -> list:
     """Connected components of the exact nonzero pattern of a Hermitian matrix.
 
@@ -138,13 +152,7 @@ def _components(m: np.ndarray) -> list:
         if lone[seed]:
             comps.append(np.array([seed]))
         elif not seen[seed]:
-            seen[seed] = True
-            members = [np.array([seed])]
-            while members[-1].size:
-                reached = np.flatnonzero(linked[members[-1]].any(axis=0) & ~seen)
-                seen[reached] = True
-                members.append(reached)
-            comps.append(np.sort(np.concatenate(members)))
+            comps.append(np.sort(np.concatenate(list(_bfs_levels(linked, seed, seen)))))
     return comps
 
 

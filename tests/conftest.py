@@ -1,8 +1,33 @@
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+import fidsus.cli  # noqa: F401  (loads every fidsus module eig_calls patches)
+from fidsus import linalg
 from fidsus.gibbs import make_family
 from fidsus.models import random_pair
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Record the dimension of every ``eig_hermitian`` call.
+
+    The function is imported by name into its consumer modules, so the
+    counter replaces it in every loaded ``fidsus`` module that holds it.
+    """
+    calls = []
+    real = linalg.eig_hermitian
+
+    def counted(op):
+        calls.append(op.dim)
+        return real(op)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "fidsus" and getattr(mod, "eig_hermitian", None) is real:
+            monkeypatch.setattr(mod, "eig_hermitian", counted)
+    return calls
 
 
 def seeded_families(master_seed, count, dim_lo, dim_hi, beta_lo, beta_hi):

@@ -5,7 +5,11 @@ every sweep against.  These tests re-run each sweep through the CLI on the
 grid recorded there (first and last ``param``, row count) and hold the
 rows to the same gate: every reference column within 1e-8 of
 ``max(1, |ref|)`` and the sandwich intact; the degenerate-pair count
-must also match.  They only read the tables.
+must also match.  They only read the tables.  They also count the
+eigensolves: each ``tfim`` point of ``field_sweep`` is one build plus a
+four-solve chi_N oracle, while ``beta_sweep``'s ``dicke`` perturbation is
+sign-odd, so its one build and one cutoff probe are followed by a
+two-solve oracle per point.
 """
 
 import csv
@@ -18,6 +22,8 @@ from fidsus.cli import main
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 COLUMNS = ("param", "chi_f", "ub", "lb_paper", "chi_fg", "bd", "dcomm", "chi_n")
 TOL = 1e-8
+
+EIGENSOLVES = {"field_sweep": 20, "beta_sweep": 26}
 
 SWEEPS = {
     "field_sweep": (
@@ -38,13 +44,14 @@ def _rows(path):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_passes_the_benchmark_reference_gate(name, tmp_path):
+def test_sweep_passes_the_benchmark_reference_gate(name, tmp_path, eig_calls):
     refs = _rows(REFERENCE_DIR / f"{name}.csv")
     model, sweep = SWEEPS[name]
     out = tmp_path / "out.csv"
     argv = ["sweep", *model, *sweep, "--from", refs[0]["param"], "--to",
             refs[-1]["param"], "--steps", str(len(refs)), "--out", str(out)]
     assert main(argv) == 0
+    assert len(eig_calls) == EIGENSOLVES[name]
     rows = _rows(out)
     assert len(rows) == len(refs)
     for row, ref in zip(rows, refs):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import clustered_families, random_hermitian, seeded_families
 from fidsus.bounds import (
+    _FD_STEP,
     bd_inner_product,
     bd_integral_oracle,
     bound_report,
@@ -23,9 +24,16 @@ from fidsus.bounds import (
 )
 from fidsus.config import DEGENERATE_GAP
 from fidsus.errors import CutoffConvergenceWarning
-from fidsus.fidelity import chi_f_spectral, chi_fg_spectral, ds2_spectral
+from fidsus.fidelity import (
+    _perturbed_spectrum,
+    chi_f_spectral,
+    chi_fg_spectral,
+    ds2_spectral,
+)
 from fidsus.gibbs import PerturbedFamily, family_at_beta, make_family
 from fidsus.models import dicke, kondo_toy, random_pair, single_spin, tfim
+
+_EPS = float(np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("h3", [0.1, 0.3, 1.0, 2.5, 5.0])
@@ -134,6 +142,118 @@ def test_chi_n_closed_form_on_single_spin():
     )
 
 
+def _four_solve_curvature(fam):
+    """The chi_N oracle with both signs of the field solved, at +-h/2 and
+    +-h: the reference for the sign-odd shortcut."""
+    beta, n = fam.beta, fam.particle_count
+    h_eff = _FD_STEP / math.sqrt(max(1.0, beta))
+    f0 = -fam.log_z / (beta * n)
+
+    def free_energy(h):
+        return -_perturbed_spectrum(fam, h)[2] / (beta * n)
+
+    def second_diff(h):
+        return (free_energy(h) - 2.0 * f0 + free_energy(-h)) / (h * h)
+
+    return -(4.0 * second_diff(0.5 * h_eff) - second_diff(h_eff)) / 3.0
+
+
+def _dicke(*args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        return dicke(*args, **kwargs)
+
+
+def _on_levels(s, levels=(-0.3, 0.4, 1.2, 2.0)):
+    s = np.asarray(s)
+    return make_family(np.diag(levels[: s.shape[0]]), s, 1.1)
+
+
+_FOUR_CYCLE = np.array(
+    [[0, 1j, 0, 2], [-1j, 0, 0.5, 0], [0, 0.5, 0, 1 - 1j], [2, 0, 1 + 1j, 0]]
+)
+_PATH = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+
+SIGN_CASES = {
+    "dicke": (lambda: _dicke(2, 8, 2.0, 1.0, 0.5, 1.3), True),
+    "dicke_sector": (lambda: _dicke(4, 12, 2.0, 1.0, 1.0, 1.0, symmetric_sector=True), True),
+    "single_spin": (lambda: single_spin(0.8), True),
+    "four_cycle": (lambda: _on_levels(_FOUR_CYCLE), True),
+    "zero": (lambda: _on_levels(np.zeros((3, 3))), True),
+    "tfim": (lambda: tfim(4, 1.0, 0.7, 1.5), False),
+    "kondo_toy": (lambda: kondo_toy(1, [0.0, 0.5], 0.8, 1.5), False),
+    "random": (lambda: random_pair(6, 3, 1.0, 1.0, 1.2), False),
+    "triangle": (lambda: _on_levels(1.0 - np.eye(3)), False),
+    "diagonal_entry": (lambda: _on_levels(_PATH + np.diag([0.0, 0.0, 0.3])), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGN_CASES))
+def test_sign_odd_rule(case, eig_calls):
+    """S is sign-odd when its eigenbasis diagonal is exactly zero and its
+    nonzero pattern is bipartite; the chi_N oracle then solves +h/2 and +h
+    only, and it agrees with the four-solve difference."""
+    build, odd = SIGN_CASES[case]
+    fam = build()
+    assert fam.sign_odd is odd
+    assert family_at_beta(fam, 2.0 * fam.beta).sign_odd is odd
+    eig_calls.clear()
+    fd = free_energy_curvature(fam)
+    assert len(eig_calls) == (2 if odd else 4)
+    ref = _four_solve_curvature(fam)
+    assert abs(fd - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@st.composite
+def bipartite_families(draw):
+    """T diagonal, or a direct sum over the two halves of a bipartition,
+    and S nonzero only between the halves (some links dropped), real or
+    complex, at any beta in [0.1, 10] and ||S|| in [1e-2, 1e2].  When
+    asked, S also gets one nonzero diagonal entry and is then not odd."""
+    dim = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    side = rng.permutation(np.arange(dim) % 2 == 0)
+
+    def draw_matrix():
+        g = rng.normal(size=(dim, dim))
+        if not real:
+            g = g + 1j * rng.normal(size=(dim, dim))
+        return g + g.conj().T
+
+    link = (side[:, None] != side[None, :]) & (rng.random((dim, dim)) < 0.7)
+    s = np.where(link & link.T, draw_matrix(), 0.0)
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    norm = np.linalg.norm(s, 2)
+    if norm:
+        s *= scale / norm
+    odd = draw(st.booleans())
+    if not odd:
+        k = int(rng.integers(dim))
+        s[k, k] = scale * draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        t = np.where(side[:, None] == side[None, :], draw_matrix(), 0.0)
+    else:
+        t = np.diag(rng.uniform(-3.0, 3.0, size=dim))
+    beta = 10.0 ** draw(st.floats(-1.0, 1.0))
+    return make_family(t, s, beta), odd
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=bipartite_families())
+def test_sign_odd_oracle_matches_four_solves(case):
+    """f(-h) stands in for f(h) only when S is sign-odd.  LAPACK's spectra
+    at +h and -h need not agree to the last bit, but each eigenvalue is
+    within a small multiple of dim eps ||A||_2, and the stencil weighs
+    f(-h/2) and f(-h) by 16/3 and 1/3 over h^2."""
+    fam, odd = case
+    fd, ref = free_energy_curvature(fam), _four_solve_curvature(fam)
+    h = _FD_STEP / math.sqrt(max(1.0, fam.beta))
+    a_norm = float(np.abs(fam.eigenvalues).max()) + h * float(np.linalg.norm(fam.s_eig, 2))
+    assert abs(fd - ref) <= 32.0 * fam.dim * _EPS * max(1.0, a_norm) / (h * h)
+    assert fam.sign_odd is odd
+
+
 def test_thermo_check_can_be_disabled():
     fam = random_pair(5, 14, 1.0, 1.0, 3.0)
     a = thermo_susceptibility(fam, check=True)
@@ -210,7 +330,7 @@ def test_one_report_builds_the_pair_grid_once(grid_builds):
 
     grid = fam.pair_grid
     assert len(grid_builds) == 1
-    for arr in (grid.gap, grid.bgap, grid.lp_low, grid.lp_geo, grid.deg,
+    for arr in (grid.gap, grid.bgap, grid.p_low, grid.p_geo, grid.deg, grid.ratio,
                 grid.s_abs2, grid.delta_d):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
