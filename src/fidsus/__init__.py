@@ -43,7 +43,6 @@ from .fidelity import (
     chi_fg_integral,
     chi_fg_spectral,
     ds2_spectral,
-    gf_fidelity,
     perturbed_density,
     rho_prime,
     rho_taylor_check,
@@ -115,7 +114,6 @@ __all__ = [
     "expx_xm1_over_x2",
     "family_at_beta",
     "free_energy_curvature",
-    "gf_fidelity",
     "kondo_roepstorff",
     "kondo_toy",
     "lower_bound",

@@ -44,7 +44,6 @@ __all__ = [
     "TaylorRemainder",
     "ChiFGIntegral",
     "uhlmann_fidelity",
-    "gf_fidelity",
     "bures_distance",
     "perturbed_density",
     "rho_prime",
@@ -363,23 +362,6 @@ def uhlmann_fidelity(rho1, rho2) -> float:
         raise DimensionMismatchError(f"dimensions {d1.dim} and {d2.dim} differ")
     s1 = _psd_power(d1, 0.5)
     m = s1 @ _psd_power(d2, 1.0) @ s1
-    return _tr_sqrt_psd(0.5 * (m + m.conj().T))
-
-
-def gf_fidelity(rho1, rho2) -> float:
-    """Green's-function fidelity Tr sqrt(rho1^{1/2} rho2^{1/2}).
-
-    Evaluated through the Hermitian similarity
-    Tr sqrt(rho1^{1/4} rho2^{1/2} rho1^{1/4}).  Note this is not
-    normalized to 1 on identical mixed states: for rho1 = rho2 = I/2 it
-    returns sqrt(2).
-    """
-    d1 = _density_spectrum(rho1)
-    d2 = _density_spectrum(rho2)
-    if d1.dim != d2.dim:
-        raise DimensionMismatchError(f"dimensions {d1.dim} and {d2.dim} differ")
-    q1 = _psd_power(d1, 0.25)
-    m = q1 @ _psd_power(d2, 0.5) @ q1
     return _tr_sqrt_psd(0.5 * (m + m.conj().T))
 
 

@@ -4,10 +4,12 @@ Everything downstream of this module works in the eigenbasis of the
 unperturbed Hamiltonian T: populations, perturbation matrix elements and
 imaginary-time correlations all derive from a single spectral
 decomposition.  A `PerturbedFamily` holds that decomposition, S rotated
-into it, whether a sign flip of that basis reverses S, and the Boltzmann
-weights at one beta.  `make_family` builds one
-from matrices and `family_at_beta` moves one to another temperature
-without re-diagonalizing; both take their weights from `_log_weights`.
+into it, the exact block partition of that S and whether a sign flip of
+the basis reverses it, the chi_N oracle's displaced spectra, and the
+Boltzmann weights at one beta.  `make_family` builds one from matrices
+and `family_at_beta` moves one to another temperature without
+re-diagonalizing, sharing everything but the weights; both take their
+weights from `_log_weights`.
 Populations are kept in log space so that large inverse temperatures
 never overflow.
 """
@@ -32,7 +34,7 @@ from .errors import (
 from .linalg import (
     HermitianOperator,
     SpectralDecomposition,
-    _bfs_levels,
+    _components,
     eig_hermitian,
     validate_hermitian,
 )
@@ -76,8 +78,20 @@ class PerturbedFamily:
         S in the eigenbasis of T, Hermitian.
     sign_odd : bool
         Whether a diagonal sign flip D = diag(+-1) maps ``s_eig`` to
-        ``-s_eig`` exactly (see `_sign_odd`).  D then commutes with
-        diag(T), so T - h S and T + h S are similar and ln Z(h) is even.
+        ``-s_eig`` exactly (see `_partition`).  D then commutes with
+        diag(T), so T - h S and T + h S are similar, and <S>_{-h} is
+        -<S>_h.
+    blocks : tuple of ndarray
+        The exact block partition of ``s_eig``: the sorted index arrays
+        of the connected components of its nonzero pattern, in the order
+        of their smallest index.  One array, 0..dim-1, when the pattern
+        is connected.  Every T - h S is block diagonal on it.
+    displaced : dict
+        The chi_N oracle's solves of T - h S, keyed by the field h: the
+        ascending levels and the matching diagonal of S in the displaced
+        eigenbasis, never the eigenvectors.  Neither depends on beta, so
+        `family_at_beta` hands the same dict on and a beta sweep solves
+        each field once.
     log_populations : ndarray
         log p_n, always finite.  All kernel evaluations use these.
     populations : ndarray
@@ -99,6 +113,8 @@ class PerturbedFamily:
     spectrum: SpectralDecomposition
     s_eig: np.ndarray = field(repr=False)
     sign_odd: bool
+    blocks: tuple = field(repr=False)
+    displaced: dict = field(repr=False)
     log_populations: np.ndarray = field(repr=False)
     populations: np.ndarray = field(repr=False)
     log_z: float
@@ -159,33 +175,37 @@ def _log_weights(eigenvalues: np.ndarray, beta: float) -> tuple[np.ndarray, floa
     return shifted - lse, lse - beta * float(eigenvalues[0])
 
 
-def _sign_odd(s_eig: np.ndarray) -> bool:
-    """Whether D s_eig D = -s_eig for some diagonal D = diag(+-1).
+def _partition(s_eig: np.ndarray) -> tuple[tuple, bool]:
+    """The exact block partition of ``s_eig`` and whether it is sign-odd.
 
-    That holds exactly when the diagonal of ``s_eig`` is exactly zero and
-    its exact nonzero pattern is bipartite: D is +1 on the even
-    breadth-first levels of each component and -1 on the odd ones.  A
-    nonzero diagonal returns at once.  An all-zero S is odd.
+    One breadth-first pass over the exact nonzero pattern finds its
+    connected components and two-colours each one by the parity of its
+    levels.  ``s_eig`` is sign-odd, D s_eig D = -s_eig for some diagonal
+    D = diag(+-1), exactly when its diagonal is zero and no link joins
+    two entries of one colour: D is then +1 on the even levels and -1 on
+    the odd ones.  A pattern with no zero entry is one block whose
+    nonzero diagonal makes it not odd, and skips the search.  An all-zero
+    S is odd.
     """
-    if np.diagonal(s_eig).any():
-        return False
+    n = s_eig.shape[0]
+    if np.count_nonzero(s_eig) == n * n:
+        return (np.arange(n),), False
     linked = s_eig != 0
-    n = linked.shape[0]
-    odd = np.zeros(n, dtype=bool)
-    seen = np.zeros(n, dtype=bool)
-    for seed in range(n):
-        if not seen[seed]:
-            for depth, level in enumerate(_bfs_levels(linked, seed, seen)):
-                odd[level] = depth % 2 == 1
-    return not np.any(linked & (odd[:, None] == odd[None, :]))
+    blocks, odd = _components(linked)
+    sign_odd = not np.diagonal(s_eig).any() and not np.any(
+        linked & (odd[:, None] == odd[None, :])
+    )
+    return tuple(blocks), sign_odd
 
 
 def _thermalize(
+    beta: float,
     spectrum: SpectralDecomposition,
     s_eig: np.ndarray,
-    sign_odd: bool,
-    beta: float,
     particle_count: int,
+    blocks: tuple,
+    sign_odd: bool,
+    displaced: dict,
 ) -> PerturbedFamily:
     """The family of a decomposed T and S in its eigenbasis at beta."""
     beta = float(beta)
@@ -200,6 +220,8 @@ def _thermalize(
         spectrum=spectrum,
         s_eig=s_eig,
         sign_odd=sign_odd,
+        blocks=blocks,
+        displaced=displaced,
         log_populations=lp,
         populations=p,
         log_z=log_z,
@@ -253,17 +275,22 @@ def make_family(
         )
     s_eig = 0.5 * (s_eig + s_eig.conj().T)
     s_eig.setflags(write=False)
-    return _thermalize(spectrum, s_eig, _sign_odd(s_eig), beta, particle_count)
+    return _thermalize(beta, spectrum, s_eig, particle_count, *_partition(s_eig), {})
 
 
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     """Rebuild the family at a different temperature without re-diagonalizing.
 
-    The eigenbasis, S_eig and its sign parity are temperature
-    independent; only the weights, log Z and the perturbation mean
-    change.
+    The eigenbasis, S_eig, its block partition and sign parity, and the
+    chi_N oracle's displaced spectra are temperature independent, and the
+    new family shares them (the same ``displaced`` dict, so a field
+    solved at one temperature is not solved again at another); only the
+    weights, log Z and the perturbation mean change.
     """
-    return _thermalize(fam.spectrum, fam.s_eig, fam.sign_odd, beta, fam.particle_count)
+    return _thermalize(
+        beta, fam.spectrum, fam.s_eig, fam.particle_count, fam.blocks, fam.sign_odd,
+        fam.displaced,
+    )
 
 
 def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:

@@ -136,24 +136,29 @@ def _bfs_levels(linked: np.ndarray, seed: int, seen: np.ndarray):
         seen[level] = True
 
 
-def _components(m: np.ndarray) -> list:
-    """Connected components of the exact nonzero pattern of a Hermitian matrix.
+def _components(linked: np.ndarray) -> tuple[list, np.ndarray]:
+    """Connected components of a symmetric boolean pattern, two-coloured.
 
     Each component is a sorted index array; components come in the order
     of their smallest index.  The pattern of a validated operator is
     symmetric, so a breadth-first search along rows finds every link.
+    The boolean array is True on the odd breadth-first levels of each
+    component, the two-colouring of a bipartite pattern.
     """
-    linked = m != 0
     # a row with no off-diagonal entry is a component of its own
     lone = np.count_nonzero(linked, axis=1) <= linked.diagonal()
     seen = lone.copy()
+    odd = np.zeros(linked.shape[0], dtype=bool)
     comps = []
-    for seed in range(m.shape[0]):
+    for seed in range(linked.shape[0]):
         if lone[seed]:
             comps.append(np.array([seed]))
         elif not seen[seed]:
-            comps.append(np.sort(np.concatenate(list(_bfs_levels(linked, seed, seen)))))
-    return comps
+            levels = list(_bfs_levels(linked, seed, seen))
+            for level in levels[1::2]:
+                odd[level] = True
+            comps.append(np.sort(np.concatenate(levels)))
+    return comps, odd
 
 
 def _eigh(m: np.ndarray):
@@ -213,7 +218,7 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     """
     m = op.matrix
     n = op.dim
-    comps = [] if np.count_nonzero(m) == n * n else _components(m)
+    comps = [] if np.count_nonzero(m) == n * n else _components(m != 0)[0]
     if len(comps) <= 1:
         evals, basis = _eigh(m)
         order = np.argsort(evals, kind="stable")

@@ -254,6 +254,7 @@ def _suite_oracles(seed, instances, dim_max, out):
     betas = 10.0 ** rng.uniform(-1.0, 1.0, size=count)
 
     worst_fd = 0.0
+    worst_fd_rel = 0.0
     worst_chi_n = 0.0
     worst_trace = 0.0
     for k in range(count):
@@ -261,6 +262,7 @@ def _suite_oracles(seed, instances, dim_max, out):
         chi = chi_f_spectral(fam).total
         fd = chi_f_fd(fam, 1e-3)
         worst_fd = max(worst_fd, abs(chi - fd) / max(1.0, chi))
+        worst_fd_rel = max(worst_fd_rel, abs(chi - fd) / max(abs(chi), 1e-300))
         cn = thermo_susceptibility(fam, check=False)
         cv = free_energy_curvature(fam)
         worst_chi_n = max(worst_chi_n, abs(cn - cv) / max(1.0, abs(cn)))
@@ -270,7 +272,7 @@ def _suite_oracles(seed, instances, dim_max, out):
         CheckResult(
             "chi_f_vs_fd",
             worst_fd <= 1e-6,
-            f"worst={_e(worst_fd)} tol=1.0e-06 n={count}",
+            f"worst={_e(worst_fd)} worst_rel={_e(worst_fd_rel)} tol=1.0e-06 n={count}",
         )
     )
     out.append(

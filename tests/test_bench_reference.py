@@ -6,10 +6,17 @@ grid recorded there (first and last ``param``, row count) and hold the
 rows to the same gate: every reference column within 1e-8 of
 ``max(1, |ref|)`` and the sandwich intact; the degenerate-pair count
 must also match.  They only read the tables.  They also count the
-eigensolves: each ``tfim`` point of ``field_sweep`` is one build plus a
-four-solve chi_N oracle, while ``beta_sweep``'s ``dicke`` perturbation is
-sign-odd, so its one build and one cutoff probe are followed by a
-two-solve oracle per point.
+``eig_hermitian`` calls.  The chi_N oracle solves each field block by
+block on the partition of S, once per distinct block, and keeps the
+result for every temperature of the family.  Each ``tfim`` point of
+``field_sweep`` is a new build: one solve of T, then four fields
+(+-h/2, +-h) times two parity blocks, 9 per point and 36 in all.
+``beta_sweep`` builds one ``dicke`` family (one solve) and probes its
+cutoff (one more).  Its S is sign-odd, so only +h fields are solved,
+and its twelve temperatures fall on rungs 0 to 3 of the step ladder,
+which share the five fields h_0 to h_4.  Each field has two distinct
+blocks, the spin-3/2 copy and the spin-1/2 copy solved once for both
+of its two bit-identical instances: 1 + 1 + 5 x 2 = 12.
 """
 
 import csv
@@ -23,7 +30,7 @@ REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "referenc
 COLUMNS = ("param", "chi_f", "ub", "lb_paper", "chi_fg", "bd", "dcomm", "chi_n")
 TOL = 1e-8
 
-EIGENSOLVES = {"field_sweep": 20, "beta_sweep": 26}
+EIGENSOLVES = {"field_sweep": 36, "beta_sweep": 12}
 
 SWEEPS = {
     "field_sweep": (

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from conftest import clustered_families, random_hermitian, seeded_families
 from fidsus.bounds import (
-    _FD_STEP,
+    _FD_LADDER,
     bd_inner_product,
     bd_integral_oracle,
     bound_report,
@@ -23,14 +24,9 @@ from fidsus.bounds import (
     upper_bound,
 )
 from fidsus.config import DEGENERATE_GAP
-from fidsus.errors import CutoffConvergenceWarning
-from fidsus.fidelity import (
-    _perturbed_spectrum,
-    chi_f_spectral,
-    chi_fg_spectral,
-    ds2_spectral,
-)
-from fidsus.gibbs import PerturbedFamily, family_at_beta, make_family
+from fidsus.errors import CrossCheckError, CutoffConvergenceWarning
+from fidsus.fidelity import chi_f_spectral, chi_fg_spectral, ds2_spectral
+from fidsus.gibbs import PerturbedFamily, family_at_beta, make_family, thermal_average
 from fidsus.models import dicke, kondo_toy, random_pair, single_spin, tfim
 
 _EPS = float(np.finfo(float).eps)
@@ -142,20 +138,18 @@ def test_chi_n_closed_form_on_single_spin():
     )
 
 
-def _four_solve_curvature(fam):
-    """The chi_N oracle with both signs of the field solved, at +-h/2 and
-    +-h: the reference for the sign-odd shortcut."""
-    beta, n = fam.beta, fam.particle_count
-    h_eff = _FD_STEP / math.sqrt(max(1.0, beta))
-    f0 = -fam.log_z / (beta * n)
+def _both_signs_curvature(fam):
+    """The chi_N oracle with both signs of every field solved, at +-h_k/2
+    and +-h_k: the reference for the sign-odd shortcut."""
+    return free_energy_curvature(dataclasses.replace(fam, sign_odd=False, displaced={}))
 
-    def free_energy(h):
-        return -_perturbed_spectrum(fam, h)[2] / (beta * n)
 
-    def second_diff(h):
-        return (free_energy(h) - 2.0 * f0 + free_energy(-h)) / (h * h)
-
-    return -(4.0 * second_diff(0.5 * h_eff) - second_diff(h_eff)) / 3.0
+def _top_step(fam):
+    """h_k of the oracle's ladder at the family's beta."""
+    s, n = fam.s_eig, fam.dim
+    spread = 2.0 * float(np.linalg.norm(s - (np.trace(s).real / n) * np.eye(n)))
+    k = math.ceil(math.log2(max(1.0, fam.beta)))
+    return math.ldexp(_FD_LADDER / (spread if spread > 0.0 else 1.0), -k)
 
 
 def _dicke(*args, **kwargs):
@@ -188,19 +182,31 @@ SIGN_CASES = {
 }
 
 
+def _distinct_blocks(fam):
+    """How many blocks of the family's partition need an eigensolve: those
+    larger than 1 x 1 that differ in T or S."""
+    ev, s = fam.eigenvalues, fam.s_eig
+    return len(
+        {(ev[b].tobytes(), s[b[:, None], b].tobytes()) for b in fam.blocks if b.size > 1}
+    )
+
+
 @pytest.mark.parametrize("case", sorted(SIGN_CASES))
 def test_sign_odd_rule(case, eig_calls):
     """S is sign-odd when its eigenbasis diagonal is exactly zero and its
-    nonzero pattern is bipartite; the chi_N oracle then solves +h/2 and +h
-    only, and it agrees with the four-solve difference."""
+    nonzero pattern is bipartite; the chi_N oracle then solves the fields
+    +h/2 and +h only, each distinct block once, and it agrees with the
+    difference that solves both signs."""
     build, odd = SIGN_CASES[case]
     fam = build()
     assert fam.sign_odd is odd
     assert family_at_beta(fam, 2.0 * fam.beta).sign_odd is odd
     eig_calls.clear()
     fd = free_energy_curvature(fam)
-    assert len(eig_calls) == (2 if odd else 4)
-    ref = _four_solve_curvature(fam)
+    fields = 2 if odd else 4
+    assert len(fam.displaced) == fields
+    assert len(eig_calls) == fields * _distinct_blocks(fam)
+    ref = _both_signs_curvature(fam)
     assert abs(fd - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
@@ -242,16 +248,104 @@ def bipartite_families(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(case=bipartite_families())
 def test_sign_odd_oracle_matches_four_solves(case):
-    """f(-h) stands in for f(h) only when S is sign-odd.  LAPACK's spectra
-    at +h and -h need not agree to the last bit, but each eigenvalue is
-    within a small multiple of dim eps ||A||_2, and the stencil weighs
-    f(-h/2) and f(-h) by 16/3 and 1/3 over h^2."""
+    """-<S>_h stands in for <S>_{-h} only when S is sign-odd.  LAPACK's
+    solves at +h and -h need not agree to the last bit: each <S>_h is
+    within about dim eps ||S||_2 max(1, beta ||A||_2) of the other, as an
+    eigenvalue error of eps ||A||_2 moves the weights by beta times that
+    and an eigenvector error enters weighted by population differences.
+    The stencil weighs <S>_{-h/2} and <S>_{-h} by 4/3 and 1/6 over h."""
     fam, odd = case
-    fd, ref = free_energy_curvature(fam), _four_solve_curvature(fam)
-    h = _FD_STEP / math.sqrt(max(1.0, fam.beta))
-    a_norm = float(np.abs(fam.eigenvalues).max()) + h * float(np.linalg.norm(fam.s_eig, 2))
-    assert abs(fd - ref) <= 32.0 * fam.dim * _EPS * max(1.0, a_norm) / (h * h)
+    fd, ref = free_energy_curvature(fam), _both_signs_curvature(fam)
+    h = _top_step(fam)
+    s_norm = float(np.linalg.norm(fam.s_eig, 2))
+    a_norm = float(np.abs(fam.eigenvalues).max()) + h * s_norm
+    floor = 1.5 * fam.dim * _EPS * s_norm * max(1.0, fam.beta * a_norm) / h
+    assert abs(fd - ref) <= floor
     assert fam.sign_odd is odd
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([4, 12, 40]),
+    beta=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+    s_norm=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    shift=st.sampled_from([0.0, 100.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chi_n_oracle_on_the_tuning_grid(dim, beta, s_norm, shift, seed):
+    """Random complex families at dimension 4, 12 or 40, beta from 1e-3 to
+    1e2, ||S||_2 from 1e-3 to 1e3 and T shifted by 0 or 100 I: the slope
+    of <S>_h/N is within 1e-8 of max(1, |chi_N|), a hundredth of the
+    check's tolerance."""
+    rng = np.random.default_rng(seed)
+    t = random_hermitian(rng, dim) + shift * np.eye(dim)
+    s = random_hermitian(rng, dim)
+    fam = make_family(t, s * (s_norm / np.linalg.norm(s, 2)), beta)
+    chi = thermo_susceptibility(fam, check=False)
+    assert abs(free_energy_curvature(fam) - chi) <= 1e-8 * max(1.0, abs(chi))
+
+
+def test_chi_n_oracle_where_populations_underflow():
+    """Past the onset of underflow the oracle still agrees while its step
+    resolves <S>_h; at larger beta the step is lost in the rounding of T,
+    and the report raises the typed chi_n_oracle error instead of
+    returning a number."""
+    fam = random_pair(12, 5, 1.0, 1.0, 1.0)
+    outcomes = set()
+    for e in range(1, 21):
+        fam = family_at_beta(fam, 10.0**e)
+        try:
+            rep = bound_report(fam)
+        except CrossCheckError as exc:
+            assert exc.check == "chi_n_oracle"
+            outcomes.add((fam.underflow_count > 0, "raised"))
+        else:
+            fields = dataclasses.asdict(rep)
+            fields.pop("per_particle")
+            assert all(math.isfinite(v) for v in fields.values())
+            outcomes.add((fam.underflow_count > 0, "agreed"))
+    assert (True, "agreed") in outcomes and (True, "raised") in outcomes
+
+
+def test_beta_sweep_solves_each_oracle_field_once(eig_calls):
+    """The displaced levels and diagonals do not depend on beta, so a chain
+    of family_at_beta families shares them: its oracle values are bit for
+    bit those of fresh builds, each field of the ladder is solved once, and
+    each of its two distinct blocks once per field.  T is diagonal, so S
+    is only permuted into its eigenbasis and its two copies of one block
+    stay bit-identical there."""
+    rng = np.random.default_rng(71)
+    t = np.diag([-0.4, 0.3, 1.1, -0.9, 0.2, 0.6, 1.7, -0.4, 0.3, 1.1])
+    sa, sb = random_hermitian(rng, 3), random_hermitian(rng, 4)
+    s = block_diag(sa, sb, sa)
+    betas = np.geomspace(0.5, 9.0, 9)
+    fresh = [free_energy_curvature(make_family(t, s, b)) for b in betas]
+    eig_calls.clear()
+    fam = make_family(t, s, betas[0])
+    assert len(fam.blocks) == 3 and _distinct_blocks(fam) == 2
+    chain = []
+    for b in betas:
+        fam = family_at_beta(fam, b)
+        chain.append(free_energy_curvature(fam))
+    assert chain == fresh
+    # rungs 0 to 4 step h_0 to h_5, each field at both signs
+    assert len(fam.displaced) == 12
+    assert len(eig_calls) == 1 + 12 * 2
+
+
+def test_double_commutator_direct_block_by_block():
+    """On a block family the commutator is formed per block; it matches the
+    dense products on the whole matrix."""
+    for fam in (
+        _dicke(3, 12, 2.0, 1.0, 1.0, 1.0),
+        tfim(5, 1.0, 0.7, 1.5),
+        kondo_toy(1, [0.0, 0.5], 0.8, 1.5),
+    ):
+        assert len(fam.blocks) > 1
+        ev, s = fam.eigenvalues, fam.s_eig
+        k = s * (ev[None, :] - ev[:, None])
+        dense = thermal_average(fam, k @ s - s @ k)
+        assert double_commutator_direct(fam) == pytest.approx(dense, rel=1e-13, abs=0)
 
 
 def test_thermo_check_can_be_disabled():
@@ -438,6 +532,22 @@ def test_report_on_clustered_spectra_at_any_norm(fam):
     assert all(math.isfinite(v) for v in fields.values())
     assert rep.sandwich_ok
     assert abs(rep.ds2 - rep.chi_f) <= 1e-10 * max(1.0, abs(rep.chi_f))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    fam=clustered_families(s_scales=st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+)
+def test_chi_n_oracle_on_clustered_spectra_at_any_norm(fam):
+    """The same families with the chi_N oracle on: it passes, and the report
+    stays finite and warning-free."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bound_report(fam)
+    fields = dataclasses.asdict(rep)
+    assert fields.pop("per_particle") is None
+    assert all(math.isfinite(v) for v in fields.values())
+    assert rep.sandwich_ok
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -20,7 +20,6 @@ from fidsus.fidelity import (
     chi_fg_integral,
     chi_fg_spectral,
     ds2_spectral,
-    gf_fidelity,
     perturbed_density,
     rho_prime,
     rho_taylor_check,
@@ -73,20 +72,6 @@ def test_bures_distance_relation():
     f = uhlmann_fidelity(a, b)
     assert bures_distance(a, b) == pytest.approx(np.sqrt(2.0 - 2.0 * f), abs=1e-14)
     assert bures_distance(a, a) == pytest.approx(0.0, abs=1e-7)
-
-
-def test_gf_fidelity_properties():
-    rng = np.random.default_rng(54)
-    a = random_density(rng, 4)
-    b = random_density(rng, 4)
-    # symmetric, and on identical states equals Tr sqrt(rho)
-    assert gf_fidelity(a, b) == pytest.approx(gf_fidelity(b, a), abs=1e-11)
-    assert gf_fidelity(a, a) == pytest.approx(
-        np.real(np.trace(sqrtm(a))), abs=1e-10
-    )
-    pure = np.zeros((3, 3), dtype=complex)
-    pure[0, 0] = 1.0
-    assert gf_fidelity(pure, pure) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

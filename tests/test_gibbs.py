@@ -12,6 +12,7 @@ from scipy.linalg import expm
 from conftest import clustered_families, random_hermitian
 from fidsus.bounds import double_commutator_direct
 from fidsus.errors import (
+    CutoffConvergenceWarning,
     DimensionMismatchError,
     NonPositiveBetaError,
     TauOutOfRangeError,
@@ -23,6 +24,8 @@ from fidsus.gibbs import (
     make_family,
     thermal_average,
 )
+from fidsus.linalg import _components
+from fidsus.models import dicke, kondo_toy, random_pair, tfim
 
 
 def _unperturbed(t, beta):
@@ -155,6 +158,46 @@ def test_family_at_beta_matches_fresh_build():
             assert getattr(moved, name) == getattr(fresh, name)
         assert moved.particle_count == 3
         assert moved.s_eig.dtype == (np.float64 if np.isrealobj(t) else np.complex128)
+
+
+def test_family_at_beta_shares_the_beta_independent_state():
+    """The block partition, the sign parity and the chi_N oracle's solves
+    pass on unchanged: the new family holds the same objects."""
+    base = dicke(2, 8, 2.0, 1.0, 0.5, 1.3)
+    moved = family_at_beta(base, 0.4)
+    for name in ("spectrum", "s_eig", "blocks", "displaced"):
+        assert getattr(moved, name) is getattr(base, name)
+    assert moved.sign_odd is base.sign_odd
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        (lambda: dicke(3, 12, 2.0, 1.0, 1.0, 1.0), [26, 26, 52]),
+        (lambda: tfim(5, 1.0, 0.7, 1.5), [16, 16]),
+        (lambda: kondo_toy(1, [0.0, 0.5], 0.8, 1.5), [1] * 6 + [2] * 4 + [4, 4, 5, 5]),
+        (lambda: random_pair(7, 3, 1.0, 1.0, 1.0), [7]),
+        (lambda: _unperturbed(np.diag([0.0, 1.0, 2.0]), 1.0), [1, 1, 1]),
+    ],
+    ids=["dicke", "tfim", "kondo_toy", "random", "zero"],
+)
+def test_blocks_are_the_components_of_s(build, sizes):
+    """``blocks`` split the indices into sorted arrays ordered by their
+    first index; S has no entry between two of them, and each one is
+    connected (a lone index is its own block)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fam = build()
+    label = np.empty(fam.dim, dtype=int)
+    for k, idx in enumerate(fam.blocks):
+        assert np.all(np.diff(idx) > 0)
+        label[idx] = k
+    assert sorted(len(idx) for idx in fam.blocks) == sizes
+    assert [idx[0] for idx in fam.blocks] == sorted(idx[0] for idx in fam.blocks)
+    assert sum(len(idx) for idx in fam.blocks) == fam.dim
+    assert not np.any(fam.s_eig[label[:, None] != label[None, :]])
+    for idx in fam.blocks:
+        assert len(_components(fam.s_eig[idx[:, None], idx] != 0)[0]) == 1
 
 
 def test_unperturbed_spectrum_repeats_the_family_weights():

@@ -471,12 +471,23 @@ def test_cli_cross_check_failure_maps_to_two(monkeypatch, capsys):
     assert "internal consistency check failed" in err
 
 
-def test_cross_check_messages_print_plain_floats(capsys):
-    # the chi_N oracle's step still misses at beta = 0.001, so this report
-    # exits 2; its message must show plain floats, not numpy reprs
+@pytest.mark.parametrize("seed", range(5))
+def test_chi_n_oracle_passes_at_small_beta(seed):
+    """These reports exited 2 when the oracle took a second difference of
+    ln Z at a step that did not scale with S."""
+    argv = ["report", "--model", "random", "--dim", "5", "--beta", "0.001", "--seed", str(seed)]
+    assert main(argv) == 0
+
+
+def test_cross_check_messages_print_plain_floats(monkeypatch, capsys):
+    # force a chi_N oracle miss with a numpy scalar; the message must show
+    # plain floats, not numpy reprs
+    monkeypatch.setattr(
+        "fidsus.bounds.free_energy_curvature", lambda fam: np.float64(0.0037351)
+    )
     rc = main(["report", "--model", "random", "--dim", "5", "--beta", "0.001", "--seed", "0"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "spectral chi_N 0.00373" in err
-    assert "finite difference 0.00373" in err
+    assert "finite difference 0.0037351" in err
     assert "np.float64" not in err
