@@ -35,7 +35,6 @@ from .bounds import (
 from .fidelity import (
     ChiFGIntegral,
     FidelitySusceptibility,
-    TaylorRemainder,
     bures_distance,
     chi_f_fd,
     chi_f_ground_state,
@@ -45,7 +44,6 @@ from .fidelity import (
     ds2_spectral,
     perturbed_density,
     rho_prime,
-    rho_taylor_check,
     uhlmann_fidelity,
 )
 from .gibbs import (
@@ -92,7 +90,6 @@ __all__ = [
     "SingleSpinClosedForms",
     "SweepRow",
     "SweepSpec",
-    "TaylorRemainder",
     "VerifySummary",
     "bd_inner_product",
     "bd_integral_oracle",
@@ -122,7 +119,6 @@ __all__ = [
     "perturbed_density",
     "random_pair",
     "rho_prime",
-    "rho_taylor_check",
     "run_sweep",
     "run_verify",
     "single_spin",

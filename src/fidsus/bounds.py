@@ -107,13 +107,13 @@ def double_commutator(fam: PerturbedFamily) -> float:
     spectral = float((g.p_low * (-np.expm1(-g.bgap)) * g.gap * g.s_abs2).sum())
 
     direct = double_commutator_direct(fam)
-    if spectral < -DCOMM_NEGATIVE or direct < -DCOMM_NEGATIVE:
+    if not (spectral >= -DCOMM_NEGATIVE and direct >= -DCOMM_NEGATIVE):
         raise CrossCheckError(
             "dcomm_negative",
             f"double commutator negative: spectral {float(spectral)!r}, "
             f"direct {float(direct)!r}",
         )
-    if abs(spectral - direct) > DCOMM_AGREEMENT_REL * max(1.0, abs(spectral)):
+    if not (abs(spectral - direct) <= DCOMM_AGREEMENT_REL * max(1.0, abs(spectral))):
         raise CrossCheckError(
             "dcomm_forms",
             f"spectral form {float(spectral)!r} and commutator form {float(direct)!r} disagree "
@@ -249,12 +249,23 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     ``sign_odd``, a diagonal sign flip D maps diag(T) - h S to
     diag(T) + h S entry for entry, so <S>_{-h} = -<S>_h and only +h_k/2
     and +h_k are solved.
+
+    Raises
+    ------
+    CrossCheckError
+        check "chi_n_oracle" if the smaller step h_(k+1) underflows to 0,
+        which needs beta sigma(S) above about 3e321.
     """
     s = fam.s_eig
     n = fam.dim
     spread = 2.0 * float(np.linalg.norm(s - (np.trace(s).real / n) * np.eye(n)))
     top = _FD_LADDER / (spread if spread > 0.0 else 1.0)
     k = math.ceil(math.log2(max(1.0, fam.beta)))
+    if math.ldexp(top, -k - 1) == 0.0:
+        raise CrossCheckError(
+            "chi_n_oracle",
+            f"the step {top!r} 2^-{k + 1} of the <S>_h slope underflows to 0",
+        )
 
     def slope(rung: int) -> float:
         h = math.ldexp(top, -rung)
@@ -290,7 +301,8 @@ def thermo_susceptibility(fam: PerturbedFamily, *, check: bool = True) -> float:
     ------
     CrossCheckError
         check "chi_n_oracle" if the finite difference disagrees beyond
-        ``FD_ORACLE_REL``, or either value is not finite.
+        ``FD_ORACLE_REL``, either value is not finite, or the step of the
+        finite difference underflows.
     """
     beta = fam.beta
     n = fam.particle_count

@@ -36,7 +36,7 @@ from .bounds import BoundReport, bound_report
 from .errors import CrossCheckError, ModelParseError
 from .models import MODEL_KINDS, ModelSpec, _strict_json, build_model
 from .plotting import emit_plot, write_text_atomic
-from .sweep import SweepSpec, run_sweep
+from .sweep import SweepSpec, _fmt, run_sweep
 from .verify import run_verify
 
 __all__ = ["main"]
@@ -111,10 +111,6 @@ def _model_spec(args: argparse.Namespace) -> ModelSpec:
         seed=args.seed,
         path=args.path,
     )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _report_fields(spec: ModelSpec, dim: int, rep: BoundReport) -> List[tuple]:

@@ -41,7 +41,6 @@ from .linalg import HermitianOperator, eig_hermitian, validate_hermitian
 
 __all__ = [
     "FidelitySusceptibility",
-    "TaylorRemainder",
     "ChiFGIntegral",
     "uhlmann_fidelity",
     "bures_distance",
@@ -49,7 +48,6 @@ __all__ = [
     "rho_prime",
     "chi_f_spectral",
     "chi_f_fd",
-    "rho_taylor_check",
     "chi_f_ground_state",
     "chi_fg_spectral",
     "chi_fg_integral",
@@ -77,16 +75,6 @@ class FidelitySusceptibility:
     classical: float
     quantum: float
     degenerate_pair_count: int
-
-
-@dataclass(frozen=True)
-class TaylorRemainder:
-    """Diagnostics of the order-by-order expansion of rho(h) around h = 0."""
-
-    trace_rho_prime: float
-    trace_rho_second: float
-    r3_over_h3: float
-    r3_over_h3_half: float
 
 
 class ChiFGIntegral(NamedTuple):
@@ -176,7 +164,7 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     den = 2.0 * (p[:, None] + p[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = float(np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum())
-    if abs(total - direct) > CHI_INTERNAL_REL * max(1.0, abs(total)):
+    if not (abs(total - direct) <= CHI_INTERNAL_REL * max(1.0, abs(total))):
         raise InternalFormMismatchError(
             f"kernel form {float(total)!r} and direct form {float(direct)!r} disagree "
             f"beyond {CHI_INTERNAL_REL:g} relative"
@@ -266,7 +254,7 @@ def chi_fg_integral(fam: PerturbedFamily) -> ChiFGIntegral:
     taus = 0.5 * b * (nodes + 1.0)
     quad = 0.5 * b * float(np.sum(weights * (taus * correlation_G(fam, taus))))
 
-    if abs(closed - quad) > QUADRATURE_AGREEMENT_REL * max(1.0, abs(closed)):
+    if not (abs(closed - quad) <= QUADRATURE_AGREEMENT_REL * max(1.0, abs(closed))):
         raise QuadratureDisagreementError(
             f"closed form {float(closed)!r} vs 64-node quadrature {float(quad)!r}"
         )
@@ -423,43 +411,3 @@ def chi_f_fd(fam: PerturbedFamily, h: float) -> float:
         return defect / (step * step)
 
     return (4.0 * quotient(0.5 * h) - quotient(h)) / 3.0
-
-
-def rho_taylor_check(fam: PerturbedFamily, h: float) -> TaylorRemainder:
-    """Probe the Taylor structure of rho(h) by finite differences.
-
-    Checks that first and second finite-difference derivatives are
-    traceless to their respective noise floors, and that the third-order
-    remainder against the spectral rho'(0) scales as h^3 (the reported
-    ratios at h and h/2 should agree to a factor of order one).
-    """
-    h = float(h)
-    if not 0.0 < h <= 0.1:
-        raise ValueError(f"step must lie in (0, 0.1], got {h!r}")
-    rho0 = np.diag(fam.populations)
-    rp = rho_prime(fam)
-
-    cache: dict[float, np.ndarray] = {}
-
-    def rho_at(step: float) -> np.ndarray:
-        if step not in cache:
-            cache[step] = perturbed_density(fam, step)
-        return cache[step]
-
-    tr1 = abs(complex(np.trace(rho_at(h) - rho_at(-h)))) / (2.0 * h)
-    second = (rho_at(h) - 2.0 * rho0 + rho_at(-h)) / (h * h)
-    tr2 = abs(complex(np.trace(second)))
-
-    href = h / 8.0
-    second_ref = (rho_at(href) - 2.0 * rho0 + rho_at(-href)) / (href * href)
-
-    def ratio(step: float) -> float:
-        rem = rho_at(step) - rho0 - step * rp - 0.5 * step * step * second_ref
-        return float(np.linalg.norm(rem)) / step**3
-
-    return TaylorRemainder(
-        trace_rho_prime=tr1,
-        trace_rho_second=tr2,
-        r3_over_h3=ratio(h),
-        r3_over_h3_half=ratio(0.5 * h),
-    )

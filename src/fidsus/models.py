@@ -128,17 +128,18 @@ def _boson_annihilator(n_max: int) -> np.ndarray:
     return a
 
 
-def _collective_spin(j2: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(J_x, J_z) on spin j = j2/2, m descending from +j."""
-    j = 0.5 * j2
-    m = j - np.arange(j2 + 1)
-    jz = np.diag(m)
-    lower = np.zeros((j2 + 1, j2 + 1))
-    for i in range(j2):
-        # J- |j, m> = sqrt(j(j+1) - m(m-1)) |j, m-1>
-        lower[i + 1, i] = math.sqrt(j * (j + 1.0) - m[i] * (m[i] - 1.0))
-    jx = 0.5 * (lower + lower.T)
-    return jx, jz
+def _spin_matrices(s2: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S1, S2, S3) for spin s = s2/2, m descending from +s."""
+    s = 0.5 * s2
+    m = s - np.arange(s2 + 1)
+    s3 = np.diag(m).astype(complex)
+    lower = np.zeros((s2 + 1, s2 + 1), dtype=complex)
+    for i in range(s2):
+        # S- |s, m> = sqrt(s(s+1) - m(m-1)) |s, m-1>
+        lower[i + 1, i] = math.sqrt(s * (s + 1.0) - m[i] * (m[i] - 1.0))
+    s1 = 0.5 * (lower + lower.conj().T)
+    s2m = 0.5j * (lower - lower.conj().T)
+    return s1, s2m, s3
 
 
 def _spin_multiplicity(n_atoms: int, j2: int) -> int:
@@ -168,7 +169,7 @@ def _dicke_matrices(
     spins = [n_atoms] if symmetric_sector else range(n_atoms, -1, -2)
     t_blocks, s_blocks = [], []
     for j2 in spins:
-        jx, jz = _collective_spin(j2)
+        jx, _, jz = (m.real for m in _spin_matrices(j2))
         eye_a = np.eye(j2 + 1)
         t = (
             omega * np.kron(number, eye_a)
@@ -345,19 +346,6 @@ def dicke_tc(omega: float, eps: float, lam: float) -> DickeTc:
 
 # ---------------------------------------------------------------------------
 # Kondo
-
-
-def _spin_matrices(s2: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S1, S2, S3) for spin s = s2/2, m descending from +s."""
-    s = 0.5 * s2
-    m = s - np.arange(s2 + 1)
-    s3 = np.diag(m).astype(complex)
-    lower = np.zeros((s2 + 1, s2 + 1), dtype=complex)
-    for i in range(s2):
-        lower[i + 1, i] = math.sqrt(s * (s + 1.0) - m[i] * (m[i] - 1.0))
-    s1 = 0.5 * (lower + lower.conj().T)
-    s2m = 0.5j * (lower - lower.conj().T)
-    return s1, s2m, s3
 
 
 def _jw_annihilators(n_modes: int) -> List[np.ndarray]:

@@ -3,9 +3,9 @@
 Every published invariant and its contract threshold lives in
 ``fidsus.verify``.  One seed-42 verify run serves the module; each test
 asserts that verify's checks behind one guarantee passed and prints
-their lines.  The small-field expansion and the atom-field cutoff have
-no verify equivalent and measure their own margins.  Loosening a
-threshold is a behavior change, not a test fix.
+their lines.  Only the atom-field cutoff has no verify equivalent and
+measures its own margins.  Loosening a threshold is a behavior change,
+not a test fix.
 """
 
 import time
@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from fidsus.bounds import bound_report, double_commutator
-from fidsus.fidelity import chi_f_spectral, perturbed_density, uhlmann_fidelity
 from fidsus.gibbs import family_at_beta
-from fidsus.models import ModelSpec, dicke, dicke_tc, random_pair
+from fidsus.models import ModelSpec, dicke, dicke_tc
 from fidsus.sweep import SweepSpec, run_sweep
 from fidsus.verify import run_verify
 
@@ -27,6 +26,7 @@ HARD_CHECKS = (
     "chi_fg_quadrature", "bd_quadrature", "dcomm_two_forms", "nonnegativity",
     "chi_f_vs_fd", "chi_n_vs_curvature", "rho_prime_traceless",
     "rho_taylor_quadratic",
+    "small_field_expansion", "ds2_vs_bures", "ground_state_limit",
     "commuting_saturation",
     "single_spin_closed_forms",
     "kondo_rotation_invariance", "kondo_sandwich", "kondo_weak_coupling_pinch",
@@ -78,7 +78,13 @@ def test_sandwich_on_thousand_random_families(verified):
 
 
 def test_independent_oracles_agree(verified):
-    _checks_passed(verified, "chi_f_vs_fd", "chi_n_vs_curvature", "bd_quadrature")
+    _checks_passed(
+        verified,
+        "chi_f_vs_fd",
+        "chi_n_vs_curvature",
+        "bd_quadrature",
+        "ground_state_limit",
+    )
 
 
 def test_cross_formula_identities_on_suite(verified):
@@ -97,21 +103,13 @@ def test_commuting_families_saturate_bounds(verified):
 
 
 def test_small_field_fidelity_expansion(verified):
-    fam = random_pair(4, 7, 1.0, 1.0, 1.0)
-    chi = chi_f_spectral(fam).total
-    rho0 = np.diag(fam.populations).astype(complex)
-
-    def err(h):
-        f = uhlmann_fidelity(rho0, perturbed_density(fam, h))
-        return abs((1.0 - f) - 0.5 * chi * h * h)
-
-    ratios = [err(h) / err(0.5 * h) for h in (1e-2, 5e-3)]
-    _criterion(
+    _checks_passed(
+        verified,
         "small_field_expansion",
-        min(ratios) >= 4.0,
-        f"remainder_ratios={ratios[0]:.3f},{ratios[1]:.3f} (>=4)",
+        "ds2_vs_bures",
+        "rho_prime_traceless",
+        "rho_taylor_quadratic",
     )
-    _checks_passed(verified, "rho_prime_traceless", "rho_taylor_quadratic")
 
 
 def test_impurity_grid_invariants_and_pinch(verified):

@@ -307,6 +307,24 @@ def test_chi_n_oracle_where_populations_underflow():
     assert (True, "agreed") in outcomes and (True, "raised") in outcomes
 
 
+def test_overflowing_beta_raises_instead_of_returning_nan():
+    """beta^2 overflows at beta = 1e200, and the report returned NaN for
+    chi_f, ds2 and both lower bounds because NaN > tol is false."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam = random_pair(12, 5, 1.0, 1.0, 1e200)
+        with pytest.raises(CrossCheckError) as err:
+            bound_report(fam, check_chi_n=False)
+    assert err.value.check == "chi_f_forms"
+
+
+def test_chi_n_oracle_step_underflow_is_typed():
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam = random_pair(4, 0, 1.0, 1e15, 1e308)
+    with pytest.raises(CrossCheckError) as err:
+        free_energy_curvature(fam)
+    assert err.value.check == "chi_n_oracle"
+
+
 def test_beta_sweep_solves_each_oracle_field_once(eig_calls):
     """The displaced levels and diagonals do not depend on beta, so a chain
     of family_at_beta families shares them: its oracle values are bit for

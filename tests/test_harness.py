@@ -1,7 +1,9 @@
 """Sweeps, CSV/SVG emission, the verify runner, and the CLI entry point."""
 
 import importlib
+import itertools
 import json
+import math
 import os
 import pkgutil
 from dataclasses import replace
@@ -13,6 +15,7 @@ import fidsus
 import fidsus.cli
 import fidsus.plotting
 import fidsus.sweep
+import fidsus.verify
 from fidsus.cli import main
 from fidsus.errors import (
     CrossCheckError,
@@ -282,6 +285,26 @@ def test_verify_deterministic_and_green():
         assert line.split(" ", 1)[0] in ("PASS", "FAIL", "REPORT")
 
 
+def _nan_on_fifth_call(real):
+    calls = itertools.count(1)
+    return lambda fam: math.nan if next(calls) == 5 else real(fam)
+
+
+def test_a_nan_in_a_later_instance_fails_its_check(monkeypatch):
+    """Python's max() drops a NaN unless it comes first, so a NaN past the
+    first instance used to leave a check passing on the other values."""
+    for name in ("bd_integral_oracle", "free_energy_curvature"):
+        monkeypatch.setattr(
+            fidsus.verify, name, _nan_on_fifth_call(getattr(fidsus.verify, name))
+        )
+    summary = run_verify(seed=0, instances=20)
+    results = {r.name: r for r in summary.results}
+    for name in ("bd_quadrature", "chi_n_vs_curvature"):
+        assert not results[name].passed
+        assert results[name].detail.startswith("worst=nan ")
+    assert not summary.passed
+
+
 def test_verify_argument_validation():
     with pytest.raises(ValueError):
         run_verify(instances=0)
@@ -477,6 +500,15 @@ def test_chi_n_oracle_passes_at_small_beta(seed):
     ln Z at a step that did not scale with S."""
     argv = ["report", "--model", "random", "--dim", "5", "--beta", "0.001", "--seed", str(seed)]
     assert main(argv) == 0
+
+
+def test_cli_report_past_the_oracle_step_exits_two(capsys):
+    """Here the chi_N oracle's step underflowed to 0 and the report exited
+    1 on a float division by zero."""
+    argv = ["report", "--model", "random", "--dim", "4", "--beta", "1e308", "--s-scale", "1e15"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 2
+    assert "internal consistency check failed" in capsys.readouterr().err
 
 
 def test_cross_check_messages_print_plain_floats(monkeypatch, capsys):
