@@ -21,7 +21,6 @@ command line wraps reports, sweeps, and the verification suite.
 
 from .bounds import (
     BoundReport,
-    PerParticleBounds,
     bd_inner_product,
     bd_integral_oracle,
     bound_report,
@@ -85,7 +84,6 @@ __all__ = [
     "KondoBoundRecord",
     "MODEL_KINDS",
     "ModelSpec",
-    "PerParticleBounds",
     "PerturbedFamily",
     "SingleSpinClosedForms",
     "SweepRow",

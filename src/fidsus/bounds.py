@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .linalg import eig_hermitian, validate_hermitian
 
 __all__ = [
     "BoundReport",
-    "PerParticleBounds",
     "bd_inner_product",
     "bd_integral_oracle",
     "bound_report",
@@ -319,19 +317,6 @@ def thermo_susceptibility(fam: PerturbedFamily, *, check: bool = True) -> float:
 
 
 @dataclass(frozen=True)
-class PerParticleBounds:
-    """Extensive report entries divided by the particle count."""
-
-    chi_f: float
-    upper: float
-    lower_paper: float
-    lower_aasc: float
-    ds2: float
-    bd_product: float
-    dcomm: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Everything the sandwich says about one family at one beta.
 
@@ -340,8 +325,9 @@ class BoundReport:
     ``lower_aasc`` is chi_F^G, which lower-bounds chi_F for free because
     the integrated kernel is pointwise smaller.  ``sandwich_ok`` records
     whether max(lower_paper, lower_aasc, 0) <= chi_f <= upper held to
-    within ``SANDWICH_SLACK`` (relative).  ``per_particle`` is populated when the
-    family declares more than one particle.
+    within ``SANDWICH_SLACK`` (relative).  ``chi_n`` is per particle; the
+    other susceptibilities and bounds are for the whole system, so divide
+    them by ``particle_count`` for their values per particle.
     """
 
     beta: float
@@ -358,7 +344,6 @@ class BoundReport:
     ds2: float
     degenerate_pair_count: int
     sandwich_ok: bool
-    per_particle: Optional[PerParticleBounds] = None
 
 
 def bound_report(fam: PerturbedFamily, *, check_chi_n: bool = True) -> BoundReport:
@@ -383,21 +368,9 @@ def bound_report(fam: PerturbedFamily, *, check_chi_n: bool = True) -> BoundRepo
         max(lower, aasc, 0.0) - slack <= chi.total <= upper + slack
     )
 
-    n = fam.particle_count
-    per = None
-    if n > 1:
-        per = PerParticleBounds(
-            chi_f=chi.total / n,
-            upper=upper / n,
-            lower_paper=lower / n,
-            lower_aasc=aasc / n,
-            ds2=ds2 / n,
-            bd_product=bd / n,
-            dcomm=dcomm / n,
-        )
     return BoundReport(
         beta=beta,
-        particle_count=n,
+        particle_count=fam.particle_count,
         bd_product=bd,
         dcomm=dcomm,
         upper=upper,
@@ -410,5 +383,4 @@ def bound_report(fam: PerturbedFamily, *, check_chi_n: bool = True) -> BoundRepo
         ds2=ds2,
         degenerate_pair_count=chi.degenerate_pair_count,
         sandwich_ok=ok,
-        per_particle=per,
     )

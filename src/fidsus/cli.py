@@ -34,9 +34,9 @@ from typing import Dict, List, Optional
 
 from .bounds import BoundReport, bound_report
 from .errors import CrossCheckError, ModelParseError
-from .models import MODEL_KINDS, ModelSpec, _strict_json, build_model
+from .models import MODEL_KINDS, ModelSpec, _kind_entry, _strict_json, build_model
 from .plotting import emit_plot, write_text_atomic
-from .sweep import SweepSpec, _fmt, run_sweep
+from .sweep import SweepSpec, format_cell, report_columns, run_sweep
 from .verify import run_verify
 
 __all__ = ["main"]
@@ -87,11 +87,7 @@ def _model_spec(args: argparse.Namespace) -> ModelSpec:
     if args.model is None:
         raise ModelParseError("no model kind given (use --model)")
     kind = args.model
-    if kind not in MODEL_KINDS:
-        raise ModelParseError(
-            f"unknown model kind {kind!r}; known: {sorted(MODEL_KINDS)}"
-        )
-    entry = MODEL_KINDS[kind]
+    entry = _kind_entry(kind)
     params: Dict[str, float] = {
         name: float(getattr(args, name))
         for name in entry["parameters"]
@@ -113,51 +109,27 @@ def _model_spec(args: argparse.Namespace) -> ModelSpec:
     )
 
 
+# the columns that scale with the system, printed per particle when N > 1
+_EXTENSIVE = ("chi_f", "ub", "lb_paper", "lb_aasc", "ds2", "bd", "dcomm")
+
+
 def _report_fields(spec: ModelSpec, dim: int, rep: BoundReport) -> List[tuple]:
+    columns = dict(report_columns(rep))
+    n = rep.particle_count
     fields = [
         ("model", spec.kind),
         ("dim", dim),
-        ("beta", rep.beta),
-        ("particle_count", rep.particle_count),
-        ("chi_f", rep.chi_f),
-        ("chi_f_classical", rep.chi_f_classical),
-        ("chi_f_quantum", rep.chi_f_quantum),
-        ("ub", rep.upper),
-        ("lb_paper", rep.lower_paper),
-        ("lb_aasc", rep.lower_aasc),
-        ("chi_fg", rep.lower_aasc),
-        ("ds2", rep.ds2),
-        ("bd", rep.bd_product),
-        ("dcomm", rep.dcomm),
-        ("chi_n", rep.chi_n),
-        ("sandwich_ok", rep.sandwich_ok),
-        ("degenerate_pairs", rep.degenerate_pair_count),
+        ("beta", columns.pop("beta")),
+        ("particle_count", n),
+        *columns.items(),
     ]
-    if rep.per_particle is not None:
-        pp = rep.per_particle
-        fields += [
-            ("per_particle.chi_f", pp.chi_f),
-            ("per_particle.ub", pp.upper),
-            ("per_particle.lb_paper", pp.lower_paper),
-            ("per_particle.lb_aasc", pp.lower_aasc),
-            ("per_particle.ds2", pp.ds2),
-            ("per_particle.bd", pp.bd_product),
-            ("per_particle.dcomm", pp.dcomm),
-        ]
+    if n > 1:
+        fields += [(f"per_particle.{c}", columns[c] / n) for c in _EXTENSIVE]
     return fields
 
 
 def _render_text(fields: List[tuple]) -> str:
-    lines = []
-    for key, value in fields:
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = _fmt(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {format_cell(value)}\n" for key, value in fields)
 
 
 def _render_json(fields: List[tuple]) -> str:

@@ -310,6 +310,8 @@ def dicke_tc(omega: float, eps: float, lam: float) -> DickeTc:
     NoTransitionError
         If 4 lam^2 / omega < |eps|, where no transition occurs.
     """
+    if not all(math.isfinite(x) for x in (omega, eps, lam)):
+        raise ValueError(f"omega, eps and lam must be finite, got {(omega, eps, lam)!r}")
     if not (omega > 0.0 and lam > 0.0):
         raise ValueError("omega and lam must be positive")
     ae = abs(float(eps))
@@ -485,6 +487,8 @@ def kondo_roepstorff(beta: float, j_coupling: float, s2: int) -> KondoBoundRecor
     for the model with a free conduction band, so against the few-mode
     toy builder it is evaluated and reported rather than asserted.
     """
+    if not (math.isfinite(beta) and math.isfinite(j_coupling)):
+        raise ValueError(f"beta and j must be finite, got {(beta, j_coupling)!r}")
     if not (beta > 0.0 and j_coupling > 0.0):
         raise ValueError("beta and the exchange coupling must be positive")
     s2 = int(s2)
@@ -725,6 +729,13 @@ MODEL_KINDS: Dict[str, Dict[str, object]] = {
 }
 
 
+def _kind_entry(kind: str) -> Dict[str, object]:
+    """The registry entry of a model kind, or a schema error naming the known kinds."""
+    if kind not in MODEL_KINDS:
+        raise ModelSchemaError(f"unknown model kind {kind!r}; known: {sorted(MODEL_KINDS)}")
+    return MODEL_KINDS[kind]
+
+
 def _collect(spec: ModelSpec, which: str) -> Dict[str, float]:
     """Merge declared defaults with the given values, rejecting strays."""
     declared = MODEL_KINDS[spec.kind][which]
@@ -756,10 +767,7 @@ def _switch(spec: ModelSpec, name: str) -> bool:
 
 def build_model(spec: ModelSpec) -> PerturbedFamily:
     """Validate a `ModelSpec` and dispatch to the matching builder."""
-    if spec.kind not in MODEL_KINDS:
-        raise ModelSchemaError(
-            f"unknown model kind {spec.kind!r}; known: {sorted(MODEL_KINDS)}"
-        )
+    _kind_entry(spec.kind)
     if spec.kind == "file":
         if not spec.path:
             raise ModelSchemaError('kind "file" requires a path')

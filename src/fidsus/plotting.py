@@ -68,7 +68,7 @@ def read_columns(csv_path: str, names: Sequence[str]) -> Dict[str, List[float]]:
     Raises
     ------
     MissingColumnError
-        if the file lacks a header or any requested column.
+        if the header or a data row lacks a requested column.
     EmptyDataError
         if the file has a header but no data rows.
     """
@@ -90,6 +90,10 @@ def read_columns(csv_path: str, names: Sequence[str]) -> Dict[str, List[float]]:
             if not row:
                 continue
             for n in wanted:
+                if index[n] >= len(row):
+                    raise MissingColumnError(
+                        f"{csv_path}: line {reader.line_num} has no column {n!r}"
+                    )
                 cell = row[index[n]]
                 try:
                     value = float(cell)

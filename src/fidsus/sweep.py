@@ -6,6 +6,10 @@ its decomposition, every bound, and the consistency flags.  Rows are
 computed before anything is written, so a failure at any grid point
 leaves no partial output file behind.
 
+The fields of `SweepRow` are the one list of published report values:
+the CSV header, `report_columns` and the ``fidsus report`` keys follow
+their names and order, and `format_cell` prints every value.
+
 Sweeps over ``beta`` take a fast path: the Hamiltonian and perturbation
 do not depend on beta for any registered kind, so the model is built
 (and eigendecomposed) once and only the Gibbs weights are recomputed per
@@ -15,30 +19,27 @@ the eigensolver is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import astuple, dataclass, fields, replace
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import BoundReport, bound_report
 from .errors import ModelSchemaError
 from .gibbs import PerturbedFamily, family_at_beta
-from .models import MODEL_KINDS, ModelSpec, build_model
+from .models import ModelSpec, _kind_entry, build_model
 from .plotting import emit_plot, write_text_atomic
 
 __all__ = [
     "CSV_HEADER",
     "SweepRow",
     "SweepSpec",
+    "format_cell",
     "format_csv",
+    "report_columns",
     "run_sweep",
     "sweep_grid",
 ]
-
-CSV_HEADER = (
-    "param,beta,chi_f,chi_f_classical,chi_f_quantum,ub,lb_paper,lb_aasc,"
-    "chi_fg,ds2,bd,dcomm,chi_n,sandwich_ok,degenerate_pairs"
-)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class SweepSpec:
     svg_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.sweep_param not in MODEL_KINDS[self.model.kind]["parameters"]:
+        if self.sweep_param not in _kind_entry(self.model.kind)["parameters"]:
             raise ModelSchemaError(
                 f"model kind {self.model.kind!r} has no sweepable parameter "
                 f"{self.sweep_param!r}"
@@ -84,7 +85,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One CSV row: the swept value plus the flattened bound report."""
+    """One CSV row: the swept value plus the flattened bound report.
+
+    The fields, in order, are the published report values: they name the
+    CSV columns, and every one after ``param`` is a key of ``fidsus report``.
+    """
 
     param: float
     beta: float
@@ -103,31 +108,39 @@ class SweepRow:
     degenerate_pairs: int
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+# the columns whose BoundReport attribute has another name
+_REPORT_ATTR = {
+    "ub": "upper",
+    "lb_paper": "lower_paper",
+    "lb_aasc": "lower_aasc",
+    "chi_fg": "lower_aasc",
+    "bd": "bd_product",
+    "degenerate_pairs": "degenerate_pair_count",
+}
+
+
+def report_columns(rep: BoundReport) -> Iterator[Tuple[str, object]]:
+    """The ``(column, value)`` pairs of a report: every column after ``param``."""
+    for f in fields(SweepRow)[1:]:
+        yield f.name, getattr(rep, _REPORT_ATTR.get(f.name, f.name))
+
+
+def format_cell(value: object) -> str:
+    """One CSV cell or report value: bools as true/false, floats at 17 digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
 def sweep_grid(spec: SweepSpec) -> np.ndarray:
     """The grid of swept values, ascending, endpoints included."""
     if spec.scale == "log":
         return np.geomspace(spec.start, spec.stop, spec.steps)
     return np.linspace(spec.start, spec.stop, spec.steps)
-
-
-def _row_from_report(value: float, rep: BoundReport) -> SweepRow:
-    return SweepRow(
-        param=float(value),
-        beta=rep.beta,
-        chi_f=rep.chi_f,
-        chi_f_classical=rep.chi_f_classical,
-        chi_f_quantum=rep.chi_f_quantum,
-        ub=rep.upper,
-        lb_paper=rep.lower_paper,
-        lb_aasc=rep.lower_aasc,
-        chi_fg=rep.lower_aasc,
-        ds2=rep.ds2,
-        bd=rep.bd_product,
-        dcomm=rep.dcomm,
-        chi_n=rep.chi_n,
-        sandwich_ok=rep.sandwich_ok,
-        degenerate_pairs=rep.degenerate_pair_count,
-    )
 
 
 def _model_at(spec: SweepSpec, value: float) -> ModelSpec:
@@ -154,40 +167,15 @@ def compute_rows(spec: SweepSpec) -> List[SweepRow]:
     else:
         fams = (_with_grid(build_model(_model_at(spec, value))) for value in grid)
     return [
-        _row_from_report(value, bound_report(fam))
+        SweepRow(float(value), **dict(report_columns(bound_report(fam))))
         for value, fam in zip(grid, fams)
     ]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def format_csv(rows: Sequence[SweepRow]) -> str:
     """Render rows as the fixed-schema CSV text, 17 significant digits."""
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.param),
-                    _fmt(r.beta),
-                    _fmt(r.chi_f),
-                    _fmt(r.chi_f_classical),
-                    _fmt(r.chi_f_quantum),
-                    _fmt(r.ub),
-                    _fmt(r.lb_paper),
-                    _fmt(r.lb_aasc),
-                    _fmt(r.chi_fg),
-                    _fmt(r.ds2),
-                    _fmt(r.bd),
-                    _fmt(r.dcomm),
-                    _fmt(r.chi_n),
-                    "true" if r.sandwich_ok else "false",
-                    str(int(r.degenerate_pairs)),
-                ]
-            )
-        )
+    lines += [",".join(map(format_cell, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -301,7 +301,6 @@ def test_chi_n_oracle_where_populations_underflow():
             outcomes.add((fam.underflow_count > 0, "raised"))
         else:
             fields = dataclasses.asdict(rep)
-            fields.pop("per_particle")
             assert all(math.isfinite(v) for v in fields.values())
             outcomes.add((fam.underflow_count > 0, "agreed"))
     assert (True, "agreed") in outcomes and (True, "raised") in outcomes
@@ -389,22 +388,6 @@ def test_bound_report_mirrors_standalone_calls():
     assert rep.beta == 2.2
     assert rep.degenerate_pair_count == parts.degenerate_pair_count
     assert rep.sandwich_ok
-    assert rep.per_particle is None
-
-
-def test_bound_report_per_particle_division():
-    fam = random_pair(6, 16, 1.0, 1.0, 1.1)
-    fam4 = make_family(
-        np.diag(fam.eigenvalues).astype(complex),
-        fam.s_eig,
-        1.1,
-        particle_count=4,
-    )
-    rep = bound_report(fam4)
-    assert rep.per_particle is not None
-    assert rep.per_particle.chi_f == pytest.approx(rep.chi_f / 4.0, rel=1e-15)
-    assert rep.per_particle.upper == pytest.approx(rep.upper / 4.0, rel=1e-15)
-    assert rep.per_particle.dcomm == pytest.approx(rep.dcomm / 4.0, rel=1e-15)
 
 
 def test_upper_gap_shrinks_at_least_linearly_in_beta():
@@ -481,10 +464,7 @@ def test_report_is_invariant_under_a_change_of_basis():
     s = 0.5 * (g + g.conj().T)
 
     def fields(t, s):
-        rep = bound_report(make_family(t, s, 1.7, particle_count=2))
-        flat = dataclasses.asdict(rep)
-        flat.update({f"per_particle.{k}": v for k, v in flat.pop("per_particle").items()})
-        return flat
+        return dataclasses.asdict(bound_report(make_family(t, s, 1.7, particle_count=2)))
 
     base = fields(t, s)
     assert base["degenerate_pair_count"] == 3 + 1 + 3
@@ -524,8 +504,6 @@ def test_real_family_matches_its_complex_phase_conjugate(build):
     assert real.s_eig.dtype == np.float64 and cplx.s_eig.dtype == np.complex128
     want = dataclasses.asdict(bound_report(cplx))
     got = dataclasses.asdict(bound_report(real))
-    for part in (want, got):
-        part.update({f"per_particle.{k}": v for k, v in (part.pop("per_particle") or {}).items()})
     assert got.keys() == want.keys()
     for key, value in want.items():
         # a part of chi_f that vanishes by symmetry (the classical part
@@ -546,7 +524,6 @@ def test_report_on_clustered_spectra_at_any_norm(fam):
         warnings.simplefilter("error")
         rep = bound_report(fam, check_chi_n=False)
     fields = dataclasses.asdict(rep)
-    assert fields.pop("per_particle") is None
     assert all(math.isfinite(v) for v in fields.values())
     assert rep.sandwich_ok
     assert abs(rep.ds2 - rep.chi_f) <= 1e-10 * max(1.0, abs(rep.chi_f))
@@ -563,7 +540,6 @@ def test_chi_n_oracle_on_clustered_spectra_at_any_norm(fam):
         warnings.simplefilter("error")
         rep = bound_report(fam)
     fields = dataclasses.asdict(rep)
-    assert fields.pop("per_particle") is None
     assert all(math.isfinite(v) for v in fields.values())
     assert rep.sandwich_ok
 

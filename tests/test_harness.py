@@ -78,6 +78,8 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError):
         spin_spec(svg_path="plot.svg")  # svg without csv
+    with pytest.raises(ModelSchemaError, match="known: .*'single_spin'"):
+        SweepSpec(ModelSpec("nope"), "beta", 0.1, 1.0, 3)  # was a bare KeyError
 
 
 def test_csv_header_schema():
@@ -245,6 +247,19 @@ def test_read_columns_selects_and_validates(tmp_path):
         read_columns(write_csv(tmp_path, "param,a\n1,x\n", "bad.csv"), ["a"])
 
 
+def test_short_row_names_the_file_line_and_column(tmp_path, capsys):
+    """A row shorter than the header raised IndexError."""
+    path = write_csv(tmp_path, "param,chi_f,ub\n0.1,0.5,0.75\n0.2,0.25\n")
+    message = f"{path}: line 3 has no column 'ub'"
+    with pytest.raises(MissingColumnError) as info:
+        read_columns(path, ["chi_f", "ub"])
+    assert str(info.value) == message
+    svg = tmp_path / "p.svg"
+    assert main(["plot", "--csv", path, "--columns", "chi_f,ub", "--svg", str(svg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not svg.exists()
+
+
 def test_read_columns_empty_inputs(tmp_path):
     with pytest.raises(EmptyDataError):
         read_columns(write_csv(tmp_path, "param,a\n", "h.csv"), ["a"])
@@ -340,6 +355,28 @@ def test_cli_report_out_file(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert "chi_f = " in out.read_text(encoding="utf-8")
+
+
+def test_cli_report_keys_and_per_particle_values(capsys):
+    """The report keys follow the CSV columns; with N > 1 the extensive
+    columns are repeated per particle, each divided by N exactly."""
+    argv = ["report", "--model", "dicke", "--n-atoms", "3", "--n-max", "8", "--omega", "2",
+            "--eps", "1", "--lambda", "0.5", "--beta", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    extensive = ["chi_f", "ub", "lb_paper", "lb_aasc", "ds2", "bd", "dcomm"]
+    columns = CSV_HEADER.split(",")
+    assert columns[:2] == ["param", "beta"]
+    assert [line.split(" = ")[0] for line in lines] == [
+        "model", "dim", "beta", "particle_count", *columns[2:],
+        *[f"per_particle.{c}" for c in extensive],
+    ]
+    assert main([*argv, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["particle_count"] == 3
+    assert obj["per_particle"] == {c: obj[c] / 3 for c in extensive}
+    assert main(["report", "--model", "single_spin", "--h3", "1.0", "--json"]) == 0
+    assert "per_particle" not in json.loads(capsys.readouterr().out)
 
 
 def test_cli_usage_errors_exit_one(capsys):

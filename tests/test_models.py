@@ -68,6 +68,23 @@ def test_single_spin_rejects_non_finite():
         single_spin(float("nan"))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dicke_tc(1.0, math.nan, 1.0),
+        lambda: dicke_tc(math.inf, 1.0, 1.0),
+        lambda: dicke_tc(1.0, 1.0, math.inf),
+        lambda: kondo_roepstorff(math.inf, 0.5, 1),
+        lambda: kondo_roepstorff(1.0, math.nan, 1),
+    ],
+    ids=["tc_eps_nan", "tc_omega_inf", "tc_lam_inf", "kondo_beta_inf", "kondo_j_nan"],
+)
+def test_closed_forms_reject_non_finite(call):
+    """These returned NaN fields instead of raising."""
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # atom-field model
 
@@ -476,23 +493,13 @@ def _kron_tfim(n_sites, j_coupling, g_field):
     return T - g_field * S, S
 
 
-def _report_fields(rep, prefix=""):
-    out = {}
-    for name, value in vars(rep).items():
-        if hasattr(value, "__dict__"):
-            out.update(_report_fields(value, f"{prefix}{name}."))
-        else:
-            out[prefix + name] = value
-    return out
-
-
 def _assert_same_physics(ref, fam):
     np.testing.assert_allclose(
         fam.eigenvalues, ref.eigenvalues, rtol=0,
         atol=1e-12 * max(1.0, float(np.abs(ref.eigenvalues).max())),
     )
-    want = _report_fields(bound_report(ref))
-    got = _report_fields(bound_report(fam))
+    want = vars(bound_report(ref))
+    got = vars(bound_report(fam))
     assert got.keys() == want.keys()
     for name, value in want.items():
         if isinstance(value, float):
