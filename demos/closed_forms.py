@@ -11,11 +11,10 @@ import math
 
 from fidsus import (
     bd_inner_product,
+    bound_report,
     chi_f_spectral,
     double_commutator,
-    lower_bound,
     single_spin,
-    upper_bound,
 )
 
 print(f"{'h3':>5} {'chi_f':>22} {'closed form':>22} {'abs err':>10}")
@@ -29,12 +28,13 @@ for k in range(1, 11):
 # the same story for the other three quantities, shown at one field value
 h3 = 1.25
 fam = single_spin(h3)
+rep = bound_report(fam)
 th = math.tanh(h3)
 rows = [
     ("bd product", bd_inner_product(fam), th / h3),
     ("double commutator", double_commutator(fam), 4.0 * h3 * th),
-    ("upper bound", upper_bound(fam), th / (4.0 * h3)),
-    ("lower bound", lower_bound(fam), (th / (4.0 * h3)) * (1.0 - h3 * h3 / 3.0)),
+    ("upper bound", rep.upper, th / (4.0 * h3)),
+    ("lower bound", rep.lower_paper, (th / (4.0 * h3)) * (1.0 - h3 * h3 / 3.0)),
 ]
 print(f"\nat h3 = {h3}:")
 for name, got, want in rows:
@@ -42,4 +42,4 @@ for name, got, want in rows:
 
 # note the lower bound crosses zero at h3 = sqrt(3); beyond that the
 # binding constraint in the sandwich is simply chi_F >= 0
-print(f"\nlower bound at h3 = 2.0: {lower_bound(single_spin(2.0)):+.6f} (negative, clipped in reports)")
+print(f"\nlower bound at h3 = 2.0: {bound_report(single_spin(2.0)).lower_paper:+.6f} (negative, clipped in reports)")

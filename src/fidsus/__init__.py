@@ -27,9 +27,7 @@ from .bounds import (
     double_commutator,
     double_commutator_direct,
     free_energy_curvature,
-    lower_bound,
     thermo_susceptibility,
-    upper_bound,
 )
 from .fidelity import (
     ChiFGIntegral,
@@ -111,7 +109,6 @@ __all__ = [
     "free_energy_curvature",
     "kondo_roepstorff",
     "kondo_toy",
-    "lower_bound",
     "make_family",
     "model_from_file",
     "perturbed_density",
@@ -126,6 +123,5 @@ __all__ = [
     "thermal_average",
     "thermo_susceptibility",
     "uhlmann_fidelity",
-    "upper_bound",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DCOMM_AGREEMENT_REL, DCOMM_NEGATIVE, FD_ORACLE_REL, SANDWICH_SLACK
-from .errors import CrossCheckError
+from .errors import CrossCheckError, check_agreement
 from .fidelity import (
     _gauss_legendre_64,
     chi_f_spectral,
@@ -43,9 +43,7 @@ __all__ = [
     "double_commutator",
     "double_commutator_direct",
     "free_energy_curvature",
-    "lower_bound",
     "thermo_susceptibility",
-    "upper_bound",
 ]
 
 
@@ -111,12 +109,10 @@ def double_commutator(fam: PerturbedFamily) -> float:
             f"double commutator negative: spectral {float(spectral)!r}, "
             f"direct {float(direct)!r}",
         )
-    if not (abs(spectral - direct) <= DCOMM_AGREEMENT_REL * max(1.0, abs(spectral))):
-        raise CrossCheckError(
-            "dcomm_forms",
-            f"spectral form {float(spectral)!r} and commutator form {float(direct)!r} disagree "
-            f"beyond {DCOMM_AGREEMENT_REL:g} relative",
-        )
+    check_agreement(
+        "dcomm_forms", spectral, direct, DCOMM_AGREEMENT_REL,
+        ("spectral form", "commutator form"),
+    )
     return spectral
 
 
@@ -144,23 +140,6 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
             kb = sb * (e[None, :] - e[:, None])
             a[idx[:, None], idx] = kb @ sb - sb @ kb
     return thermal_average(fam, a)
-
-
-def upper_bound(fam: PerturbedFamily) -> float:
-    """Upper bound (beta^2/4)(dS; dS) on the fidelity susceptibility."""
-    beta = fam.beta
-    return 0.25 * beta * beta * bd_inner_product(fam)
-
-
-def lower_bound(fam: PerturbedFamily) -> float:
-    """Lower bound: the upper bound minus (beta^3/48) <[[S, T], S]>.
-
-    Returned as computed, without clipping at zero: a negative value is
-    still a valid (vacuous) lower bound, and callers comparing against
-    chi_F apply max(lower, 0) themselves.
-    """
-    beta = fam.beta
-    return upper_bound(fam) - beta * beta * beta * double_commutator(fam) / 48.0
 
 
 # h_0 sigma(S) of the chi_N oracle's step ladder: rung k differences at
@@ -226,8 +205,8 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
 
     f(h) = -ln Z(h)/(beta N) is the free energy density of the shifted
     Hamiltonian T - h S, and by Hellmann-Feynman -df/dh = <S>_h/N.  The
-    value returned is an independent oracle for ``thermo_susceptibility``:
-    it never touches the spectral pair sums, only
+    value returned is the chi_N oracle of `bound_report`, independent of
+    ``thermo_susceptibility``: it never touches the spectral pair sums, only
     <S>_h = sum_n p_n(h) (U_h^H S U_h)_nn at the displaced fields +-h_k/2
     and +-h_k, combined as the Richardson-extrapolated first central
     difference (4 D(h_k/2) - D(h_k))/3 with
@@ -246,7 +225,16 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     a sweep over beta solves each field once.  When the family is
     ``sign_odd``, a diagonal sign flip D maps diag(T) - h S to
     diag(T) + h S entry for entry, so <S>_{-h} = -<S>_h and only +h_k/2
-    and +h_k are solved.
+    and +h_k are solved: two displaced solves instead of four, each one
+    block by block.
+
+    The Richardson truncation term goes as (beta sigma h)^4 and the
+    rounding floor as eps ||S|| / h, so on random complex families of
+    dimension 4 to 40, beta from 1e-3 to 1e2, ||S|| from 1e-3 to 1e3 and
+    T shifted by 0 or 100 I, the slope stays within 5e-10 of
+    max(1, |chi_N|).  The floor grows with beta: once the step no longer
+    resolves <S>_h (near beta = 1e8 for O(1) spectra) the slope misses
+    chi_N beyond ``FD_ORACLE_REL`` and the report's check fails.
 
     Raises
     ------
@@ -274,46 +262,14 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     return (4.0 * slope(k + 1) - slope(k)) / (3.0 * fam.particle_count)
 
 
-def thermo_susceptibility(fam: PerturbedFamily, *, check: bool = True) -> float:
+def thermo_susceptibility(fam: PerturbedFamily) -> float:
     """Thermodynamic susceptibility chi_N = (beta/N) (dS; dS).
 
     The static response of <S>/N to the field h, i.e. the second
-    h-derivative of the free energy density with the sign flipped.  With
-    ``check`` enabled (the default) that response is also measured
-    directly, as the Richardson-extrapolated slope of <S>_h/N (see
-    `free_energy_curvature`), and the two must agree.  The slope costs
-    four displaced solves, or two when the family is ``sign_odd``, each
-    one block by block; a field already solved for the family at another
-    beta is not solved again.
-
-    The step h_k = 3e-2 2^-k / sigma(S) scales with the spread of S and
-    halves each time beta doubles past 1.  The Richardson truncation term
-    goes as (beta sigma h)^4 and the rounding floor as eps ||S|| / h, so
-    on random complex families of dimension 4 to 40, beta from 1e-3 to
-    1e2, ||S|| from 1e-3 to 1e3 and T shifted by 0 or 100 I, the slope
-    stays within 5e-10 of max(1, |chi_N|).  The floor grows with beta:
-    once the step no longer resolves <S>_h (near beta = 1e8 for O(1)
-    spectra) the check fails with the typed error below.
-
-    Raises
-    ------
-    CrossCheckError
-        check "chi_n_oracle" if the finite difference disagrees beyond
-        ``FD_ORACLE_REL``, either value is not finite, or the step of the
-        finite difference underflows.
+    h-derivative of the free energy density with the sign flipped.
+    `bound_report` checks it against `free_energy_curvature`.
     """
-    beta = fam.beta
-    n = fam.particle_count
-    chi = beta * bd_inner_product(fam) / n
-    if check:
-        fd = free_energy_curvature(fam)
-        if not (math.isfinite(chi) and abs(chi - fd) <= FD_ORACLE_REL * max(1.0, abs(chi))):
-            raise CrossCheckError(
-                "chi_n_oracle",
-                f"spectral chi_N {float(chi)!r} and the finite difference {float(fd)!r} "
-                f"of <S>_h/N disagree beyond {FD_ORACLE_REL:g} relative",
-            )
-    return chi
+    return fam.beta * bd_inner_product(fam) / fam.particle_count
 
 
 @dataclass(frozen=True)
@@ -350,8 +306,9 @@ def bound_report(fam: PerturbedFamily, *, check_chi_n: bool = True) -> BoundRepo
     """Evaluate chi_F together with every bound and cross-check at once.
 
     One eigendecomposition (already inside ``fam``) serves all entries;
-    the only optional extra cost is the chi_N finite-difference oracle,
-    forwarded through ``check_chi_n``.
+    the only optional extra cost is the chi_N oracle: with ``check_chi_n``
+    (the default) chi_N must agree with `free_energy_curvature` within
+    ``FD_ORACLE_REL``, or check "chi_n_oracle" raises `CrossCheckError`.
     """
     beta = fam.beta
     chi = chi_f_spectral(fam)
@@ -361,7 +318,12 @@ def bound_report(fam: PerturbedFamily, *, check_chi_n: bool = True) -> BoundRepo
     lower = upper - beta * beta * beta * dcomm / 48.0
     aasc = chi_fg_spectral(fam)
     ds2 = ds2_spectral(fam)
-    chi_n = thermo_susceptibility(fam, check=check_chi_n)
+    chi_n = thermo_susceptibility(fam)
+    if check_chi_n:
+        check_agreement(
+            "chi_n_oracle", chi_n, free_energy_curvature(fam), FD_ORACLE_REL,
+            ("spectral chi_N", "the <S>_h/N finite difference"),
+        )
 
     slack = SANDWICH_SLACK * max(1.0, abs(chi.total))
     ok = bool(

@@ -96,7 +96,7 @@ def _model_spec(args: argparse.Namespace) -> ModelSpec:
     if args.symmetric_sector and "symmetric_sector" in entry.get("switches", ()):
         params["symmetric_sector"] = 1.0
     cutoffs: Dict[str, int] = {
-        name: int(getattr(args, name))
+        name: getattr(args, name)
         for name in entry["cutoffs"]
         if getattr(args, name) is not None
     }

@@ -1,4 +1,7 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the agreement rule of its
+two-route cross-checks."""
+
+import math
 
 
 class NotSquareError(ValueError):
@@ -52,18 +55,21 @@ class CrossCheckError(RuntimeError):
         self.check = check
 
 
-class InternalFormMismatchError(CrossCheckError):
-    """Kernel and direct spectral forms of chi_F disagree."""
+def check_agreement(check, primary, second, tol, routes):
+    """Raise ``CrossCheckError(check, ...)`` unless two routes to one value agree.
 
-    def __init__(self, message):
-        super().__init__("chi_f_forms", message)
-
-
-class QuadratureDisagreementError(CrossCheckError):
-    """Closed-form and quadrature evaluations of the integral disagree."""
-
-    def __init__(self, message):
-        super().__init__("chi_fg_quadrature", message)
+    The routes agree when ``primary`` is finite and
+    ``|primary - second| <= tol * max(1, |primary|)``, so a NaN on either
+    side fails.  ``routes`` names the two values in the message, which
+    prints both as plain floats.
+    """
+    primary, second = float(primary), float(second)
+    if not (math.isfinite(primary) and abs(primary - second) <= tol * max(1.0, abs(primary))):
+        raise CrossCheckError(
+            check,
+            f"{routes[0]} {primary!r} and {routes[1]} {second!r} disagree "
+            f"beyond {tol:g} relative",
+        )
 
 
 class DimensionBudgetError(ValueError):
@@ -88,6 +94,10 @@ class ModelSchemaError(ModelFileError):
 
 class MissingColumnError(ValueError):
     """Requested CSV column is absent."""
+
+
+class RowLengthError(ValueError):
+    """CSV data row has a different number of cells than the header."""
 
 
 class EmptyDataError(ValueError):

@@ -27,13 +27,12 @@ from .config import (
 from .errors import (
     DegenerateGroundStateError,
     DimensionMismatchError,
-    InternalFormMismatchError,
     NonFiniteError,
     NotDensityMatrixError,
     NotHermitianError,
     NotSquareError,
-    QuadratureDisagreementError,
     StepTooSmallError,
+    check_agreement,
 )
 from .gibbs import PerturbedFamily, _log_weights, correlation_G
 from .kernels import expx_xm1_over_x2, tanh_over_x
@@ -140,8 +139,9 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
 
     Raises
     ------
-    InternalFormMismatchError
-        If the kernel and direct routes disagree beyond tolerance.
+    CrossCheckError
+        check "chi_f_forms" if the kernel and direct routes disagree
+        beyond ``CHI_INTERNAL_REL``.
     """
     beta = fam.beta
     g = fam.pair_grid
@@ -164,11 +164,9 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     den = 2.0 * (p[:, None] + p[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = float(np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum())
-    if not (abs(total - direct) <= CHI_INTERNAL_REL * max(1.0, abs(total))):
-        raise InternalFormMismatchError(
-            f"kernel form {float(total)!r} and direct form {float(direct)!r} disagree "
-            f"beyond {CHI_INTERNAL_REL:g} relative"
-        )
+    check_agreement(
+        "chi_f_forms", total, direct, CHI_INTERNAL_REL, ("kernel form", "direct form")
+    )
 
     n_deg = (int(np.count_nonzero(g.deg)) - fam.dim) // 2
     return FidelitySusceptibility(
@@ -230,8 +228,9 @@ def chi_fg_integral(fam: PerturbedFamily) -> ChiFGIntegral:
 
     Raises
     ------
-    QuadratureDisagreementError
-        If the two routes disagree beyond tolerance.
+    CrossCheckError
+        check "chi_fg_quadrature" if the two routes disagree beyond
+        ``QUADRATURE_AGREEMENT_REL``.
     """
     beta = fam.beta
     b = 0.5 * beta
@@ -254,10 +253,10 @@ def chi_fg_integral(fam: PerturbedFamily) -> ChiFGIntegral:
     taus = 0.5 * b * (nodes + 1.0)
     quad = 0.5 * b * float(np.sum(weights * (taus * correlation_G(fam, taus))))
 
-    if not (abs(closed - quad) <= QUADRATURE_AGREEMENT_REL * max(1.0, abs(closed))):
-        raise QuadratureDisagreementError(
-            f"closed form {float(closed)!r} vs 64-node quadrature {float(quad)!r}"
-        )
+    check_agreement(
+        "chi_fg_quadrature", closed, quad, QUADRATURE_AGREEMENT_REL,
+        ("closed form", "64-node quadrature"),
+    )
     return ChiFGIntegral(closed_form=closed, quadrature=quad)
 
 

@@ -231,6 +231,16 @@ def _thermalize(
     )
 
 
+def _require_hermitian(a: np.ndarray, what: str) -> float:
+    """max(1, ||A||_F), after checking max |A - A^H| against
+    ``EIGENBASIS_HERMITIAN`` times it; a NaN defect fails."""
+    scale = max(1.0, float(np.linalg.norm(a)))
+    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if not (asym <= EIGENBASIS_HERMITIAN * scale):
+        raise NotHermitianError(f"{what}: defect {asym:.3e}")
+    return scale
+
+
 def make_family(
     T: HermitianOperator | np.ndarray,
     S: HermitianOperator | np.ndarray,
@@ -267,12 +277,7 @@ def make_family(
     s_eig = b.conj().T @ S.matrix @ b
     # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
     # survives to the same order; re-symmetrize to make it exact
-    asym = float(np.max(np.abs(s_eig - s_eig.conj().T)))
-    scale = max(1.0, float(np.linalg.norm(s_eig)))
-    if asym > EIGENBASIS_HERMITIAN * scale:
-        raise NotHermitianError(
-            f"perturbation lost Hermiticity in the basis rotation: defect {asym:.3e}"
-        )
+    _require_hermitian(s_eig, "perturbation lost Hermiticity in the basis rotation")
     s_eig = 0.5 * (s_eig + s_eig.conj().T)
     s_eig.setflags(write=False)
     return _thermalize(beta, spectrum, s_eig, particle_count, *_partition(s_eig), {})
@@ -308,10 +313,7 @@ def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"operator is {A.shape[0]}x{A.shape[0]} but the family has dim {fam.dim}"
         )
-    scale = max(1.0, float(np.linalg.norm(A)))
-    asym = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if asym > EIGENBASIS_HERMITIAN * scale:
-        raise NotHermitianError(f"operator is not Hermitian: defect {asym:.3e}")
+    scale = _require_hermitian(A, "operator is not Hermitian")
     diag = np.diagonal(A)
     value = float(np.dot(fam.populations, np.real(diag)))
     residue = abs(float(np.dot(fam.populations, np.imag(diag))))

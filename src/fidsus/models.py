@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -67,6 +68,16 @@ __all__ = [
 ]
 
 DIMENSION_BUDGET = 4096
+
+def _integer(name: str, value, error: type = ValueError) -> int:
+    """``value`` as an int: ints and integral floats pass, and anything
+    else, bools included, raises ``error``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.diag([1.0, -1.0])
@@ -218,8 +229,8 @@ def dicke(
     skipped with a warning if the enlarged space would exceed the
     dimension budget).
     """
-    n_atoms = int(n_atoms)
-    n_max = int(n_max)
+    n_atoms = _integer("n_atoms", n_atoms)
+    n_max = _integer("n_max", n_max)
     if n_atoms < 1:
         raise ValueError(f"need at least one atom, got {n_atoms}")
     if n_max < 2:
@@ -401,7 +412,7 @@ def kondo_toy(
     CrossCheckError
         check "kondo_rotation" if the invariance checks fail.
     """
-    s2 = int(s2)
+    s2 = _integer("s2", s2)
     energies = [float(e) for e in mode_energies]
     n_modes = len(energies)
     if not 1 <= n_modes <= 3:
@@ -491,7 +502,7 @@ def kondo_roepstorff(beta: float, j_coupling: float, s2: int) -> KondoBoundRecor
         raise ValueError(f"beta and j must be finite, got {(beta, j_coupling)!r}")
     if not (beta > 0.0 and j_coupling > 0.0):
         raise ValueError("beta and the exchange coupling must be positive")
-    s2 = int(s2)
+    s2 = _integer("s2", s2)
     if s2 < 1:
         raise ValueError(f"s2 must be >= 1, got {s2}")
     s = 0.5 * s2
@@ -532,10 +543,10 @@ def random_pair(
     symmetrized as (G + G*)/2 and scaled.  Changing either scale to 0
     gives the corresponding zero operator.
     """
-    dim = int(dim)
+    dim = _integer("dim", dim)
     if not 2 <= dim <= 64:
         raise ValueError(f"dim must be between 2 and 64, got {dim}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integer("seed", seed))
 
     def draw(scale: float) -> np.ndarray:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -567,7 +578,7 @@ def tfim(
     integer times J or g, and at g = 0 T is diagonal and S has a zero
     diagonal.
     """
-    n_sites = int(n_sites)
+    n_sites = _integer("n_sites", n_sites)
     if not 2 <= n_sites <= 10:
         raise ValueError(f"n_sites must be between 2 and 10, got {n_sites}")
     dim = 2**n_sites
@@ -776,7 +787,8 @@ def build_model(spec: ModelSpec) -> PerturbedFamily:
     params = _collect(spec, "parameters")
     cutoffs = _collect(spec, "cutoffs")
     for name, value in cutoffs.items():
-        if int(value) < 1:
+        cutoffs[name] = _integer(f"cutoff {name!r}", value, ModelSchemaError)
+        if cutoffs[name] < 1:
             raise ModelSchemaError(f"cutoff {name!r} must be >= 1, got {value!r}")
 
     if spec.kind == "single_spin":
@@ -792,10 +804,10 @@ def build_model(spec: ModelSpec) -> PerturbedFamily:
             symmetric_sector=_switch(spec, "symmetric_sector"),
         )
     if spec.kind == "kondo_toy":
-        energies = [params[f"eps{k}"] for k in range(int(cutoffs["modes"]))]
+        energies = [params[f"eps{k}"] for k in range(cutoffs["modes"])]
         return kondo_toy(cutoffs["s2"], energies, params["j"], params["beta"])
     if spec.kind == "random":
-        seed = 0 if spec.seed is None else int(spec.seed)
+        seed = 0 if spec.seed is None else _integer("seed", spec.seed, ModelSchemaError)
         return random_pair(
             cutoffs["dim"], seed, params["t_scale"], params["s_scale"], params["beta"]
         )

@@ -17,7 +17,7 @@ import csv
 import os
 from typing import Dict, List, Sequence
 
-from .errors import EmptyDataError, MissingColumnError
+from .errors import EmptyDataError, MissingColumnError, RowLengthError
 
 __all__ = ["emit_plot", "read_columns", "render_svg", "write_text_atomic"]
 
@@ -68,7 +68,10 @@ def read_columns(csv_path: str, names: Sequence[str]) -> Dict[str, List[float]]:
     Raises
     ------
     MissingColumnError
-        if the header or a data row lacks a requested column.
+        if the header lacks a requested column, or a data row has fewer
+        cells than the header.
+    RowLengthError
+        if a data row has more cells than the header.
     EmptyDataError
         if the file has a header but no data rows.
     """
@@ -89,11 +92,15 @@ def read_columns(csv_path: str, names: Sequence[str]) -> Dict[str, List[float]]:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                lost = [n for n in wanted if index[n] >= len(row)]
+                detail = (
+                    f"has no column {lost[0]!r}" if lost
+                    else f"has {len(row)} cells, the header {len(header)}"
+                )
+                error = MissingColumnError if len(row) < len(header) else RowLengthError
+                raise error(f"{csv_path}: line {reader.line_num} {detail}")
             for n in wanted:
-                if index[n] >= len(row):
-                    raise MissingColumnError(
-                        f"{csv_path}: line {reader.line_num} has no column {n!r}"
-                    )
                 cell = row[index[n]]
                 try:
                     value = float(cell)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+import fidsus.bounds
 from conftest import clustered_families, random_hermitian, seeded_families
 from fidsus.bounds import (
     _FD_LADDER,
@@ -19,9 +20,7 @@ from fidsus.bounds import (
     double_commutator,
     double_commutator_direct,
     free_energy_curvature,
-    lower_bound,
     thermo_susceptibility,
-    upper_bound,
 )
 from fidsus.config import DEGENERATE_GAP
 from fidsus.errors import CrossCheckError, CutoffConvergenceWarning
@@ -42,23 +41,25 @@ def test_single_spin_closed_forms(h3):
     )
     assert bd_inner_product(fam) == pytest.approx(th / h3, abs=1e-12)
     assert double_commutator(fam) == pytest.approx(4.0 * h3 * th, abs=1e-12)
-    assert lower_bound(fam) == pytest.approx(
+    rep = bound_report(fam)
+    assert rep.lower_paper == pytest.approx(
         (th / (4.0 * h3)) * (1.0 - h3 * h3 / 3.0), abs=1e-12
     )
-    assert upper_bound(fam) == pytest.approx(th / (4.0 * h3), abs=1e-12)
+    assert rep.upper == pytest.approx(th / (4.0 * h3), abs=1e-12)
 
 
 def test_sandwich_on_random_families():
     for fam in seeded_families(3001, 60, 2, 12, 0.1, 10.0):
         chi = chi_f_spectral(fam).total
-        ub = upper_bound(fam)
-        lb = max(lower_bound(fam), chi_fg_spectral(fam), 0.0)
+        rep = bound_report(fam, check_chi_n=False)
+        ub = rep.upper
+        lb = max(rep.lower_paper, chi_fg_spectral(fam), 0.0)
         assert lb - 1e-10 <= chi <= ub + 1e-10
 
 
 def test_upper_is_quarter_beta_sq_bd():
     fam = random_pair(7, 12, 1.0, 1.0, 2.3)
-    assert upper_bound(fam) == pytest.approx(
+    assert bound_report(fam).upper == pytest.approx(
         0.25 * 2.3**2 * bd_inner_product(fam), rel=1e-14
     )
 
@@ -66,8 +67,9 @@ def test_upper_is_quarter_beta_sq_bd():
 def test_lower_is_upper_minus_commutator_term():
     fam = random_pair(6, 13, 1.0, 1.0, 1.7)
     beta = 1.7
-    expect = upper_bound(fam) - beta**3 * double_commutator(fam) / 48.0
-    assert lower_bound(fam) == pytest.approx(expect, rel=1e-13)
+    rep = bound_report(fam)
+    expect = rep.upper - beta**3 * double_commutator(fam) / 48.0
+    assert rep.lower_paper == pytest.approx(expect, rel=1e-13)
 
 
 def test_bd_spectral_vs_quadrature():
@@ -96,6 +98,29 @@ def test_double_commutator_forms_agree():
         assert abs(spec - direct) <= 1e-9 * max(1.0, spec)
 
 
+@pytest.mark.parametrize(
+    "direct, check",
+    [
+        (lambda spec: spec * (1.0 + 1e-6), "dcomm_forms"),
+        (lambda spec: -1e-9, "dcomm_negative"),
+        (lambda spec: math.nan, "dcomm_negative"),
+    ],
+    ids=["perturbed", "negative", "nan"],
+)
+def test_double_commutator_guards_fire(monkeypatch, direct, check):
+    """A commutator route off by 1e-6 relative breaks the agreement check;
+    a negative or NaN one fails the sign test first."""
+    fam = random_pair(6, 13, 1.0, 1.0, 1.7)
+    spec = double_commutator(fam)
+    monkeypatch.setattr(fidsus.bounds, "double_commutator_direct", lambda fam: direct(spec))
+    with pytest.raises(CrossCheckError) as err:
+        double_commutator(fam)
+    assert err.value.check == check
+    with pytest.raises(CrossCheckError) as err:
+        bound_report(fam, check_chi_n=False)
+    assert err.value.check == check
+
+
 def test_double_commutator_zero_when_commuting():
     t = np.diag([0.0, 1.0, 3.0])
     s = np.diag([1.0, -1.0, 2.0])
@@ -116,8 +141,9 @@ def test_commuting_family_saturates_everything():
         fam = make_family(t, s, beta)
         chi = chi_f_spectral(fam).total
         scale = max(1.0, chi)
-        assert abs(upper_bound(fam) - chi) <= 1e-12 * scale
-        assert abs(lower_bound(fam) - chi) <= 1e-12 * scale
+        rep = bound_report(fam)
+        assert abs(rep.upper - chi) <= 1e-12 * scale
+        assert abs(rep.lower_paper - chi) <= 1e-12 * scale
         assert abs(chi_fg_spectral(fam) - 0.5 * chi) <= 1e-12 * scale
 
 
@@ -281,7 +307,7 @@ def test_chi_n_oracle_on_the_tuning_grid(dim, beta, s_norm, shift, seed):
     t = random_hermitian(rng, dim) + shift * np.eye(dim)
     s = random_hermitian(rng, dim)
     fam = make_family(t, s * (s_norm / np.linalg.norm(s, 2)), beta)
-    chi = thermo_susceptibility(fam, check=False)
+    chi = thermo_susceptibility(fam)
     assert abs(free_energy_curvature(fam) - chi) <= 1e-8 * max(1.0, abs(chi))
 
 
@@ -367,8 +393,8 @@ def test_double_commutator_direct_block_by_block():
 
 def test_thermo_check_can_be_disabled():
     fam = random_pair(5, 14, 1.0, 1.0, 3.0)
-    a = thermo_susceptibility(fam, check=True)
-    b = thermo_susceptibility(fam, check=False)
+    a = bound_report(fam, check_chi_n=True)
+    b = bound_report(fam, check_chi_n=False)
     assert a == b
 
 
@@ -381,8 +407,8 @@ def test_bound_report_mirrors_standalone_calls():
     assert rep.chi_f_quantum == parts.quantum
     assert rep.bd_product == bd_inner_product(fam)
     assert rep.dcomm == double_commutator(fam)
-    assert rep.upper == upper_bound(fam)
-    assert rep.lower_paper == lower_bound(fam)
+    assert rep.upper == 0.25 * 2.2 * 2.2 * bd_inner_product(fam)
+    assert rep.lower_paper == rep.upper - 2.2 * 2.2 * 2.2 * double_commutator(fam) / 48.0
     assert rep.lower_aasc == chi_fg_spectral(fam)
     assert rep.ds2 == ds2_spectral(fam)
     assert rep.beta == 2.2
@@ -397,7 +423,8 @@ def test_upper_gap_shrinks_at_least_linearly_in_beta():
     for k in range(4):
         cold = family_at_beta(fam, 0.4 / 2**k)
         chi = chi_f_spectral(cold).total
-        gaps.append((upper_bound(cold) - chi) / upper_bound(cold))
+        ub = bound_report(cold).upper
+        gaps.append((ub - chi) / ub)
     for lo, hi in zip(gaps[1:], gaps[:-1]):
         assert math.log2(hi / lo) >= 0.9
 

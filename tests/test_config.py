@@ -1,6 +1,6 @@
 """Source-level rules: every numerical threshold of the library is a named
-constant in config.py, and every function fidsus.fidelity exports is used
-by the library itself."""
+constant in config.py, every function fidsus.fidelity exports is used
+by the library itself, and every cross-check has its row in README."""
 
 import ast
 from pathlib import Path
@@ -63,3 +63,56 @@ def test_every_fidelity_function_feeds_the_library():
 def test_the_guard_sees_an_inline_tolerance():
     source = "if abs(x) > 1e-12 * scale or y < -1e-10:\n    pass\n"
     assert len(list(_small_literals_in_comparisons(ast.parse(source)))) == 2
+
+
+def _raised_check_names(tree):
+    """(literal check names, lines passing a computed name) of every
+    CrossCheckError(...) and check_agreement(...) call in a module."""
+    names, computed = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+        if func not in ("CrossCheckError", "check_agreement"):
+            continue
+        first = node.args[0] if node.args else None
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            names.add(first.value)
+        else:
+            computed.append(node.lineno)
+    return names, computed
+
+
+def _readme_cross_checks():
+    """The check names in the first column of README's cross-check table."""
+    lines = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith("| check |"))
+    names = set()
+    for line in lines[start + 2:]:
+        if not line.strip().startswith("|"):
+            break
+        names.add(line.split("|")[1].strip().strip("`"))
+    return names
+
+
+def test_every_cross_check_has_a_readme_row():
+    """Every check name the library raises is a row of README's table of
+    cross-checks, and every row is raised somewhere.  Only the agreement
+    rule itself passes on a name it was given."""
+    raised, computed = set(), {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names, lines = _raised_check_names(ast.parse(path.read_text()))
+        raised |= names
+        if lines:
+            computed[path.name] = len(lines)
+    assert computed == {"errors.py": 1}
+    assert raised == _readme_cross_checks()
+
+
+def test_the_cross_check_scan_sees_both_call_forms():
+    source = (
+        'check_agreement("a", x, y, tol, ("p", "q"))\n'
+        'raise errors.CrossCheckError("b", "message")\n'
+        "raise CrossCheckError(check, message)\n"
+    )
+    assert _raised_check_names(ast.parse(source)) == ({"a", "b"}, [3])

@@ -7,8 +7,8 @@ from scipy.linalg import sqrtm
 import fidsus.fidelity
 from conftest import random_hermitian, seeded_families
 from fidsus.errors import (
+    CrossCheckError,
     DegenerateGroundStateError,
-    InternalFormMismatchError,
     NotDensityMatrixError,
 )
 from fidsus.fidelity import (
@@ -145,10 +145,35 @@ def test_internal_form_guard_fires_when_tightened(monkeypatch):
                 tight.setattr(fidsus.fidelity, "CHI_INTERNAL_REL", 1e-18)
                 try:
                     chi_f_spectral(fam)
-                except InternalFormMismatchError as err:
+                except CrossCheckError as err:
                     assert err.check == "chi_f_forms"
                     fired += 1
     assert fired >= 3
+
+
+def test_quadrature_guard_fires(monkeypatch):
+    """chi_FG's closed form and its quadrature differ by rounding only: a
+    tolerance below machine precision trips the guard somewhere, and so
+    does a two-point function scaled by 1 + 1e-5 at the default one."""
+    fams = [random_pair(dim, seed, 1.0, 1.0, 2.0) for seed in (3, 7, 55) for dim in (6, 12)]
+    fired = 0
+    with monkeypatch.context() as tight:
+        tight.setattr(fidsus.fidelity, "QUADRATURE_AGREEMENT_REL", 1e-18)
+        for fam in fams:
+            try:
+                chi_fg_integral(fam)
+            except CrossCheckError as err:
+                assert err.check == "chi_fg_quadrature"
+                fired += 1
+    assert fired >= 3
+    real = fidsus.fidelity.correlation_G
+    monkeypatch.setattr(
+        fidsus.fidelity, "correlation_G", lambda fam, tau: (1.0 + 1e-5) * real(fam, tau)
+    )
+    for fam in fams:
+        with pytest.raises(CrossCheckError) as err:
+            chi_fg_integral(fam)
+        assert err.value.check == "chi_fg_quadrature"
 
 
 def test_degenerate_limit_continuous():

@@ -15,6 +15,7 @@ from fidsus.errors import (
     CutoffConvergenceWarning,
     DimensionMismatchError,
     NonPositiveBetaError,
+    NotHermitianError,
     TauOutOfRangeError,
 )
 from fidsus.fidelity import _perturbed_spectrum
@@ -220,6 +221,15 @@ def test_thermal_average_shape_check():
     fam = make_family(np.diag([0.0, 1.0]), np.eye(2), 1.0)
     with pytest.raises(DimensionMismatchError):
         thermal_average(fam, np.zeros((2, 3)))
+
+
+def test_thermal_average_rejects_a_nan_entry():
+    """A NaN Hermiticity defect passed the old `asym > tol` test, and the
+    average came back 0.0."""
+    a = np.eye(3)
+    a[0, 1] = np.nan
+    with pytest.raises(NotHermitianError, match="defect nan"):
+        thermal_average(random_pair(3, 0), a)
 
 
 def test_thermal_average_residue_warning_is_relative_to_the_norm():

@@ -22,6 +22,7 @@ from fidsus.errors import (
     EmptyDataError,
     MissingColumnError,
     ModelSchemaError,
+    RowLengthError,
 )
 from fidsus.models import MODEL_KINDS, ModelSpec, build_model
 from fidsus.bounds import bound_report
@@ -257,6 +258,27 @@ def test_short_row_names_the_file_line_and_column(tmp_path, capsys):
     svg = tmp_path / "p.svg"
     assert main(["plot", "--csv", path, "--columns", "chi_f,ub", "--svg", str(svg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "text, error, detail",
+    [
+        ("param,a\n0.1,2\n1,2,3\n", RowLengthError, "line 3 has 3 cells, the header 2"),
+        ("param,a,b\n1,2\n", MissingColumnError, "line 2 has 2 cells, the header 3"),
+    ],
+    ids=["long", "short_unrequested"],
+)
+def test_every_row_has_as_many_cells_as_the_header(tmp_path, capsys, text, error, detail):
+    """A row one cell too long was read from its first cells, and a short
+    row passed when the requested columns came before the gap."""
+    path = write_csv(tmp_path, text)
+    with pytest.raises(error) as info:
+        read_columns(path, ["a"])
+    assert str(info.value) == f"{path}: {detail}"
+    svg = tmp_path / "p.svg"
+    assert main(["plot", "--csv", path, "--columns", "a", "--svg", str(svg)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {detail}\n"
     assert not svg.exists()
 
 
@@ -511,6 +533,17 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "chi_f = 0.14500641459649347" in out  # the flag's h3=1 won
+
+
+def test_cli_config_rejects_a_fractional_cutoff(tmp_path, capsys):
+    """The CLI cast cutoffs with int(), so dim 5.7 reported a dim-5 model
+    and exited 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "random", "dim": 5.7, "beta": 1.0}), encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cutoff 'dim' must be an integer, got 5.7\n"
 
 
 def test_cli_config_rejects_unknown_keys(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fidsus.models
-from fidsus.bounds import bound_report, upper_bound
+from fidsus.bounds import bound_report
 from fidsus.errors import (
     CrossCheckError,
     CutoffConvergenceWarning,
@@ -22,6 +22,7 @@ from fidsus.fidelity import chi_f_spectral
 from fidsus.gibbs import make_family, thermal_average
 from fidsus.models import (
     MODEL_KINDS,
+    KondoBoundRecord,
     ModelSpec,
     build_model,
     dicke,
@@ -243,7 +244,7 @@ def test_random_pair_dim_limits():
 def test_random_pair_zero_perturbation():
     fam = random_pair(4, 9, 1.0, 0.0, 2.0)
     assert chi_f_spectral(fam).total == 0.0
-    assert upper_bound(fam) == 0.0
+    assert bound_report(fam).upper == 0.0
 
 
 def test_tfim_classical_part_vanishes():
@@ -439,6 +440,50 @@ def test_build_model_validation():
         build_model(ModelSpec("file"))
     with pytest.raises(ModelSchemaError):
         build_model(ModelSpec("random", {"beta": 1.0}, {"dim": 0}))
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (lambda v: dicke(v, 8, 2.0, 1.0, 0.5, 1.0), 2),
+        (lambda v: dicke(2, v, 2.0, 1.0, 0.5, 1.0), 8),
+        (lambda v: kondo_toy(v, (0.0,), 0.5, 1.0), 2),
+        (lambda v: kondo_roepstorff(1.0, 1.0, v), 2),
+        (lambda v: random_pair(v, 0), 3),
+        (lambda v: random_pair(3, v), 4),
+        (lambda v: tfim(v, 1.0, 0.5, 1.0), 3),
+    ],
+    ids=["n_atoms", "n_max", "s2", "roepstorff_s2", "dim", "seed", "n_sites"],
+)
+def test_builders_take_only_integral_sizes(build, size):
+    """A fractional size was truncated by int(): s2 = 1.5 built the
+    spin-1/2 model and tfim(3.9) a chain of 3.  An integral float is the
+    integer; bools, strings and non-integral floats raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        whole, exact = build(float(size)), build(size)
+        if isinstance(exact, KondoBoundRecord):
+            assert whole == exact
+        else:
+            assert np.array_equal(whole.s_eig, exact.s_eig)
+            assert np.array_equal(whole.eigenvalues, exact.eigenvalues)
+        for bad in (size + 0.5, size - 0.1, True, str(size), math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build(bad)
+
+
+def test_build_model_rejects_fractional_cutoffs():
+    with pytest.raises(ModelSchemaError, match="must be an integer"):
+        build_model(ModelSpec("random", {"beta": 1.0}, {"dim": 5.7}))
+    with pytest.raises(ModelSchemaError, match="must be an integer"):
+        build_model(ModelSpec("random", {"beta": 1.0}, {"dim": True}))
+    with pytest.raises(ModelSchemaError, match="must be an integer"):
+        build_model(ModelSpec("random", {"beta": 1.0}, {"dim": 3}, seed=0.5))
+    spec = ModelSpec("kondo_toy", {"j": 0.5, "beta": 1.0}, {"s2": 1.5, "modes": 1})
+    with pytest.raises(ModelSchemaError, match="must be an integer"):
+        build_model(spec)
+    whole = build_model(ModelSpec("tfim", {"j": 1.0, "g": 0.5, "beta": 1.0}, {"n_sites": 3.0}))
+    assert whole.dim == 8 and whole.particle_count == 3
 
 
 def test_build_model_applies_declared_defaults():
