@@ -27,10 +27,8 @@ from .bounds import (
     double_commutator,
     double_commutator_direct,
     free_energy_curvature,
-    thermo_susceptibility,
 )
 from .fidelity import (
-    ChiFGIntegral,
     FidelitySusceptibility,
     bures_distance,
     chi_f_fd,
@@ -50,7 +48,7 @@ from .gibbs import (
     make_family,
     thermal_average,
 )
-from .kernels import expx_xm1_over_x2, tanh_over_x
+from .kernels import tanh_over_x
 from .models import (
     MODEL_KINDS,
     DickeTc,
@@ -76,7 +74,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BoundReport",
-    "ChiFGIntegral",
     "DickeTc",
     "FidelitySusceptibility",
     "KondoBoundRecord",
@@ -104,7 +101,6 @@ __all__ = [
     "double_commutator",
     "double_commutator_direct",
     "ds2_spectral",
-    "expx_xm1_over_x2",
     "family_at_beta",
     "free_energy_curvature",
     "kondo_roepstorff",
@@ -121,7 +117,6 @@ __all__ = [
     "tanh_over_x",
     "tfim",
     "thermal_average",
-    "thermo_susceptibility",
     "uhlmann_fidelity",
     "__version__",
 ]

@@ -43,7 +43,6 @@ __all__ = [
     "double_commutator",
     "double_commutator_direct",
     "free_energy_curvature",
-    "thermo_susceptibility",
 ]
 
 
@@ -206,10 +205,10 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     f(h) = -ln Z(h)/(beta N) is the free energy density of the shifted
     Hamiltonian T - h S, and by Hellmann-Feynman -df/dh = <S>_h/N.  The
     value returned is the chi_N oracle of `bound_report`, independent of
-    ``thermo_susceptibility``: it never touches the spectral pair sums, only
-    <S>_h = sum_n p_n(h) (U_h^H S U_h)_nn at the displaced fields +-h_k/2
-    and +-h_k, combined as the Richardson-extrapolated first central
-    difference (4 D(h_k/2) - D(h_k))/3 with
+    its chi_N = (beta/N) (dS; dS): it never touches the spectral pair
+    sums, only <S>_h = sum_n p_n(h) (U_h^H S U_h)_nn at the displaced
+    fields +-h_k/2 and +-h_k, combined as the Richardson-extrapolated
+    first central difference (4 D(h_k/2) - D(h_k))/3 with
     D(h) = (<S>_h - <S>_{-h})/(2h).  Its rounding floor is about
     eps ||S|| / h, against eps |ln Z| / h^2 for a second difference of
     ln Z.
@@ -262,16 +261,6 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     return (4.0 * slope(k + 1) - slope(k)) / (3.0 * fam.particle_count)
 
 
-def thermo_susceptibility(fam: PerturbedFamily) -> float:
-    """Thermodynamic susceptibility chi_N = (beta/N) (dS; dS).
-
-    The static response of <S>/N to the field h, i.e. the second
-    h-derivative of the free energy density with the sign flipped.
-    `bound_report` checks it against `free_energy_curvature`.
-    """
-    return fam.beta * bd_inner_product(fam) / fam.particle_count
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Everything the sandwich says about one family at one beta.
@@ -305,10 +294,12 @@ class BoundReport:
 def bound_report(fam: PerturbedFamily, *, check_chi_n: bool = True) -> BoundReport:
     """Evaluate chi_F together with every bound and cross-check at once.
 
-    One eigendecomposition (already inside ``fam``) serves all entries;
-    the only optional extra cost is the chi_N oracle: with ``check_chi_n``
-    (the default) chi_N must agree with `free_energy_curvature` within
-    ``FD_ORACLE_REL``, or check "chi_n_oracle" raises `CrossCheckError`.
+    One eigendecomposition (already inside ``fam``) serves all entries,
+    and one (dS; dS) serves the upper bound and chi_N = (beta/N) (dS; dS),
+    the static response of <S>/N to the field.  The only optional extra
+    cost is the chi_N oracle: with ``check_chi_n`` (the default) chi_N
+    must agree with `free_energy_curvature` within ``FD_ORACLE_REL``, or
+    check "chi_n_oracle" raises `CrossCheckError`.
     """
     beta = fam.beta
     chi = chi_f_spectral(fam)
@@ -318,7 +309,7 @@ def bound_report(fam: PerturbedFamily, *, check_chi_n: bool = True) -> BoundRepo
     lower = upper - beta * beta * beta * dcomm / 48.0
     aasc = chi_fg_spectral(fam)
     ds2 = ds2_spectral(fam)
-    chi_n = thermo_susceptibility(fam)
+    chi_n = beta * bd / fam.particle_count
     if check_chi_n:
         check_agreement(
             "chi_n_oracle", chi_n, free_energy_curvature(fam), FD_ORACLE_REL,

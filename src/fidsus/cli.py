@@ -18,7 +18,10 @@ models list
 
 Options may also come from a config file (``--config``), a JSON object
 mapping option names to values, the same structured-data format the
-matrix-file loader uses; explicitly given flags win over file values.
+matrix-file loader uses.  A file value sets any option of the
+subcommand whose flag is not given: every option stays None until a flag
+or the file sets it, and its default applies after both.  Integer values
+pass the model cutoffs' check, so 3.5 or true is an error, not 3 or 1.
 
 Exit codes: 0 on success, 1 on any build or usage error, and 2 when the
 computation itself finished but an internal consistency cross-check
@@ -34,7 +37,14 @@ from typing import Dict, List, Optional
 
 from .bounds import BoundReport, bound_report
 from .errors import CrossCheckError, ModelParseError
-from .models import MODEL_KINDS, ModelSpec, _kind_entry, _strict_json, build_model
+from .models import (
+    MODEL_KINDS,
+    ModelSpec,
+    _integer,
+    _kind_entry,
+    _strict_json,
+    build_model,
+)
 from .plotting import emit_plot, write_text_atomic
 from .sweep import SweepSpec, format_cell, report_columns, run_sweep
 from .verify import run_verify
@@ -77,7 +87,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"{args.config}: config must be a JSON object")
     for key, value in obj.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest == "config":
+        if not hasattr(args, dest) or dest in ("command", "config", "func"):
             parser.error(f"{args.config}: unknown option {key!r}")
         if getattr(args, dest) is None:
             setattr(args, dest, value)
@@ -165,8 +175,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_param=args.sweep_param,
         start=float(args.start),
         stop=float(args.stop),
-        steps=int(args.steps),
-        scale=args.scale,
+        steps=_integer("steps", args.steps),
+        scale=args.scale or "linear",
         csv_path=args.out,
         svg_path=args.svg,
     )
@@ -178,11 +188,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    summary = run_verify(
-        seed=args.seed if args.seed is not None else 42,
-        instances=args.instances,
-        dim_max=args.dim_max,
-    )
+    names = ("seed", "instances", "dim_max")
+    given = {k: v for k in names if (v := getattr(args, k)) is not None}
+    summary = run_verify(**given)
     sys.stdout.write(summary.text)
     return 0 if summary.passed else 1
 
@@ -225,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="evaluate one model")
     _add_model_flags(p_report)
-    p_report.add_argument("--json", action="store_true")
+    p_report.add_argument("--json", action="store_const", const=True, default=None)
     p_report.add_argument("--out", default=None)
     p_report.add_argument("--config", default=None)
     p_report.set_defaults(func=_cmd_report)
@@ -236,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="start", type=float, default=None)
     p_sweep.add_argument("--to", dest="stop", type=float, default=None)
     p_sweep.add_argument("--steps", type=int, default=None)
-    p_sweep.add_argument("--scale", choices=("linear", "log"), default="linear")
+    p_sweep.add_argument("--scale", choices=("linear", "log"), default=None)
     p_sweep.add_argument("--out", default=None, help="CSV output path")
     p_sweep.add_argument("--svg", default=None, help="optional SVG plot path")
     p_sweep.add_argument("--config", default=None)
@@ -244,8 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the self-verification suites")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--instances", type=int, default=1000)
-    p_verify.add_argument("--dim-max", dest="dim_max", type=int, default=12)
+    p_verify.add_argument("--instances", type=int, default=None)
+    p_verify.add_argument("--dim-max", dest="dim_max", type=int, default=None)
     p_verify.add_argument("--config", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -57,8 +57,8 @@ DCOMM_NEGATIVE = 1e-12
 as rounding (absolute)."""
 
 QUADRATURE_AGREEMENT_REL = 1e-6
-"""Allowed relative disagreement between closed-form and quadrature
-evaluations of the correlation integral."""
+"""Allowed relative disagreement between chi_FG's spectral sum and the
+quadrature of its imaginary-time integral of ``tau G(tau)``."""
 
 FD_ORACLE_REL = 1e-6
 """Allowed relative disagreement against finite-difference oracles."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +34,11 @@ from .errors import (
     check_agreement,
 )
 from .gibbs import PerturbedFamily, _log_weights, correlation_G
-from .kernels import expx_xm1_over_x2, tanh_over_x
+from .kernels import tanh_over_x
 from .linalg import HermitianOperator, eig_hermitian, validate_hermitian
 
 __all__ = [
     "FidelitySusceptibility",
-    "ChiFGIntegral",
     "uhlmann_fidelity",
     "bures_distance",
     "perturbed_density",
@@ -74,13 +72,6 @@ class FidelitySusceptibility:
     classical: float
     quantum: float
     degenerate_pair_count: int
-
-
-class ChiFGIntegral(NamedTuple):
-    """Both evaluation routes of the imaginary-time integral."""
-
-    closed_form: float
-    quadrature: float
 
 
 @functools.cache
@@ -216,48 +207,30 @@ def chi_fg_spectral(fam: PerturbedFamily) -> float:
     return 0.125 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
 
 
-def chi_fg_integral(fam: PerturbedFamily) -> ChiFGIntegral:
+def chi_fg_integral(fam: PerturbedFamily) -> float:
     """Green's-function susceptibility as int_0^{beta/2} tau G(tau) dtau.
 
-    Two independent routes are evaluated and both returned: the per-term
-    closed form of the integral (primary), and 64-node Gauss-Legendre
-    quadrature of tau G(tau).  Each off-diagonal closed-form term is
-    p_m |S_mn|^2 b^2 g(ab) with a = T_m - T_n, b = beta/2 and
-    g(x) = (e^x (x - 1) + 1)/x^2; for ab >= 0.5 the product p_m e^{ab} is
-    taken in log space, where the combined exponent is always nonpositive.
+    The 64-node Gauss-Legendre quadrature of tau G(tau), the independent
+    route that audits `chi_fg_spectral`: it shares no pair kernel with the
+    spectral sum, only the two-point function ``correlation_G``.  The
+    quadrature is returned only after it agrees with the spectral value
+    that every report publishes.
 
     Raises
     ------
     CrossCheckError
-        check "chi_fg_quadrature" if the two routes disagree beyond
-        ``QUADRATURE_AGREEMENT_REL``.
+        check "chi_fg_quadrature" if the quadrature and the spectral sum
+        disagree beyond ``QUADRATURE_AGREEMENT_REL``.
     """
-    beta = fam.beta
-    b = 0.5 * beta
-    ev = fam.eigenvalues
-    lp = fam.log_populations
-
-    a = ev[:, None] - ev[None, :]
-    ab = b * a
-    small = np.abs(ab) < 0.5
-    lp_m = np.broadcast_to(lp[:, None], ab.shape)
-    p_m = np.broadcast_to(fam.populations[:, None], ab.shape)
-    g_small = expx_xm1_over_x2(np.where(small, ab, 0.0))
-    safe_a = np.where(small, 1.0, a)
-    large = (np.exp(lp_m + ab) * (ab - 1.0) + p_m) / (safe_a * safe_a)
-    grid = fam.pair_grid
-    terms = np.where(small, p_m * (b * b) * g_small, large) * grid.s_abs2
-    closed = 0.125 * beta * beta * grid.var_d + float(terms.sum())
-
+    b = 0.5 * fam.beta
     nodes, weights = _gauss_legendre_64()
     taus = 0.5 * b * (nodes + 1.0)
     quad = 0.5 * b * float(np.sum(weights * (taus * correlation_G(fam, taus))))
-
     check_agreement(
-        "chi_fg_quadrature", closed, quad, QUADRATURE_AGREEMENT_REL,
-        ("closed form", "64-node quadrature"),
+        "chi_fg_quadrature", chi_fg_spectral(fam), quad, QUADRATURE_AGREEMENT_REL,
+        ("spectral sum", "64-node quadrature"),
     )
-    return ChiFGIntegral(closed_form=closed, quadrature=quad)
+    return quad
 
 
 def chi_f_ground_state(fam: PerturbedFamily) -> float:
@@ -292,16 +265,6 @@ def perturbed_density(fam: PerturbedFamily, h: float) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _tr_sqrt_psd(m: np.ndarray) -> float:
-    d = eig_hermitian(validate_hermitian(m))
-    lam = d.eigenvalues
-    if float(lam[0]) < -PSD_CLIP * max(1.0, float(np.abs(lam).max())):
-        raise NotDensityMatrixError(
-            f"product matrix has eigenvalue {float(lam[0])!r} below the PSD clip"
-        )
-    return float(np.sqrt(np.clip(lam, 0.0, None)).sum())
-
-
 def _density_spectrum(rho):
     try:
         op = rho if isinstance(rho, HermitianOperator) else validate_hermitian(rho)
@@ -318,14 +281,28 @@ def _density_spectrum(rho):
     return d
 
 
-def _psd_power(d, exponent: float) -> np.ndarray:
-    lam = np.clip(d.eigenvalues, 0.0, None) ** exponent
-    m = (d.basis * lam) @ d.basis.conj().T
-    return 0.5 * (m + m.conj().T)
+def _nuclear_fidelity(a: np.ndarray, b: np.ndarray, overlap: np.ndarray) -> float:
+    """Fidelity ||sqrt(rho1) sqrt(rho2)||_1 from half-log weights.
+
+    ``a`` and ``b`` are half the log eigenvalues of the two states and
+    ``overlap`` is U1^H U2, the inner products of their eigenbases, so
+    sqrt(rho1) sqrt(rho2) = U1 [exp(a_m + b_n) overlap_mn] U2^H and F is
+    the sum of the singular values of the bracket.  The factor is formed
+    entrywise in log space, so it never overflows, and LAPACK's
+    ``np.linalg.svd`` takes its singular values (real or complex, as the
+    factor is).
+    """
+    factor = np.exp(a[:, None] + b[None, :]) * overlap
+    return float(np.linalg.svd(factor, compute_uv=False).sum())
 
 
 def uhlmann_fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
+
+    Taken as the nuclear norm ||sqrt(rho1) sqrt(rho2)||_1, with one SVD,
+    from the checked spectra of the two inputs: the route of `chi_f_fd`,
+    which explains why the square roots of the eigenvalues of the formed
+    product would lose sqrt(eps).
 
     Parameters
     ----------
@@ -347,9 +324,9 @@ def uhlmann_fidelity(rho1, rho2) -> float:
     d2 = _density_spectrum(rho2)
     if d1.dim != d2.dim:
         raise DimensionMismatchError(f"dimensions {d1.dim} and {d2.dim} differ")
-    s1 = _psd_power(d1, 0.5)
-    m = s1 @ _psd_power(d2, 1.0) @ s1
-    return _tr_sqrt_psd(0.5 * (m + m.conj().T))
+    with np.errstate(divide="ignore"):  # a zero eigenvalue has weight exp(-inf) = 0
+        a, b = (0.5 * np.log(np.clip(d.eigenvalues, 0.0, None)) for d in (d1, d2))
+    return _nuclear_fidelity(a, b, d1.basis.conj().T @ d2.basis)
 
 
 def bures_distance(rho1, rho2) -> float:
@@ -364,10 +341,9 @@ def chi_f_fd(fam: PerturbedFamily, h: float) -> float:
     Builds rho(+-h) and rho(+-h/2) by full exponentiation, forms the
     symmetric quotient chi(step) = (2 - F_+ - F_-)/step^2 and Richardson
     extrapolates: (4 chi(h/2) - chi(h))/3, which cancels the step^2 error
-    and every odd order.  Each fidelity is taken as the nuclear norm of
-    sqrt(rho(0)) sqrt(rho(step)), the factor assembled entrywise in log
-    space so it never overflows, and its singular values come from
-    LAPACK's ``np.linalg.svd`` (real or complex, as the factor is).  Only
+    and every odd order.  Each fidelity is the nuclear norm of
+    sqrt(rho(0)) sqrt(rho(step)) from half-log weights
+    (``_nuclear_fidelity``, the route `uhlmann_fidelity` shares).  Only
     the sum F matters, and its absolute error of about n eps stays well
     below 1 - F ~ chi_f step^2 / 2 while 1 - F is above the cancellation
     floor.  An eigendecomposition of the formed product
@@ -392,15 +368,14 @@ def chi_f_fd(fam: PerturbedFamily, h: float) -> float:
     h = float(h)
     if not 0.0 < h <= 0.1:
         raise ValueError(f"step must lie in (0, 0.1], got {h!r}")
-    lp0 = fam.log_populations
+    half0 = 0.5 * fam.log_populations
     floor = 100.0 * _EPS
 
     def quotient(step: float) -> float:
         defect = 0.0
         for sign in (1.0, -1.0):
             d, lph, _ = _perturbed_spectrum(fam, sign * step)
-            factor = np.exp(0.5 * (lp0[:, None] + lph[None, :])) * d.basis
-            loss = 1.0 - float(np.linalg.svd(factor, compute_uv=False).sum())
+            loss = 1.0 - _nuclear_fidelity(half0, 0.5 * lph, d.basis)
             if loss < floor:
                 raise StepTooSmallError(
                     f"1 - F = {loss:.3e} at step {sign * step:g} is below "

@@ -1,18 +1,15 @@
-"""Scalar kernels shared by the spectral sums.
+"""The scalar kernel of chi_F's spectral sum.
 
-These are the small, numerically delicate pieces: every routine here is
-well defined for all real arguments, switches to a series where direct
-evaluation would lose precision, and stays inside its proven envelope.
+``tanh(x)/x`` weighs each pair term of `chi_f_spectral`.  It is defined
+for all real arguments, switches to a series where direct evaluation
+would lose precision, and stays inside its proven envelope.  chi_FG's
+imaginary-time integral has no kernel here: its quadrature audits the
+spectral sum directly.
 """
-
-import math
 
 import numpy as np
 
 from .config import KERNEL_SERIES_CUTOFF
-
-# Taylor coefficients of (e^x (x - 1) + 1) / x^2 = sum_{k>=2} (k-1) x^(k-2) / k!
-_G_COEFFS = tuple((k - 1) / math.factorial(k) for k in range(2, 15))
 
 
 def tanh_over_x(x):
@@ -52,28 +49,4 @@ def tanh_over_x(x):
     np.copyto(out, a, where=small)
     np.minimum(out, 1.0, out=out)
     np.maximum(out, x2, out=out)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def expx_xm1_over_x2(x):
-    """Evaluate ``g(x) = (e^x (x - 1) + 1) / x^2`` stably.
-
-    The direct form cancels catastrophically near zero, so ``|x| < 0.5``
-    uses the series ``sum_{k>=2} (k-1) x^(k-2) / k!`` truncated where the
-    terms drop below double rounding.  ``g`` is the per-pair weight of
-    the imaginary-time integral ``int_0^b tau e^(a tau) d tau = b^2 g(ab)``.
-
-    Callers must keep ``x`` small enough that ``e^x`` does not overflow;
-    large positive arguments are handled upstream in log space.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
-    small = np.abs(a) < 0.5
-    series = np.zeros_like(a)
-    for c in reversed(_G_COEFFS):
-        series = series * a + c
-    safe = np.where(small, 1.0, a)
-    direct = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
-    out = np.where(small, series, direct)
     return float(out[0]) if scalar else out.reshape(arr.shape)

@@ -20,7 +20,6 @@ from fidsus.bounds import (
     double_commutator,
     double_commutator_direct,
     free_energy_curvature,
-    thermo_susceptibility,
 )
 from fidsus.config import DEGENERATE_GAP
 from fidsus.errors import CrossCheckError, CutoffConvergenceWarning
@@ -149,7 +148,7 @@ def test_commuting_family_saturates_everything():
 
 def test_chi_n_matches_free_energy_curvature():
     for fam in seeded_families(3004, 20, 2, 8, 0.2, 5.0):
-        chi_n = thermo_susceptibility(fam)
+        chi_n = bound_report(fam, check_chi_n=False).chi_n
         fd = free_energy_curvature(fam)
         assert abs(chi_n - fd) <= 1e-6 * max(1.0, abs(chi_n))
 
@@ -159,7 +158,7 @@ def test_chi_n_closed_form_on_single_spin():
     # -f = log(2 cosh(beta r))/beta at the origin is tanh(beta h3)/h3
     h3 = 0.8
     fam = single_spin(h3)
-    assert thermo_susceptibility(fam) == pytest.approx(
+    assert bound_report(fam).chi_n == pytest.approx(
         math.tanh(h3) / h3, rel=1e-9
     )
 
@@ -307,7 +306,7 @@ def test_chi_n_oracle_on_the_tuning_grid(dim, beta, s_norm, shift, seed):
     t = random_hermitian(rng, dim) + shift * np.eye(dim)
     s = random_hermitian(rng, dim)
     fam = make_family(t, s * (s_norm / np.linalg.norm(s, 2)), beta)
-    chi = thermo_susceptibility(fam)
+    chi = fam.beta * bd_inner_product(fam) / fam.particle_count
     assert abs(free_energy_curvature(fam) - chi) <= 1e-8 * max(1.0, abs(chi))
 
 

@@ -1,14 +1,17 @@
 """Source-level rules: every numerical threshold of the library is a named
-constant in config.py, every function fidsus.fidelity exports is used
-by the library itself, and every cross-check has its row in README."""
+constant in config.py, every function a module exports is used by the
+library itself, and every cross-check has its row in README."""
 
 import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
 import fidsus
-import fidsus.fidelity
 
 PACKAGE = Path(fidsus.__file__).resolve().parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # verify.py holds the published contract thresholds of its checks, each
 # printed next to its result, so it keeps its literals.
 EXEMPT = {"config.py", "verify.py"}
@@ -37,20 +40,25 @@ def test_no_comparison_uses_a_small_float_literal():
     assert not found, "thresholds outside config.py:\n" + "\n".join(found)
 
 
-def test_every_fidelity_function_feeds_the_library():
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_function_feeds_the_library(module):
     """An export only tests call is a second copy of something or dead code:
-    each function in fidsus.fidelity.__all__ must be referenced by a module
-    other than fidelity.py and __init__.py (a report, sweep, CLI command or
-    verify check)."""
-    tree = ast.parse((PACKAGE / "fidelity.py").read_text())
-    exported = set(fidsus.fidelity.__all__)
+    each function in a module's __all__ (every public function when it has
+    none) must be referenced by library code outside __init__.py.  For
+    fidelity the reference must come from another module too (a report,
+    sweep, CLI command or verify check)."""
+    mod = importlib.import_module(f"fidsus.{module}")
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    exported = getattr(mod, "__all__", None)
     functions = {
         node.name for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in exported
+        if isinstance(node, ast.FunctionDef)
+        and (node.name in exported if exported is not None else node.name[0] != "_")
     }
+    skipped = {"__init__.py", "fidelity.py"} if module == "fidelity" else {"__init__.py"}
     used = set()
     for path in PACKAGE.glob("*.py"):
-        if path.name in ("fidelity.py", "__init__.py"):
+        if path.name in skipped:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):

@@ -46,6 +46,15 @@ def test_uhlmann_against_sqrtm():
         ra = sqrtm(a)
         ref = np.real(np.trace(sqrtm(ra @ b @ ra)))
         assert uhlmann_fidelity(a, b) == pytest.approx(ref, abs=1e-10)
+    # full-rank states diagonal in one basis: F = sum_m sqrt(p_m q_m)
+    for dim in (2, 3, 5, 8):
+        for _ in range(10):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            v = np.linalg.qr(g)[0]
+            p, q = rng.dirichlet(np.ones(dim)), rng.dirichlet(np.ones(dim))
+            ref = float(np.sum(np.sqrt(p * q)))
+            f = uhlmann_fidelity((v * p) @ v.conj().T, (v * q) @ v.conj().T)
+            assert abs(f - ref) <= 1e-14
 
 
 def test_uhlmann_basic_properties():
@@ -55,6 +64,16 @@ def test_uhlmann_basic_properties():
     assert uhlmann_fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
     assert uhlmann_fidelity(a, b) == pytest.approx(uhlmann_fidelity(b, a), abs=1e-12)
     assert 0.0 < uhlmann_fidelity(a, b) < 1.0
+    # F(rho, rho) = 1 also when rho has zero eigenvalues, where square
+    # roots of the eigenvalues of sqrt(rho) rho sqrt(rho), known to
+    # absolute eps, would miss it by about 1e-8
+    for _ in range(200):
+        dim = int(rng.integers(3, 9))
+        rank = int(rng.integers(1, dim))
+        g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        assert abs(uhlmann_fidelity(rho, rho) - 1.0) <= 1e-12
 
 
 def test_uhlmann_rejects_non_density():
@@ -152,7 +171,7 @@ def test_internal_form_guard_fires_when_tightened(monkeypatch):
 
 
 def test_quadrature_guard_fires(monkeypatch):
-    """chi_FG's closed form and its quadrature differ by rounding only: a
+    """chi_FG's spectral sum and its quadrature differ by rounding only: a
     tolerance below machine precision trips the guard somewhere, and so
     does a two-point function scaled by 1 + 1e-5 at the default one."""
     fams = [random_pair(dim, seed, 1.0, 1.0, 2.0) for seed in (3, 7, 55) for dim in (6, 12)]
@@ -198,9 +217,7 @@ def test_chi_f_fd_step_validation():
 def test_chi_fg_spectral_vs_integral():
     for fam in seeded_families(2004, 30, 2, 10, 0.1, 8.0):
         fg = chi_fg_spectral(fam)
-        both = chi_fg_integral(fam)
-        assert abs(fg - both.closed_form) <= 1e-8 * max(1.0, fg)
-        assert abs(both.closed_form - both.quadrature) <= 1e-9 * max(1.0, fg)
+        assert abs(fg - chi_fg_integral(fam)) <= 1e-9 * max(1.0, fg)
 
 
 def test_gauss_legendre_rule_is_built_once_and_read_only():

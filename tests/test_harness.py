@@ -524,6 +524,18 @@ def test_every_exported_name_resolves():
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
+def _config(tmp_path, obj):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    return str(cfg)
+
+
+_SPIN_SWEEP = [
+    "sweep", "--model", "single_spin", "--sweep-param", "h3",
+    "--from", "0.2", "--to", "1.8",
+]
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -551,6 +563,39 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"model": "single_spin", "bogus": 1}), encoding="utf-8")
     assert main(["report", "--config", str(cfg)]) == 1
     capsys.readouterr()
+    # the subcommand and its handler are set by the parser, not options
+    for key in ("command", "func"):
+        cfg = _config(tmp_path, {"model": "single_spin", "h3": 1.0, key: "verify"})
+        assert main(["report", "--config", cfg]) == 1
+        assert f"unknown option {key!r}" in capsys.readouterr().err
+
+
+def test_cli_config_sets_options_that_have_a_default(tmp_path, capsys):
+    """The file's instances and dim_max were dropped because the options
+    had argparse defaults, so verify ran 1000 families of dim up to 12."""
+    cfg = _config(tmp_path, {"instances": 5, "dim_max": 3})
+    assert main(["verify", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("verify seed=42 instances=5 dim_max=3\n")
+
+
+def test_cli_config_sets_the_sweep_scale(tmp_path, capsys):
+    """{"scale": "log"} from the file wrote a linear grid."""
+    out = tmp_path / "s.csv"
+    cfg = _config(tmp_path, {"scale": "log"})
+    argv = [*_SPIN_SWEEP, "--steps", "3", "--out", str(out), "--config", cfg]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert read_columns(str(out), ["param"])["param"] == pytest.approx([0.2, 0.6, 1.8])
+
+
+@pytest.mark.parametrize("steps", [3.5, True])
+def test_cli_config_rejects_a_non_integer_step_count(tmp_path, capsys, steps):
+    """int() made 3.5 steps 3 rows, and true 1 step."""
+    out = tmp_path / "s.csv"
+    cfg = _config(tmp_path, {"steps": steps})
+    assert main([*_SPIN_SWEEP, "--out", str(out), "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: steps must be an integer, got {steps!r}\n"
+    assert not out.exists()
 
 
 def test_cli_cross_check_failure_maps_to_two(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fidsus.config import KERNEL_SERIES_CUTOFF
-from fidsus.kernels import expx_xm1_over_x2, tanh_over_x
+from fidsus.kernels import tanh_over_x
 
 
 def _tanh_over_x_reference(x):
@@ -86,15 +86,3 @@ def test_series_switchover_continuous():
         )
         assert gap <= 1e-15
 
-
-def test_expx_xm1_over_x2_series_and_direct():
-    # (e^x (x-1) + 1)/x^2 -> 1/2 as x -> 0, and matches the direct
-    # formula where it is well conditioned
-    assert expx_xm1_over_x2(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-16)
-    x = np.array([-5.0, -1.0, 1.0, 5.0])
-    direct = (np.exp(x) * (x - 1.0) + 1.0) / (x * x)
-    np.testing.assert_allclose(expx_xm1_over_x2(x), direct, rtol=1e-13)
-    # smooth across the small-|x| switchover
-    xs = np.linspace(-1e-3, 1e-3, 2001)
-    vals = expx_xm1_over_x2(xs)
-    assert np.all(np.abs(np.diff(vals)) < 1e-6)
