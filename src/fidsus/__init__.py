@@ -9,12 +9,10 @@ thermodynamic susceptibility chi_N.  Everything is cross-checked against
 an independent second route (finite differences, quadratures, direct
 commutators), and the checks raise instead of warning.
 
-One type holds the thermal state: a `PerturbedFamily` carries the
-eigendecomposition of T, S in that eigenbasis and the Boltzmann weights
-at one beta.  `make_family(T, S, beta)` builds one from matrices and
-`family_at_beta(fam, beta)` moves one to another temperature without a
-new eigensolve; the model builders in `fidsus.models` construct the
-closed-form and random test systems through `make_family`.
+One type holds the thermal state: a `PerturbedFamily`, a tuple of
+symmetry blocks with their copies, eigendecompositions and weights at
+one beta, built by `block_family(blocks, beta)` or, from one dense pair,
+`make_family(T, S, beta)`; the builders in `fidsus.models` use them.
 `bound_report` evaluates one family completely, and the ``fidsus``
 command line wraps reports, sweeps, and the verification suite.
 """
@@ -42,7 +40,9 @@ from .fidelity import (
     uhlmann_fidelity,
 )
 from .gibbs import (
+    Block,
     PerturbedFamily,
+    block_family,
     correlation_G,
     family_at_beta,
     make_family,
@@ -73,6 +73,7 @@ from .verify import VerifySummary, run_verify
 __version__ = "1.0.0"
 
 __all__ = [
+    "Block",
     "BoundReport",
     "DickeTc",
     "FidelitySusceptibility",
@@ -86,6 +87,7 @@ __all__ = [
     "VerifySummary",
     "bd_inner_product",
     "bd_integral_oracle",
+    "block_family",
     "bound_report",
     "build_model",
     "bures_distance",

@@ -3,18 +3,15 @@
 The Bogoliubov-Duhamel inner product (dS; dS) of the zero-mean
 perturbation controls chi_F from both sides: (beta^2/4)(dS; dS) is an
 upper bound, and subtracting (beta^3/48) <[[S, T], S]> gives a lower
-bound.  Both are static thermal expectations, so they are cheap to
-evaluate along a sweep and they tie chi_F to the ordinary thermodynamic
-susceptibility beta (dS; dS)/N.
+bound.  Both are static thermal expectations, cheap along a sweep, and
+they tie chi_F to the thermodynamic susceptibility beta (dS; dS)/N.
 
-Every quantity here is computed in the eigenbasis of the unperturbed
-Hamiltonian from populations kept in log space, mirroring the kernel
-strategy of the fidelity module; see `bd_inner_product` for the shared
-pair kernel.  Each nontrivial sum has an independent cross-check (an
-integral quadrature for the inner product, a commutator expectation for
-the curvature term, a finite difference of <S>_h in the field for chi_N)
-and the checks raise rather than warn, because a silently wrong bound would
-invalidate every sandwich test downstream.
+Every quantity is a sum over the in-block pairs of the T-eigenbasis with
+populations kept in log space, as in the fidelity module.  Each sum has
+an independent cross-check (a quadrature for the inner product, a
+commutator expectation for the curvature term, a finite difference of
+<S>_h for chi_N), and the checks raise rather than warn, because a
+silently wrong bound would invalidate every sandwich test downstream.
 """
 
 from __future__ import annotations
@@ -32,7 +29,13 @@ from .fidelity import (
     chi_fg_spectral,
     ds2_spectral,
 )
-from .gibbs import PerturbedFamily, _log_weights, correlation_G, thermal_average
+from .gibbs import (
+    PerturbedFamily,
+    _average,
+    _log_weights,
+    _pair_sum,
+    correlation_G,
+)
 from .linalg import eig_hermitian, validate_hermitian
 
 __all__ = [
@@ -55,8 +58,7 @@ def bd_inner_product(fam: PerturbedFamily) -> float:
     same kernel that appears inside chi_F, so both bounds and the
     susceptibility are built from one audited code path.
     """
-    g = fam.pair_grid
-    return 0.5 * float((g.ratio * g.s_abs2).sum()) + g.var_d
+    return 0.5 * _pair_sum(fam, lambda g: g.ratio) + fam.diagonal_variance
 
 
 def bd_integral_oracle(fam: PerturbedFamily) -> float:
@@ -80,16 +82,14 @@ def double_commutator(fam: PerturbedFamily) -> float:
 
     Computed two ways and returned only after they agree:
 
-    * spectral: sum over pairs of (p_n - p_m)(T_m - T_n) |S_nm|^2,
-      evaluated as p_low (1 - e^{-beta|gap|}) |gap| |S|^2 so every factor
-      is bounded and nonnegative; the degenerate limit is 0 and is
-      reached smoothly, so no window switch is needed here;
-    * direct: the thermal average of K S - S K with K = [S, T], formed
-      elementwise in the eigenbasis where K_mn = S_mn (T_n - T_m).
+    * spectral: sum over pairs of (p_n - p_m)(T_m - T_n) |S_nm|^2, as
+      p_low (1 - e^{-beta|gap|}) |gap| |S|^2 with every factor bounded
+      and nonnegative, smooth through its degenerate limit 0;
+    * direct: the thermal average of K S - S K with K = [S, T], where
+      K_mn = S_mn (T_n - T_m) in the eigenbasis.
 
     The spectral value is returned.  Both routes must be nonnegative up
-    to rounding; a genuinely negative value would mean the lower bound
-    crosses above the upper bound.
+    to rounding, or the lower bound would cross above the upper one.
 
     Raises
     ------
@@ -98,8 +98,7 @@ def double_commutator(fam: PerturbedFamily) -> float:
         ``DCOMM_AGREEMENT_REL``, check "dcomm_negative" if either
         route is negative beyond rounding.
     """
-    g = fam.pair_grid
-    spectral = float((g.p_low * (-np.expm1(-g.bgap)) * g.gap * g.s_abs2).sum())
+    spectral = _pair_sum(fam, lambda g: g.p_low * (-np.expm1(-g.bgap)) * g.gap)
 
     direct = double_commutator_direct(fam)
     if not (spectral >= -DCOMM_NEGATIVE and direct >= -DCOMM_NEGATIVE):
@@ -122,23 +121,16 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
     spectral sum and the commutator route can legitimately differ at the
     cutoff boundary) can evaluate this route on its own.
 
-    S and K are block diagonal on ``fam.blocks``, so K S - S K is formed
-    block by block and assembled into one matrix, which
-    ``thermal_average`` checks whole; a one-block family takes the two
-    dense products.
+    S and K are block diagonal, so K S - S K is formed in each block,
+    checked and averaged over the block's populations as
+    ``thermal_average`` does a dense operator, and weighted by its copies.
     """
-    ev, s = fam.eigenvalues, fam.s_eig
-    if len(fam.blocks) == 1:
+    total = 0.0
+    for b in fam.blocks:
+        ev, s = b.levels, b.s_eig
         k = s * (ev[None, :] - ev[:, None])
-        return thermal_average(fam, k @ s - s @ k)
-    a = np.zeros_like(s)
-    for idx in fam.blocks:
-        if idx.size > 1:  # a 1 x 1 block commutes with T
-            e = ev[idx]
-            sb = s[idx[:, None], idx]
-            kb = sb * (e[None, :] - e[:, None])
-            a[idx[:, None], idx] = kb @ sb - sb @ kb
-    return thermal_average(fam, a)
+        total += b.copies * _average(b.populations, k @ s - s @ k)
+    return total
 
 
 # h_0 sigma(S) of the chi_N oracle's step ladder: rung k differences at
@@ -146,57 +138,34 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
 _FD_LADDER = 3e-2
 
 
-def _solve(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending levels of the displaced matrix ``a`` and diag(U^H s U)."""
-    d = eig_hermitian(validate_hermitian(a))
-    u = d.basis
-    return d.eigenvalues, np.einsum("ij,ij->j", u.conj(), s @ u).real
-
-
-def _displaced(fam: PerturbedFamily, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending levels of T - h S and the diagonal of S in their eigenbasis.
+def _displaced(fam: PerturbedFamily, h: float) -> tuple:
+    """Per block, the ascending levels of T_b - h S_b and the diagonal of
+    S_b in their eigenbasis.
 
     Both are beta independent, so they are kept in ``fam.displaced`` and
-    shared with every `family_at_beta` of the family.  T - h S is block
-    diagonal on ``fam.blocks``; each block is validated and solved by
-    ``eig_hermitian`` with all its checks, and a block bit-identical to an
-    earlier one is solved once.  A 1 x 1 block is its own solution, and a
-    one-block family is solved as one matrix, with no gather, sort or
-    block key.
+    shared with every `family_at_beta` of the family.  Each block is
+    validated and solved by ``eig_hermitian`` with all its checks, once
+    for all its copies.
     """
     hit = fam.displaced.get(h)
-    if hit is not None:
-        return hit
-    ev, s = fam.eigenvalues, fam.s_eig
-    if len(fam.blocks) == 1:
-        levels, diag = _solve(np.diag(ev) - h * s, s)
-    else:
-        sd = np.diagonal(s).real
-        solved = {}  # block bytes -> (levels, diag)
-        parts = []
-        for idx in fam.blocks:
-            if idx.size == 1:
-                parts.append((ev[idx] - h * sd[idx], sd[idx]))
-                continue
-            sb = s[idx[:, None], idx]
-            a = np.diag(ev[idx]) - h * sb
-            key = a.tobytes()
-            if key not in solved:
-                solved[key] = _solve(a, sb)
-            parts.append(solved[key])
-        levels = np.concatenate([w for w, _ in parts])
-        order = np.argsort(levels, kind="stable")
-        levels = levels[order]
-        diag = np.concatenate([x for _, x in parts])[order]
-    fam.displaced[h] = (levels, diag)
-    return levels, diag
+    if hit is None:
+        hit = fam.displaced[h] = []
+        for b in fam.blocks:
+            d = eig_hermitian(validate_hermitian(np.diag(b.levels) - h * b.s_eig))
+            u = d.basis
+            hit.append((d.eigenvalues, np.einsum("ij,ij->j", u.conj(), b.s_eig @ u).real))
+    return hit
 
 
 def _mean_s(fam: PerturbedFamily, h: float) -> float:
-    """<S>_h = sum_n p_n(h) (U_h^H S U_h)_nn at the family's beta."""
-    levels, diag = _displaced(fam, h)
-    lp, _ = _log_weights(levels, fam.beta)
-    return float(np.dot(np.exp(lp), diag))
+    """<S>_h = sum_n p_n(h) (U_h^H S U_h)_nn at the family's beta, each
+    block's levels weighted by its copies."""
+    solved = _displaced(fam, h)
+    copies = [b.copies for b in fam.blocks]
+    lps, _ = _log_weights([levels for levels, _ in solved], copies, fam.beta)
+    return sum(
+        c * float(np.dot(np.exp(lp), diag)) for c, lp, (_, diag) in zip(copies, lps, solved)
+    )
 
 
 def free_energy_curvature(fam: PerturbedFamily) -> float:
@@ -217,23 +186,22 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     with k = ceil(log2 max(1, beta)) and
     sigma(S) = 2 ||S - (tr S / n) I||_F (1 when that is 0), an O(n^2)
     bound on the spread of S's spectrum that needs no eigensolve and
-    ignores a multiple of the identity added to S.  The truncation error
-    then goes as (beta sigma h)^4 at every beta, and neighbouring rungs
-    share a field, h_k / 2 = h_(k+1).  Each solve keeps only its levels
-    and the diagonal of S (see `_displaced`), which are beta independent:
+    ignores a multiple of the identity added to S; its square is
+    sum_b d_b ||S_b - (tr S / n) I||_F^2.  Neighbouring rungs share a
+    field, h_k / 2 = h_(k+1), and each solve keeps only its levels and
+    the diagonal of S (see `_displaced`), which are beta independent, so
     a sweep over beta solves each field once.  When the family is
     ``sign_odd``, a diagonal sign flip D maps diag(T) - h S to
-    diag(T) + h S entry for entry, so <S>_{-h} = -<S>_h and only +h_k/2
-    and +h_k are solved: two displaced solves instead of four, each one
-    block by block.
+    diag(T) + h S entry for entry, so <S>_{-h} = -<S>_h and only the two
+    fields +h_k/2 and +h_k are solved, each once per block.
 
-    The Richardson truncation term goes as (beta sigma h)^4 and the
-    rounding floor as eps ||S|| / h, so on random complex families of
-    dimension 4 to 40, beta from 1e-3 to 1e2, ||S|| from 1e-3 to 1e3 and
-    T shifted by 0 or 100 I, the slope stays within 5e-10 of
-    max(1, |chi_N|).  The floor grows with beta: once the step no longer
-    resolves <S>_h (near beta = 1e8 for O(1) spectra) the slope misses
-    chi_N beyond ``FD_ORACLE_REL`` and the report's check fails.
+    The truncation error goes as (beta sigma h)^4 at every beta, so on
+    random complex families of dimension 4 to 40, beta from 1e-3 to 1e2,
+    ||S|| from 1e-3 to 1e3 and T shifted by 0 or 100 I, the slope stays
+    within 5e-10 of max(1, |chi_N|).  The floor grows with beta: once the
+    step no longer resolves <S>_h (near beta = 1e8 for O(1) spectra) the
+    slope misses chi_N beyond ``FD_ORACLE_REL`` and the report's check
+    fails.
 
     Raises
     ------
@@ -241,9 +209,12 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
         check "chi_n_oracle" if the smaller step h_(k+1) underflows to 0,
         which needs beta sigma(S) above about 3e321.
     """
-    s = fam.s_eig
-    n = fam.dim
-    spread = 2.0 * float(np.linalg.norm(s - (np.trace(s).real / n) * np.eye(n)))
+    mean = sum(b.copies * np.trace(b.s_eig).real for b in fam.blocks) / fam.dim
+    norms = [
+        math.sqrt(b.copies) * float(np.linalg.norm(b.s_eig - mean * np.eye(b.levels.size)))
+        for b in fam.blocks
+    ]
+    spread = 2.0 * math.hypot(*norms)
     top = _FD_LADDER / (spread if spread > 0.0 else 1.0)
     k = math.ceil(math.log2(max(1.0, fam.beta)))
     if math.ldexp(top, -k - 1) == 0.0:

@@ -17,11 +17,11 @@ models list
     Show every model kind with its parameters and cutoffs.
 
 Options may also come from a config file (``--config``), a JSON object
-mapping option names to values, the same structured-data format the
-matrix-file loader uses.  A file value sets any option of the
-subcommand whose flag is not given: every option stays None until a flag
-or the file sets it, and its default applies after both.  Integer values
-pass the model cutoffs' check, so 3.5 or true is an error, not 3 or 1.
+mapping option names to values.  A file value sets any option whose flag
+is not given, and defaults apply after both.  Values are typed: an
+integer must be integral (3.5 or true is an error, not 3 or 1), a real a
+number (not a bool or a string), a switch (``json``,
+``symmetric_sector``) true or false.
 
 Exit codes: 0 on success, 1 on any build or usage error, and 2 when the
 computation itself finished but an internal consistency cross-check
@@ -42,6 +42,7 @@ from .models import (
     ModelSpec,
     _integer,
     _kind_entry,
+    _typed,
     _strict_json,
     build_model,
 )
@@ -99,12 +100,14 @@ def _model_spec(args: argparse.Namespace) -> ModelSpec:
     kind = args.model
     entry = _kind_entry(kind)
     params: Dict[str, float] = {
-        name: float(getattr(args, name))
+        name: _typed(name, value, float)
         for name in entry["parameters"]
-        if getattr(args, name) is not None
+        if (value := getattr(args, name)) is not None
     }
-    if args.symmetric_sector and "symmetric_sector" in entry.get("switches", ()):
-        params["symmetric_sector"] = 1.0
+    sector = args.symmetric_sector
+    if sector is not None and _typed("symmetric_sector", sector, bool):
+        if "symmetric_sector" in entry.get("switches", ()):
+            params["symmetric_sector"] = 1.0
     cutoffs: Dict[str, int] = {
         name: getattr(args, name)
         for name in entry["cutoffs"]
@@ -157,8 +160,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     spec = _model_spec(args)
     fam = build_model(spec)
     rep = bound_report(fam)
-    fields = _report_fields(spec, int(fam.eigenvalues.size), rep)
-    text = _render_json(fields) if args.json else _render_text(fields)
+    fields = _report_fields(spec, fam.dim, rep)
+    as_json = args.json is not None and _typed("json", args.json, bool)
+    text = _render_json(fields) if as_json else _render_text(fields)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -173,8 +177,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(
         model=_model_spec(args),
         sweep_param=args.sweep_param,
-        start=float(args.start),
-        stop=float(args.stop),
+        start=_typed("start", args.start, float),
+        stop=_typed("stop", args.stop, float),
         steps=_integer("steps", args.steps),
         scale=args.scale or "linear",
         csv_path=args.out,

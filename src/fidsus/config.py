@@ -1,7 +1,8 @@
 """Numerical thresholds of the library, fixed module constants.
 
 Every validation threshold, warning threshold, degeneracy switch,
-cross-check tolerance and bisection width is a named constant here, read by name where it is used.  They are not
+cross-check tolerance, bisection width and the dimension budget is a
+named constant here, read by name where it is used.  They are not
 options: no function takes a tolerance argument, so every report is
 computed against the same thresholds.
 """
@@ -37,6 +38,11 @@ DENSITY_TRACE = 1e-10
 DEGENERATE_GAP = 1e-7
 """Pairs with ``|beta * (T_m - T_n)|`` below this switch to the analytic
 degenerate limit of the thermal kernels."""
+
+DIMENSION_BUDGET = 4096
+"""Largest matrix any builder forms: a dense family, the largest block of
+a block family and of its cutoff probe, and the dense assembly of a
+block family that the dense-matrix routines build."""
 
 GROUND_STATE_GAP = 1e-10
 """Minimum spectral gap for the ground-state susceptibility formula."""

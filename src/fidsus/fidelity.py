@@ -1,7 +1,8 @@
 """Fidelity measures and susceptibility variants for Gibbs families.
 
 All spectral sums run over matrix elements in the T-eigenbasis carried by
-a :class:`~fidsus.gibbs.PerturbedFamily`.  Pair weights are evaluated
+a :class:`~fidsus.gibbs.PerturbedFamily`, pair by pair inside each of its
+symmetry blocks and weighted by the block's copies.  Pair weights are evaluated
 from the side of the lower energy level, so every exponential argument is
 nonpositive and nothing overflows at any inverse temperature.  Pairs
 closer than the degeneracy window get the analytic limit of their kernel,
@@ -18,6 +19,7 @@ import numpy as np
 
 from .config import (
     CHI_INTERNAL_REL,
+    DEGENERATE_GAP,
     DENSITY_TRACE,
     GROUND_STATE_GAP,
     PSD_CLIP,
@@ -33,7 +35,13 @@ from .errors import (
     StepTooSmallError,
     check_agreement,
 )
-from .gibbs import PerturbedFamily, _log_weights, correlation_G
+from .gibbs import (
+    PerturbedFamily,
+    _dense,
+    _log_weights,
+    _pair_sum,
+    correlation_G,
+)
 from .kernels import tanh_over_x
 from .linalg import HermitianOperator, eig_hermitian, validate_hermitian
 
@@ -88,22 +96,44 @@ def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _rho_prime_blocks(fam: PerturbedFamily) -> list:
+    """rho' of each block: S_mn (beta/2) ratio_mn off the diagonal and
+    beta p_m (S_mm - <S>) on it."""
+    beta = fam.beta
+    out = []
+    for b, g in zip(fam.blocks, fam.pair_grids):
+        r = b.s_eig * (0.5 * beta * g.ratio)
+        np.fill_diagonal(r, beta * b.populations * g.delta_d)
+        out.append(r)
+    return out
+
+
 def rho_prime(fam: PerturbedFamily) -> np.ndarray:
-    """Derivative of the Gibbs state at h = 0, in the T-eigenbasis.
+    """Derivative of the Gibbs state at h = 0, in the dense T-eigenbasis.
 
     Off-diagonal elements are S_mn (p_n - p_m)/(T_m - T_n), the
     difference quotient being beta/2 times the ratio kernel shared with
     chi_F and the BD product, so the subtraction never cancels; inside
     the degeneracy window the quotient goes to its limit in the
     symmetrized form beta sqrt(p_m p_n).  Diagonal elements are
-    beta p_m (S_mm - <S>).  The result is traceless up to rounding, and
-    real when ``fam.s_eig`` is.
+    beta p_m (S_mm - <S>).  The result is block diagonal like S,
+    traceless up to rounding, and real when every block's S is.
     """
-    beta = fam.beta
-    g = fam.pair_grid
-    out = fam.s_eig * (0.5 * beta * g.ratio)
-    np.fill_diagonal(out, beta * fam.populations * g.delta_d)
-    return out
+    return _dense(fam, _rho_prime_blocks(fam))
+
+
+def _degenerate_pairs(fam: PerturbedFamily, levels, copies, bgap: np.ndarray) -> int:
+    """Unordered pairs of states within the degeneracy window: the copies of
+    one level, then the sorted levels k = 1, 2, ... apart with their copies
+    until none is in it; ``bgap`` is beta times the neighbouring gaps."""
+    total = sum(b.spectrum.dim * (b.copies * (b.copies - 1) // 2) for b in fam.blocks)
+    close, k = bgap < DEGENERATE_GAP, 1
+    while close.any():
+        d = np.broadcast_to(copies, levels.shape)
+        total += int(np.dot(d[k:][close], d[:-k][close]))
+        k += 1
+        close = fam.beta * (levels[k:] - levels[:-k]) < DEGENERATE_GAP
+    return total
 
 
 def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
@@ -113,16 +143,14 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     of S plus (beta^2/8) sum_{m != n} of
     [p_n (1 - e^{-2x})/x] [tanh(x)/x] |S_nm|^2 with x = beta(T_m - T_n)/2.
     The classical part is (beta^2/4) times the population variance of the
-    eigenspace averages tr_E(S)/d_E, a trace and so independent of the
-    basis inside each eigenspace; consecutive levels closer than the
-    degeneracy window (``beta * gap < DEGENERATE_GAP``, the test the
-    pair kernels use) form one eigenspace.  Inside a window whose levels
-    are split by a tiny gap, the average is weighted by the populations,
-    so the variance of the diagonal splits exactly into the variance of
-    the averages plus the population-weighted spread of S_mm about them.
-    The quantum part is the pair sum plus (beta^2/4) times that spread.
-    On a nondegenerate spectrum the spread is zero and the classical part
-    is the variance of the diagonal itself.
+    eigenspace averages tr_E(S)/d_E, independent of the basis inside each
+    eigenspace.  Consecutive levels of the whole space closer than the
+    degeneracy window (``beta * gap < DEGENERATE_GAP``) form one
+    eigenspace, which may span blocks and copies.  Inside a window split
+    by a tiny gap the average is weighted by the populations, so the
+    variance of the diagonal splits exactly into the variance of the
+    averages plus the spread of S_mm about them; the quantum part is the
+    pair sum plus (beta^2/4) times that spread.
 
     The total is recomputed from |rho'_mn|^2 / (2(p_m + p_n)) and the two
     routes must agree, which catches kernel regressions at the call site
@@ -134,38 +162,54 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
         check "chi_f_forms" if the kernel and direct routes disagree
         beyond ``CHI_INTERNAL_REL``.
     """
+    hit = fam.memo.get("chi_f")
+    if hit is not None:
+        return hit
     beta = fam.beta
-    g = fam.pair_grid
-    p = fam.populations
-    pair = g.ratio * tanh_over_x(0.5 * g.bgap) * g.s_abs2
-    # a new eigenspace starts wherever the sorted spectrum leaves the
-    # degeneracy window; S_mm - <S> is averaged over each one with weights
-    # p_m / p_first, all 1 on an exact degeneracy
-    first = np.concatenate(([True], ~np.diagonal(g.deg, 1)))
+    pair = _pair_sum(fam, lambda g: g.ratio * tanh_over_x(0.5 * g.bgap))
+    # every level of the whole space in ascending order, with the log and
+    # the weight d p_m of all its copies; a new eigenspace starts wherever
+    # the sorted spectrum leaves the degeneracy window, and S_mm - <S> is
+    # averaged over each one with weights d p_m / (d p)_first
+    cols = [
+        (b.levels, b.copies, b.log_populations, b.populations, g.delta_d)
+        for b, g in zip(fam.blocks, fam.pair_grids)
+    ]
+    if len(cols) == 1 and fam.blocks[0].copies == 1:  # already sorted and weighted
+        levels, copies, lp, p, delta_d = cols[0]
+    else:
+        cols = [(e, np.full(e.size, c), q + math.log(c), c * r, d) for e, c, q, r, d in cols]
+        order = np.argsort(np.concatenate([c[0] for c in cols]), kind="stable")
+        levels, copies, lp, p, delta_d = (np.concatenate(c)[order] for c in zip(*cols))
+    bgap = beta * (levels[1:] - levels[:-1])
+    first = np.concatenate(([True], bgap >= DEGENERATE_GAP))
     space = np.cumsum(first) - 1
-    lp = fam.log_populations
     w = np.exp(lp - lp[first][space])
-    avg = (np.bincount(space, w * g.delta_d) / np.bincount(space, w))[space]
-    spread = float(np.dot(p, (g.delta_d - avg) ** 2))
-    quantum = 0.125 * beta * beta * float(pair.sum()) + 0.25 * beta * beta * spread
+    avg = (np.bincount(space, w * delta_d) / np.bincount(space, w))[space]
+    spread = float(np.dot(p, (delta_d - avg) ** 2))
+    quantum = 0.125 * beta * beta * pair + 0.25 * beta * beta * spread
     classical = 0.25 * beta * beta * float(np.dot(p, avg**2))
     total = classical + quantum
 
-    num = np.abs(rho_prime(fam)) ** 2
-    den = 2.0 * (p[:, None] + p[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = float(np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum())
+    direct = 0.0
+    for b, r in zip(fam.blocks, _rho_prime_blocks(fam)):
+        num = np.abs(r) ** 2
+        den = 2.0 * (b.populations[:, None] + b.populations[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+        direct += b.copies * float(ratio.sum())
     check_agreement(
         "chi_f_forms", total, direct, CHI_INTERNAL_REL, ("kernel form", "direct form")
     )
 
-    n_deg = (int(np.count_nonzero(g.deg)) - fam.dim) // 2
-    return FidelitySusceptibility(
+    n_deg = _degenerate_pairs(fam, levels, copies, bgap)
+    fam.memo["chi_f"] = result = FidelitySusceptibility(
         total=total,
         classical=classical,
         quantum=quantum,
         degenerate_pair_count=n_deg,
     )
+    return result
 
 
 def ds2_spectral(fam: PerturbedFamily) -> float:
@@ -177,15 +221,17 @@ def ds2_spectral(fam: PerturbedFamily) -> float:
     this second composition keeps the equality test meaningful.
     """
     beta = fam.beta
-    g = fam.pair_grid
-    q = -np.expm1(-g.bgap)
-    safe_gap = np.where(g.deg, 1.0, g.gap)
-    w = np.where(
-        g.deg,
-        0.5 * beta * beta * g.p_geo,
-        g.p_low * q * q / (safe_gap * safe_gap * (2.0 - q)),
-    )
-    return 0.25 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
+
+    def weight(g):
+        q = -np.expm1(-g.bgap)
+        safe_gap = np.where(g.deg, 1.0, g.gap)
+        return np.where(
+            g.deg,
+            0.5 * beta * beta * g.p_geo,
+            g.p_low * q * q / (safe_gap * safe_gap * (2.0 - q)),
+        )
+
+    return 0.25 * beta * beta * fam.diagonal_variance + 0.5 * _pair_sum(fam, weight)
 
 
 def chi_fg_spectral(fam: PerturbedFamily) -> float:
@@ -196,15 +242,17 @@ def chi_fg_spectral(fam: PerturbedFamily) -> float:
     difference rewritten as p_low expm1(-X)^2 so it never cancels.
     """
     beta = fam.beta
-    g = fam.pair_grid
-    e = np.expm1(-0.5 * g.bgap)
-    safe_gap = np.where(g.deg, 1.0, g.gap)
-    w = np.where(
-        g.deg,
-        0.25 * beta * beta * g.p_geo,
-        g.p_low * e * e / (safe_gap * safe_gap),
-    )
-    return 0.125 * beta * beta * g.var_d + 0.5 * float((w * g.s_abs2).sum())
+
+    def weight(g):
+        e = np.expm1(-0.5 * g.bgap)
+        safe_gap = np.where(g.deg, 1.0, g.gap)
+        return np.where(
+            g.deg,
+            0.25 * beta * beta * g.p_geo,
+            g.p_low * e * e / (safe_gap * safe_gap),
+        )
+
+    return 0.125 * beta * beta * fam.diagonal_variance + 0.5 * _pair_sum(fam, weight)
 
 
 def chi_fg_integral(fam: PerturbedFamily) -> float:
@@ -234,7 +282,8 @@ def chi_fg_integral(fam: PerturbedFamily) -> float:
 
 
 def chi_f_ground_state(fam: PerturbedFamily) -> float:
-    """Zero-temperature limit: sum over |S_n0|^2 / (T_n - T_0)^2."""
+    """Zero-temperature limit: sum over |S_n0|^2 / (T_n - T_0)^2, on the
+    dense assembly of the blocks."""
     ev = fam.eigenvalues
     if fam.dim == 1:
         return 0.0
@@ -248,14 +297,17 @@ def chi_f_ground_state(fam: PerturbedFamily) -> float:
 
 
 def _perturbed_spectrum(fam: PerturbedFamily, h: float):
-    """Spectrum, log populations and log Z of H(h) = T - h S at the family's beta."""
+    """Spectrum, log populations and log Z of H(h) = T - h S at the family's
+    beta, on the dense assembly of the blocks."""
     a = np.diag(fam.eigenvalues) - h * fam.s_eig
     d = eig_hermitian(validate_hermitian(a))
-    return (d, *_log_weights(d.eigenvalues, fam.beta))
+    (lp,), log_z = _log_weights([d.eigenvalues], [1], fam.beta)
+    return d, lp, log_z
 
 
 def perturbed_density(fam: PerturbedFamily, h: float) -> np.ndarray:
-    """Density matrix of H(h) = T - h S at the family's beta, in the T-eigenbasis.
+    """Density matrix of H(h) = T - h S at the family's beta, in the dense
+    T-eigenbasis.
 
     Used by the finite-difference oracles.  Diagonalizes the perturbed
     Hamiltonian in full, so the cost is one eigendecomposition per call.
@@ -297,28 +349,16 @@ def _nuclear_fidelity(a: np.ndarray, b: np.ndarray, overlap: np.ndarray) -> floa
 
 
 def uhlmann_fidelity(rho1, rho2) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
+    """Uhlmann fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1] up
+    to rounding and 1 iff the states coincide.
 
     Taken as the nuclear norm ||sqrt(rho1) sqrt(rho2)||_1, with one SVD,
     from the checked spectra of the two inputs: the route of `chi_f_fd`,
     which explains why the square roots of the eigenvalues of the formed
-    product would lose sqrt(eps).
-
-    Parameters
-    ----------
-    rho1, rho2 : array_like or HermitianOperator
-        Density matrices: Hermitian, unit trace, positive semidefinite
-        within the clip tolerance.
-
-    Returns
-    -------
-    float
-        Fidelity in [0, 1] up to rounding; 1 iff the states coincide.
-
-    Raises
-    ------
-    NotDensityMatrixError
-        If either input fails the density-matrix checks.
+    product would lose sqrt(eps).  ``rho1`` and ``rho2`` (arrays or
+    HermitianOperators) must be Hermitian, of unit trace and positive
+    semidefinite within the clip tolerance, or `NotDensityMatrixError`
+    is raised.
     """
     d1 = _density_spectrum(rho1)
     d2 = _density_spectrum(rho2)
@@ -352,10 +392,9 @@ def chi_f_fd(fam: PerturbedFamily, h: float) -> float:
     that 1/step^2 then amplifies.
 
     The floor is absolute: at h = 1e-3 on random dim-8 families the
-    error stays near 1e-9 whatever chi_f is, so relative to |chi_f| it
-    grows as chi_f -> 0, from about 1e-8 at chi_f ~ 0.5 to 0.3e-6 -
-    4e-6 at chi_f ~ 3e-4 - 2e-3.  A check scaled by max(1, |chi_f|)
-    does not see that growth.
+    error stays near 1e-9, so relative to |chi_f| it grows from about
+    1e-8 at chi_f ~ 0.5 to 0.3e-6 - 4e-6 at chi_f ~ 3e-4 - 2e-3, which
+    a check scaled by max(1, |chi_f|) does not see.
 
     Raises
     ------

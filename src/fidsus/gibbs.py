@@ -1,31 +1,38 @@
 """The Gibbs family of H(h) = T - h S at h = 0, the one thermal-state type.
 
-Everything downstream of this module works in the eigenbasis of the
-unperturbed Hamiltonian T: populations, perturbation matrix elements and
-imaginary-time correlations all derive from a single spectral
-decomposition.  A `PerturbedFamily` holds that decomposition, S rotated
-into it, the exact block partition of that S and whether a sign flip of
-the basis reverses it, the chi_N oracle's displaced spectra, and the
-Boltzmann weights at one beta.  `make_family` builds one from matrices
-and `family_at_beta` moves one to another temperature without
-re-diagonalizing, sharing everything but the weights; both take their
-weights from `_log_weights`.
-Populations are kept in log space so that large inverse temperatures
-never overflow.
+A family is its symmetry blocks: a builder passes, per symmetry sector,
+its T_b, S_b and number d_b of identical copies, so dim = sum_b d_b n_b;
+a dense (T, S) is the one-block case.  `block_family` builds a family
+from blocks, `make_family` from one dense pair, and `family_at_beta`
+moves one to another temperature without re-diagonalizing.  Each block
+keeps its ascending levels, S_b in its eigenbasis and the log Boltzmann
+weights of its levels against the Z of the whole space.  S has no matrix
+element between two blocks or two copies, so every pair sum runs over
+the pairs inside one block, weighted by its copies (`_pair_sum`).  Only
+the dense-matrix routines build the dense eigenbasis of the direct sum
+(`_dense`), up to ``DIMENSION_BUDGET``.  Populations are kept in log
+space so that large inverse temperatures never overflow.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEGENERATE_GAP, EIGENBASIS_HERMITIAN, THERMAL_AVERAGE_RESIDUE
+from .config import (
+    DEGENERATE_GAP,
+    DIMENSION_BUDGET,
+    EIGENBASIS_HERMITIAN,
+    THERMAL_AVERAGE_RESIDUE,
+)
 from .errors import (
+    DimensionBudgetError,
     DimensionMismatchError,
     NonPositiveBetaError,
     NotHermitianError,
@@ -35,12 +42,15 @@ from .linalg import (
     HermitianOperator,
     SpectralDecomposition,
     _components,
+    _freeze,
     eig_hermitian,
     validate_hermitian,
 )
 
 __all__ = [
+    "Block",
     "PerturbedFamily",
+    "block_family",
     "make_family",
     "family_at_beta",
     "thermal_average",
@@ -49,6 +59,7 @@ __all__ = [
 
 
 class _PairGrid(NamedTuple):
+    copies: int
     gap: np.ndarray
     bgap: np.ndarray
     p_low: np.ndarray
@@ -60,174 +71,192 @@ class _PairGrid(NamedTuple):
     var_d: float
 
 
+class Block(NamedTuple):
+    """``copies`` identical copies of one symmetry sector at one beta: the
+    decomposition of its T_b (levels ascending), S_b in that eigenbasis
+    (Hermitian, read-only), and log p_n and p_n of the levels of one copy
+    against the Z of the whole family, so sum_b d_b sum_n p_n = 1."""
+
+    spectrum: SpectralDecomposition
+    s_eig: np.ndarray
+    copies: int
+    log_populations: np.ndarray
+    populations: np.ndarray
+
+    levels = property(lambda block: block.spectrum.eigenvalues)
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbedFamily:
     """The Gibbs state e^{-beta T}/Z of a family H(h) = T - h S at h = 0.
-
-    The perturbation is stored only in the T-eigenbasis (``s_eig``); the
-    original basis is discarded after construction because every spectral
-    formula downstream is written in eigenbasis matrix elements.
 
     Attributes
     ----------
     beta : float
         Inverse temperature, strictly positive.
-    spectrum : SpectralDecomposition
-        Decomposition of T; eigenvalues ascending.
-    s_eig : ndarray
-        S in the eigenbasis of T, Hermitian.
+    blocks : tuple of Block
+        The symmetry blocks, in the order the builder passed them.
     sign_odd : bool
-        Whether a diagonal sign flip D = diag(+-1) maps ``s_eig`` to
-        ``-s_eig`` exactly (see `_partition`).  D then commutes with
-        diag(T), so T - h S and T + h S are similar, and <S>_{-h} is
-        -<S>_h.
-    blocks : tuple of ndarray
-        The exact block partition of ``s_eig``: the sorted index arrays
-        of the connected components of its nonzero pattern, in the order
-        of their smallest index.  One array, 0..dim-1, when the pattern
-        is connected.  Every T - h S is block diagonal on it.
+        Whether a diagonal sign flip D = diag(+-1) maps every block's S to
+        its negative exactly (see `_sign_odd`), so that <S>_{-h} = -<S>_h.
     displaced : dict
-        The chi_N oracle's solves of T - h S, keyed by the field h: the
-        ascending levels and the matching diagonal of S in the displaced
-        eigenbasis, never the eigenvectors.  Neither depends on beta, so
-        `family_at_beta` hands the same dict on and a beta sweep solves
-        each field once.
-    log_populations : ndarray
-        log p_n, always finite.  All kernel evaluations use these.
-    populations : ndarray
-        Boltzmann weights p_n, nonnegative and summing to one.  Individual
-        entries may underflow to exact zero at extreme beta; see
-        ``underflow_count``.
-    log_z : float
-        log of the partition function.
-    s_mean : float
-        The thermal mean <S>.
+        The chi_N oracle's solves of T - h S keyed by the field h: per
+        block, the ascending levels and the diagonal of S in their
+        eigenbasis.  Both are beta independent, so `family_at_beta` hands
+        the same dict on and a beta sweep solves each field once.
+    log_z, s_mean : float
+        log Z and the thermal mean <S>.
     underflow_count : int
-        Number of populations that flushed to zero in ``populations``.
+        Number of states whose population flushed to zero.
     particle_count : int
-        Metadata from the model builder used for per-particle quantities;
-        it is never inferred from the dimension.
+        The number of particles the builder says S sums over, for
+        per-particle values; never inferred from the dimension.
+    dim : int
+        sum_b d_b n_b, the dimension of the whole space.
+    memo : dict
+        Values computed from this family, so a second request is free:
+        `chi_f_spectral` keeps its result here.
+
+    ``eigenvalues``, ``s_eig``, ``log_populations`` and ``populations``
+    are the dense assembly of the blocks (`_dense`).
     """
 
     beta: float
-    spectrum: SpectralDecomposition
-    s_eig: np.ndarray = field(repr=False)
-    sign_odd: bool
     blocks: tuple = field(repr=False)
+    sign_odd: bool
     displaced: dict = field(repr=False)
-    log_populations: np.ndarray = field(repr=False)
-    populations: np.ndarray = field(repr=False)
     log_z: float
     s_mean: float
     underflow_count: int
     particle_count: int
+    dim: int
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.spectrum.dim
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum.eigenvalues
+    eigenvalues = property(lambda fam: _dense(fam, [b.levels for b in fam.blocks]))
+    s_eig = property(lambda fam: _dense(fam, [b.s_eig for b in fam.blocks]))
+    log_populations = property(
+        lambda fam: _dense(fam, [b.log_populations for b in fam.blocks])
+    )
+    populations = property(lambda fam: _dense(fam, [b.populations for b in fam.blocks]))
 
     @functools.cached_property
-    def pair_grid(self) -> _PairGrid:
-        """Symmetric pair quantities shared by every spectral sum.
+    def pair_grids(self) -> tuple:
+        """Per block, the pair quantities every spectral sum shares: the
+        copies, |T_m - T_n|, beta|T_m - T_n|, the larger population of each
+        pair, sqrt(p_m p_n), the mask ``beta * gap < DEGENERATE_GAP``, the
+        ratio kernel (p_n - p_m)/X_mn of chi_F, rho' and the BD product
+        (p_low (1 - e^{-2X})/X with X = beta|T_m - T_n|/2, 2 sqrt(p_m p_n)
+        in the window), |S_mn|^2 off the diagonal, S_mm - <S>, and the
+        block's share of the variance of S_mm.  Built once, read-only."""
+        return tuple(_pair_grid(self.beta, self.s_mean, b) for b in self.blocks)
 
-        The absolute gaps |T_m - T_n|, the scaled gaps beta|T_m - T_n|,
-        the larger population of each pair, the geometric-mean population
-        sqrt(p_m p_n), the degeneracy mask ``beta * gap < DEGENERATE_GAP``
-        (diagonal included), the ratio kernel, |S_mn|^2 with its diagonal
-        zeroed, the centred diagonal S_mm - <S> and its population
-        variance.  The ratio kernel (p_n - p_m)/X_mn, shared by chi_F,
-        rho' and the BD product, is evaluated from the lower level as
-        p_low (1 - e^{-2X})/X with X = beta|T_m - T_n|/2, and inside the
-        degeneracy window as its limit 2 sqrt(p_m p_n).  Built on first
-        use and kept with the family, so one report builds it once; its
-        arrays are read-only because every sum shares them.
-        """
-        ev = self.eigenvalues
-        lp = self.log_populations
-        gap = np.abs(ev[:, None] - ev[None, :])
-        bgap = self.beta * gap
-        p_low = np.exp(np.maximum(lp[:, None], lp[None, :]))
-        p_geo = np.exp(0.5 * (lp[:, None] + lp[None, :]))
-        deg = bgap < DEGENERATE_GAP
-        x = 0.5 * np.where(deg, 1.0, bgap)
-        ratio = np.where(deg, 2.0 * p_geo, p_low * (-np.expm1(-2.0 * x)) / x)
-        s_abs2 = np.abs(self.s_eig) ** 2
-        np.fill_diagonal(s_abs2, 0.0)
-        delta_d = np.real(np.diagonal(self.s_eig)) - self.s_mean
-        var_d = float(np.dot(self.populations, delta_d**2))
-        for arr in (gap, bgap, p_low, p_geo, deg, ratio, s_abs2, delta_d):
-            arr.setflags(write=False)
-        return _PairGrid(gap, bgap, p_low, p_geo, deg, ratio, s_abs2, delta_d, var_d)
+    @functools.cached_property
+    def diagonal_variance(self) -> float:
+        """The population variance of the diagonal of S, sum_m p_m (S_mm - <S>)^2."""
+        return sum(g.var_d for g in self.pair_grids)
 
 
-def _log_weights(eigenvalues: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Log Boltzmann weights and log Z of an ascending spectrum at beta.
+def _pair_grid(beta: float, s_mean: float, block: Block) -> _PairGrid:
+    ev = block.levels
+    lp = block.log_populations
+    gap = np.abs(ev[:, None] - ev[None, :])
+    bgap = beta * gap
+    p_low = np.exp(np.maximum(lp[:, None], lp[None, :]))
+    p_geo = np.exp(0.5 * (lp[:, None] + lp[None, :]))
+    deg = bgap < DEGENERATE_GAP
+    x = 0.5 * np.where(deg, 1.0, bgap)
+    ratio = np.where(deg, 2.0 * p_geo, p_low * (-np.expm1(-2.0 * x)) / x)
+    s_abs2 = np.abs(block.s_eig) ** 2
+    np.fill_diagonal(s_abs2, 0.0)
+    delta_d = np.real(np.diagonal(block.s_eig)) - s_mean
+    var_d = block.copies * float(np.dot(block.populations, delta_d**2))
+    g = (gap, bgap, p_low, p_geo, deg, ratio, s_abs2, delta_d)
+    for arr in g:
+        arr.setflags(write=False)
+    return _PairGrid(block.copies, *g, var_d)
 
-    The exponents are taken relative to the lowest level, so each one is
-    nonpositive and the log-sum-exp never overflows.
+
+def _pair_sum(fam: PerturbedFamily, weight: Callable[[_PairGrid], np.ndarray]) -> float:
+    """sum_b d_b sum_{m,n in b} weight_mn |S_mn|^2 over the in-block pairs,
+    the only pairs with a matrix element of S."""
+    total = 0.0
+    for g in fam.pair_grids:
+        total += g.copies * float((weight(g) * g.s_abs2).sum())
+    return total
+
+
+def _dense(fam: PerturbedFamily, parts: list) -> np.ndarray:
+    """The dense assembly of one vector or matrix per block: every copy of
+    every block in the builder's order, stably sorted by level, each
+    block's matrix on the rows and columns of its levels and exact zeros
+    elsewhere.  A one-block, one-copy family is its own assembly; a
+    larger one raises `DimensionBudgetError` above ``DIMENSION_BUDGET``.
     """
-    shifted = -beta * (eigenvalues - eigenvalues[0])
-    lse = float(np.logaddexp.reduce(shifted))
-    return shifted - lse, lse - beta * float(eigenvalues[0])
+    if len(parts) == 1 and fam.blocks[0].copies == 1:
+        return parts[0]
+    if fam.dim > DIMENSION_BUDGET:
+        raise DimensionBudgetError(
+            f"dense dimension {fam.dim} exceeds budget {DIMENSION_BUDGET}"
+        )
+    levels = np.concatenate([np.tile(b.levels, b.copies) for b in fam.blocks])
+    rank = np.empty(levels.size, dtype=np.intp)
+    rank[np.argsort(levels, kind="stable")] = np.arange(levels.size)
+    shape = (fam.dim,) * parts[0].ndim
+    out = np.zeros(shape, dtype=np.result_type(*parts))
+    start = 0
+    for b, part in zip(fam.blocks, parts):
+        for _ in range(b.copies):
+            idx = rank[start : start + b.spectrum.dim]
+            out[np.ix_(*(idx,) * part.ndim)] = part
+            start += idx.size
+    return _freeze(out)
 
 
-def _partition(s_eig: np.ndarray) -> tuple[tuple, bool]:
-    """The exact block partition of ``s_eig`` and whether it is sign-odd.
+def _log_weights(levels: list, copies: list, beta: float) -> tuple[list, float]:
+    """Log Boltzmann weights of each block's levels and log Z at beta, the
+    levels of block b counting ``copies[b]`` times in Z.  The exponents are
+    taken from the lowest level, so the log-sum-exp never overflows."""
+    low = min(w[0] for w in levels)
+    shifted = [-beta * (w - low) for w in levels]
+    if len(shifted) == 1 and copies[0] == 1:
+        lse = float(np.logaddexp.reduce(shifted[0]))
+    else:
+        logs = [s + math.log(c) for s, c in zip(shifted, copies)]
+        lse = float(np.logaddexp.reduce(np.concatenate(logs)))
+    return [s - lse for s in shifted], lse - beta * float(low)
 
-    One breadth-first pass over the exact nonzero pattern finds its
-    connected components and two-colours each one by the parity of its
-    levels.  ``s_eig`` is sign-odd, D s_eig D = -s_eig for some diagonal
-    D = diag(+-1), exactly when its diagonal is zero and no link joins
-    two entries of one colour: D is then +1 on the even levels and -1 on
-    the odd ones.  A pattern with no zero entry is one block whose
-    nonzero diagonal makes it not odd, and skips the search.  An all-zero
-    S is odd.
-    """
-    n = s_eig.shape[0]
-    if np.count_nonzero(s_eig) == n * n:
-        return (np.arange(n),), False
+
+def _sign_odd(s_eig: np.ndarray) -> bool:
+    """Whether D s_eig D = -s_eig for some diagonal D = diag(+-1): exactly
+    when the diagonal is zero and the exact nonzero pattern is bipartite,
+    D being +1 on the even breadth-first levels of each connected
+    component and -1 on the odd ones.  An all-zero S is odd."""
+    if s_eig.diagonal().any():
+        return False
     linked = s_eig != 0
-    blocks, odd = _components(linked)
-    sign_odd = not np.diagonal(s_eig).any() and not np.any(
-        linked & (odd[:, None] == odd[None, :])
-    )
-    return tuple(blocks), sign_odd
+    odd = _components(linked)[1]
+    return not np.any(linked & (odd[:, None] == odd[None, :]))
 
 
 def _thermalize(
-    beta: float,
-    spectrum: SpectralDecomposition,
-    s_eig: np.ndarray,
-    particle_count: int,
-    blocks: tuple,
-    sign_odd: bool,
-    displaced: dict,
+    beta: float, parts: list, particle_count: int, sign_odd: bool, displaced: dict
 ) -> PerturbedFamily:
-    """The family of a decomposed T and S in its eigenbasis at beta."""
+    """The family of (spectrum, s_eig, copies) blocks at beta."""
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
         raise NonPositiveBetaError(f"beta must be positive and finite, got {beta!r}")
-    lp, log_z = _log_weights(spectrum.eigenvalues, beta)
-    lp.setflags(write=False)
-    p = np.exp(lp)
-    p.setflags(write=False)
+    spectra, s_eigs, copies = zip(*parts)
+    lps, log_z = _log_weights([sp.eigenvalues for sp in spectra], copies, beta)
+    blocks, s_mean, underflow, dim = [], 0.0, 0, 0
+    for spectrum, s_eig, c, lp in zip(spectra, s_eigs, copies, lps):
+        p = _freeze(np.exp(lp))
+        blocks.append(Block(spectrum, s_eig, c, _freeze(lp), p))
+        s_mean += c * float(np.dot(p, np.real(np.diagonal(s_eig))))
+        underflow += c * int(np.count_nonzero(p == 0.0))
+        dim += c * spectrum.dim
     return PerturbedFamily(
-        beta=beta,
-        spectrum=spectrum,
-        s_eig=s_eig,
-        sign_odd=sign_odd,
-        blocks=blocks,
-        displaced=displaced,
-        log_populations=lp,
-        populations=p,
-        log_z=log_z,
-        s_mean=float(np.dot(p, np.real(np.diagonal(s_eig)))),
-        underflow_count=int(np.count_nonzero(p == 0.0)),
-        particle_count=particle_count,
+        beta, tuple(blocks), sign_odd, displaced, log_z, s_mean, underflow,
+        particle_count, dim,
     )
 
 
@@ -241,65 +270,81 @@ def _require_hermitian(a: np.ndarray, what: str) -> float:
     return scale
 
 
+def block_family(blocks: Sequence, beta: float, particle_count: int = 1) -> PerturbedFamily:
+    """Diagonalize each block's T, rotate its S into that eigenbasis and
+    thermalize the direct sum at beta.
+
+    ``blocks`` holds one (T_b, S_b, d_b) per symmetry sector: T and S as
+    HermitianOperators or arrays in one basis, and the number of identical
+    copies, an integer >= 1.  ``particle_count`` is the number of
+    particles the model builder says S sums over.
+    """
+    if particle_count < 1:
+        raise ValueError(f"particle_count must be >= 1, got {particle_count}")
+    parts = []
+    for T, S, copies in blocks:
+        if not isinstance(T, HermitianOperator):
+            T = validate_hermitian(T)
+        spectrum = eig_hermitian(T)
+        if not isinstance(S, HermitianOperator):
+            S = validate_hermitian(S)
+        if S.dim != T.dim:
+            raise DimensionMismatchError(
+                f"perturbation is {S.dim}x{S.dim} but T is {T.dim}x{T.dim}"
+            )
+        copies = operator.index(copies)
+        if copies < 1:
+            raise ValueError(f"a block needs at least one copy, got {copies}")
+        b = spectrum.basis
+        s_eig = b.conj().T @ S.matrix @ b
+        # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
+        # survives to the same order; re-symmetrize to make it exact
+        _require_hermitian(s_eig, "perturbation lost Hermiticity in the basis rotation")
+        s_eig = _freeze(0.5 * (s_eig + s_eig.conj().T))
+        parts.append((spectrum, s_eig, copies))
+    if not parts:
+        raise ValueError("a family needs at least one block")
+    sign_odd = all(_sign_odd(s) for _, s, _ in parts)
+    return _thermalize(beta, parts, particle_count, sign_odd, {})
+
+
 def make_family(
     T: HermitianOperator | np.ndarray,
     S: HermitianOperator | np.ndarray,
     beta: float,
     particle_count: int = 1,
 ) -> PerturbedFamily:
-    """Diagonalize T, rotate S into its eigenbasis and thermalize at beta.
-
-    Parameters
-    ----------
-    T, S : HermitianOperator or array
-        Unperturbed Hamiltonian and perturbation in one basis.
-    beta : float
-        Inverse temperature, strictly positive and finite.
-    particle_count : int
-        Number of particles the model builder says S sums over.
-
-    Returns
-    -------
-    PerturbedFamily
-    """
-    if not isinstance(T, HermitianOperator):
-        T = validate_hermitian(T)
-    spectrum = eig_hermitian(T)
-    if not isinstance(S, HermitianOperator):
-        S = validate_hermitian(S)
-    if S.dim != T.dim:
-        raise DimensionMismatchError(
-            f"perturbation is {S.dim}x{S.dim} but T is {T.dim}x{T.dim}"
-        )
-    if particle_count < 1:
-        raise ValueError(f"particle_count must be >= 1, got {particle_count}")
-    b = spectrum.basis
-    s_eig = b.conj().T @ S.matrix @ b
-    # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
-    # survives to the same order; re-symmetrize to make it exact
-    _require_hermitian(s_eig, "perturbation lost Hermiticity in the basis rotation")
-    s_eig = 0.5 * (s_eig + s_eig.conj().T)
-    s_eig.setflags(write=False)
-    return _thermalize(beta, spectrum, s_eig, particle_count, *_partition(s_eig), {})
+    """The one-block family of a dense T and S in one basis: see `block_family`."""
+    return block_family([(T, S, 1)], beta, particle_count)
 
 
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     """Rebuild the family at a different temperature without re-diagonalizing.
 
-    The eigenbasis, S_eig, its block partition and sign parity, and the
+    Each block's eigenbasis, S_eig and copies, the sign parity and the
     chi_N oracle's displaced spectra are temperature independent, and the
     new family shares them (the same ``displaced`` dict, so a field
     solved at one temperature is not solved again at another); only the
     weights, log Z and the perturbation mean change.
     """
-    return _thermalize(
-        beta, fam.spectrum, fam.s_eig, fam.particle_count, fam.blocks, fam.sign_odd,
-        fam.displaced,
-    )
+    parts = [(b.spectrum, b.s_eig, b.copies) for b in fam.blocks]
+    return _thermalize(beta, parts, fam.particle_count, fam.sign_odd, fam.displaced)
+
+
+def _average(populations: np.ndarray, a: np.ndarray) -> float:
+    """sum_m p_m Re A_mm after `_require_hermitian`; an imaginary residue
+    above ``THERMAL_AVERAGE_RESIDUE`` relative to max(1, ||A||_F) warns."""
+    scale = _require_hermitian(a, "operator is not Hermitian")
+    diag = np.diagonal(a)
+    value = float(np.dot(populations, np.real(diag)))
+    residue = abs(float(np.dot(populations, np.imag(diag))))
+    if residue > THERMAL_AVERAGE_RESIDUE * scale:
+        warnings.warn(f"thermal average has imaginary residue {residue:.3e}", stacklevel=3)
+    return value
 
 
 def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
-    """Average Tr(rho A) for A given in the T-eigenbasis.
+    """Average Tr(rho A) for A given in the dense T-eigenbasis.
 
     Returns the real part; an imaginary residue above
     ``THERMAL_AVERAGE_RESIDUE`` relative to ``max(1, ||A||_F)`` (which a
@@ -313,42 +358,31 @@ def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"operator is {A.shape[0]}x{A.shape[0]} but the family has dim {fam.dim}"
         )
-    scale = _require_hermitian(A, "operator is not Hermitian")
-    diag = np.diagonal(A)
-    value = float(np.dot(fam.populations, np.real(diag)))
-    residue = abs(float(np.dot(fam.populations, np.imag(diag))))
-    if residue > THERMAL_AVERAGE_RESIDUE * scale:
-        warnings.warn(
-            f"thermal average has imaginary residue {residue:.3e}", stacklevel=2
-        )
-    return value
+    return _average(fam.populations, A)
 
 
-# correlation_G takes tau nodes in blocks whose (nodes, n, n) temporaries
+# correlation_G takes tau nodes in chunks whose (nodes, n, n) temporaries
 # hold about this many float64 elements (2 MiB), which bounds its memory
-# at any dim and any node count.
-_BLOCK_ELEMENTS = 2**18
+# at any block size and any node count.
+_CHUNK_ELEMENTS = 2**18
 
 
 def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float | np.ndarray:
     """Imaginary-time autocorrelation G(tau) of the perturbation.
 
     G(tau) = sum_{m,n} p_m e^{tau (T_m - T_n)} |S_mn|^2 - <S>^2 for
-    0 <= tau <= beta.  The exponent is evaluated as the convex combination
-    (1 - tau/beta) log p_m + (tau/beta) log p_n, which is bounded above by
-    zero, so the sum never overflows however large beta is.  The diagonal
-    part is accumulated in the mean-subtracted form so the tau-independent
-    variance comes out without cancellation.  |S_mn|^2, the centred
-    diagonal and its variance are read from the family's pair grid.
+    0 <= tau <= beta, over the pairs inside each block weighted by its
+    copies.  The exponent is the convex combination
+    (1 - tau/beta) log p_m + (tau/beta) log p_n, at most zero, so the sum
+    never overflows; the diagonal part is the variance of S_mm from the
+    pair grids, free of cancellation.
 
     ``tau`` is a float, or a 1-d sequence of floats for which an array of
-    G values is returned.  The tau-independent terms are formed once, and
-    the nodes are evaluated in blocks, each one broadcast over a
-    (nodes, n, n) array: a block holds max(1, 2**18 // n**2) nodes, so a
-    temporary holds about 2**18 float64 elements (2 MiB), or one n x n
-    grid once n > 512, and memory does not grow with the number of
-    nodes.  Each value is still one elementwise exp and one pairwise sum
-    over its own n x n slice, bit-identical to a scalar call.
+    G values is returned.  The nodes are evaluated in chunks broadcast
+    over a (nodes, n, n) array of one block, max(1, 2**18 // n**2) nodes
+    at a time, so a temporary holds about 2 MiB (one n x n grid once
+    n > 512) whatever the node count.  Each value is still one exp and
+    one sum per block over its own slice, bit-identical to a scalar call.
 
     Raises
     ------
@@ -374,13 +408,14 @@ def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float |
             f"tau must lie in [0, beta={beta!r}], got {float(outside[0])!r}"
         )
     lam = flat / beta
-    lp = fam.log_populations
-    g = fam.pair_grid
-    values = np.empty(lam.shape)
-    step = max(1, _BLOCK_ELEMENTS // fam.dim**2)
-    for lo in range(0, lam.size, step):
-        block = lam[lo : lo + step, None, None]
-        weights = np.exp((1.0 - block) * lp[:, None] + block * lp[None, :])
-        weights *= g.s_abs2
-        values[lo : lo + step] = np.sum(weights, axis=(1, 2)) + g.var_d
+    values = np.zeros(lam.shape)
+    for b, g in zip(fam.blocks, fam.pair_grids):
+        lp = b.log_populations
+        step = max(1, _CHUNK_ELEMENTS // lp.size**2)
+        for lo in range(0, lam.size, step):
+            chunk = lam[lo : lo + step, None, None]
+            weights = np.exp((1.0 - chunk) * lp[:, None] + chunk * lp[None, :])
+            weights *= g.s_abs2
+            values[lo : lo + step] += b.copies * np.sum(weights, axis=(1, 2))
+    values += fam.diagonal_variance
     return float(values[0]) if taus.ndim == 0 else values

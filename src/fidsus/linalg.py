@@ -33,17 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A validated Hermitian matrix.
-
-    Attributes
-    ----------
-    matrix : ndarray
-        Square array, symmetrized and marked read-only: float64 when the
-        symmetrized matrix has no nonzero imaginary entry, complex128
-        otherwise.
-    dim : int
-        Matrix dimension.
-    """
+    """A validated Hermitian matrix of dimension ``dim``: ``matrix`` is
+    symmetrized and read-only, float64 when it has no nonzero imaginary
+    entry and complex128 otherwise."""
 
     matrix: np.ndarray
     dim: int
@@ -51,20 +43,11 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues and eigenbasis of a Hermitian operator.
-
-    Attributes
-    ----------
-    eigenvalues : ndarray
-        Real eigenvalues in nondecreasing order.
-    basis : ndarray
-        Unitary matrix whose columns are the eigenvectors, in the same
-        order, with the dtype of the decomposed matrix (a real
-        orthogonal matrix for a float64 operator).  Each column's
-        largest-magnitude component is real and positive.
-    dim : int
-        Dimension of the decomposed operator.
-    """
+    """Eigenvalues and eigenbasis of a Hermitian operator of dimension
+    ``dim``: real ``eigenvalues`` in nondecreasing order, and the unitary
+    ``basis`` of eigenvectors in the same order, with the dtype of the
+    decomposed matrix (real orthogonal for a float64 operator) and each
+    column's largest-magnitude component real and positive."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
@@ -77,31 +60,15 @@ def _freeze(arr):
 
 
 def validate_hermitian(matrix) -> HermitianOperator:
-    """Check and wrap a matrix as a Hermitian operator.
+    """Check and wrap a square real or complex matrix M as a Hermitian
+    operator holding (M + M^H)/2.
 
-    Parameters
-    ----------
-    matrix : array_like
-        Square real or complex matrix.  ``HERMITIAN_REL`` bounds its
-        allowed asymmetry relative to ``max(1, ||M||_F)``.
-
-    Returns
-    -------
-    HermitianOperator
-        Wrapper around the symmetrized matrix ``(M + M^H)/2``.  Boolean,
-        integer and real input is checked and stored as float64 without
-        a complex copy; complex input whose symmetrized imaginary part is
-        exactly zero is stored as its float64 real part.  Any nonzero
-        imaginary entry, however small, keeps complex128.
-
-    Raises
-    ------
-    NotSquareError
-        If the input is not a square 2-d array.
-    NonFiniteError
-        If any entry is NaN or infinite.
-    NotHermitianError
-        If the asymmetry exceeds tolerance.
+    Boolean, integer and real input is stored as float64 without a
+    complex copy, and so is complex input whose symmetrized imaginary part
+    is exactly zero; any nonzero imaginary entry keeps complex128.
+    Raises `NotSquareError` for anything but a square 2-d array,
+    `NonFiniteError` for a NaN or infinite entry, and `NotHermitianError`
+    when ||M - M^H||_F exceeds ``HERMITIAN_REL`` max(1, ||M||_F).
     """
     m = np.asarray(matrix)
     m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
@@ -190,24 +157,17 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     Eigenvalues are sorted nondecreasing with ties broken by the order
     ``np.linalg.eigh`` returns them in (stable sort), and each
     eigenvector's phase is fixed by making its first largest-magnitude
-    component real positive.  ``np.linalg.eigh`` dispatches on the dtype
-    of ``op.matrix``: a float64 operator runs the real symmetric solver
-    and gets a real orthogonal basis, whose phase pin is a sign.  Inside
-    a degenerate eigenspace the basis is whichever one LAPACK picks, and
-    the real and complex solvers pick differently; every reported
-    quantity is invariant under that choice.
+    component real positive.  A float64 operator runs LAPACK's real
+    symmetric solver and gets a real orthogonal basis.  Inside a
+    degenerate eigenspace the basis is whichever one LAPACK picks; every
+    reported quantity is invariant under that choice.
 
     A matrix whose exact zeros split it into blocks (the connected
-    components of its nonzero pattern) is solved block by block:
-    ``np.linalg.eigh`` runs once per distinct block, and a block
-    bit-identical to an earlier one reuses that solution.  The block
-    spectra are concatenated in the order of each block's first index and
-    merged by the same stable sort, and each block's vectors are placed in
-    the dense basis, exactly zero off the block.  The residual and the
-    unitarity defect are the same Frobenius norms over the whole matrix,
-    summed block by block, as every cross-block entry is an exact zero.
-    A dense matrix, or one whose pattern is connected, goes through one
-    ``eigh`` of the whole.
+    components of its nonzero pattern) is solved with one ``eigh`` per
+    block: the spectra, in the order of each block's first index, are
+    merged by the same stable sort, each block's vectors are placed in
+    the dense basis, exactly zero off the block, and the residual and
+    unitarity defect are summed block by block.
 
     Raises
     ------
@@ -227,17 +187,13 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
         _pin_phases(basis)
         resid, unit = _defects(m, evals, basis)
     else:
-        solved = {}  # block bytes -> (evals, pinned vectors, resid, unit)
         placed = []
         resid2 = unit2 = 0.0
         for idx in comps:
             sub = m[idx[:, None], idx]
-            key = sub.tobytes()
-            if key not in solved:
-                w, v = _eigh(sub)
-                _pin_phases(v)
-                solved[key] = (w, v, *_defects(sub, w, v))
-            w, v, r, u = solved[key]
+            w, v = _eigh(sub)
+            _pin_phases(v)
+            r, u = _defects(sub, w, v)
             resid2 += r * r
             unit2 += u * u
             placed.append((idx, w, v))

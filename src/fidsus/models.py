@@ -1,19 +1,17 @@
 """Model builders: closed-form, many-body, random, and file-defined families.
 
-Each builder returns a `PerturbedFamily` ready for the fidelity and
-bound machinery.  Builders are pure given their arguments (the random
-generator is seeded explicitly), and the nontrivial ones verify a known
-structural property of their own output before returning: the Kondo
-builder checks rotational invariance of the impurity averages, the
-Dicke builder probes its boson cutoff by rebuilding four levels higher.
+Each builder returns a `PerturbedFamily`.  Builders are pure given their
+arguments (the random generator is seeded explicitly), and the Kondo and
+Dicke builders check their own output before returning: rotational
+invariance of the impurity averages, and the boson cutoff four levels up.
 
 Conventions fixed here and relied on by the matrix-file round trip:
 
 * tensor factors are ordered boson (x) spin for each Dicke block and
   fermion modes (x) impurity for the Kondo space;
-* the Dicke full space is a direct sum of spin-j blocks and the Ising
-  chain is built in its parity basis (see `dicke` and `tfim`), so their
-  symmetry blocks are exact zeros, which `eig_hermitian` splits on;
+* the Dicke full space is passed as one block per total spin j with its
+  multiplicity, and the Ising chain as its two parity halves (see `dicke`
+  and `tfim`), so no builder forms the matrix of the whole space;
 * fermionic operators use the Jordan-Wigner chain over the mode list
   (k0 up, k0 down, k1 up, k1 down, ...), qubit |1> meaning occupied;
 * the conduction spin density at the impurity site carries an explicit
@@ -34,6 +32,7 @@ import numpy as np
 from .config import (
     BISECTION_WIDTH,
     DICKE_CUTOFF_SHIFT,
+    DIMENSION_BUDGET,
     KONDO_S3_MEAN,
     KONDO_S3_SQUARE,
 )
@@ -46,7 +45,7 @@ from .errors import (
     NoTransitionError,
 )
 from .fidelity import chi_f_spectral
-from .gibbs import PerturbedFamily, make_family, thermal_average
+from .gibbs import PerturbedFamily, block_family, make_family, thermal_average
 
 __all__ = [
     "DickeTc",
@@ -67,7 +66,6 @@ __all__ = [
     "tfim",
 ]
 
-DIMENSION_BUDGET = 4096
 
 def _integer(name: str, value, error: type = ValueError) -> int:
     """``value`` as an int: ints and integral floats pass, and anything
@@ -77,6 +75,18 @@ def _integer(name: str, value, error: type = ValueError) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _typed(name: str, value, kind: type, error: type = ValueError):
+    """``value`` read as a real number (``kind`` float) or a switch (bool):
+    a real is any int or float but a bool, a switch only True or False,
+    and anything else, strings included, raises ``error``."""
+    if kind is bool and isinstance(value, bool):
+        return value
+    if kind is float and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    wanted = "true or false" if kind is bool else "a real number"
+    raise error(f"{name} must be {wanted}, got {value!r}")
 
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -159,26 +169,16 @@ def _spin_multiplicity(n_atoms: int, j2: int) -> int:
     return math.comb(n_atoms, k) - (math.comb(n_atoms, k - 1) if k else 0)
 
 
-def _direct_sum(blocks: List[np.ndarray]) -> np.ndarray:
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim))
-    start = 0
-    for b in blocks:
-        stop = start + b.shape[0]
-        out[start:stop, start:stop] = b
-        start = stop
-    return out
-
-
-def _dicke_matrices(
+def _dicke_blocks(
     n_atoms: int, n_max: int, omega: float, eps: float, lam: float, symmetric_sector: bool
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> List[tuple]:
+    """(T_j, S_j, d_j) of boson (x) spin-j for each total spin j."""
     a = _boson_annihilator(n_max)
     quad = a + a.T
     number = a.T @ a
     eye_b = np.eye(n_max + 1)
     spins = [n_atoms] if symmetric_sector else range(n_atoms, -1, -2)
-    t_blocks, s_blocks = [], []
+    blocks = []
     for j2 in spins:
         jx, _, jz = (m.real for m in _spin_matrices(j2))
         eye_a = np.eye(j2 + 1)
@@ -188,10 +188,8 @@ def _dicke_matrices(
             + (lam / math.sqrt(n_atoms)) * np.kron(quad, jx)
         )
         s = 0.5 * math.sqrt(n_atoms) * np.kron(quad, eye_a)
-        copies = _spin_multiplicity(n_atoms, j2)
-        t_blocks += [t] * copies
-        s_blocks += [s] * copies
-    return _direct_sum(t_blocks), _direct_sum(s_blocks)
+        blocks.append((t, s, _spin_multiplicity(n_atoms, j2)))
+    return blocks
 
 
 def dicke(
@@ -211,23 +209,22 @@ def dicke(
 
     By default the atoms span their full 2^N space, which keeps the
     partition function honest for finite-size thermal averages.  T is
-    collective, so that space is built as its decomposition into total
-    spin: the direct sum over j = N/2, N/2 - 1, ... (down to 0 or 1/2)
-    of d_j = C(N, N/2 - j) - C(N, N/2 - j - 1) identical copies of
-    boson (x) spin-j, each copy in Fock (x) m order with m descending
-    from +j.  This is unitarily equivalent to the product space of N
-    sites, so every reported quantity is the same, and the copies are
-    exact zero-separated blocks that `eig_hermitian` solves once.
-    ``symmetric_sector`` keeps only the first term, j = N/2, of dimension
-    (n_max + 1)(N + 1); that drops the multiplicities of the lower-spin
-    blocks from Z, so sector results are comparable with each other but
-    not term-by-term with the full space.
+    collective, so that space is built from its total-spin sectors: one
+    block per j = N/2, N/2 - 1, ... (down to 0 or 1/2), boson (x) spin-j
+    in Fock (x) m order with m descending from +j, with its
+    d_j = C(N, N/2 - j) - C(N, N/2 - j - 1) copies.  This is unitarily
+    equivalent to the product space of N sites, so every reported
+    quantity is the same.  ``symmetric_sector`` keeps only the block
+    j = N/2, with one copy; that drops the lower-spin blocks from Z, so
+    sector results are comparable with each other but not term-by-term
+    with the full space.  The dimension budget bounds the largest block,
+    (n_max + 1)(N + 1).
 
     Every build is followed by a cutoff probe: the family is rebuilt at
     n_max + 4 and the relative shift in chi_F is measured.  A shift
-    above 1e-4 triggers `CutoffConvergenceWarning` (the probe is also
-    skipped with a warning if the enlarged space would exceed the
-    dimension budget).
+    above 1e-4 triggers `CutoffConvergenceWarning` (the probe is skipped
+    with a warning if its largest block would exceed the budget).  The
+    probe's chi_F of the built family stays with it for the report.
     """
     n_atoms = _integer("n_atoms", n_atoms)
     n_max = _integer("n_max", n_max)
@@ -237,23 +234,18 @@ def dicke(
         raise ValueError(f"boson cutoff must be at least 2, got {n_max}")
     if not (omega > 0.0 and lam > 0.0 and beta > 0.0):
         raise ValueError("omega, lam, beta must all be positive")
-    if not symmetric_sector and n_atoms > 8:
-        raise DimensionBudgetError(
-            f"full product space not built above 8 atoms, got {n_atoms}; "
-            "use symmetric_sector"
-        )
-    atom_dim = n_atoms + 1 if symmetric_sector else 2**n_atoms
-    dim = (n_max + 1) * atom_dim
+    dim = (n_max + 1) * (n_atoms + 1)
     if dim > DIMENSION_BUDGET:
-        raise DimensionBudgetError(f"dimension {dim} exceeds budget {DIMENSION_BUDGET}")
+        raise DimensionBudgetError(
+            f"block dimension {dim} exceeds budget {DIMENSION_BUDGET}"
+        )
+    blocks = _dicke_blocks(n_atoms, n_max, omega, eps, lam, symmetric_sector)
+    fam = block_family(blocks, beta, particle_count=n_atoms)
 
-    T, S = _dicke_matrices(n_atoms, n_max, omega, eps, lam, symmetric_sector)
-    fam = make_family(T, S, beta, particle_count=n_atoms)
-
-    probe_dim = (n_max + 5) * atom_dim
+    probe_dim = (n_max + 5) * (n_atoms + 1)
     if probe_dim > DIMENSION_BUDGET:
         warnings.warn(
-            f"cutoff probe skipped: probe dimension {probe_dim} exceeds budget",
+            f"cutoff probe skipped: probe block dimension {probe_dim} exceeds budget",
             CutoffConvergenceWarning,
             stacklevel=2,
         )
@@ -285,8 +277,8 @@ def dicke_cutoff_shift(
     The wider family is dropped as soon as its chi_F is known, so its pair
     grid is never held next to the grid of ``fam``.
     """
-    wide = _dicke_matrices(n_atoms, n_max + 4, omega, eps, lam, symmetric_sector)
-    chi_wide = chi_f_spectral(make_family(*wide, beta, particle_count=n_atoms)).total
+    wide = _dicke_blocks(n_atoms, n_max + 4, omega, eps, lam, symmetric_sector)
+    chi_wide = chi_f_spectral(block_family(wide, beta, particle_count=n_atoms)).total
     del wide
     chi = chi_f_spectral(fam).total
     return abs(chi - chi_wide) / max(1.0, abs(chi))
@@ -299,9 +291,14 @@ class DickeTc:
     ``tc_closed_form`` is the printed expression
     (|eps|/2) tanh(|eps| omega / 4 lam^2); ``tc_implicit`` solves the
     standard implicit condition tanh(|eps|/(2 T_c)) = |eps| omega /
-    (4 lam^2).  The two do not agree in general and are exposed side by
-    side without adjudication; sweeps in this package locate finite-size
-    peaks against ``tc_implicit``.
+    (4 lam^2).  The two do not agree in general.  Neither is the
+    transition of the model `dicke` builds.  Its saddle
+    point diverges where lam^2 tanh(beta |eps| / 2) = omega |eps|, and
+    the implicit condition above is that one with lam replaced by 2 lam:
+    the two couplings differ by a factor of 2 in lam.  At omega = eps = lam = 1,
+    ``tc_implicit`` gives beta_c = 0.511 while the built model is
+    critical only at T = 0, so a finite-size peak of a `dicke` sweep is
+    not to be read against these values.
     """
 
     tc_closed_form: float
@@ -393,17 +390,12 @@ def kondo_toy(
 
     where n^alpha = (1/M) sum_{k,k',sigma,sigma'} c*_{k sigma}
     (sigma^alpha/2)_{sigma sigma'} c_{k' sigma'} is the conduction spin
-    density at the impurity site (every mode contributes amplitude
-    1/sqrt(M) there, M = number of modes; the 1/M is a declared
-    convention, since a finite mode set has no canonical continuum
-    normalization).  The driving term is the impurity component S_3,
-    i.e. a homogeneous field along z coupled to the impurity only.
-
-    Hilbert space: (Jordan-Wigner chain over modes ordered k0 up,
-    k0 down, k1 up, k1 down, ...) tensor (impurity spin s = s2/2,
-    placed last).  The builder verifies rotational invariance of its
-    own output, <S_3> = 0 and <S_3^2> = s(s+1)/3, and refuses to return
-    a family violating either.
+    density at the impurity site, M the number of modes (the 1/M is a
+    declared convention: a finite mode set has no canonical continuum
+    normalization).  S is the impurity component S_3.  The space is the
+    Jordan-Wigner chain over k0 up, k0 down, k1 up, ... tensor the
+    impurity spin s = s2/2, placed last.  The builder refuses a family
+    that breaks <S_3> = 0 or <S_3^2> = s(s+1)/3.
 
     Raises
     ------
@@ -452,10 +444,7 @@ def kondo_toy(
     spin = 0.5 * s2
     casimir_third = spin * (spin + 1.0) / 3.0
     mean = thermal_average(fam, fam.s_eig)
-    # <S_3^2> = sum_m p_m sum_k |b_km|^2 (S_3^2)_kk, as kron(I, S_3^2) is diagonal
-    d = np.tile(np.real(np.diagonal(s3 @ s3)), fermion_dim)
-    b = fam.spectrum.basis
-    second = float(np.dot(fam.populations, d @ np.abs(b) ** 2))
+    second = thermal_average(fam, fam.s_eig @ fam.s_eig)
     if abs(mean) > KONDO_S3_MEAN or abs(second - casimir_third) > KONDO_S3_SQUARE:
         raise CrossCheckError(
             "kondo_rotation",
@@ -570,36 +559,33 @@ def tfim(
     N = n_sites.
 
     The basis is the eigenbasis of the spin flip prod_i sigma^x_i:
-    index k < 2^(N-1) is (|r> + |~r>)/sqrt(2) with r = k, and index
-    2^(N-1) + r is (|r> - |~r>)/sqrt(2).  Here bit i of r is site i
+    index r < 2^(N-1) of the even block is (|r> + |~r>)/sqrt(2), and of
+    the odd block (|r> - |~r>)/sqrt(2).  Here bit i of r is site i
     (0 meaning sigma^z = +1), r runs over the states whose top bit
     (site N-1) is 0, and ~r flips every bit.  Both T and S commute with
-    the flip, so the matrices are two exact blocks; every entry is an
-    integer times J or g, and at g = 0 T is diagonal and S has a zero
-    diagonal.
+    the flip, so the family is built from the two blocks, even first;
+    every entry is an integer times J or g, and at g = 0 T is diagonal
+    and S has a zero diagonal.
     """
     n_sites = _integer("n_sites", n_sites)
     if not 2 <= n_sites <= 10:
         raise ValueError(f"n_sites must be between 2 and 10, got {n_sites}")
-    dim = 2**n_sites
-    if dim > DIMENSION_BUDGET:
-        raise DimensionBudgetError(f"dimension {dim} exceeds budget {DIMENSION_BUDGET}")
 
-    half = dim // 2
+    half = 2 ** (n_sites - 1)
     r = np.arange(half)
     bits = (r[:, None] >> np.arange(n_sites)) & 1
     # sigma^z_i sigma^z_{i+1} is +1 where neighbouring bits agree, on r and ~r alike
     agree = np.count_nonzero(bits[:, 1:] == bits[:, :-1], axis=1)
     zz = (2 * agree - (n_sites - 1)).astype(float)
-    S = np.zeros((dim, dim))
-    for start, sign in ((0, 1.0), (half, -1.0)):
-        rows = start + r
+    blocks = []
+    for sign in (1.0, -1.0):
+        S = np.zeros((half, half))
         for i in range(n_sites - 1):
-            S[rows, start + (r ^ (1 << i))] += 1.0
+            S[r, r ^ (1 << i)] += 1.0
         # sigma^x_{N-1} takes |r> + s|~r> to s(|r'> + s|~r'>), r' = r ^ (half - 1)
-        S[rows, start + (r ^ (half - 1))] += sign
-    T = np.diag(np.tile(-j_coupling * zz, 2)) - g_field * S
-    return make_family(T, S, beta, particle_count=n_sites)
+        S[r, r ^ (half - 1)] += sign
+        blocks.append((np.diag(-j_coupling * zz) - g_field * S, S, 1))
+    return block_family(blocks, beta, particle_count=n_sites)
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +693,7 @@ MODEL_KINDS: Dict[str, Dict[str, object]] = {
         "doc": "one spin-1/2, T = -h3 sigma_z, S = sigma_x, beta fixed at 1",
     },
     "dicke": {
-        "parameters": {
-            "omega": None,
-            "eps": None,
-            "lambda": None,
-            "beta": None,
-        },
+        "parameters": {"omega": None, "eps": None, "lambda": None, "beta": None},
         "cutoffs": {"n_atoms": None, "n_max": None},
         "switches": ("symmetric_sector",),
         "doc": "N atoms and one boson mode; driving term is the field quadrature",

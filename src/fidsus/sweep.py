@@ -154,7 +154,7 @@ def _with_grid(fam: PerturbedFamily) -> PerturbedFamily:
     # family's grid is then freed below this one, and the point's temporaries
     # reuse its memory instead of the allocator returning it to the OS and
     # faulting it back in at every point
-    fam.pair_grid
+    fam.pair_grids
     return fam
 
 

@@ -6,17 +6,17 @@ grid recorded there (first and last ``param``, row count) and hold the
 rows to the same gate: every reference column within 1e-8 of
 ``max(1, |ref|)`` and the sandwich intact; the degenerate-pair count
 must also match.  They only read the tables.  They also count the
-``eig_hermitian`` calls.  The chi_N oracle solves each field block by
-block on the partition of S, once per distinct block, and keeps the
-result for every temperature of the family.  Each ``tfim`` point of
-``field_sweep`` is a new build: one solve of T, then four fields
-(+-h/2, +-h) times two parity blocks, 9 per point and 36 in all.
-``beta_sweep`` builds one ``dicke`` family (one solve) and probes its
-cutoff (one more).  Its S is sign-odd, so only +h fields are solved,
-and its twelve temperatures fall on rungs 0 to 3 of the step ladder,
-which share the five fields h_0 to h_4.  Each field has two distinct
-blocks, the spin-3/2 copy and the spin-1/2 copy solved once for both
-of its two bit-identical instances: 1 + 1 + 5 x 2 = 12.
+``eig_hermitian`` calls.  A family is built from its symmetry blocks,
+one solve per block, and the chi_N oracle solves each field once per
+block and keeps the result for every temperature of the family.  Each
+``tfim`` point of ``field_sweep`` is a new build of two parity blocks:
+two solves of T, then four fields (+-h/2, +-h) times the two blocks,
+10 per point and 40 in all.  ``beta_sweep`` builds one ``dicke``
+family of two blocks, spin 3/2 and spin 1/2 with its two copies (two
+solves), and probes its cutoff (two more).  Its S is sign-odd, so only
++h fields are solved, and its twelve temperatures fall on rungs 0 to 3
+of the step ladder, which share the five fields h_0 to h_4, each solved
+once per block: 2 + 2 + 5 x 2 = 14.
 """
 
 import csv
@@ -30,7 +30,7 @@ REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "referenc
 COLUMNS = ("param", "chi_f", "ub", "lb_paper", "chi_fg", "bd", "dcomm", "chi_n")
 TOL = 1e-8
 
-EIGENSOLVES = {"field_sweep": 36, "beta_sweep": 12}
+EIGENSOLVES = {"field_sweep": 40, "beta_sweep": 14}
 
 SWEEPS = {
     "field_sweep": (

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import fidsus.bounds
+import fidsus.fidelity
 from conftest import clustered_families, random_hermitian, seeded_families
 from fidsus.bounds import (
     _FD_LADDER,
@@ -24,7 +25,13 @@ from fidsus.bounds import (
 from fidsus.config import DEGENERATE_GAP
 from fidsus.errors import CrossCheckError, CutoffConvergenceWarning
 from fidsus.fidelity import chi_f_spectral, chi_fg_spectral, ds2_spectral
-from fidsus.gibbs import PerturbedFamily, family_at_beta, make_family, thermal_average
+from fidsus.gibbs import (
+    PerturbedFamily,
+    block_family,
+    family_at_beta,
+    make_family,
+    thermal_average,
+)
 from fidsus.models import dicke, kondo_toy, random_pair, single_spin, tfim
 
 _EPS = float(np.finfo(float).eps)
@@ -207,21 +214,12 @@ SIGN_CASES = {
 }
 
 
-def _distinct_blocks(fam):
-    """How many blocks of the family's partition need an eigensolve: those
-    larger than 1 x 1 that differ in T or S."""
-    ev, s = fam.eigenvalues, fam.s_eig
-    return len(
-        {(ev[b].tobytes(), s[b[:, None], b].tobytes()) for b in fam.blocks if b.size > 1}
-    )
-
-
 @pytest.mark.parametrize("case", sorted(SIGN_CASES))
 def test_sign_odd_rule(case, eig_calls):
     """S is sign-odd when its eigenbasis diagonal is exactly zero and its
     nonzero pattern is bipartite; the chi_N oracle then solves the fields
-    +h/2 and +h only, each distinct block once, and it agrees with the
-    difference that solves both signs."""
+    +h/2 and +h only, each block once, and it agrees with the difference
+    that solves both signs."""
     build, odd = SIGN_CASES[case]
     fam = build()
     assert fam.sign_odd is odd
@@ -230,7 +228,7 @@ def test_sign_odd_rule(case, eig_calls):
     fd = free_energy_curvature(fam)
     fields = 2 if odd else 4
     assert len(fam.displaced) == fields
-    assert len(eig_calls) == fields * _distinct_blocks(fam)
+    assert len(eig_calls) == fields * len(fam.blocks)
     ref = _both_signs_curvature(fam)
     assert abs(fd - ref) <= 1e-9 * max(1.0, abs(ref))
 
@@ -353,18 +351,16 @@ def test_beta_sweep_solves_each_oracle_field_once(eig_calls):
     """The displaced levels and diagonals do not depend on beta, so a chain
     of family_at_beta families shares them: its oracle values are bit for
     bit those of fresh builds, each field of the ladder is solved once, and
-    each of its two distinct blocks once per field.  T is diagonal, so S
-    is only permuted into its eigenbasis and its two copies of one block
-    stay bit-identical there."""
+    each of its two blocks once per field, the first for both its copies."""
     rng = np.random.default_rng(71)
-    t = np.diag([-0.4, 0.3, 1.1, -0.9, 0.2, 0.6, 1.7, -0.4, 0.3, 1.1])
+    ta, tb = np.diag([-0.4, 0.3, 1.1]), np.diag([-0.9, 0.2, 0.6, 1.7])
     sa, sb = random_hermitian(rng, 3), random_hermitian(rng, 4)
-    s = block_diag(sa, sb, sa)
+    blocks = [(ta, sa, 2), (tb, sb, 1)]
     betas = np.geomspace(0.5, 9.0, 9)
-    fresh = [free_energy_curvature(make_family(t, s, b)) for b in betas]
+    fresh = [free_energy_curvature(block_family(blocks, b)) for b in betas]
     eig_calls.clear()
-    fam = make_family(t, s, betas[0])
-    assert len(fam.blocks) == 3 and _distinct_blocks(fam) == 2
+    fam = block_family(blocks, betas[0])
+    assert len(fam.blocks) == 2 and fam.dim == 10
     chain = []
     for b in betas:
         fam = family_at_beta(fam, b)
@@ -372,16 +368,19 @@ def test_beta_sweep_solves_each_oracle_field_once(eig_calls):
     assert chain == fresh
     # rungs 0 to 4 step h_0 to h_5, each field at both signs
     assert len(fam.displaced) == 12
-    assert len(eig_calls) == 1 + 12 * 2
+    assert len(eig_calls) == 2 + 12 * 2
+    # the declared copies and their dense direct sum agree
+    dense = make_family(block_diag(ta, tb, ta), block_diag(sa, sb, sa), betas[-1])
+    ref = free_energy_curvature(dense)
+    assert abs(chain[-1] - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_double_commutator_direct_block_by_block():
     """On a block family the commutator is formed per block; it matches the
-    dense products on the whole matrix."""
+    dense products on the dense assembly of the blocks."""
     for fam in (
         _dicke(3, 12, 2.0, 1.0, 1.0, 1.0),
         tfim(5, 1.0, 0.7, 1.5),
-        kondo_toy(1, [0.0, 0.5], 0.8, 1.5),
     ):
         assert len(fam.blocks) > 1
         ev, s = fam.eigenvalues, fam.s_eig
@@ -432,7 +431,7 @@ def test_upper_gap_shrinks_at_least_linearly_in_beta():
 def grid_builds(monkeypatch):
     """Count the pair-grid builds, one list entry per family built for."""
     built = []
-    prop = PerturbedFamily.pair_grid
+    prop = PerturbedFamily.pair_grids
     real = prop.func
 
     def counted(fam):
@@ -449,7 +448,7 @@ def test_one_report_builds_the_pair_grid_once(grid_builds):
     rep = bound_report(fam, check_chi_n=False)
     assert grid_builds == [fam]
 
-    grid = fam.pair_grid
+    (grid,) = fam.pair_grids
     assert len(grid_builds) == 1
     for arr in (grid.gap, grid.bgap, grid.p_low, grid.p_geo, grid.deg, grid.ratio,
                 grid.s_abs2, grid.delta_d):
@@ -463,7 +462,7 @@ def test_one_report_builds_the_pair_grid_once(grid_builds):
     hot = family_at_beta(fam, 2.6)
     hot_rep = bound_report(hot, check_chi_n=False)
     assert grid_builds == [fam, hot]
-    assert hot.pair_grid is not grid
+    assert hot.pair_grids[0] is not grid
     assert bound_report(family_at_beta(fam, 2.6), check_chi_n=False) == hot_rep
     assert bound_report(family_at_beta(fam, 1.3), check_chi_n=False) == rep
     assert len(grid_builds) == 4
@@ -477,6 +476,27 @@ def test_dicke_probe_keeps_the_family_grid_cached(grid_builds):
     assert len(grid_builds) == 2
     assert grid_builds[0].dim > fam.dim
     assert grid_builds[1] is fam
+
+
+def test_dicke_build_and_report_evaluate_chi_f_once_per_family(monkeypatch):
+    """The cutoff probe evaluates chi_f of the wider family and of the
+    built one; the report reads the built family's value back instead of
+    evaluating it a third time."""
+    checks = []
+    real = fidsus.fidelity.check_agreement
+
+    def counted(check, *args):
+        checks.append(check)
+        return real(check, *args)
+
+    monkeypatch.setattr(fidsus.fidelity, "check_agreement", counted)
+    fam = dicke(2, 8, 2, 1, 0.5, 1)
+    assert checks.count("chi_f_forms") == 2
+    rep = bound_report(fam)
+    assert checks.count("chi_f_forms") == 2
+    assert rep.chi_f == chi_f_spectral(fam).total
+    assert chi_f_spectral(family_at_beta(fam, 1.0)).total == rep.chi_f
+    assert checks.count("chi_f_forms") == 3
 
 
 def test_report_is_invariant_under_a_change_of_basis():
@@ -520,14 +540,22 @@ def test_real_family_matches_its_complex_phase_conjugate(build):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffConvergenceWarning)
         fam = build()
-    b = fam.spectrum.basis
-    t = (b * fam.eigenvalues) @ b.T
-    s = b @ fam.s_eig @ b.T
-    phase = np.exp(2j * np.pi * np.random.default_rng(fam.dim).random(fam.dim))
-    d = np.diag(phase)
-    real = make_family(t, s, fam.beta, fam.particle_count)
-    cplx = make_family(d @ t @ d.conj().T, d @ s @ d.conj().T, fam.beta, fam.particle_count)
-    assert real.s_eig.dtype == np.float64 and cplx.s_eig.dtype == np.complex128
+    rng = np.random.default_rng(fam.dim)
+
+    def rebuilt(phased):
+        blocks = []
+        for blk in fam.blocks:
+            b = blk.spectrum.basis
+            n = blk.spectrum.dim
+            d = np.diag(np.exp(2j * np.pi * rng.random(n)) if phased else np.ones(n))
+            t = d @ (b * blk.levels) @ b.T @ d.conj().T
+            s = d @ b @ blk.s_eig @ b.T @ d.conj().T
+            blocks.append((t, s, blk.copies))
+        return block_family(blocks, fam.beta, fam.particle_count)
+
+    real, cplx = rebuilt(False), rebuilt(True)
+    assert all(b.s_eig.dtype == np.float64 for b in real.blocks)
+    assert all(b.s_eig.dtype == np.complex128 for b in cplx.blocks)
     want = dataclasses.asdict(bound_report(cplx))
     got = dataclasses.asdict(bound_report(real))
     assert got.keys() == want.keys()

@@ -25,7 +25,6 @@ from fidsus.gibbs import (
     make_family,
     thermal_average,
 )
-from fidsus.linalg import _components
 from fidsus.models import dicke, kondo_toy, random_pair, tfim
 
 
@@ -162,43 +161,45 @@ def test_family_at_beta_matches_fresh_build():
 
 
 def test_family_at_beta_shares_the_beta_independent_state():
-    """The block partition, the sign parity and the chi_N oracle's solves
-    pass on unchanged: the new family holds the same objects."""
+    """Each block's decomposition, S and copies, the sign parity and the
+    chi_N oracle's solves pass on unchanged: the new family holds the same
+    objects."""
     base = dicke(2, 8, 2.0, 1.0, 0.5, 1.3)
     moved = family_at_beta(base, 0.4)
-    for name in ("spectrum", "s_eig", "blocks", "displaced"):
-        assert getattr(moved, name) is getattr(base, name)
+    assert len(moved.blocks) == len(base.blocks) == 2
+    for new, old in zip(moved.blocks, base.blocks):
+        assert new.spectrum is old.spectrum and new.s_eig is old.s_eig
+        assert new.copies == old.copies
+    assert moved.displaced is base.displaced
     assert moved.sign_odd is base.sign_odd
 
 
 @pytest.mark.parametrize(
     "build, sizes",
     [
-        (lambda: dicke(3, 12, 2.0, 1.0, 1.0, 1.0), [26, 26, 52]),
-        (lambda: tfim(5, 1.0, 0.7, 1.5), [16, 16]),
-        (lambda: kondo_toy(1, [0.0, 0.5], 0.8, 1.5), [1] * 6 + [2] * 4 + [4, 4, 5, 5]),
-        (lambda: random_pair(7, 3, 1.0, 1.0, 1.0), [7]),
-        (lambda: _unperturbed(np.diag([0.0, 1.0, 2.0]), 1.0), [1, 1, 1]),
+        (lambda: dicke(3, 12, 2.0, 1.0, 1.0, 1.0), [(52, 1), (26, 2)]),
+        (lambda: tfim(5, 1.0, 0.7, 1.5), [(16, 1), (16, 1)]),
+        (lambda: kondo_toy(1, [0.0, 0.5], 0.8, 1.5), [(32, 1)]),
+        (lambda: random_pair(7, 3, 1.0, 1.0, 1.0), [(7, 1)]),
+        (lambda: _unperturbed(np.diag([0.0, 1.0, 2.0]), 1.0), [(3, 1)]),
     ],
     ids=["dicke", "tfim", "kondo_toy", "random", "zero"],
 )
-def test_blocks_are_the_components_of_s(build, sizes):
-    """``blocks`` split the indices into sorted arrays ordered by their
-    first index; S has no entry between two of them, and each one is
-    connected (a lone index is its own block)."""
+def test_builders_declare_their_blocks(build, sizes):
+    """Each builder passes its symmetry blocks with their copies: the
+    sizes and copies are as declared, they add up to ``dim``, and the
+    dense assembly holds each block's S on its own levels, with no entry
+    between two blocks or two copies."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffConvergenceWarning)
         fam = build()
-    label = np.empty(fam.dim, dtype=int)
-    for k, idx in enumerate(fam.blocks):
-        assert np.all(np.diff(idx) > 0)
-        label[idx] = k
-    assert sorted(len(idx) for idx in fam.blocks) == sizes
-    assert [idx[0] for idx in fam.blocks] == sorted(idx[0] for idx in fam.blocks)
-    assert sum(len(idx) for idx in fam.blocks) == fam.dim
-    assert not np.any(fam.s_eig[label[:, None] != label[None, :]])
-    for idx in fam.blocks:
-        assert len(_components(fam.s_eig[idx[:, None], idx] != 0)[0]) == 1
+    assert [(b.spectrum.dim, b.copies) for b in fam.blocks] == sizes
+    assert fam.dim == sum(n * c for n, c in sizes)
+    assert fam.s_eig.shape == (fam.dim, fam.dim)
+    inside = sum(b.copies * np.count_nonzero(b.s_eig) for b in fam.blocks)
+    assert np.count_nonzero(fam.s_eig) == inside
+    assert np.all(np.diff(fam.eigenvalues) >= 0.0)
+    assert np.sum(fam.populations) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_unperturbed_spectrum_repeats_the_family_weights():

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pkgutil
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ import fidsus.verify
 from fidsus.cli import main
 from fidsus.errors import (
     CrossCheckError,
+    CutoffConvergenceWarning,
     EmptyDataError,
     MissingColumnError,
     ModelSchemaError,
@@ -596,6 +598,47 @@ def test_cli_config_rejects_a_non_integer_step_count(tmp_path, capsys, steps):
     assert main([*_SPIN_SWEEP, "--out", str(out), "--config", cfg]) == 1
     assert capsys.readouterr().err == f"error: steps must be an integer, got {steps!r}\n"
     assert not out.exists()
+
+
+_DICKE_CONFIG = {
+    "model": "dicke", "n_atoms": 2, "n_max": 8, "omega": 1, "eps": 1, "lambda": 1,
+    "beta": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"model": "single_spin", "h3": True}, "h3 must be a real number, got True"),
+        ({"model": "single_spin", "h3": "2"}, "h3 must be a real number, got '2'"),
+        ({"model": "single_spin", "h3": 1, "json": "no"},
+         "json must be true or false, got 'no'"),
+        ({**_DICKE_CONFIG, "symmetric_sector": "off"},
+         "symmetric_sector must be true or false, got 'off'"),
+    ],
+    ids=["bool_real", "string_real", "string_json", "string_sector"],
+)
+def test_cli_config_values_are_typed(tmp_path, capsys, config, message):
+    """float() built h3 = 1 from true and took the string "2", and the
+    switches tested only truth: {"json": "no"} printed JSON and
+    "symmetric_sector": "off" built the sector model."""
+    assert main(["report", "--config", _config(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_config_switches_take_true_and_false(tmp_path, capsys):
+    """true and false still set and clear both switches."""
+    for sector, dim in ((True, 27), (False, 36)):
+        config = {**_DICKE_CONFIG, "symmetric_sector": sector, "json": True}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffConvergenceWarning)
+            assert main(["report", "--config", _config(tmp_path, config)]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == dim
+    cfg = _config(tmp_path, {"model": "single_spin", "h3": 1, "json": False})
+    assert main(["report", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("model = single_spin\n")
 
 
 def test_cli_cross_check_failure_maps_to_two(monkeypatch, capsys):

@@ -175,8 +175,8 @@ def _permuted_blocks(rng, real):
     """A direct sum with a repeated block, a 1x1 block and a level (0.25)
     shared by two different blocks, its rows and columns riffled together
     at random (each block keeps its own order, so both copies of the
-    repeated block read the same); returns the matrix, each block's
-    indices and the number of distinct blocks."""
+    repeated block read the same); returns the matrix and each block's
+    indices."""
     a = _hermitian_with_spectrum(rng, [-1.0, 0.25, 2.0], real)
     b = _hermitian_with_spectrum(rng, [0.25, 0.5, 1.5, 3.0], real)
     c = random_hermitian(rng, 2)
@@ -186,13 +186,13 @@ def _permuted_blocks(rng, real):
     members = [np.flatnonzero(label == k) for k in range(len(blocks))]
     for idx, x in zip(members, blocks):
         h[np.ix_(idx, idx)] = x
-    return h, members, len(blocks) - 1
+    return h, members
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_block_eigensolver_on_a_permuted_direct_sum(monkeypatch, real):
     rng = np.random.default_rng(21)
-    h, members, distinct = _permuted_blocks(rng, real)
+    h, members = _permuted_blocks(rng, real)
     op = validate_hermitian(h)
     eigh = np.linalg.eigh
     sizes = []
@@ -204,8 +204,8 @@ def test_block_eigensolver_on_a_permuted_direct_sum(monkeypatch, real):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     dec = eig_hermitian(op)
     monkeypatch.undo()
-    # one eigh per distinct block: the repeated block is solved once
-    assert len(sizes) == distinct and max(sizes) < op.dim
+    # one eigh per block, the repeated one included
+    assert len(sizes) == len(members) and max(sizes) < op.dim
     np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=1e-13)
     assert np.all(np.diff(dec.eigenvalues) >= 0.0)
     # 0.25 once in each copy of a and once in b
@@ -241,7 +241,7 @@ def test_irreducible_matrix_keeps_the_single_call_result(real, shape):
 
 def test_a_corrupted_sub_block_is_rejected(monkeypatch):
     rng = np.random.default_rng(29)
-    h, _, _ = _permuted_blocks(rng, real=True)
+    h, _ = _permuted_blocks(rng, real=True)
     eigh = np.linalg.eigh
 
     def corrupted(matrix):

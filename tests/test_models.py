@@ -18,7 +18,7 @@ from fidsus.errors import (
     NoTransitionError,
     NotHermitianError,
 )
-from fidsus.fidelity import chi_f_spectral
+from fidsus.fidelity import chi_f_fd, chi_f_spectral, rho_prime
 from fidsus.gibbs import make_family, thermal_average
 from fidsus.models import (
     MODEL_KINDS,
@@ -100,8 +100,17 @@ def test_dicke_one_atom_sector_equals_full():
 
 
 def test_dicke_budget_enforced():
+    """The budget bounds the largest block, spin N/2, of the full space as
+    of the sector, and the dense assembly of the whole space."""
     with pytest.raises(DimensionBudgetError):
-        dicke(9, 6, 1.0, 1.0, 1.0, 1.0)  # 2^9 atoms * 7 boson levels
+        dicke(9, 500, 1.0, 1.0, 1.0, 1.0)  # 501 boson levels * 10 spin states
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fam = dicke(10, 6, 1.0, 1.0, 1.0, 1.0)  # blocks of at most 77, dim 7168
+    assert fam.dim == 7 * 2**10 and bound_report(fam).sandwich_ok
+    for dense in (lambda: fam.s_eig, lambda: rho_prime(fam), lambda: chi_f_fd(fam, 1e-3)):
+        with pytest.raises(DimensionBudgetError):
+            dense()
     with pytest.raises(DimensionBudgetError):
         dicke(2, 2000, 1.0, 1.0, 1.0, 1.0, symmetric_sector=True)
 
@@ -266,11 +275,12 @@ def test_real_models_run_in_float64():
         tfim(3, 1.0, 0.5, 1.2),
     ]
     for fam in real:
-        assert fam.spectrum.basis.dtype == np.float64
-        assert fam.s_eig.dtype == np.float64
-    fam = random_pair(5, 0)
-    assert fam.spectrum.basis.dtype == np.complex128
-    assert fam.s_eig.dtype == np.complex128
+        for b in fam.blocks:
+            assert b.spectrum.basis.dtype == np.float64
+            assert b.s_eig.dtype == np.float64
+    (b,) = random_pair(5, 0).blocks
+    assert b.spectrum.basis.dtype == np.complex128
+    assert b.s_eig.dtype == np.complex128
 
 
 def test_tfim_metadata_and_validation():
@@ -564,8 +574,8 @@ def test_dicke_matches_the_product_space_build(n_atoms, sector):
         fam = dicke(*args, 1.3, symmetric_sector=sector)
     assert fam.dim == ref.dim
     if sector:
-        built = fidsus.models._dicke_matrices(*args, True)
-        assert np.array_equal(built[0], T) and np.array_equal(built[1], S)
+        ((t, s, copies),) = fidsus.models._dicke_blocks(*args, True)
+        assert np.array_equal(t, T) and np.array_equal(s, S) and copies == 1
     _assert_same_physics(ref, fam)
 
 
