@@ -184,16 +184,19 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
 
     The step sits on a power-of-two ladder, h_k = 3e-2 2^-k / sigma(S)
     with k = ceil(log2 max(1, beta)) and
-    sigma(S) = 2 ||S - (tr S / n) I||_F (1 when that is 0), an O(n^2)
-    bound on the spread of S's spectrum that needs no eigensolve and
-    ignores a multiple of the identity added to S; its square is
-    sum_b d_b ||S_b - (tr S / n) I||_F^2.  Neighbouring rungs share a
+    sigma(S) = 2 max_b ||S_b - (tr S / n) I||_F over the blocks, copies
+    left out (1 when that is 0).  The spectrum of S is the union of the
+    blocks' spectra, each within ||S_b - (tr S / n) I||_2 of the mean, so
+    sigma(S) is an O(sum_b n_b^2) bound on its spread that needs no
+    eigensolve, ignores a multiple of the identity added to S and does
+    not grow with the number of blocks or copies; for one block it is
+    2 ||S - (tr S / n) I||_F.  Neighbouring rungs share a
     field, h_k / 2 = h_(k+1), and each solve keeps only its levels and
     the diagonal of S (see `_displaced`), which are beta independent, so
     a sweep over beta solves each field once.  When the family is
-    ``sign_odd``, a diagonal sign flip D maps diag(T) - h S to
-    diag(T) + h S entry for entry, so <S>_{-h} = -<S>_h and only the two
-    fields +h_k/2 and +h_k are solved, each once per block.
+    ``sign_odd``, a diagonal sign flip D in the builder's basis maps
+    T - h S to T + h S, so the two are similar, <S>_{-h} = -<S>_h, and
+    only the two fields +h_k/2 and +h_k are solved, each once per block.
 
     The truncation error goes as (beta sigma h)^4 at every beta, so on
     random complex families of dimension 4 to 40, beta from 1e-3 to 1e2,
@@ -210,11 +213,9 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
         which needs beta sigma(S) above about 3e321.
     """
     mean = sum(b.copies * np.trace(b.s_eig).real for b in fam.blocks) / fam.dim
-    norms = [
-        math.sqrt(b.copies) * float(np.linalg.norm(b.s_eig - mean * np.eye(b.levels.size)))
-        for b in fam.blocks
-    ]
-    spread = 2.0 * math.hypot(*norms)
+    spread = 2.0 * max(
+        float(np.linalg.norm(b.s_eig - mean * np.eye(b.levels.size))) for b in fam.blocks
+    )
     top = _FD_LADDER / (spread if spread > 0.0 else 1.0)
     k = math.ceil(math.log2(max(1.0, fam.beta)))
     if math.ldexp(top, -k - 1) == 0.0:

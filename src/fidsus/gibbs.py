@@ -8,10 +8,11 @@ moves one to another temperature without re-diagonalizing.  Each block
 keeps its ascending levels, S_b in its eigenbasis and the log Boltzmann
 weights of its levels against the Z of the whole space.  S has no matrix
 element between two blocks or two copies, so every pair sum runs over
-the pairs inside one block, weighted by its copies (`_pair_sum`).  Only
-the dense-matrix routines build the dense eigenbasis of the direct sum
-(`_dense`), up to ``DIMENSION_BUDGET``.  Populations are kept in log
-space so that large inverse temperatures never overflow.
+the pairs inside one block, weighted by its copies (`_pair_sum`).
+``DIMENSION_BUDGET`` bounds each block, and the dense assembly of the
+direct sum that only the dense-matrix routines build (`_dense`).
+Populations are kept in log space so that large inverse temperatures
+never overflow.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import (
 from .linalg import (
     HermitianOperator,
     SpectralDecomposition,
-    _components,
     _freeze,
     eig_hermitian,
     validate_hermitian,
@@ -97,8 +97,9 @@ class PerturbedFamily:
     blocks : tuple of Block
         The symmetry blocks, in the order the builder passed them.
     sign_odd : bool
-        Whether a diagonal sign flip D = diag(+-1) maps every block's S to
-        its negative exactly (see `_sign_odd`), so that <S>_{-h} = -<S>_h.
+        Whether, in the basis the builder wrote each block in, a diagonal
+        sign flip D = diag(+-1) keeps T_b and maps S_b to -S_b exactly
+        (see `_sign_odd`), so that <S>_{-h} = -<S>_h.
     displaced : dict
         The chi_N oracle's solves of T - h S keyed by the field h: per
         block, the ascending levels and the diagonal of S in their
@@ -226,16 +227,33 @@ def _log_weights(levels: list, copies: list, beta: float) -> tuple[list, float]:
     return [s - lse for s in shifted], lse - beta * float(low)
 
 
-def _sign_odd(s_eig: np.ndarray) -> bool:
-    """Whether D s_eig D = -s_eig for some diagonal D = diag(+-1): exactly
-    when the diagonal is zero and the exact nonzero pattern is bipartite,
-    D being +1 on the even breadth-first levels of each connected
-    component and -1 on the odd ones.  An all-zero S is odd."""
-    if s_eig.diagonal().any():
+def _sign_odd(t: np.ndarray, s: np.ndarray) -> bool:
+    """Whether D t D = t and D s D = -s for some D = diag(+-1), in the
+    basis the builder wrote t and s in: exactly when s has a zero
+    diagonal and the states two-colour so that t links states of one
+    colour and s states of opposite colours.  Each connected component of
+    the joint nonzero pattern is coloured breadth first, a new state
+    taking its colour from one coloured neighbour, and then every link
+    is checked.  An all-zero s is odd."""
+    if s.diagonal().any():
         return False
-    linked = s_eig != 0
-    odd = _components(linked)[1]
-    return not np.any(linked & (odd[:, None] == odd[None, :]))
+    same, flip = t != 0, s != 0
+    linked = same | flip
+    colour = np.zeros(s.shape[0], dtype=bool)
+    seen = np.zeros(s.shape[0], dtype=bool)
+    for seed in range(s.shape[0]):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        level = np.array([seed])
+        while level.size:
+            new = np.flatnonzero(linked[level].any(axis=0) & ~seen)
+            parent = level[np.argmax(linked[np.ix_(level, new)], axis=0)]
+            colour[new] = colour[parent] ^ flip[parent, new]
+            seen[new] = True
+            level = new
+    differ = colour[:, None] != colour[None, :]
+    return not (np.any(same & differ) or np.any(flip & ~differ))
 
 
 def _thermalize(
@@ -277,12 +295,22 @@ def block_family(blocks: Sequence, beta: float, particle_count: int = 1) -> Pert
     ``blocks`` holds one (T_b, S_b, d_b) per symmetry sector: T and S as
     HermitianOperators or arrays in one basis, and the number of identical
     copies, an integer >= 1.  ``particle_count`` is the number of
-    particles the model builder says S sums over.
+    particles the model builder says S sums over.  The family's
+    ``sign_odd`` is read from each validated T_b and S_b in that basis.
+
+    Raises `DimensionBudgetError` for a block above ``DIMENSION_BUDGET``
+    before validating or solving it.
     """
     if particle_count < 1:
         raise ValueError(f"particle_count must be >= 1, got {particle_count}")
-    parts = []
+    parts, sign_odd = [], True
     for T, S, copies in blocks:
+        for a in (T, S):
+            n = a.dim if isinstance(a, HermitianOperator) else max(np.shape(a), default=0)
+            if n > DIMENSION_BUDGET:
+                raise DimensionBudgetError(
+                    f"block dimension {n} exceeds budget {DIMENSION_BUDGET}"
+                )
         if not isinstance(T, HermitianOperator):
             T = validate_hermitian(T)
         spectrum = eig_hermitian(T)
@@ -302,9 +330,9 @@ def block_family(blocks: Sequence, beta: float, particle_count: int = 1) -> Pert
         _require_hermitian(s_eig, "perturbation lost Hermiticity in the basis rotation")
         s_eig = _freeze(0.5 * (s_eig + s_eig.conj().T))
         parts.append((spectrum, s_eig, copies))
+        sign_odd = sign_odd and _sign_odd(T.matrix, S.matrix)
     if not parts:
         raise ValueError("a family needs at least one block")
-    sign_odd = all(_sign_odd(s) for _, s, _ in parts)
     return _thermalize(beta, parts, particle_count, sign_odd, {})
 
 

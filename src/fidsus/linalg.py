@@ -4,13 +4,14 @@ The eigensolver is LAPACK's symmetric or Hermitian solver through
 ``np.linalg.eigh``.  Its output is normalized (nondecreasing eigenvalues,
 pinned eigenvector phases) and checked (residual and unitarity) before it
 is returned, so downstream spectral sums can trust the decomposition
-without re-validating.  A matrix whose exact zeros split it into blocks
-is solved block by block.  A matrix with no imaginary part is stored and
-decomposed as float64, so real models run LAPACK's real symmetric solver
-and real arithmetic throughout; complex input stays complex128.
+without re-validating.  Every call is one ``eigh`` of the whole matrix;
+symmetry sectors are declared by the model builders, as the blocks of a
+family (see `gibbs.block_family`).  A matrix with no imaginary part is
+stored and decomposed as float64, so real models run LAPACK's real
+symmetric solver and real arithmetic throughout; complex input stays
+complex128.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,52 +90,6 @@ def validate_hermitian(matrix) -> HermitianOperator:
     return HermitianOperator(matrix=_freeze(sym), dim=sym.shape[0])
 
 
-def _bfs_levels(linked: np.ndarray, seed: int, seen: np.ndarray):
-    """Yield the breadth-first levels of ``seed``'s component, marking them seen.
-
-    ``linked`` is a symmetric boolean pattern; each level is an index
-    array, the first one ``[seed]``.
-    """
-    seen[seed] = True
-    level = np.array([seed])
-    while level.size:
-        yield level
-        level = np.flatnonzero(linked[level].any(axis=0) & ~seen)
-        seen[level] = True
-
-
-def _components(linked: np.ndarray) -> tuple[list, np.ndarray]:
-    """Connected components of a symmetric boolean pattern, two-coloured.
-
-    Each component is a sorted index array; components come in the order
-    of their smallest index.  The pattern of a validated operator is
-    symmetric, so a breadth-first search along rows finds every link.
-    The boolean array is True on the odd breadth-first levels of each
-    component, the two-colouring of a bipartite pattern.
-    """
-    # a row with no off-diagonal entry is a component of its own
-    lone = np.count_nonzero(linked, axis=1) <= linked.diagonal()
-    seen = lone.copy()
-    odd = np.zeros(linked.shape[0], dtype=bool)
-    comps = []
-    for seed in range(linked.shape[0]):
-        if lone[seed]:
-            comps.append(np.array([seed]))
-        elif not seen[seed]:
-            levels = list(_bfs_levels(linked, seed, seen))
-            for level in levels[1::2]:
-                odd[level] = True
-            comps.append(np.sort(np.concatenate(levels)))
-    return comps, odd
-
-
-def _eigh(m: np.ndarray):
-    try:
-        return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
-
-
 def _pin_phases(basis: np.ndarray) -> None:
     """Make each column's first largest-magnitude component real positive."""
     # the pivot is nonzero in a unit vector; np.hypot divides by the libm
@@ -142,13 +97,6 @@ def _pin_phases(basis: np.ndarray) -> None:
     # last bit (for a real basis the factor is the exact sign of the pivot)
     pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
     basis *= pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
-
-
-def _defects(m: np.ndarray, evals: np.ndarray, basis: np.ndarray):
-    """Frobenius norms of the residual and of the unitarity defect."""
-    resid = float(np.linalg.norm(m @ basis - basis * evals))
-    unit = float(np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])))
-    return resid, unit
 
 
 def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
@@ -162,13 +110,6 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     degenerate eigenspace the basis is whichever one LAPACK picks; every
     reported quantity is invariant under that choice.
 
-    A matrix whose exact zeros split it into blocks (the connected
-    components of its nonzero pattern) is solved with one ``eigh`` per
-    block: the spectra, in the order of each block's first index, are
-    merged by the same stable sort, each block's vectors are placed in
-    the dense basis, exactly zero off the block, and the residual and
-    unitarity defect are summed block by block.
-
     Raises
     ------
     NoConvergenceError
@@ -178,36 +119,16 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     """
     m = op.matrix
     n = op.dim
-    comps = [] if np.count_nonzero(m) == n * n else _components(m != 0)[0]
-    if len(comps) <= 1:
-        evals, basis = _eigh(m)
-        order = np.argsort(evals, kind="stable")
-        evals = evals[order]
-        basis = basis[:, order]
-        _pin_phases(basis)
-        resid, unit = _defects(m, evals, basis)
-    else:
-        placed = []
-        resid2 = unit2 = 0.0
-        for idx in comps:
-            sub = m[idx[:, None], idx]
-            w, v = _eigh(sub)
-            _pin_phases(v)
-            r, u = _defects(sub, w, v)
-            resid2 += r * r
-            unit2 += u * u
-            placed.append((idx, w, v))
-        evals = np.concatenate([w for _, w, _ in placed])
-        order = np.argsort(evals, kind="stable")
-        evals = evals[order]
-        column = np.empty(n, dtype=np.intp)
-        column[order] = np.arange(n)
-        basis = np.zeros_like(m)
-        start = 0
-        for idx, _, v in placed:
-            basis[idx[:, None], column[start : start + idx.size]] = v
-            start += idx.size
-        resid, unit = math.sqrt(resid2), math.sqrt(unit2)
+    try:
+        evals, basis = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    basis = basis[:, order]
+    _pin_phases(basis)
+    resid = float(np.linalg.norm(m @ basis - basis * evals))
+    unit = float(np.linalg.norm(basis.conj().T @ basis - np.eye(n)))
     scale = max(1.0, float(np.linalg.norm(m)))
     if not resid <= EIG_RESIDUAL * scale:
         raise NoConvergenceError(f"eigendecomposition residual {resid:.3e} too large")

@@ -12,6 +12,7 @@ from scipy.linalg import block_diag
 
 from conftest import random_hermitian
 from fidsus.bounds import bound_report
+from fidsus.cli import main
 from fidsus.errors import CutoffConvergenceWarning
 from fidsus.fidelity import chi_f_spectral
 from fidsus.gibbs import block_family, make_family
@@ -131,3 +132,15 @@ def test_full_space_dicke_report_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_full_space_dicke_oracle_step_ignores_the_copies():
+    """The chi_N oracle's sigma(S) is the largest block's spread, copies
+    left out.  Taken over the whole space it grew as sqrt(dim), and at
+    N = 56 (29 blocks, dim 3 2^56) it put the step into the rounding of
+    <S>_h, so this report exited 2 on check chi_n_oracle."""
+    argv = ["report", "--model", "dicke", "--n-atoms", "56", "--n-max", "2",
+            "--omega", "2", "--eps", "1", "--lambda", "1", "--beta", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        assert main(argv) == 0

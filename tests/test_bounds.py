@@ -199,27 +199,40 @@ _FOUR_CYCLE = np.array(
     [[0, 1j, 0, 2], [-1j, 0, 0.5, 0], [0, 0.5, 0, 1 - 1j], [2, 0, 1 + 1j, 0]]
 )
 _PATH = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+# T links 0-1 and 2-3, S links across the two pairs: D = diag(1, 1, -1, -1)
+_PAIRS_T = np.array(
+    [[0.0, 0.5, 0, 0], [0.5, 1.0, 0, 0], [0, 0, 2.0, 0.3j], [0, 0, -0.3j, 3.0]]
+)
+_PAIRS_S = np.array(
+    [[0, 0, 1.0, 2.0], [0, 0, 0, 0.5], [1.0, 0, 0, 0], [2.0, 0.5, 0, 0]]
+)
 
 SIGN_CASES = {
     "dicke": (lambda: _dicke(2, 8, 2.0, 1.0, 0.5, 1.3), True),
     "dicke_sector": (lambda: _dicke(4, 12, 2.0, 1.0, 1.0, 1.0, symmetric_sector=True), True),
     "single_spin": (lambda: single_spin(0.8), True),
     "four_cycle": (lambda: _on_levels(_FOUR_CYCLE), True),
+    "linked_t": (lambda: make_family(_PAIRS_T, _PAIRS_S, 1.1), True),
     "zero": (lambda: _on_levels(np.zeros((3, 3))), True),
     "tfim": (lambda: tfim(4, 1.0, 0.7, 1.5), False),
     "kondo_toy": (lambda: kondo_toy(1, [0.0, 0.5], 0.8, 1.5), False),
     "random": (lambda: random_pair(6, 3, 1.0, 1.0, 1.2), False),
     "triangle": (lambda: _on_levels(1.0 - np.eye(3)), False),
     "diagonal_entry": (lambda: _on_levels(_PATH + np.diag([0.0, 0.0, 0.3])), False),
+    "shared_link": (
+        lambda: make_family(np.diag([-0.3, 0.4, 1.2]) + 0.5 * (_PATH == 1.0), _PATH, 1.1),
+        False,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SIGN_CASES))
 def test_sign_odd_rule(case, eig_calls):
-    """S is sign-odd when its eigenbasis diagonal is exactly zero and its
-    nonzero pattern is bipartite; the chi_N oracle then solves the fields
-    +h/2 and +h only, each block once, and it agrees with the difference
-    that solves both signs."""
+    """S is sign-odd when, in the basis the builder wrote, its diagonal is
+    exactly zero and the states two-colour so that T links states of one
+    colour and S states of opposite colours; the chi_N oracle then solves
+    the fields +h/2 and +h only, each block once, and it agrees with the
+    difference that solves both signs."""
     build, odd = SIGN_CASES[case]
     fam = build()
     assert fam.sign_odd is odd
@@ -238,7 +251,8 @@ def bipartite_families(draw):
     """T diagonal, or a direct sum over the two halves of a bipartition,
     and S nonzero only between the halves (some links dropped), real or
     complex, at any beta in [0.1, 10] and ||S|| in [1e-2, 1e2].  When
-    asked, S also gets one nonzero diagonal entry and is then not odd."""
+    asked, S also gets one nonzero diagonal entry, or T and S both link
+    one pair across the halves, and the family is then not odd."""
     dim = draw(st.integers(2, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     real = draw(st.booleans())
@@ -256,14 +270,18 @@ def bipartite_families(draw):
     norm = np.linalg.norm(s, 2)
     if norm:
         s *= scale / norm
-    odd = draw(st.booleans())
-    if not odd:
-        k = int(rng.integers(dim))
-        s[k, k] = scale * draw(st.floats(0.01, 1.0))
     if draw(st.booleans()):
         t = np.where(side[:, None] == side[None, :], draw_matrix(), 0.0)
     else:
         t = np.diag(rng.uniform(-3.0, 3.0, size=dim))
+    odd = draw(st.booleans())
+    if not odd and draw(st.booleans()):
+        i, j = np.flatnonzero(side)[0], np.flatnonzero(~side)[0]
+        s[i, j] = s[j, i] = scale
+        t[i, j] = t[j, i] = draw(st.floats(0.1, 1.0))
+    elif not odd:
+        k = int(rng.integers(dim))
+        s[k, k] = scale * draw(st.floats(0.01, 1.0))
     beta = 10.0 ** draw(st.floats(-1.0, 1.0))
     return make_family(t, s, beta), odd
 

@@ -11,8 +11,10 @@ from scipy.linalg import expm
 
 from conftest import clustered_families, random_hermitian
 from fidsus.bounds import double_commutator_direct
+from fidsus.config import DIMENSION_BUDGET
 from fidsus.errors import (
     CutoffConvergenceWarning,
+    DimensionBudgetError,
     DimensionMismatchError,
     NonPositiveBetaError,
     NotHermitianError,
@@ -20,6 +22,7 @@ from fidsus.errors import (
 )
 from fidsus.fidelity import _perturbed_spectrum
 from fidsus.gibbs import (
+    block_family,
     correlation_G,
     family_at_beta,
     make_family,
@@ -304,3 +307,22 @@ def test_correlation_properties_on_clustered_spectra(fam, lam):
     assert g_tau == pytest.approx(g_mirror, rel=1e-12, abs=1e-14)
     assert g_beta == pytest.approx(g0, rel=1e-12, abs=1e-14)
     assert g_tau <= g0 * (1.0 + 1e-12) + 1e-14
+
+
+def test_a_block_above_the_budget_is_refused_before_it_is_read():
+    """The budget holds for dense input too: a block of dimension 4097 is
+    refused from its shape, before validation allocates a copy.  The
+    zero-stride input occupies one float, so the traced peak stays tiny."""
+    big = np.broadcast_to(0.0, (DIMENSION_BUDGET + 1,) * 2)
+    small = np.eye(2)
+    tracemalloc.start()
+    try:
+        for blocks in ([(big, big, 1)], [(small, small, 1), (small, big, 1)]):
+            with pytest.raises(DimensionBudgetError):
+                block_family(blocks, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(DimensionBudgetError):
+        make_family(big, big, 1.0)

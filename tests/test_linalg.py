@@ -25,10 +25,38 @@ def test_eigenvalues_match_numpy(dim):
     np.testing.assert_allclose(dec.eigenvalues, lam, rtol=0, atol=1e-12 * dim)
 
 
-def test_eigenbasis_reconstructs_matrix():
+def _hermitian_with_spectrum(rng, lam, real):
+    g = random_hermitian(rng, len(lam))
+    u = np.linalg.qr(g.real if real else g)[0]
+    return (u * lam) @ u.conj().T
+
+
+def _permuted_blocks(rng, real):
+    """A direct sum with a repeated block, a 1x1 block and a level (0.25)
+    shared by two different blocks, its rows and columns riffled together
+    at random (each block keeps its own order, so both copies of the
+    repeated block read the same): a matrix of exact zeros and exact
+    degeneracies, solved by one ``eigh`` like any other."""
+    a = _hermitian_with_spectrum(rng, [-1.0, 0.25, 2.0], real)
+    b = _hermitian_with_spectrum(rng, [0.25, 0.5, 1.5, 3.0], real)
+    c = random_hermitian(rng, 2)
+    blocks = [a, np.array([[0.7]]), b, a, c.real if real else c]
+    label = rng.permutation(np.repeat(np.arange(len(blocks)), [len(x) for x in blocks]))
+    h = np.zeros((label.size, label.size), dtype=float if real else complex)
+    members = [np.flatnonzero(label == k) for k in range(len(blocks))]
+    for idx, x in zip(members, blocks):
+        h[np.ix_(idx, idx)] = x
+    return h
+
+
+def test_eigenbasis_reconstructs_matrix(monkeypatch):
     rng = np.random.default_rng(42)
-    for dim in (2, 4, 7, 12):
-        h = random_hermitian(rng, dim)
+    inputs = [random_hermitian(rng, dim) for dim in (2, 4, 7, 12)]
+    inputs += [_permuted_blocks(rng, real) for real in (True, False)]
+    eigh, shapes = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+    for h in inputs:
+        dim = h.shape[0]
         dec = eig_hermitian(validate_hermitian(h))
         rebuilt = (dec.basis * dec.eigenvalues) @ dec.basis.conj().T
         np.testing.assert_allclose(rebuilt, h, atol=1e-12 * dim)
@@ -36,6 +64,8 @@ def test_eigenbasis_reconstructs_matrix():
         np.testing.assert_allclose(
             dec.basis.conj().T @ dec.basis, np.eye(dim), atol=1e-12 * dim
         )
+    # one eigh of the whole matrix per call, reducible or not
+    assert shapes == [h.shape for h in inputs]
 
 
 def test_eigenvalues_ascending():
@@ -165,64 +195,6 @@ def _reference_eig_hermitian(op):
     return evals, basis
 
 
-def _hermitian_with_spectrum(rng, lam, real):
-    g = random_hermitian(rng, len(lam))
-    u = np.linalg.qr(g.real if real else g)[0]
-    return (u * lam) @ u.conj().T
-
-
-def _permuted_blocks(rng, real):
-    """A direct sum with a repeated block, a 1x1 block and a level (0.25)
-    shared by two different blocks, its rows and columns riffled together
-    at random (each block keeps its own order, so both copies of the
-    repeated block read the same); returns the matrix and each block's
-    indices."""
-    a = _hermitian_with_spectrum(rng, [-1.0, 0.25, 2.0], real)
-    b = _hermitian_with_spectrum(rng, [0.25, 0.5, 1.5, 3.0], real)
-    c = random_hermitian(rng, 2)
-    blocks = [a, np.array([[0.7]]), b, a, c.real if real else c]
-    label = rng.permutation(np.repeat(np.arange(len(blocks)), [len(x) for x in blocks]))
-    h = np.zeros((label.size, label.size), dtype=float if real else complex)
-    members = [np.flatnonzero(label == k) for k in range(len(blocks))]
-    for idx, x in zip(members, blocks):
-        h[np.ix_(idx, idx)] = x
-    return h, members
-
-
-@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-def test_block_eigensolver_on_a_permuted_direct_sum(monkeypatch, real):
-    rng = np.random.default_rng(21)
-    h, members = _permuted_blocks(rng, real)
-    op = validate_hermitian(h)
-    eigh = np.linalg.eigh
-    sizes = []
-
-    def counting(matrix):
-        sizes.append(matrix.shape[0])
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    dec = eig_hermitian(op)
-    monkeypatch.undo()
-    # one eigh per block, the repeated one included
-    assert len(sizes) == len(members) and max(sizes) < op.dim
-    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=1e-13)
-    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
-    # 0.25 once in each copy of a and once in b
-    assert np.count_nonzero(np.abs(dec.eigenvalues - 0.25) < 1e-12) == 3
-    b = dec.basis
-    assert b.dtype == op.matrix.dtype
-    pivots = b[np.argmax(np.abs(b), axis=0), np.arange(op.dim)]
-    assert np.all(np.abs(pivots.imag) < 1e-15) and np.all(pivots.real > 0.0)
-    np.testing.assert_allclose(b.conj().T @ b, np.eye(op.dim), atol=1e-13)
-    np.testing.assert_allclose((b * dec.eigenvalues) @ b.conj().T, h, atol=1e-13)
-    # each column lives on one block and is an exact zero everywhere else
-    for col in b.T:
-        support = np.flatnonzero(col)
-        owner = [idx for idx in members if support[0] in idx]
-        assert len(owner) == 1 and np.all(np.isin(support, owner[0]))
-
-
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("shape", ["dense", "tridiagonal"])
 def test_irreducible_matrix_keeps_the_single_call_result(real, shape):
@@ -238,19 +210,3 @@ def test_irreducible_matrix_keeps_the_single_call_result(real, shape):
     assert np.array_equal(dec.eigenvalues, evals)
     assert np.array_equal(dec.basis, basis)
 
-
-def test_a_corrupted_sub_block_is_rejected(monkeypatch):
-    rng = np.random.default_rng(29)
-    h, _ = _permuted_blocks(rng, real=True)
-    eigh = np.linalg.eigh
-
-    def corrupted(matrix):
-        evals, basis = eigh(matrix)
-        if matrix.shape[0] == 4:  # only the block b
-            basis = basis.copy()
-            basis[0, 0] += 1e-6
-        return evals, basis
-
-    monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    with pytest.raises(NoConvergenceError, match="residual"):
-        eig_hermitian(validate_hermitian(h))
