@@ -36,7 +36,7 @@ from .gibbs import (
     _pair_sum,
     correlation_G,
 )
-from .linalg import eig_hermitian, validate_hermitian
+from .linalg import eig_hermitian, svd_checked, validate_hermitian
 
 __all__ = [
     "BoundReport",
@@ -138,17 +138,24 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
 _FD_LADDER = 3e-2
 
 
-def _displaced(fam: PerturbedFamily, h: float) -> tuple:
-    """Per block, the ascending levels of T_b - h S_b and the diagonal of
-    S_b in their eigenbasis.
+def _displaced(fam: PerturbedFamily, h: float) -> tuple | list:
+    """The solve of T - h S that `_mean_s` weights.
 
-    Both are beta independent, so they are kept in ``fam.displaced`` and
-    shared with every `family_at_beta` of the family.  Each block is
-    validated and solved by ``eig_hermitian`` with all its checks, once
-    for all its copies.
+    Per block, the ascending levels of T_b - h S_b and the diagonal of
+    S_b in their eigenbasis: each block is validated and solved by
+    ``eig_hermitian`` with all its checks, once for all its copies.  For
+    a ``quasi_free`` family, instead, one `svd_checked` of the one-body
+    M(h) = M(0) + h dM/dh gives the quasiparticle energies s_k and, by
+    Hellmann-Feynman, ds_k/dh / 2 = u_k^T (dM/dh) v_k / 2.  Either is
+    beta independent, so it is kept in ``fam.displaced`` and shared with
+    every `family_at_beta` of the family.
     """
     hit = fam.displaced.get(h)
-    if hit is None:
+    if hit is None and fam.quasi_free is not None:
+        m0, dm = fam.quasi_free
+        u, s, v = svd_checked(m0 + h * dm)
+        hit = fam.displaced[h] = (s, 0.5 * np.einsum("ik,ij,jk->k", u, dm, v))
+    elif hit is None:
         hit = fam.displaced[h] = []
         for b in fam.blocks:
             d = eig_hermitian(validate_hermitian(np.diag(b.levels) - h * b.s_eig))
@@ -159,8 +166,13 @@ def _displaced(fam: PerturbedFamily, h: float) -> tuple:
 
 def _mean_s(fam: PerturbedFamily, h: float) -> float:
     """<S>_h = sum_n p_n(h) (U_h^H S U_h)_nn at the family's beta, each
-    block's levels weighted by its copies."""
+    block's levels weighted by its copies; for a ``quasi_free`` family,
+    <S>_h = -dF/dh = sum_k (ds_k/dh / 2) tanh(beta s_k / 2), which cannot
+    overflow at any beta."""
     solved = _displaced(fam, h)
+    if fam.quasi_free is not None:
+        energies, slopes = solved
+        return float(np.dot(slopes, np.tanh(0.5 * fam.beta * energies)))
     copies = [b.copies for b in fam.blocks]
     lps, _ = _log_weights([levels for levels, _ in solved], copies, fam.beta)
     return sum(
@@ -180,7 +192,9 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     first central difference (4 D(h_k/2) - D(h_k))/3 with
     D(h) = (<S>_h - <S>_{-h})/(2h).  Its rounding floor is about
     eps ||S|| / h, against eps |ln Z| / h^2 for a second difference of
-    ln Z.
+    ln Z.  A ``quasi_free`` family (`tfim`) takes <S>_h from its free
+    fermions instead, sum_k (ds_k/dh / 2) tanh(beta s_k / 2) from one
+    SVD of the one-body matrix per field, and solves no block.
 
     The step sits on a power-of-two ladder, h_k = 3e-2 2^-k / sigma(S)
     with k = ceil(log2 max(1, beta)) and
@@ -191,12 +205,13 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     eigensolve, ignores a multiple of the identity added to S and does
     not grow with the number of blocks or copies; for one block it is
     2 ||S - (tr S / n) I||_F.  Neighbouring rungs share a
-    field, h_k / 2 = h_(k+1), and each solve keeps only its levels and
-    the diagonal of S (see `_displaced`), which are beta independent, so
-    a sweep over beta solves each field once.  When the family is
+    field, h_k / 2 = h_(k+1), and each solve keeps only what `_mean_s`
+    weights (see `_displaced`), which is beta independent, so a sweep
+    over beta solves each field once.  When the family is
     ``sign_odd``, a diagonal sign flip D in the builder's basis maps
     T - h S to T + h S, so the two are similar, <S>_{-h} = -<S>_h, and
-    only the two fields +h_k/2 and +h_k are solved, each once per block.
+    only the two fields +h_k/2 and +h_k are solved, each once per block
+    or once by SVD.
 
     The truncation error goes as (beta sigma h)^4 at every beta, so on
     random complex families of dimension 4 to 40, beta from 1e-3 to 1e2,
@@ -204,7 +219,9 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     within 5e-10 of max(1, |chi_N|).  The floor grows with beta: once the
     step no longer resolves <S>_h (near beta = 1e8 for O(1) spectra) the
     slope misses chi_N beyond ``FD_ORACLE_REL`` and the report's check
-    fails.
+    fails.  The free-fermion <S>_h of a chain near g = 0 sums slopes
+    u_k^T v_k that cancel to O(h), so from beta near 1e6 it can fail
+    where the per-block solves pass (and pass where they fail).
 
     Raises
     ------

@@ -17,7 +17,8 @@ BASIS_UNITARITY = 1e-10
 
 EIG_RESIDUAL = 1e-10
 """Allowed ``||H B - B diag||_F`` relative to ``max(1, ||H||_F)`` for the
-decompositions ``eig_hermitian`` returns."""
+decompositions ``eig_hermitian`` returns, and ``||M V - U diag(s)||_F``
+relative to ``max(1, ||M||_F)`` for those of ``svd_checked``."""
 
 EIGENBASIS_HERMITIAN = 1e-10
 """Allowed largest ``|A_mn - conj(A_nm)|`` relative to ``max(1, ||A||_F)``

@@ -100,11 +100,18 @@ class PerturbedFamily:
         Whether, in the basis the builder wrote each block in, a diagonal
         sign flip D = diag(+-1) keeps T_b and maps S_b to -S_b exactly
         (see `_sign_odd`), so that <S>_{-h} = -<S>_h.
+    quasi_free : tuple or None
+        For a family of free fermions, the real one-body matrix M(0) and
+        dM/dh such that T - h S = sum_k s_k (eta_k^dag eta_k - 1/2) with
+        s_k the singular values of M(h) = M(0) + h dM/dh (`tfim`); None
+        for every other family.
     displaced : dict
         The chi_N oracle's solves of T - h S keyed by the field h: per
         block, the ascending levels and the diagonal of S in their
-        eigenbasis.  Both are beta independent, so `family_at_beta` hands
-        the same dict on and a beta sweep solves each field once.
+        eigenbasis, or for a ``quasi_free`` family the singular values
+        s_k of M(h) and ds_k/dh / 2 (see `bounds._displaced`).  All are
+        beta independent, so `family_at_beta` hands the same dict on and
+        a beta sweep solves each field once.
     log_z, s_mean : float
         log Z and the thermal mean <S>.
     underflow_count : int
@@ -125,6 +132,7 @@ class PerturbedFamily:
     beta: float
     blocks: tuple = field(repr=False)
     sign_odd: bool
+    quasi_free: tuple | None = field(repr=False)
     displaced: dict = field(repr=False)
     log_z: float
     s_mean: float
@@ -257,7 +265,7 @@ def _sign_odd(t: np.ndarray, s: np.ndarray) -> bool:
 
 
 def _thermalize(
-    beta: float, parts: list, particle_count: int, sign_odd: bool, displaced: dict
+    beta: float, parts: list, particle_count: int, sign_odd: bool, quasi_free, displaced: dict
 ) -> PerturbedFamily:
     """The family of (spectrum, s_eig, copies) blocks at beta."""
     beta = float(beta)
@@ -273,7 +281,7 @@ def _thermalize(
         underflow += c * int(np.count_nonzero(p == 0.0))
         dim += c * spectrum.dim
     return PerturbedFamily(
-        beta, tuple(blocks), sign_odd, displaced, log_z, s_mean, underflow,
+        beta, tuple(blocks), sign_odd, quasi_free, displaced, log_z, s_mean, underflow,
         particle_count, dim,
     )
 
@@ -288,7 +296,9 @@ def _require_hermitian(a: np.ndarray, what: str) -> float:
     return scale
 
 
-def block_family(blocks: Sequence, beta: float, particle_count: int = 1) -> PerturbedFamily:
+def block_family(
+    blocks: Sequence, beta: float, particle_count: int = 1, quasi_free: tuple | None = None
+) -> PerturbedFamily:
     """Diagonalize each block's T, rotate its S into that eigenbasis and
     thermalize the direct sum at beta.
 
@@ -297,6 +307,8 @@ def block_family(blocks: Sequence, beta: float, particle_count: int = 1) -> Pert
     copies, an integer >= 1.  ``particle_count`` is the number of
     particles the model builder says S sums over.  The family's
     ``sign_odd`` is read from each validated T_b and S_b in that basis.
+    ``quasi_free`` is the builder's (M(0), dM/dh) of a free-fermion
+    family (see `PerturbedFamily`), stored read-only, or None.
 
     Raises `DimensionBudgetError` for a block above ``DIMENSION_BUDGET``
     before validating or solving it.
@@ -333,7 +345,9 @@ def block_family(blocks: Sequence, beta: float, particle_count: int = 1) -> Pert
         sign_odd = sign_odd and _sign_odd(T.matrix, S.matrix)
     if not parts:
         raise ValueError("a family needs at least one block")
-    return _thermalize(beta, parts, particle_count, sign_odd, {})
+    if quasi_free is not None:
+        quasi_free = tuple(_freeze(np.array(m, dtype=float)) for m in quasi_free)
+    return _thermalize(beta, parts, particle_count, sign_odd, quasi_free, {})
 
 
 def make_family(
@@ -349,14 +363,17 @@ def make_family(
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     """Rebuild the family at a different temperature without re-diagonalizing.
 
-    Each block's eigenbasis, S_eig and copies, the sign parity and the
-    chi_N oracle's displaced spectra are temperature independent, and the
+    Each block's eigenbasis, S_eig and copies, the sign parity, the
+    one-body matrices and the chi_N oracle's displaced spectra are
+    temperature independent, and the
     new family shares them (the same ``displaced`` dict, so a field
     solved at one temperature is not solved again at another); only the
     weights, log Z and the perturbation mean change.
     """
     parts = [(b.spectrum, b.s_eig, b.copies) for b in fam.blocks]
-    return _thermalize(beta, parts, fam.particle_count, fam.sign_odd, fam.displaced)
+    return _thermalize(
+        beta, parts, fam.particle_count, fam.sign_odd, fam.quasi_free, fam.displaced
+    )
 
 
 def _average(populations: np.ndarray, a: np.ndarray) -> float:

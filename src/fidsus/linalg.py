@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra.
+"""Dense Hermitian linear algebra, and the checked real SVD of a one-body matrix.
 
 The eigensolver is LAPACK's symmetric or Hermitian solver through
 ``np.linalg.eigh``.  Its output is normalized (nondecreasing eigenvalues,
@@ -9,7 +9,8 @@ symmetry sectors are declared by the model builders, as the blocks of a
 family (see `gibbs.block_family`).  A matrix with no imaginary part is
 stored and decomposed as float64, so real models run LAPACK's real
 symmetric solver and real arithmetic throughout; complex input stays
-complex128.
+complex128.  `svd_checked` is LAPACK's real SVD through
+``np.linalg.svd``, with the same residual check.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "SpectralDecomposition",
     "validate_hermitian",
     "eig_hermitian",
+    "svd_checked",
 ]
 
 
@@ -137,3 +139,28 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=_freeze(evals), basis=_freeze(basis), dim=n
     )
+
+
+def svd_checked(matrix: np.ndarray) -> tuple:
+    """Singular value decomposition M = U diag(s) V^T of a real square M.
+
+    Returns ``(u, s, v)`` with V itself, not its transpose, and s
+    nonincreasing as LAPACK returns it.  An upper bidiagonal M passes
+    LAPACK's bidiagonal reduction unchanged, so even its smallest singular
+    values keep high relative accuracy.
+
+    Raises
+    ------
+    NoConvergenceError
+        If LAPACK does not converge, or ||M V - U diag(s)||_F exceeds
+        ``EIG_RESIDUAL`` max(1, ||M||_F).
+    """
+    try:
+        u, s, vt = np.linalg.svd(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"svd did not converge: {exc}") from exc
+    v = vt.T
+    resid = float(np.linalg.norm(matrix @ v - u * s))
+    if not resid <= EIG_RESIDUAL * max(1.0, float(np.linalg.norm(matrix))):
+        raise NoConvergenceError(f"svd residual {resid:.3e} too large")
+    return u, s, v

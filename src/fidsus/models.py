@@ -566,6 +566,16 @@ def tfim(
     the flip, so the family is built from the two blocks, even first;
     every entry is an integer times J or g, and at g = 0 T is diagonal
     and S has a zero diagonal.
+
+    The chain is also free fermions (Lieb, Schultz & Mattis, Ann. Phys.
+    16, 407 (1961)): with Jordan-Wigner and sigma^x_i = 1 - 2 n_i, and no
+    boundary term on the open chain, T - h S = sum_k s_k
+    (eta_k^dag eta_k - 1/2) exactly, s_k the singular values of the
+    N x N bidiagonal M(h) = 2 (g + h) I - 2 J L^T, L having ones on the
+    first subdiagonal.  The family keeps M(0) and dM/dh = 2 I as its
+    ``quasi_free`` matrices, from which the chi_N oracle takes <S>_h
+    (see `bounds._displaced`); M is passed upper bidiagonal so that its
+    SVD keeps the edge mode's small s_k to high relative accuracy.
     """
     n_sites = _integer("n_sites", n_sites)
     if not 2 <= n_sites <= 10:
@@ -585,7 +595,10 @@ def tfim(
         # sigma^x_{N-1} takes |r> + s|~r> to s(|r'> + s|~r'>), r' = r ^ (half - 1)
         S[r, r ^ (half - 1)] += sign
         blocks.append((np.diag(-j_coupling * zz) - g_field * S, S, 1))
-    return block_family(blocks, beta, particle_count=n_sites)
+    one_body = 2.0 * g_field * np.eye(n_sites) - 2.0 * j_coupling * np.eye(n_sites, k=1)
+    return block_family(
+        blocks, beta, particle_count=n_sites, quasi_free=(one_body, 2.0 * np.eye(n_sites))
+    )
 
 
 # ---------------------------------------------------------------------------

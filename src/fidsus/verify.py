@@ -28,13 +28,14 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List
 
 import numpy as np
 
 from .bounds import (
     BoundReport,
+    _mean_s,
     bd_inner_product,
     bd_integral_oracle,
     bound_report,
@@ -496,6 +497,17 @@ def _suite_tfim(seed, instances, dim_max, out):
             f"classical_at_g0={_e(classical)} sandwich_ok={rep.sandwich_ok}",
         )
     )
+    # per site, the chi_N oracle's free-fermion <S>_h against the per-block route
+    gaps = []
+    for n in (3, 6):
+        for g in (-1.0, 0.0, 1.0):
+            fam = tfim(n, 1.0, g, 1.0)
+            ed = replace(fam, quasi_free=None, displaced={})
+            for beta in (1e-2, 1.0, 1e2):
+                free, blocks = family_at_beta(fam, beta), family_at_beta(ed, beta)
+                for h in (1e-3, -1e-3):
+                    gaps.append(abs(_mean_s(free, h) - _mean_s(blocks, h)) / n)
+    out.append(CheckResult("tfim_quasi_free", *_within(gaps, 1e-12)))
 
 
 def _pair(z: complex):

@@ -31,7 +31,7 @@ HARD_CHECKS = (
     "single_spin_closed_forms",
     "kondo_rotation_invariance", "kondo_sandwich", "kondo_weak_coupling_pinch",
     "dicke_sandwich", "dicke_tc_roots",
-    "tfim_structure",
+    "tfim_structure", "tfim_quasi_free",
     "model_file_contract",
     "deterministic_rebuild",
     "upper_gap_beta_scaling",

@@ -9,9 +9,10 @@ must also match.  They only read the tables.  They also count the
 ``eig_hermitian`` calls.  A family is built from its symmetry blocks,
 one solve per block, and the chi_N oracle solves each field once per
 block and keeps the result for every temperature of the family.  Each
-``tfim`` point of ``field_sweep`` is a new build of two parity blocks:
-two solves of T, then four fields (+-h/2, +-h) times the two blocks,
-10 per point and 40 in all.  ``beta_sweep`` builds one ``dicke``
+``tfim`` point of ``field_sweep`` is a new build of two parity blocks,
+two solves of T; its oracle takes the four fields (+-h/2, +-h) from
+the chain's free fermions, one N x N SVD each and no eigensolve, so
+2 per point and 8 in all.  ``beta_sweep`` builds one ``dicke``
 family of two blocks, spin 3/2 and spin 1/2 with its two copies (two
 solves), and probes its cutoff (two more).  Its S is sign-odd, so only
 +h fields are solved, and its twelve temperatures fall on rungs 0 to 3
@@ -30,7 +31,7 @@ REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "referenc
 COLUMNS = ("param", "chi_f", "ub", "lb_paper", "chi_fg", "bd", "dcomm", "chi_n")
 TOL = 1e-8
 
-EIGENSOLVES = {"field_sweep": 40, "beta_sweep": 14}
+EIGENSOLVES = {"field_sweep": 8, "beta_sweep": 14}
 
 SWEEPS = {
     "field_sweep": (

@@ -231,7 +231,8 @@ def test_sign_odd_rule(case, eig_calls):
     """S is sign-odd when, in the basis the builder wrote, its diagonal is
     exactly zero and the states two-colour so that T links states of one
     colour and S states of opposite colours; the chi_N oracle then solves
-    the fields +h/2 and +h only, each block once, and it agrees with the
+    the fields +h/2 and +h only, each block once (a free-fermion family
+    by one SVD per field, with no eigensolve), and it agrees with the
     difference that solves both signs."""
     build, odd = SIGN_CASES[case]
     fam = build()
@@ -241,7 +242,8 @@ def test_sign_odd_rule(case, eig_calls):
     fd = free_energy_curvature(fam)
     fields = 2 if odd else 4
     assert len(fam.displaced) == fields
-    assert len(eig_calls) == fields * len(fam.blocks)
+    blocks = 0 if fam.quasi_free is not None else len(fam.blocks)
+    assert len(eig_calls) == fields * blocks
     ref = _both_signs_curvature(fam)
     assert abs(fd - ref) <= 1e-9 * max(1.0, abs(ref))
 
@@ -391,6 +393,38 @@ def test_beta_sweep_solves_each_oracle_field_once(eig_calls):
     dense = make_family(block_diag(ta, tb, ta), block_diag(sa, sb, sa), betas[-1])
     ref = free_energy_curvature(dense)
     assert abs(chain[-1] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_tfim_oracle_reuses_its_free_fermion_solves(monkeypatch, eig_calls):
+    """The tfim oracle solves each field by one SVD of the one-body matrix
+    and no eigensolve; a second beta on the same rung of the step ladder
+    reuses all four fields."""
+    svds = []
+    real = fidsus.bounds.svd_checked
+
+    def counted(m):
+        svds.append(m.shape[0])
+        return real(m)
+
+    monkeypatch.setattr(fidsus.bounds, "svd_checked", counted)
+    fam = tfim(5, 1.0, 0.7, 5.0)
+    eig_calls.clear()
+    first = free_energy_curvature(fam)
+    assert len(fam.displaced) == 4 and svds == [5] * 4 and not eig_calls
+    warm = family_at_beta(fam, 6.0)
+    assert math.ceil(math.log2(6.0)) == math.ceil(math.log2(5.0))
+    second = free_energy_curvature(warm)
+    assert len(warm.displaced) == 4 and len(svds) == 4 and not eig_calls
+    for f, value in ((fam, first), (warm, second)):
+        chi = f.beta * bd_inner_product(f) / f.particle_count
+        assert abs(value - chi) <= 1e-9 * max(1.0, abs(chi))
+
+
+def test_cold_paramagnetic_chain_passes_the_chi_n_oracle():
+    """At beta = 1e5 the per-block <S>_h of a 10-site chain lost 2e-6 of
+    chi_N to rounding and failed the report's chi_n_oracle check; the
+    free-fermion <S>_h keeps it within FD_ORACLE_REL."""
+    assert bound_report(tfim(10, 1.0, 2.5, 1e5)).sandwich_ok
 
 
 def test_double_commutator_direct_block_by_block():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_hermitian
 from fidsus.errors import NoConvergenceError, NotHermitianError, NotSquareError
-from fidsus.linalg import eig_hermitian, validate_hermitian
+from fidsus.linalg import eig_hermitian, svd_checked, validate_hermitian
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21])
@@ -136,6 +136,39 @@ def test_postconditions_reject_a_corrupted_basis(monkeypatch, corrupt, message, 
     assert op.matrix.dtype == dtype
     with np.errstate(invalid="ignore"), pytest.raises(NoConvergenceError, match=message):
         eig_hermitian(op)
+
+
+def _fail_svd(matrix):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _rolled_svd(matrix, svd=np.linalg.svd):
+    u, s, vt = svd(matrix)
+    return np.roll(u, 1, axis=1), s, vt
+
+
+@pytest.mark.parametrize(
+    "svd, message", [(_fail_svd, "did not converge"), (_rolled_svd, "residual")]
+)
+def test_svd_failure_and_a_wrong_factor_are_typed_errors(monkeypatch, svd, message):
+    m = 2.0 * np.eye(4) - np.eye(4, k=1) + 0.3 * np.eye(4, k=2)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(NoConvergenceError, match=message):
+        svd_checked(m)
+
+
+@pytest.mark.parametrize("g", [1e-3, 1e-2, 0.1])
+def test_svd_keeps_the_edge_mode_of_an_upper_bidiagonal_matrix(g):
+    """The open Ising chain's one-body matrix 2 g I - 2 L^T has one
+    singular value near (2 g)^n / 2^(n-1); the product of all of them is
+    |det| = (2 g)^n, which holds to rounding only if that one is
+    accurate to high relative precision."""
+    n = 10
+    u, s, v = svd_checked(2.0 * g * np.eye(n) - 2.0 * np.eye(n, k=1))
+    assert s[-1] > 0.0
+    assert abs(np.prod(s) / (2.0 * g) ** n - 1.0) <= 1e-13
+    assert np.allclose(u.T @ u, np.eye(n), atol=1e-13)
+    assert np.allclose(v.T @ v, np.eye(n), atol=1e-13)
 
 
 def test_validate_hermitian_rejects():
