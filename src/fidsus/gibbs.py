@@ -100,18 +100,19 @@ class PerturbedFamily:
         Whether, in the basis the builder wrote each block in, a diagonal
         sign flip D = diag(+-1) keeps T_b and maps S_b to -S_b exactly
         (see `_sign_odd`), so that <S>_{-h} = -<S>_h.
-    quasi_free : tuple or None
-        For a family of free fermions, the real one-body matrix M(0) and
-        dM/dh such that T - h S = sum_k s_k (eta_k^dag eta_k - 1/2) with
-        s_k the singular values of M(h) = M(0) + h dM/dh (`tfim`); None
-        for every other family.
+    quasi_free : ndarray or None
+        For a family of free fermions whose S is the total transverse
+        field (`tfim`), the real N x N one-body matrix M(0) such that
+        T - h S = sum_k s_k (eta_k^dag eta_k - 1/2), s_k the singular
+        values of M(h) = M(0) + 2 h I; None for every other family.
     displaced : dict
-        The chi_N oracle's solves of T - h S keyed by the field h: per
+        The chi_N oracle's solves of T - h S.  Keyed by the field h: per
         block, the ascending levels and the diagonal of S in their
-        eigenbasis, or for a ``quasi_free`` family the singular values
-        s_k of M(h) and ds_k/dh / 2 (see `bounds._displaced`).  All are
-        beta independent, so `family_at_beta` hands the same dict on and
-        a beta sweep solves each field once.
+        eigenbasis.  Keyed by ("one_body", h), for a ``quasi_free``
+        family: the singular values s_k of M(h) and the slopes
+        ds_k/dh / 2 (see `bounds._one_body_terms`).  All are beta
+        independent, so `family_at_beta` hands the same dict on and a
+        beta sweep solves each field once.
     log_z, s_mean : float
         log Z and the thermal mean <S>.
     underflow_count : int
@@ -132,7 +133,7 @@ class PerturbedFamily:
     beta: float
     blocks: tuple = field(repr=False)
     sign_odd: bool
-    quasi_free: tuple | None = field(repr=False)
+    quasi_free: np.ndarray | None = field(repr=False)
     displaced: dict = field(repr=False)
     log_z: float
     s_mean: float
@@ -297,7 +298,7 @@ def _require_hermitian(a: np.ndarray, what: str) -> float:
 
 
 def block_family(
-    blocks: Sequence, beta: float, particle_count: int = 1, quasi_free: tuple | None = None
+    blocks: Sequence, beta: float, particle_count: int = 1, quasi_free: np.ndarray | None = None
 ) -> PerturbedFamily:
     """Diagonalize each block's T, rotate its S into that eigenbasis and
     thermalize the direct sum at beta.
@@ -307,7 +308,7 @@ def block_family(
     copies, an integer >= 1.  ``particle_count`` is the number of
     particles the model builder says S sums over.  The family's
     ``sign_odd`` is read from each validated T_b and S_b in that basis.
-    ``quasi_free`` is the builder's (M(0), dM/dh) of a free-fermion
+    ``quasi_free`` is the builder's one-body M(0) of a free-fermion
     family (see `PerturbedFamily`), stored read-only, or None.
 
     Raises `DimensionBudgetError` for a block above ``DIMENSION_BUDGET``
@@ -346,7 +347,7 @@ def block_family(
     if not parts:
         raise ValueError("a family needs at least one block")
     if quasi_free is not None:
-        quasi_free = tuple(_freeze(np.array(m, dtype=float)) for m in quasi_free)
+        quasi_free = _freeze(np.array(quasi_free, dtype=float))
     return _thermalize(beta, parts, particle_count, sign_odd, quasi_free, {})
 
 

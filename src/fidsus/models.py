@@ -572,10 +572,10 @@ def tfim(
     boundary term on the open chain, T - h S = sum_k s_k
     (eta_k^dag eta_k - 1/2) exactly, s_k the singular values of the
     N x N bidiagonal M(h) = 2 (g + h) I - 2 J L^T, L having ones on the
-    first subdiagonal.  The family keeps M(0) and dM/dh = 2 I as its
-    ``quasi_free`` matrices, from which the chi_N oracle takes <S>_h
-    (see `bounds._displaced`); M is passed upper bidiagonal so that its
-    SVD keeps the edge mode's small s_k to high relative accuracy.
+    first subdiagonal.  The family keeps M(0) as its ``quasi_free``
+    matrix, from which the chi_N oracle takes <S>_h (see
+    `bounds._mean_s`); M is passed upper bidiagonal so that its SVD
+    keeps the edge mode's small s_k to high relative accuracy.
     """
     n_sites = _integer("n_sites", n_sites)
     if not 2 <= n_sites <= 10:
@@ -596,9 +596,7 @@ def tfim(
         S[r, r ^ (half - 1)] += sign
         blocks.append((np.diag(-j_coupling * zz) - g_field * S, S, 1))
     one_body = 2.0 * g_field * np.eye(n_sites) - 2.0 * j_coupling * np.eye(n_sites, k=1)
-    return block_family(
-        blocks, beta, particle_count=n_sites, quasi_free=(one_body, 2.0 * np.eye(n_sites))
-    )
+    return block_family(blocks, beta, particle_count=n_sites, quasi_free=one_body)
 
 
 # ---------------------------------------------------------------------------

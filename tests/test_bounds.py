@@ -420,11 +420,20 @@ def test_tfim_oracle_reuses_its_free_fermion_solves(monkeypatch, eig_calls):
         assert abs(value - chi) <= 1e-9 * max(1.0, abs(chi))
 
 
-def test_cold_paramagnetic_chain_passes_the_chi_n_oracle():
-    """At beta = 1e5 the per-block <S>_h of a 10-site chain lost 2e-6 of
-    chi_N to rounding and failed the report's chi_n_oracle check; the
-    free-fermion <S>_h keeps it within FD_ORACLE_REL."""
-    assert bound_report(tfim(10, 1.0, 2.5, 1e5)).sandwich_ok
+@pytest.mark.parametrize(
+    "n, g, beta, solves_blocks",
+    [(10, 2.5, 1e5, False), (10, 0.0, 1e6, True), (7, 1e-9, 1e6, True)],
+)
+def test_cold_chains_pass_the_chi_n_oracle(n, g, beta, solves_blocks, eig_calls):
+    """At beta = 1e5 the per-block <S>_h of a 10-site paramagnet lost 2e-6
+    of chi_N to rounding, and the free-fermion sum keeps it within
+    FD_ORACLE_REL.  Near g = 0 the free-fermion terms cancel to the O(h)
+    of <S>_h, and at beta = 1e6 their sum missed chi_N by up to 5e-6, so
+    the oracle solves the parity blocks there instead."""
+    fam = tfim(n, 1.0, g, beta)
+    eig_calls.clear()
+    assert bound_report(fam).sandwich_ok
+    assert set(eig_calls) == ({2 ** (n - 1)} if solves_blocks else set())
 
 
 def test_double_commutator_direct_block_by_block():
