@@ -25,6 +25,7 @@ from .config import DCOMM_AGREEMENT_REL, DCOMM_NEGATIVE, FD_ORACLE_REL, SANDWICH
 from .errors import CrossCheckError, check_agreement
 from .fidelity import (
     _gauss_legendre_64,
+    _half_circle_G,
     chi_f_spectral,
     chi_fg_spectral,
     ds2_spectral,
@@ -33,8 +34,8 @@ from .gibbs import (
     PerturbedFamily,
     _average,
     _log_weights,
+    _memoized,
     _pair_sum,
-    correlation_G,
 )
 from .linalg import eig_hermitian, svd_checked, validate_hermitian
 
@@ -64,17 +65,15 @@ def bd_inner_product(fam: PerturbedFamily) -> float:
 def bd_integral_oracle(fam: PerturbedFamily) -> float:
     """(dS; dS) from its defining imaginary-time integral.
 
-    Gauss-Legendre quadrature of the two-point function G over
-    lambda in [0, 1], i.e. the average of <dS(lambda beta) dS> along the
-    thermal circle.  G is an entire function of lambda on a compact
-    interval, so the quadrature converges geometrically and 64 nodes are
-    far past machine precision for any bounded spectrum.  This is the
-    independent route used to audit `bd_inner_product`; it shares no
-    kernel code with it.
+    The average of G(tau) = <dS(tau) dS> over the thermal circle is, by
+    KMS, its average over [0, beta/2]: 0.5 sum_i w_i G(tau_i) on the
+    64-node Gauss-Legendre grid `chi_fg_integral` reads too.  G is entire
+    in tau, so the rule converges geometrically, far past machine
+    precision for any bounded spectrum.  This independent route audits
+    `bd_inner_product`; it shares no kernel code with it.
     """
-    x, w = _gauss_legendre_64()
-    lam = 0.5 * (x + 1.0)
-    return 0.5 * float(np.dot(w, correlation_G(fam, lam * fam.beta)))
+    _, w = _gauss_legendre_64()
+    return 0.5 * float(np.dot(w, _half_circle_G(fam)[1]))
 
 
 def double_commutator(fam: PerturbedFamily) -> float:
@@ -114,6 +113,7 @@ def double_commutator(fam: PerturbedFamily) -> float:
     return spectral
 
 
+@_memoized
 def double_commutator_direct(fam: PerturbedFamily) -> float:
     """<[[S, T], S]> as an explicit commutator expectation.
 
@@ -124,6 +124,7 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
     S and K are block diagonal, so K S - S K is formed in each block,
     checked and averaged over the block's populations as
     ``thermal_average`` does a dense operator, and weighted by its copies.
+    Kept in ``fam.memo``, so a report's route is read back, not formed again.
     """
     total = 0.0
     for b in fam.blocks:

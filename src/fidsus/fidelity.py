@@ -39,11 +39,12 @@ from .gibbs import (
     PerturbedFamily,
     _dense,
     _log_weights,
+    _memoized,
     _pair_sum,
     correlation_G,
 )
 from .kernels import tanh_over_x
-from .linalg import HermitianOperator, eig_hermitian, validate_hermitian
+from .linalg import HermitianOperator, _freeze, eig_hermitian, validate_hermitian
 
 __all__ = [
     "FidelitySusceptibility",
@@ -96,6 +97,15 @@ def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@_memoized
+def _half_circle_G(fam: PerturbedFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The 64 Gauss-Legendre nodes tau_i on [0, beta/2] and G(tau_i), both
+    read-only: one `correlation_G` call per family, which by the symmetry
+    G(tau) = G(beta - tau) serves both quadrature oracles."""
+    taus = _freeze(0.25 * fam.beta * (_gauss_legendre_64()[0] + 1.0))
+    return taus, _freeze(correlation_G(fam, taus))
+
+
 def _rho_prime_blocks(fam: PerturbedFamily) -> list:
     """rho' of each block: S_mn (beta/2) ratio_mn off the diagonal and
     beta p_m (S_mm - <S>) on it."""
@@ -136,6 +146,7 @@ def _degenerate_pairs(fam: PerturbedFamily, levels, copies, bgap: np.ndarray) ->
     return total
 
 
+@_memoized
 def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     """Fidelity susceptibility from the spectral kernel sum.
 
@@ -162,9 +173,6 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
         check "chi_f_forms" if the kernel and direct routes disagree
         beyond ``CHI_INTERNAL_REL``.
     """
-    hit = fam.memo.get("chi_f")
-    if hit is not None:
-        return hit
     beta = fam.beta
     pair = _pair_sum(fam, lambda g: g.ratio * tanh_over_x(0.5 * g.bgap))
     # every level of the whole space in ascending order, with the log and
@@ -203,13 +211,12 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     )
 
     n_deg = _degenerate_pairs(fam, levels, copies, bgap)
-    fam.memo["chi_f"] = result = FidelitySusceptibility(
+    return FidelitySusceptibility(
         total=total,
         classical=classical,
         quantum=quantum,
         degenerate_pair_count=n_deg,
     )
-    return result
 
 
 def ds2_spectral(fam: PerturbedFamily) -> float:
@@ -234,6 +241,7 @@ def ds2_spectral(fam: PerturbedFamily) -> float:
     return 0.25 * beta * beta * fam.diagonal_variance + 0.5 * _pair_sum(fam, weight)
 
 
+@_memoized
 def chi_fg_spectral(fam: PerturbedFamily) -> float:
     """Green's-function susceptibility from its spectral sum.
 
@@ -260,9 +268,10 @@ def chi_fg_integral(fam: PerturbedFamily) -> float:
 
     The 64-node Gauss-Legendre quadrature of tau G(tau), the independent
     route that audits `chi_fg_spectral`: it shares no pair kernel with the
-    spectral sum, only the two-point function ``correlation_G``.  The
-    quadrature is returned only after it agrees with the spectral value
-    that every report publishes.
+    spectral sum, only the two-point function ``correlation_G``, read from
+    the family's one grid (`_half_circle_G`).  The quadrature is returned
+    only after it agrees with the spectral value that every report
+    publishes.
 
     Raises
     ------
@@ -270,10 +279,9 @@ def chi_fg_integral(fam: PerturbedFamily) -> float:
         check "chi_fg_quadrature" if the quadrature and the spectral sum
         disagree beyond ``QUADRATURE_AGREEMENT_REL``.
     """
-    b = 0.5 * fam.beta
-    nodes, weights = _gauss_legendre_64()
-    taus = 0.5 * b * (nodes + 1.0)
-    quad = 0.5 * b * float(np.sum(weights * (taus * correlation_G(fam, taus))))
+    _, weights = _gauss_legendre_64()
+    taus, g = _half_circle_G(fam)
+    quad = 0.25 * fam.beta * float(np.sum(weights * (taus * g)))
     check_agreement(
         "chi_fg_quadrature", chi_fg_spectral(fam), quad, QUADRATURE_AGREEMENT_REL,
         ("spectral sum", "64-node quadrature"),

@@ -124,7 +124,10 @@ class PerturbedFamily:
         sum_b d_b n_b, the dimension of the whole space.
     memo : dict
         Values computed from this family, so a second request is free:
-        `chi_f_spectral` keeps its result here.
+        the results of `chi_f_spectral`, `chi_fg_spectral`,
+        `double_commutator_direct` and `fidelity._half_circle_G`, the
+        quadrature oracles' read-only G grid.  Every family starts with
+        it empty, a `family_at_beta` copy too.
 
     ``eigenvalues``, ``s_eig``, ``log_populations`` and ``populations``
     are the dense assembly of the blocks (`_dense`).
@@ -164,6 +167,18 @@ class PerturbedFamily:
     def diagonal_variance(self) -> float:
         """The population variance of the diagonal of S, sum_m p_m (S_mm - <S>)^2."""
         return sum(g.var_d for g in self.pair_grids)
+
+
+def _memoized(fn: Callable[[PerturbedFamily], object]) -> Callable:
+    """``fn(fam)``, computed once per family and kept in ``fam.memo``."""
+
+    @functools.wraps(fn)
+    def cached(fam: PerturbedFamily):
+        if fn.__name__ not in fam.memo:
+            fam.memo[fn.__name__] = fn(fam)
+        return fam.memo[fn.__name__]
+
+    return cached
 
 
 def _pair_grid(beta: float, s_mean: float, block: Block) -> _PairGrid:
@@ -421,7 +436,9 @@ def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float |
     copies.  The exponent is the convex combination
     (1 - tau/beta) log p_m + (tau/beta) log p_n, at most zero, so the sum
     never overflows; the diagonal part is the variance of S_mm from the
-    pair grids, free of cancellation.
+    pair grids, free of cancellation.  Swapping m and n maps tau to
+    beta - tau, so G(tau) = G(beta - tau) (KMS) and the quadrature
+    oracles need G on [0, beta/2] only.
 
     ``tau`` is a float, or a 1-d sequence of floats for which an array of
     G values is returned.  The nodes are evaluated in chunks broadcast

@@ -138,6 +138,10 @@ def _sandwich_violation(rep: BoundReport) -> List[float]:
 # suites
 
 
+# _suite_kernels's chunk of tanh_over_x arguments: 64 KiB temporaries
+_KERNEL_CHUNK = 8192
+
+
 def _suite_kernels(seed, instances, dim_max, out):
     rng = np.random.default_rng([seed, 1])
     x = np.concatenate(
@@ -147,10 +151,16 @@ def _suite_kernels(seed, instances, dim_max, out):
             np.array([-50.0, -1e-4, 1e-4, 50.0]),
         ]
     )
-    f = tanh_over_x(x)
-    over = float(np.max(f - 1.0))
-    under = float(np.max(np.maximum(1.0 - x * x / 3.0, 0.0) - f))
-    positive = bool(np.all(f > 0.0))
+    over, under, positive, even = [], [], True, []
+    for lo in range(0, x.size, _KERNEL_CHUNK):
+        xc = x[lo : lo + _KERNEL_CHUNK]
+        f = tanh_over_x(xc)
+        over.append(np.max(f - 1.0))
+        under.append(np.max(np.maximum(1.0 - xc * xc / 3.0, 0.0) - f))
+        positive = positive and bool(np.all(f > 0.0))
+        a = np.abs(xc)
+        even.append(np.max(np.abs(tanh_over_x(a) - tanh_over_x(-a))))
+    over, under, even = (float(np.max(v)) for v in (over, under, even))
     # spread across the series/direct switchover at x = +-1e-4
     c = 1e-4
     edge = np.array([np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)])
@@ -163,7 +173,6 @@ def _suite_kernels(seed, instances, dim_max, out):
             f"switchover={_e(jump)} n={x.size}",
         )
     )
-    even = float(np.max(np.abs(tanh_over_x(np.abs(x)) - tanh_over_x(-np.abs(x)))))
     out.append(CheckResult("kernel_even", even == 0.0, f"worst={_e(even)}"))
 
 

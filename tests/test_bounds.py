@@ -28,6 +28,7 @@ from fidsus.fidelity import chi_f_spectral, chi_fg_spectral, ds2_spectral
 from fidsus.gibbs import (
     PerturbedFamily,
     block_family,
+    correlation_G,
     family_at_beta,
     make_family,
     thermal_average,
@@ -83,6 +84,31 @@ def test_bd_spectral_vs_quadrature():
         spectral = bd_inner_product(fam)
         quad = bd_integral_oracle(fam)
         assert abs(spectral - quad) <= 1e-9 * max(1.0, spectral)
+
+
+def test_half_circle_quadrature_matches_the_full_circle():
+    """By G(tau) = G(beta - tau), the 64-node rule on [0, beta/2] gives the
+    average of G over the whole circle that the 64-node rule on [0, beta]
+    gives, to rounding."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    for fam in seeded_families(3004, 40, 2, 12, 0.1, 10.0):
+        full = 0.5 * float(np.dot(w, correlation_G(fam, 0.5 * (x + 1.0) * fam.beta)))
+        assert abs(bd_integral_oracle(fam) - full) <= 1e-13 * abs(full)
+
+
+def test_a_report_keeps_the_values_verify_reuses(monkeypatch):
+    """After bound_report, double_commutator_direct and chi_fg_spectral return
+    the floats it computed without forming a commutator or a pair sum."""
+    fresh = random_pair(9, 16, 1.0, 1.0, 1.4)
+    direct, fg = double_commutator_direct(fresh), chi_fg_spectral(fresh)
+    fam = random_pair(9, 16, 1.0, 1.0, 1.4)
+    assert bound_report(fam).lower_aasc == fg
+    calls = []
+    monkeypatch.setattr(fidsus.bounds, "_average", lambda *a: calls.append(a))
+    monkeypatch.setattr(fidsus.fidelity, "_pair_sum", lambda *a: calls.append(a))
+    assert double_commutator_direct(fam) == direct
+    assert chi_fg_spectral(fam) == fg
+    assert calls == []
 
 
 def test_bd_on_commuting_family_is_fluctuation():

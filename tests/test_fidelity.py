@@ -24,7 +24,8 @@ from fidsus.fidelity import (
     rho_prime,
     uhlmann_fidelity,
 )
-from fidsus.gibbs import make_family
+from fidsus.bounds import bd_inner_product, bd_integral_oracle, bound_report
+from fidsus.gibbs import family_at_beta, make_family
 from fidsus.models import random_pair, single_spin
 
 
@@ -173,18 +174,24 @@ def test_internal_form_guard_fires_when_tightened(monkeypatch):
 def test_quadrature_guard_fires(monkeypatch):
     """chi_FG's spectral sum and its quadrature differ by rounding only: a
     tolerance below machine precision trips the guard somewhere, and so
-    does a two-point function scaled by 1 + 1e-5 at the default one."""
-    fams = [random_pair(dim, seed, 1.0, 1.0, 2.0) for seed in (3, 7, 55) for dim in (6, 12)]
+    does a two-point function scaled by 1 + 1e-5 at the default one.  A
+    family keeps its G grid, so the scaled G runs on fresh builds."""
+
+    def families():
+        seeds, dims = (3, 7, 55), (6, 12)
+        return [random_pair(dim, seed, 1.0, 1.0, 2.0) for seed in seeds for dim in dims]
+
     fired = 0
     with monkeypatch.context() as tight:
         tight.setattr(fidsus.fidelity, "QUADRATURE_AGREEMENT_REL", 1e-18)
-        for fam in fams:
+        for fam in families():
             try:
                 chi_fg_integral(fam)
             except CrossCheckError as err:
                 assert err.check == "chi_fg_quadrature"
                 fired += 1
     assert fired >= 3
+    fams = families()
     real = fidsus.fidelity.correlation_G
     monkeypatch.setattr(
         fidsus.fidelity, "correlation_G", lambda fam, tau: (1.0 + 1e-5) * real(fam, tau)
@@ -218,6 +225,51 @@ def test_chi_fg_spectral_vs_integral():
     for fam in seeded_families(2004, 30, 2, 10, 0.1, 8.0):
         fg = chi_fg_spectral(fam)
         assert abs(fg - chi_fg_integral(fam)) <= 1e-9 * max(1.0, fg)
+
+
+@pytest.fixture
+def g_calls(monkeypatch):
+    """Record the family of every ``correlation_G`` call the quadrature
+    oracles make."""
+    calls = []
+    real = fidsus.fidelity.correlation_G
+
+    def counted(fam, tau):
+        calls.append(fam)
+        return real(fam, tau)
+
+    monkeypatch.setattr(fidsus.fidelity, "correlation_G", counted)
+    return calls
+
+
+def test_both_quadratures_read_one_G_grid(g_calls):
+    """chi_fg_integral and bd_integral_oracle share one correlation_G call
+    per family, kept read-only; repeating either makes no new call."""
+    fam = random_pair(7, 21, 1.0, 1.0, 1.3)
+    first = chi_fg_integral(fam), bd_integral_oracle(fam)
+    assert (chi_fg_integral(fam), bd_integral_oracle(fam)) == first
+    assert g_calls == [fam]
+    taus, g = fam.memo["_half_circle_G"]
+    assert taus.shape == g.shape == (64,)
+    assert 0.0 < taus.min() and taus.max() < 0.5 * fam.beta
+    for arr in (taus, g):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_a_family_at_another_beta_recomputes_its_quadratures(g_calls):
+    """family_at_beta starts with an empty memo: its quadratures take their
+    own G grid and match its own spectral sums."""
+    fam = random_pair(6, 22, 1.0, 1.0, 0.7)
+    bound_report(fam, check_chi_n=False)
+    chi_fg_integral(fam)
+    hot = family_at_beta(fam, 3.1)
+    assert not hot.memo
+    fg, bd = chi_fg_integral(hot), bd_integral_oracle(hot)
+    assert g_calls == [fam, hot]
+    assert abs(fg - chi_fg_spectral(hot)) <= 1e-12 * max(1.0, fg)
+    assert abs(bd - bd_inner_product(hot)) <= 1e-12 * max(1.0, bd)
+    assert chi_fg_spectral(hot) != chi_fg_spectral(fam)
 
 
 def test_gauss_legendre_rule_is_built_once_and_read_only():

@@ -100,6 +100,48 @@ def test_correlation_time_reversal_symmetry():
         )
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _kms_gap(fam, taus):
+    """max |G(tau) - G(beta - tau)| / max(1, |G(tau)|), and the bound it must
+    keep: 1e-13 plus the rounding of (beta - tau)/beta, an ulp of 1 that
+    moves the exponent of each pair by eps beta |T_m - T_n|."""
+    g, mirror = correlation_G(fam, taus), correlation_G(fam, fam.beta - taus)
+    spread = float(fam.eigenvalues[-1] - fam.eigenvalues[0])
+    gap = float(np.max(np.abs(g - mirror) / np.maximum(1.0, np.abs(g))))
+    return gap, 1e-13 + 2.0 * _EPS * fam.beta * spread
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    dim=st.integers(2, 12),
+    seed=st.integers(0, 2**31 - 1),
+    beta=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    lams=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_correlation_kms_symmetry(dim, seed, beta, lams):
+    """G(tau) = G(beta - tau), the identity that lets one grid on [0, beta/2]
+    serve both quadrature oracles, on random pairs at beta 1e-3 to 1e3."""
+    fam = random_pair(dim, seed, 1.0, 1.0, beta)
+    gap, tol = _kms_gap(fam, np.array(lams) * fam.beta)
+    assert gap <= tol
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: dicke(3, 12, 2.0, 1.0, 1.0, 1.3), lambda: tfim(5, 1.0, 0.7, 1.5)],
+    ids=["dicke", "tfim"],
+)
+def test_correlation_kms_symmetry_on_block_families(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fam = build()
+    assert len(fam.blocks) > 1
+    gap, tol = _kms_gap(fam, np.linspace(0.0, fam.beta, 17))
+    assert gap <= tol
+
+
 def test_correlation_at_zero_is_variance():
     rng = np.random.default_rng(14)
     fam = make_family(random_hermitian(rng, 6), random_hermitian(rng, 6), 1.1)

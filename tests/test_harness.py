@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pkgutil
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,10 @@ import numpy as np
 import pytest
 
 import fidsus
+import fidsus.bounds
 import fidsus.cli
+import fidsus.fidelity
+import fidsus.gibbs
 import fidsus.plotting
 import fidsus.sweep
 import fidsus.verify
@@ -322,6 +326,39 @@ def test_verify_deterministic_and_green():
     assert lines[-1].startswith("result: ")
     for line in lines[1:-1]:
         assert line.split(" ", 1)[0] in ("PASS", "FAIL", "REPORT")
+
+
+def test_kernel_suite_memory_is_bounded_by_chunks():
+    """The kernel suite passes its 250004 points through tanh_over_x in
+    chunks: whole-array temporaries (2 MiB each) peaked near 14 MiB."""
+    out = []
+    tracemalloc.start()
+    try:
+        fidsus.verify._suite_kernels(0, 1000, 12, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.passed for r in out] == [True, True]
+    assert peak < 5 * 2**20
+
+
+def test_random_suite_evaluates_G_once_per_family(monkeypatch):
+    """Both quadrature oracles of a family read one G grid: 50 families make
+    50 correlation_G calls."""
+    calls = []
+    real = fidsus.gibbs.correlation_G
+
+    def counted(fam, tau):
+        calls.append(fam)
+        return real(fam, tau)
+
+    for mod in (fidsus.gibbs, fidsus.fidelity, fidsus.bounds, fidsus.verify):
+        if getattr(mod, "correlation_G", None) is real:
+            monkeypatch.setattr(mod, "correlation_G", counted)
+    out = []
+    fidsus.verify._suite_random(0, 50, 12, out)
+    assert all(r.passed for r in out)
+    assert len(calls) == 50
 
 
 def _nan_on_fifth_call(real):
