@@ -26,17 +26,12 @@ from .errors import CrossCheckError, check_agreement
 from .fidelity import (
     _gauss_legendre_64,
     _half_circle_G,
+    _pair_sums,
     chi_f_spectral,
     chi_fg_spectral,
     ds2_spectral,
 )
-from .gibbs import (
-    PerturbedFamily,
-    _average,
-    _log_weights,
-    _memoized,
-    _pair_sum,
-)
+from .gibbs import PerturbedFamily, _average, _log_weights, _memoized
 from .linalg import eig_hermitian, svd_checked, validate_hermitian
 
 __all__ = [
@@ -59,7 +54,7 @@ def bd_inner_product(fam: PerturbedFamily) -> float:
     same kernel that appears inside chi_F, so both bounds and the
     susceptibility are built from one audited code path.
     """
-    return 0.5 * _pair_sum(fam, lambda g: g.ratio) + fam.diagonal_variance
+    return 0.5 * _pair_sums(fam).bd + fam.s_variance
 
 
 def bd_integral_oracle(fam: PerturbedFamily) -> float:
@@ -97,7 +92,7 @@ def double_commutator(fam: PerturbedFamily) -> float:
         ``DCOMM_AGREEMENT_REL``, check "dcomm_negative" if either
         route is negative beyond rounding.
     """
-    spectral = _pair_sum(fam, lambda g: g.p_low * (-np.expm1(-g.bgap)) * g.gap)
+    spectral = _pair_sums(fam).dcomm
 
     direct = double_commutator_direct(fam)
     if not (spectral >= -DCOMM_NEGATIVE and direct >= -DCOMM_NEGATIVE):

@@ -41,7 +41,6 @@ from .models import (
     MODEL_KINDS,
     ModelSpec,
     _integer,
-    _kind_entry,
     _typed,
     _strict_json,
     build_model,
@@ -97,24 +96,23 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _model_spec(args: argparse.Namespace) -> ModelSpec:
     if args.model is None:
         raise ModelParseError("no model kind given (use --model)")
-    kind = args.model
-    entry = _kind_entry(kind)
+    # every model flag given is passed on, so `build_model` rejects one the
+    # kind does not take instead of it being dropped here
     params: Dict[str, float] = {
         name: _typed(name, value, float)
-        for name in entry["parameters"]
+        for name in _declared("parameters")
         if (value := getattr(args, name)) is not None
     }
     sector = args.symmetric_sector
     if sector is not None and _typed("symmetric_sector", sector, bool):
-        if "symmetric_sector" in entry.get("switches", ()):
-            params["symmetric_sector"] = 1.0
+        params["symmetric_sector"] = 1.0
     cutoffs: Dict[str, int] = {
-        name: getattr(args, name)
-        for name in entry["cutoffs"]
-        if getattr(args, name) is not None
+        name: value
+        for name in _declared("cutoffs")
+        if (value := getattr(args, name)) is not None
     }
     return ModelSpec(
-        kind=kind,
+        kind=args.model,
         parameters=params,
         cutoffs=cutoffs,
         seed=args.seed,

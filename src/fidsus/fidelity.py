@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +36,7 @@ from .errors import (
     StepTooSmallError,
     check_agreement,
 )
-from .gibbs import (
-    PerturbedFamily,
-    _dense,
-    _log_weights,
-    _memoized,
-    _pair_sum,
-    correlation_G,
-)
+from .gibbs import Block, PerturbedFamily, _dense, _log_weights, _memoized, correlation_G
 from .kernels import tanh_over_x
 from .linalg import HermitianOperator, _freeze, eig_hermitian, validate_hermitian
 
@@ -106,16 +100,89 @@ def _half_circle_G(fam: PerturbedFamily) -> tuple[np.ndarray, np.ndarray]:
     return taus, _freeze(correlation_G(fam, taus))
 
 
-def _rho_prime_blocks(fam: PerturbedFamily) -> list:
-    """rho' of each block: S_mn (beta/2) ratio_mn off the diagonal and
+def _pair_kernels(beta: float, b: Block) -> tuple:
+    """The pair quantities of one block: |T_m - T_n|, beta times it, the
+    larger population p_low of each pair, sqrt(p_m p_n), the mask
+    ``beta * gap < DEGENERATE_GAP`` and the ratio kernel (p_n - p_m)/X_mn
+    of chi_F, rho' and the BD product, p_low (1 - e^{-2X})/X with
+    X = beta|T_m - T_n|/2, and 2 sqrt(p_m p_n) in the window."""
+    ev, lp = b.levels, b.log_populations
+    gap = np.abs(ev[:, None] - ev[None, :])
+    bgap = beta * gap
+    p_low = np.exp(np.maximum(lp[:, None], lp[None, :]))
+    p_geo = np.exp(0.5 * (lp[:, None] + lp[None, :]))
+    deg = bgap < DEGENERATE_GAP
+    x = 0.5 * np.where(deg, 1.0, bgap)
+    ratio = np.where(deg, 2.0 * p_geo, p_low * (-np.expm1(-2.0 * x)) / x)
+    return gap, bgap, p_low, p_geo, deg, ratio
+
+
+def _rho_prime_block(fam: PerturbedFamily, b: Block, ratio: np.ndarray) -> np.ndarray:
+    """rho' of one block: S_mn (beta/2) ratio_mn off the diagonal and
     beta p_m (S_mm - <S>) on it."""
+    r = b.s_eig * (0.5 * fam.beta * ratio)
+    delta_d = np.real(np.diagonal(b.s_eig)) - fam.s_mean
+    np.fill_diagonal(r, fam.beta * b.populations * delta_d)
+    return r
+
+
+class _PairSums(NamedTuple):
+    """The floats of `_pair_sums`, in the order `_block_sums` yields them."""
+
+    chi_f_direct: float
+    chi_f: float
+    bd: float
+    dcomm: float
+    ds2: float
+    chi_fg: float
+
+
+def _block_sums(fam: PerturbedFamily, b: Block):
+    """The pair sums of block b, one float at a time: chi_F's direct form
+    |rho'_mn|^2 / (2(p_m + p_n)), its diagonal included, then |S_mn|^2 off
+    the diagonal times chi_F's ratio tanh(X)/X, the BD product's ratio,
+    dcomm's p_low (1 - e^{-2X}) |T_m - T_n| and the kernels of
+    `ds2_spectral` and `chi_fg_spectral`.  Each n_b x n_b array is dropped
+    once no later sum reads it."""
     beta = fam.beta
-    out = []
-    for b, g in zip(fam.blocks, fam.pair_grids):
-        r = b.s_eig * (0.5 * beta * g.ratio)
-        np.fill_diagonal(r, beta * b.populations * g.delta_d)
-        out.append(r)
-    return out
+    gap, bgap, p_low, p_geo, deg, ratio = _pair_kernels(beta, b)
+    den = 2.0 * (b.populations[:, None] + b.populations[None, :])
+    num = np.abs(_rho_prime_block(fam, b, ratio)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = float(np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum())
+    del den, num
+    yield direct
+    s_abs2 = np.abs(b.s_eig) ** 2
+    np.fill_diagonal(s_abs2, 0.0)
+    yield float((ratio * tanh_over_x(0.5 * bgap) * s_abs2).sum())
+    yield float((ratio * s_abs2).sum())
+    del ratio
+    q = -np.expm1(-bgap)
+    yield float((p_low * q * gap * s_abs2).sum())
+    gap2 = np.where(deg, 1.0, gap)
+    del gap
+    gap2 *= gap2
+    w = np.where(deg, 0.5 * beta * beta * p_geo, p_low * q * q / (gap2 * (2.0 - q)))
+    del q
+    yield float((w * s_abs2).sum())
+    e = np.expm1(-0.5 * bgap)
+    w = np.where(deg, 0.25 * beta * beta * p_geo, p_low * e * e / gap2)
+    yield float((w * s_abs2).sum())
+
+
+@_memoized
+def _pair_sums(fam: PerturbedFamily) -> _PairSums:
+    """Every spectral pair sum of the family from one pass over its blocks.
+
+    S has no matrix element between blocks, so each sum runs over the
+    pairs inside one block, weighted by its copies.  A block's arrays are
+    dropped before the next block's are formed, so memory is bounded by
+    the largest block and the family keeps only the six floats.
+    """
+    sums = [0.0] * len(_PairSums._fields)
+    for b in fam.blocks:
+        sums = [t + b.copies * s for t, s in zip(sums, _block_sums(fam, b))]
+    return _PairSums(*sums)
 
 
 def rho_prime(fam: PerturbedFamily) -> np.ndarray:
@@ -129,7 +196,8 @@ def rho_prime(fam: PerturbedFamily) -> np.ndarray:
     beta p_m (S_mm - <S>).  The result is block diagonal like S,
     traceless up to rounding, and real when every block's S is.
     """
-    return _dense(fam, _rho_prime_blocks(fam))
+    blocks = [_rho_prime_block(fam, b, _pair_kernels(fam.beta, b)[-1]) for b in fam.blocks]
+    return _dense(fam, blocks)
 
 
 def _degenerate_pairs(fam: PerturbedFamily, levels, copies, bgap: np.ndarray) -> int:
@@ -174,14 +242,15 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
         beyond ``CHI_INTERNAL_REL``.
     """
     beta = fam.beta
-    pair = _pair_sum(fam, lambda g: g.ratio * tanh_over_x(0.5 * g.bgap))
+    sums = _pair_sums(fam)
     # every level of the whole space in ascending order, with the log and
     # the weight d p_m of all its copies; a new eigenspace starts wherever
     # the sorted spectrum leaves the degeneracy window, and S_mm - <S> is
     # averaged over each one with weights d p_m / (d p)_first
     cols = [
-        (b.levels, b.copies, b.log_populations, b.populations, g.delta_d)
-        for b, g in zip(fam.blocks, fam.pair_grids)
+        (b.levels, b.copies, b.log_populations, b.populations,
+         np.real(np.diagonal(b.s_eig)) - fam.s_mean)
+        for b in fam.blocks
     ]
     if len(cols) == 1 and fam.blocks[0].copies == 1:  # already sorted and weighted
         levels, copies, lp, p, delta_d = cols[0]
@@ -195,19 +264,12 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     w = np.exp(lp - lp[first][space])
     avg = (np.bincount(space, w * delta_d) / np.bincount(space, w))[space]
     spread = float(np.dot(p, (delta_d - avg) ** 2))
-    quantum = 0.125 * beta * beta * pair + 0.25 * beta * beta * spread
+    quantum = 0.125 * beta * beta * sums.chi_f + 0.25 * beta * beta * spread
     classical = 0.25 * beta * beta * float(np.dot(p, avg**2))
     total = classical + quantum
-
-    direct = 0.0
-    for b, r in zip(fam.blocks, _rho_prime_blocks(fam)):
-        num = np.abs(r) ** 2
-        den = 2.0 * (b.populations[:, None] + b.populations[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-        direct += b.copies * float(ratio.sum())
     check_agreement(
-        "chi_f_forms", total, direct, CHI_INTERNAL_REL, ("kernel form", "direct form")
+        "chi_f_forms", total, sums.chi_f_direct, CHI_INTERNAL_REL,
+        ("kernel form", "direct form"),
     )
 
     n_deg = _degenerate_pairs(fam, levels, copies, bgap)
@@ -228,20 +290,9 @@ def ds2_spectral(fam: PerturbedFamily) -> float:
     this second composition keeps the equality test meaningful.
     """
     beta = fam.beta
-
-    def weight(g):
-        q = -np.expm1(-g.bgap)
-        safe_gap = np.where(g.deg, 1.0, g.gap)
-        return np.where(
-            g.deg,
-            0.5 * beta * beta * g.p_geo,
-            g.p_low * q * q / (safe_gap * safe_gap * (2.0 - q)),
-        )
-
-    return 0.25 * beta * beta * fam.diagonal_variance + 0.5 * _pair_sum(fam, weight)
+    return 0.25 * beta * beta * fam.s_variance + 0.5 * _pair_sums(fam).ds2
 
 
-@_memoized
 def chi_fg_spectral(fam: PerturbedFamily) -> float:
     """Green's-function susceptibility from its spectral sum.
 
@@ -250,17 +301,7 @@ def chi_fg_spectral(fam: PerturbedFamily) -> float:
     difference rewritten as p_low expm1(-X)^2 so it never cancels.
     """
     beta = fam.beta
-
-    def weight(g):
-        e = np.expm1(-0.5 * g.bgap)
-        safe_gap = np.where(g.deg, 1.0, g.gap)
-        return np.where(
-            g.deg,
-            0.25 * beta * beta * g.p_geo,
-            g.p_low * e * e / (safe_gap * safe_gap),
-        )
-
-    return 0.125 * beta * beta * fam.diagonal_variance + 0.5 * _pair_sum(fam, weight)
+    return 0.125 * beta * beta * fam.s_variance + 0.5 * _pair_sums(fam).chi_fg
 
 
 def chi_fg_integral(fam: PerturbedFamily) -> float:

@@ -8,7 +8,8 @@ moves one to another temperature without re-diagonalizing.  Each block
 keeps its ascending levels, S_b in its eigenbasis and the log Boltzmann
 weights of its levels against the Z of the whole space.  S has no matrix
 element between two blocks or two copies, so every pair sum runs over
-the pairs inside one block, weighted by its copies (`_pair_sum`).
+the pairs inside one block, weighted by its copies
+(`fidelity._pair_sums`, one pass over the blocks for all of them).
 ``DIMENSION_BUDGET`` bounds each block, and the dense assembly of the
 direct sum that only the dense-matrix routines build (`_dense`).
 Populations are kept in log space so that large inverse temperatures
@@ -27,7 +28,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .config import (
-    DEGENERATE_GAP,
     DIMENSION_BUDGET,
     EIGENBASIS_HERMITIAN,
     THERMAL_AVERAGE_RESIDUE,
@@ -56,19 +56,6 @@ __all__ = [
     "thermal_average",
     "correlation_G",
 ]
-
-
-class _PairGrid(NamedTuple):
-    copies: int
-    gap: np.ndarray
-    bgap: np.ndarray
-    p_low: np.ndarray
-    p_geo: np.ndarray
-    deg: np.ndarray
-    ratio: np.ndarray
-    s_abs2: np.ndarray
-    delta_d: np.ndarray
-    var_d: float
 
 
 class Block(NamedTuple):
@@ -113,8 +100,9 @@ class PerturbedFamily:
         ds_k/dh / 2 (see `bounds._one_body_terms`).  All are beta
         independent, so `family_at_beta` hands the same dict on and a
         beta sweep solves each field once.
-    log_z, s_mean : float
-        log Z and the thermal mean <S>.
+    log_z, s_mean, s_variance : float
+        log Z, the thermal mean <S> and the population variance of the
+        diagonal of S, sum_m p_m (S_mm - <S>)^2.
     underflow_count : int
         Number of states whose population flushed to zero.
     particle_count : int
@@ -124,10 +112,12 @@ class PerturbedFamily:
         sum_b d_b n_b, the dimension of the whole space.
     memo : dict
         Values computed from this family, so a second request is free:
-        the results of `chi_f_spectral`, `chi_fg_spectral`,
-        `double_commutator_direct` and `fidelity._half_circle_G`, the
-        quadrature oracles' read-only G grid.  Every family starts with
-        it empty, a `family_at_beta` copy too.
+        the scalars of `fidelity._pair_sums` (every spectral pair sum, from
+        one pass that keeps no pair array), the results of
+        `chi_f_spectral` and `double_commutator_direct`, and
+        `fidelity._half_circle_G`, the quadrature oracles' read-only G
+        grid.  Every family starts with it empty, a `family_at_beta` copy
+        too.
 
     ``eigenvalues``, ``s_eig``, ``log_populations`` and ``populations``
     are the dense assembly of the blocks (`_dense`).
@@ -140,6 +130,7 @@ class PerturbedFamily:
     displaced: dict = field(repr=False)
     log_z: float
     s_mean: float
+    s_variance: float
     underflow_count: int
     particle_count: int
     dim: int
@@ -152,22 +143,6 @@ class PerturbedFamily:
     )
     populations = property(lambda fam: _dense(fam, [b.populations for b in fam.blocks]))
 
-    @functools.cached_property
-    def pair_grids(self) -> tuple:
-        """Per block, the pair quantities every spectral sum shares: the
-        copies, |T_m - T_n|, beta|T_m - T_n|, the larger population of each
-        pair, sqrt(p_m p_n), the mask ``beta * gap < DEGENERATE_GAP``, the
-        ratio kernel (p_n - p_m)/X_mn of chi_F, rho' and the BD product
-        (p_low (1 - e^{-2X})/X with X = beta|T_m - T_n|/2, 2 sqrt(p_m p_n)
-        in the window), |S_mn|^2 off the diagonal, S_mm - <S>, and the
-        block's share of the variance of S_mm.  Built once, read-only."""
-        return tuple(_pair_grid(self.beta, self.s_mean, b) for b in self.blocks)
-
-    @functools.cached_property
-    def diagonal_variance(self) -> float:
-        """The population variance of the diagonal of S, sum_m p_m (S_mm - <S>)^2."""
-        return sum(g.var_d for g in self.pair_grids)
-
 
 def _memoized(fn: Callable[[PerturbedFamily], object]) -> Callable:
     """``fn(fam)``, computed once per family and kept in ``fam.memo``."""
@@ -179,35 +154,6 @@ def _memoized(fn: Callable[[PerturbedFamily], object]) -> Callable:
         return fam.memo[fn.__name__]
 
     return cached
-
-
-def _pair_grid(beta: float, s_mean: float, block: Block) -> _PairGrid:
-    ev = block.levels
-    lp = block.log_populations
-    gap = np.abs(ev[:, None] - ev[None, :])
-    bgap = beta * gap
-    p_low = np.exp(np.maximum(lp[:, None], lp[None, :]))
-    p_geo = np.exp(0.5 * (lp[:, None] + lp[None, :]))
-    deg = bgap < DEGENERATE_GAP
-    x = 0.5 * np.where(deg, 1.0, bgap)
-    ratio = np.where(deg, 2.0 * p_geo, p_low * (-np.expm1(-2.0 * x)) / x)
-    s_abs2 = np.abs(block.s_eig) ** 2
-    np.fill_diagonal(s_abs2, 0.0)
-    delta_d = np.real(np.diagonal(block.s_eig)) - s_mean
-    var_d = block.copies * float(np.dot(block.populations, delta_d**2))
-    g = (gap, bgap, p_low, p_geo, deg, ratio, s_abs2, delta_d)
-    for arr in g:
-        arr.setflags(write=False)
-    return _PairGrid(block.copies, *g, var_d)
-
-
-def _pair_sum(fam: PerturbedFamily, weight: Callable[[_PairGrid], np.ndarray]) -> float:
-    """sum_b d_b sum_{m,n in b} weight_mn |S_mn|^2 over the in-block pairs,
-    the only pairs with a matrix element of S."""
-    total = 0.0
-    for g in fam.pair_grids:
-        total += g.copies * float((weight(g) * g.s_abs2).sum())
-    return total
 
 
 def _dense(fam: PerturbedFamily, parts: list) -> np.ndarray:
@@ -296,9 +242,13 @@ def _thermalize(
         s_mean += c * float(np.dot(p, np.real(np.diagonal(s_eig))))
         underflow += c * int(np.count_nonzero(p == 0.0))
         dim += c * spectrum.dim
+    s_variance = 0.0
+    for b in blocks:
+        delta_d = np.real(np.diagonal(b.s_eig)) - s_mean
+        s_variance += b.copies * float(np.dot(b.populations, delta_d**2))
     return PerturbedFamily(
-        beta, tuple(blocks), sign_odd, quasi_free, displaced, log_z, s_mean, underflow,
-        particle_count, dim,
+        beta, tuple(blocks), sign_odd, quasi_free, displaced, log_z, s_mean, s_variance,
+        underflow, particle_count, dim,
     )
 
 
@@ -435,8 +385,8 @@ def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float |
     0 <= tau <= beta, over the pairs inside each block weighted by its
     copies.  The exponent is the convex combination
     (1 - tau/beta) log p_m + (tau/beta) log p_n, at most zero, so the sum
-    never overflows; the diagonal part is the variance of S_mm from the
-    pair grids, free of cancellation.  Swapping m and n maps tau to
+    never overflows; the diagonal part is the family's ``s_variance``,
+    free of cancellation.  Swapping m and n maps tau to
     beta - tau, so G(tau) = G(beta - tau) (KMS) and the quadrature
     oracles need G on [0, beta/2] only.
 
@@ -472,13 +422,15 @@ def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float |
         )
     lam = flat / beta
     values = np.zeros(lam.shape)
-    for b, g in zip(fam.blocks, fam.pair_grids):
+    for b in fam.blocks:
         lp = b.log_populations
+        s_abs2 = np.abs(b.s_eig) ** 2
+        np.fill_diagonal(s_abs2, 0.0)
         step = max(1, _CHUNK_ELEMENTS // lp.size**2)
         for lo in range(0, lam.size, step):
             chunk = lam[lo : lo + step, None, None]
             weights = np.exp((1.0 - chunk) * lp[:, None] + chunk * lp[None, :])
-            weights *= g.s_abs2
+            weights *= s_abs2
             values[lo : lo + step] += b.copies * np.sum(weights, axis=(1, 2))
-    values += fam.diagonal_variance
+    values += fam.s_variance
     return float(values[0]) if taus.ndim == 0 else values

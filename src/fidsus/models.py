@@ -274,8 +274,8 @@ def dicke_cutoff_shift(
 ) -> float:
     """Relative chi_F shift between the given family and n_max + 4.
 
-    The wider family is dropped as soon as its chi_F is known, so its pair
-    grid is never held next to the grid of ``fam``.
+    The wider family is dropped as soon as its chi_F is known, so its
+    blocks are not held while the pair sums of ``fam`` are formed.
     """
     wide = _dicke_blocks(n_atoms, n_max + 4, omega, eps, lam, symmetric_sector)
     chi_wide = chi_f_spectral(block_family(wide, beta, particle_count=n_atoms)).total
@@ -771,13 +771,13 @@ def _switch(spec: ModelSpec, name: str) -> bool:
 def build_model(spec: ModelSpec) -> PerturbedFamily:
     """Validate a `ModelSpec` and dispatch to the matching builder."""
     _kind_entry(spec.kind)
+    params = _collect(spec, "parameters")
+    cutoffs = _collect(spec, "cutoffs")
     if spec.kind == "file":
         if not spec.path:
             raise ModelSchemaError('kind "file" requires a path')
         return model_from_file(spec.path)
 
-    params = _collect(spec, "parameters")
-    cutoffs = _collect(spec, "cutoffs")
     for name, value in cutoffs.items():
         cutoffs[name] = _integer(f"cutoff {name!r}", value, ModelSchemaError)
         if cutoffs[name] < 1:
@@ -796,7 +796,11 @@ def build_model(spec: ModelSpec) -> PerturbedFamily:
             symmetric_sector=_switch(spec, "symmetric_sector"),
         )
     if spec.kind == "kondo_toy":
-        energies = [params[f"eps{k}"] for k in range(cutoffs["modes"])]
+        modes = cutoffs["modes"]
+        unused = sorted(n for n in spec.parameters if n[:3] == "eps" and int(n[3:]) >= modes)
+        if unused:
+            raise ModelSchemaError(f"kind 'kondo_toy' with {modes} modes does not take {unused}")
+        energies = [params[f"eps{k}"] for k in range(modes)]
         return kondo_toy(cutoffs["s2"], energies, params["j"], params["beta"])
     if spec.kind == "random":
         seed = 0 if spec.seed is None else _integer("seed", spec.seed, ModelSchemaError)

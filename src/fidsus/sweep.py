@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import BoundReport, bound_report
 from .errors import ModelSchemaError
-from .gibbs import PerturbedFamily, family_at_beta
+from .gibbs import family_at_beta
 from .models import ModelSpec, _kind_entry, build_model
 from .plotting import emit_plot, write_text_atomic
 
@@ -149,23 +149,14 @@ def _model_at(spec: SweepSpec, value: float) -> ModelSpec:
     return replace(spec.model, parameters=params)
 
 
-def _with_grid(fam: PerturbedFamily) -> PerturbedFamily:
-    # build the grid while the previous point's family is still alive: that
-    # family's grid is then freed below this one, and the point's temporaries
-    # reuse its memory instead of the allocator returning it to the OS and
-    # faulting it back in at every point
-    fam.pair_grids
-    return fam
-
-
 def compute_rows(spec: SweepSpec) -> List[SweepRow]:
     """Evaluate every grid point; nothing touches the filesystem here."""
     grid = sweep_grid(spec)
     if spec.sweep_param == "beta":
         base = build_model(_model_at(spec, grid[0]))
-        fams = (_with_grid(family_at_beta(base, float(value))) for value in grid)
+        fams = (family_at_beta(base, float(value)) for value in grid)
     else:
-        fams = (_with_grid(build_model(_model_at(spec, value))) for value in grid)
+        fams = (build_model(_model_at(spec, value)) for value in grid)
     return [
         SweepRow(float(value), **dict(report_columns(bound_report(fam))))
         for value, fam in zip(grid, fams)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,6 @@ from fidsus.config import DEGENERATE_GAP
 from fidsus.errors import CrossCheckError, CutoffConvergenceWarning
 from fidsus.fidelity import chi_f_spectral, chi_fg_spectral, ds2_spectral
 from fidsus.gibbs import (
-    PerturbedFamily,
     block_family,
     correlation_G,
     family_at_beta,
@@ -96,19 +96,20 @@ def test_half_circle_quadrature_matches_the_full_circle():
         assert abs(bd_integral_oracle(fam) - full) <= 1e-13 * abs(full)
 
 
-def test_a_report_keeps_the_values_verify_reuses(monkeypatch):
+def test_a_report_keeps_the_values_verify_reuses(monkeypatch, pair_passes):
     """After bound_report, double_commutator_direct and chi_fg_spectral return
     the floats it computed without forming a commutator or a pair sum."""
     fresh = random_pair(9, 16, 1.0, 1.0, 1.4)
     direct, fg = double_commutator_direct(fresh), chi_fg_spectral(fresh)
     fam = random_pair(9, 16, 1.0, 1.0, 1.4)
     assert bound_report(fam).lower_aasc == fg
+    assert pair_passes == [fresh, fam]
     calls = []
     monkeypatch.setattr(fidsus.bounds, "_average", lambda *a: calls.append(a))
-    monkeypatch.setattr(fidsus.fidelity, "_pair_sum", lambda *a: calls.append(a))
     assert double_commutator_direct(fam) == direct
     assert chi_fg_spectral(fam) == fg
     assert calls == []
+    assert pair_passes == [fresh, fam]
 
 
 def test_bd_on_commuting_family_is_fluctuation():
@@ -515,54 +516,68 @@ def test_upper_gap_shrinks_at_least_linearly_in_beta():
 
 
 @pytest.fixture
-def grid_builds(monkeypatch):
-    """Count the pair-grid builds, one list entry per family built for."""
-    built = []
-    prop = PerturbedFamily.pair_grids
-    real = prop.func
+def pair_passes(monkeypatch):
+    """Count the passes of fidelity._pair_sums, one list entry per family
+    summed, recorded as the pass reaches the family's first block."""
+    passes = []
+    real = fidsus.fidelity._block_sums
 
-    def counted(fam):
-        built.append(fam)
-        return real(fam)
+    def counted(fam, block):
+        if block is fam.blocks[0]:
+            passes.append(fam)
+        return real(fam, block)
 
-    monkeypatch.setattr(prop, "func", counted)
-    return built
+    monkeypatch.setattr(fidsus.fidelity, "_block_sums", counted)
+    return passes
 
 
-def test_one_report_builds_the_pair_grid_once(grid_builds):
-    """Every spectral sum of a report reads one cached, read-only grid."""
+def test_one_report_makes_one_pair_pass(pair_passes):
+    """Every spectral sum of a report reads one pass over the blocks, and
+    the family keeps only scalars of it: no pair array outlives the pass."""
     fam = random_pair(9, 21, beta=1.3)
     rep = bound_report(fam, check_chi_n=False)
-    assert grid_builds == [fam]
+    assert pair_passes == [fam]
+    assert bound_report(fam, check_chi_n=False) == rep
+    assert pair_passes == [fam]
+    kept = [x for v in fam.memo.values() for x in (v if isinstance(v, tuple) else [v])]
+    assert not any(isinstance(x, np.ndarray) for x in kept)
 
-    (grid,) = fam.pair_grids
-    assert len(grid_builds) == 1
-    for arr in (grid.gap, grid.bgap, grid.p_low, grid.p_geo, grid.deg, grid.ratio,
-                grid.s_abs2, grid.delta_d):
-        assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        grid.s_abs2[0, 1] = 0.0
-    assert np.all(np.diagonal(grid.s_abs2) == 0.0)
-
-    # a second family never sees the first one's grid, and the cache
-    # changes no number
+    # a family_at_beta copy makes its own pass, and the memo changes no number
     hot = family_at_beta(fam, 2.6)
     hot_rep = bound_report(hot, check_chi_n=False)
-    assert grid_builds == [fam, hot]
-    assert hot.pair_grids[0] is not grid
+    assert pair_passes == [fam, hot]
     assert bound_report(family_at_beta(fam, 2.6), check_chi_n=False) == hot_rep
     assert bound_report(family_at_beta(fam, 1.3), check_chi_n=False) == rep
-    assert len(grid_builds) == 4
+    assert len(pair_passes) == 4
 
 
-def test_dicke_probe_keeps_the_family_grid_cached(grid_builds):
-    """The cutoff probe builds the grid of the wider family and of the built
+def test_dicke_build_and_report_make_one_pass_per_family(pair_passes):
+    """The cutoff probe sums the pairs of the wider family and of the built
     family once each, and the report on the built family reuses the latter."""
     fam = dicke(2, 8, 2, 1, 0.5, 1)
     bound_report(fam, check_chi_n=False)
-    assert len(grid_builds) == 2
-    assert grid_builds[0].dim > fam.dim
-    assert grid_builds[1] is fam
+    assert len(pair_passes) == 2
+    assert pair_passes[0].dim > fam.dim
+    assert pair_passes[1] is fam
+
+
+def test_report_memory_is_bounded_by_the_largest_block():
+    """The pass drops each block's pair arrays before the next block: on a
+    full-space Dicke family of 9 blocks up to 221 levels a report keeps
+    nothing after it returns and peaks below the sum of the blocks' grids
+    (a family that cached every block's grid kept 7.7 MiB and peaked at
+    10.6 MiB)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fam = family_at_beta(dicke(16, 12, 2, 1, 1, 1), 1.0)
+    tracemalloc.start()
+    try:
+        bound_report(fam, check_chi_n=False)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert peak < 8 * 2**20
 
 
 def test_dicke_build_and_report_evaluate_chi_f_once_per_family(monkeypatch):

@@ -498,6 +498,37 @@ def test_symmetric_sector_is_a_switch_not_a_parameter(tmp_path, capsys):
         build_model(half)
 
 
+_TFIM_FLAGS = ["--model", "tfim", "--n-sites", "4", "--j", "1", "--g", "1", "--beta", "1"]
+
+
+@pytest.mark.parametrize(
+    "extra", [["--omega", "3"], ["--symmetric-sector"], ["--dim", "3"]], ids=lambda e: e[0]
+)
+def test_cli_rejects_a_model_flag_the_kind_does_not_take(tmp_path, capsys, extra):
+    """--omega and a true --symmetric-sector on tfim were dropped: exit 0."""
+    assert main(["report", *_TFIM_FLAGS, *extra]) == 1
+    assert capsys.readouterr().err.startswith("error: kind 'tfim' does not take ")
+    key = extra[0][2:].replace("-", "_")
+    cfg = _config(tmp_path, {key: True if len(extra) == 1 else 3})
+    assert main(["report", *_TFIM_FLAGS, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: kind 'tfim' does not take ")
+    # a false switch asks for nothing
+    off = _config(tmp_path, {"symmetric_sector": False})
+    assert main(["report", *_TFIM_FLAGS, "--config", off]) == 0
+    capsys.readouterr()
+
+
+def test_cli_sweep_rejects_an_energy_beyond_the_modes(tmp_path, capsys):
+    """Sweeping eps2 of a one-mode kondo_toy wrote three rows of one chi_f."""
+    out = tmp_path / "k.csv"
+    argv = ["sweep", "--model", "kondo_toy", "--s2", "1", "--modes", "1", "--j", "0.5",
+            "--beta", "1", "--sweep-param", "eps2", "--from", "0", "--to", "1",
+            "--steps", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert "eps2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_and_plot(tmp_path, capsys):
     csv_p = tmp_path / "sweep.csv"
     rc = main(

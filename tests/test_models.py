@@ -452,6 +452,18 @@ def test_build_model_validation():
         build_model(ModelSpec("random", {"beta": 1.0}, {"dim": 0}))
 
 
+def test_build_model_rejects_values_the_model_would_ignore(tmp_path):
+    """eps2 of a one-mode kondo_toy and a parameter of a file model were
+    dropped, so a sweep over eps2 wrote rows of one chi_f."""
+    with pytest.raises(ModelSchemaError, match="eps2"):
+        build_model(ModelSpec("kondo_toy", {"j": 0.5, "beta": 1.0, "eps2": 0.3},
+                              {"s2": 1, "modes": 2}))
+    path = str(write_model(tmp_path, good_model_dict()))
+    assert build_model(ModelSpec("file", path=path)).beta == 1.4
+    with pytest.raises(ModelSchemaError, match="beta"):
+        build_model(ModelSpec("file", {"beta": 2.0}, path=path))
+
+
 @pytest.mark.parametrize(
     "build, size",
     [
