@@ -16,14 +16,16 @@ from fidsus import chi_f_spectral, model_from_file, random_pair, run_verify
 
 os.makedirs("demos/out", exist_ok=True)
 
-# export a random family by materializing its operators in the eigenbasis
+# export a random family, one block, by materializing its operators in
+# the block's eigenbasis
 fam = random_pair(dim=4, seed=11, beta=1.5)
+(block,) = fam.blocks
 path = "demos/out/pair.json"
 payload = {
     "dim": 4,
     "beta": 1.5,
-    "T": [[[float(x), 0.0] for x in row] for row in np.diag(fam.eigenvalues)],
-    "S": [[[float(z.real), float(z.imag)] for z in row] for row in fam.s_eig],
+    "T": [[[float(x), 0.0] for x in row] for row in np.diag(block.levels)],
+    "S": [[[float(z.real), float(z.imag)] for z in row] for row in block.s_eig],
 }
 with open(path, "w", encoding="utf-8") as fh:
     json.dump(payload, fh)

@@ -31,8 +31,8 @@ from .fidelity import (
     chi_fg_spectral,
     ds2_spectral,
 )
-from .gibbs import PerturbedFamily, _average, _log_weights, _memoized
-from .linalg import eig_hermitian, svd_checked, validate_hermitian
+from .gibbs import PerturbedFamily, _displaced_spectra, _log_weights, _memoized, thermal_average
+from .linalg import svd_checked
 
 __all__ = [
     "BoundReport",
@@ -116,17 +116,18 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
     spectral sum and the commutator route can legitimately differ at the
     cutoff boundary) can evaluate this route on its own.
 
-    S and K are block diagonal, so K S - S K is formed in each block,
-    checked and averaged over the block's populations as
-    ``thermal_average`` does a dense operator, and weighted by its copies.
-    Kept in ``fam.memo``, so a report's route is read back, not formed again.
+    S and K are block diagonal, so K S - S K is formed one block at a
+    time and handed to ``thermal_average``.  Kept in ``fam.memo``, so a
+    report's route is read back, not formed again.
     """
-    total = 0.0
-    for b in fam.blocks:
-        ev, s = b.levels, b.s_eig
-        k = s * (ev[None, :] - ev[:, None])
-        total += b.copies * _average(b.populations, k @ s - s @ k)
-    return total
+
+    def commutators():
+        for b in fam.blocks:
+            ev, s = b.levels, b.s_eig
+            k = s * (ev[None, :] - ev[:, None])
+            yield k @ s - s @ k
+
+    return thermal_average(fam, commutators())
 
 
 # h_0 sigma(S) of the chi_N oracle's step ladder: rung k differences at
@@ -144,15 +145,13 @@ def _displaced(fam: PerturbedFamily, h: float) -> list:
     S_b in their eigenbasis.
 
     Both are beta independent, so they are kept in ``fam.displaced`` and
-    shared with every `family_at_beta` of the family.  Each block is
-    validated and solved by ``eig_hermitian`` with all its checks, once
-    for all its copies.
+    shared with every `family_at_beta` of the family; the bases of
+    `_displaced_spectra` are dropped block by block.
     """
     hit = fam.displaced.get(h)
     if hit is None:
         hit = fam.displaced[h] = []
-        for b in fam.blocks:
-            d = eig_hermitian(validate_hermitian(np.diag(b.levels) - h * b.s_eig))
+        for b, d in zip(fam.blocks, _displaced_spectra(fam, h)):
             u = d.basis
             hit.append((d.eigenvalues, np.einsum("ij,ij->j", u.conj(), b.s_eig @ u).real))
     return hit

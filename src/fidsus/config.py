@@ -41,9 +41,9 @@ DEGENERATE_GAP = 1e-7
 degenerate limit of the thermal kernels."""
 
 DIMENSION_BUDGET = 4096
-"""Largest matrix any builder forms: a dense family, the largest block of
-a block family and of its cutoff probe, and the dense assembly of a
-block family that the dense-matrix routines build."""
+"""Largest matrix any builder forms: a dense family, and the largest block
+of a block family and of its cutoff probe.  The whole space of a block
+family is never assembled, so its dimension is unbounded."""
 
 GROUND_STATE_GAP = 1e-10
 """Minimum spectral gap for the ground-state susceptibility formula."""

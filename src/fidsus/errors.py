@@ -73,7 +73,7 @@ def check_agreement(check, primary, second, tol, routes):
 
 
 class DimensionBudgetError(ValueError):
-    """Requested Hilbert space exceeds the dense-solver budget."""
+    """A block, or a matrix a builder would form, exceeds DIMENSION_BUDGET."""
 
 
 class NoTransitionError(ValueError):

@@ -7,23 +7,23 @@ from blocks, `make_family` from one dense pair, and `family_at_beta`
 moves one to another temperature without re-diagonalizing.  Each block
 keeps its ascending levels, S_b in its eigenbasis and the log Boltzmann
 weights of its levels against the Z of the whole space.  S has no matrix
-element between two blocks or two copies, so every pair sum runs over
-the pairs inside one block, weighted by its copies
-(`fidelity._pair_sums`, one pass over the blocks for all of them).
-``DIMENSION_BUDGET`` bounds each block, and the dense assembly of the
-direct sum that only the dense-matrix routines build (`_dense`).
-Populations are kept in log space so that large inverse temperatures
-never overflow.
+element between two blocks or two copies, so every route runs block by
+block, weighted by the copies: the pair sums (`fidelity._pair_sums`),
+thermal averages and the solves of T_b - h S_b (`_displaced_spectra`).
+The whole space is never assembled, and ``DIMENSION_BUDGET`` bounds each
+block only.  Populations are kept in log space so that large inverse
+temperatures never overflow.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,9 +118,6 @@ class PerturbedFamily:
         `fidelity._half_circle_G`, the quadrature oracles' read-only G
         grid.  Every family starts with it empty, a `family_at_beta` copy
         too.
-
-    ``eigenvalues``, ``s_eig``, ``log_populations`` and ``populations``
-    are the dense assembly of the blocks (`_dense`).
     """
 
     beta: float
@@ -136,13 +133,6 @@ class PerturbedFamily:
     dim: int
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    eigenvalues = property(lambda fam: _dense(fam, [b.levels for b in fam.blocks]))
-    s_eig = property(lambda fam: _dense(fam, [b.s_eig for b in fam.blocks]))
-    log_populations = property(
-        lambda fam: _dense(fam, [b.log_populations for b in fam.blocks])
-    )
-    populations = property(lambda fam: _dense(fam, [b.populations for b in fam.blocks]))
-
 
 def _memoized(fn: Callable[[PerturbedFamily], object]) -> Callable:
     """``fn(fam)``, computed once per family and kept in ``fam.memo``."""
@@ -154,33 +144,6 @@ def _memoized(fn: Callable[[PerturbedFamily], object]) -> Callable:
         return fam.memo[fn.__name__]
 
     return cached
-
-
-def _dense(fam: PerturbedFamily, parts: list) -> np.ndarray:
-    """The dense assembly of one vector or matrix per block: every copy of
-    every block in the builder's order, stably sorted by level, each
-    block's matrix on the rows and columns of its levels and exact zeros
-    elsewhere.  A one-block, one-copy family is its own assembly; a
-    larger one raises `DimensionBudgetError` above ``DIMENSION_BUDGET``.
-    """
-    if len(parts) == 1 and fam.blocks[0].copies == 1:
-        return parts[0]
-    if fam.dim > DIMENSION_BUDGET:
-        raise DimensionBudgetError(
-            f"dense dimension {fam.dim} exceeds budget {DIMENSION_BUDGET}"
-        )
-    levels = np.concatenate([np.tile(b.levels, b.copies) for b in fam.blocks])
-    rank = np.empty(levels.size, dtype=np.intp)
-    rank[np.argsort(levels, kind="stable")] = np.arange(levels.size)
-    shape = (fam.dim,) * parts[0].ndim
-    out = np.zeros(shape, dtype=np.result_type(*parts))
-    start = 0
-    for b, part in zip(fam.blocks, parts):
-        for _ in range(b.copies):
-            idx = rank[start : start + b.spectrum.dim]
-            out[np.ix_(*(idx,) * part.ndim)] = part
-            start += idx.size
-    return _freeze(out)
 
 
 def _log_weights(levels: list, copies: list, beta: float) -> tuple[list, float]:
@@ -195,6 +158,24 @@ def _log_weights(levels: list, copies: list, beta: float) -> tuple[list, float]:
         logs = [s + math.log(c) for s, c in zip(shifted, copies)]
         lse = float(np.logaddexp.reduce(np.concatenate(logs)))
     return [s - lse for s in shifted], lse - beta * float(low)
+
+
+def _displaced_spectra(fam: PerturbedFamily, h: float) -> Iterator[SpectralDecomposition]:
+    """The checked decomposition of T_b - h S_b in each block's
+    T-eigenbasis, one block at a time in ``fam.blocks`` order, once for all
+    its copies: a caller that keeps less than the basis holds one at a
+    time.  Nothing is cached."""
+    for b in fam.blocks:
+        yield eig_hermitian(validate_hermitian(np.diag(b.levels) - h * b.s_eig))
+
+
+def _perturbed_spectrum(fam: PerturbedFamily, h: float) -> tuple[list, list]:
+    """Per block, the decomposition of T_b - h S_b (`_displaced_spectra`)
+    and the log weights of its levels against log Z(h) of the whole
+    family at its beta."""
+    solved = list(_displaced_spectra(fam, h))
+    copies = [b.copies for b in fam.blocks]
+    return solved, _log_weights([d.eigenvalues for d in solved], copies, fam.beta)[0]
 
 
 def _sign_odd(t: np.ndarray, s: np.ndarray) -> bool:
@@ -342,34 +323,34 @@ def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     )
 
 
-def _average(populations: np.ndarray, a: np.ndarray) -> float:
-    """sum_m p_m Re A_mm after `_require_hermitian`; an imaginary residue
-    above ``THERMAL_AVERAGE_RESIDUE`` relative to max(1, ||A||_F) warns."""
-    scale = _require_hermitian(a, "operator is not Hermitian")
-    diag = np.diagonal(a)
-    value = float(np.dot(populations, np.real(diag)))
-    residue = abs(float(np.dot(populations, np.imag(diag))))
-    if residue > THERMAL_AVERAGE_RESIDUE * scale:
-        warnings.warn(f"thermal average has imaginary residue {residue:.3e}", stacklevel=3)
-    return value
+def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:
+    """Average Tr(rho A) of a block-diagonal A given as one matrix A_b per
+    block, in ``fam.blocks`` order, each in its block's T-eigenbasis and
+    standing for every copy: sum_b d_b sum_m p_m Re (A_b)_mm.
 
-
-def thermal_average(fam: PerturbedFamily, A: np.ndarray) -> float:
-    """Average Tr(rho A) for A given in the dense T-eigenbasis.
-
-    Returns the real part; an imaginary residue above
-    ``THERMAL_AVERAGE_RESIDUE`` relative to ``max(1, ||A||_F)`` (which a
-    Hermitian A cannot produce beyond rounding of order eps ||A||) is
-    reported as a warning.
+    ``A`` may be a generator, so a caller can form one A_b at a time.  An
+    imaginary residue above ``THERMAL_AVERAGE_RESIDUE`` relative to
+    ``max(1, ||A_b||_F)`` (which a Hermitian A_b cannot produce beyond
+    rounding of order eps ||A_b||) is reported as a warning.  Raises
+    `DimensionMismatchError` unless there is one A_b per block, of its
+    block's shape, and `NotHermitianError` for a non-Hermitian A_b.
     """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] != fam.dim:
-        raise DimensionMismatchError(
-            f"operator is {A.shape[0]}x{A.shape[0]} but the family has dim {fam.dim}"
-        )
-    return _average(fam.populations, A)
+    total = 0.0
+    for k, (b, a) in enumerate(itertools.zip_longest(fam.blocks, A)):
+        a = np.asarray(a)
+        if b is None or a.shape != b.s_eig.shape:
+            sizes = [b.spectrum.dim for b in fam.blocks]
+            raise DimensionMismatchError(
+                f"operator {k} has shape {a.shape}; the blocks have sizes {sizes}"
+            )
+        scale = _require_hermitian(a, "operator is not Hermitian")
+        diag = np.diagonal(a)
+        value = float(np.dot(b.populations, np.real(diag)))
+        residue = abs(float(np.dot(b.populations, np.imag(diag))))
+        if residue > THERMAL_AVERAGE_RESIDUE * scale:
+            warnings.warn(f"thermal average has imaginary residue {residue:.3e}", stacklevel=2)
+        total += b.copies * value
+    return total
 
 
 # correlation_G takes tau nodes in chunks whose (nodes, n, n) temporaries

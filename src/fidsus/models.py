@@ -443,8 +443,8 @@ def kondo_toy(
 
     spin = 0.5 * s2
     casimir_third = spin * (spin + 1.0) / 3.0
-    mean = thermal_average(fam, fam.s_eig)
-    second = thermal_average(fam, fam.s_eig @ fam.s_eig)
+    mean = thermal_average(fam, [b.s_eig for b in fam.blocks])
+    second = thermal_average(fam, [b.s_eig @ b.s_eig for b in fam.blocks])
     if abs(mean) > KONDO_S3_MEAN or abs(second - casimir_third) > KONDO_S3_SQUARE:
         raise CrossCheckError(
             "kondo_rotation",

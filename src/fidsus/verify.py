@@ -15,7 +15,8 @@ The small-field expansion of the Uhlmann fidelity, the Bures route to
 ds2 and the ground-state limit run on fixed families whatever the seed.
 At their fixed steps and betas a seed-drawn family can miss them: the
 remainder ratio can fall below 4, and beta = 1e4 need not be cold
-enough for the ground-state limit.
+enough for the ground-state limit.  The ground-state limit and the
+finite-difference chi_F also run on fixed block families.
 
 The summary is a pure function of (seed, instances, dim_max): no wall
 times, no file paths, no machine-dependent formatting enter the text, so
@@ -28,6 +29,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, List
 
@@ -45,6 +47,7 @@ from .bounds import (
 )
 from .config import DCOMM_AGREEMENT_REL, FD_ORACLE_REL
 from .errors import (
+    CutoffConvergenceWarning,
     ModelParseError,
     ModelSchemaError,
     NoTransitionError,
@@ -232,23 +235,29 @@ def _suite_oracles(seed, instances, dim_max, out):
     dims = rng.integers(2, min(8, dim_max) + 1, size=count)
     betas = 10.0 ** rng.uniform(-1.0, 1.0, size=count)
 
-    fd, fd_rel, chi_n, trace = [], [], [], []
+    chi, miss, chi_n, trace = [], [], [], []
     for k in range(count):
         fam = _random_family(fam_seeds[k], int(dims[k]), float(betas[k]))
         rep = bound_report(fam, check_chi_n=False)
-        chi, cn = rep.chi_f, rep.chi_n
-        miss = abs(chi - chi_f_fd(fam, 1e-3))
-        fd.append(miss / max(1.0, chi))
-        fd_rel.append(miss / max(abs(chi), 1e-300))
-        cv = free_energy_curvature(fam)
-        chi_n.append(abs(cn - cv) / max(1.0, abs(cn)))
-        trace.append(abs(complex(np.trace(rho_prime(fam)))))
+        chi.append(rep.chi_f)
+        miss.append(abs(rep.chi_f - chi_f_fd(fam, 1e-3)))
+        chi_n.append(abs(rep.chi_n - free_energy_curvature(fam)) / max(1.0, abs(rep.chi_n)))
+        trace.append(abs(complex(np.trace(rho_prime(fam)[0]))))
+    # chi_f_fd on block families too: three spin blocks with copies, two
+    # parity blocks; it checks the built family, whatever its boson cutoff
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        for fam in (dicke(4, 6, 2.0, 1.0, 1.0, 1.0), tfim(6, 1.0, 1.0, 1.0)):
+            chi.append(chi_f_spectral(fam).total)
+            miss.append(abs(chi[-1] - chi_f_fd(fam, 1e-3)))
+    chi, miss = np.array(chi), np.array(miss)
+    fd_rel = f" worst_rel={_e(np.max(miss / np.maximum(np.abs(chi), 1e-300)))}"
 
     tail = f" n={count}"
     out += [
         CheckResult(
             "chi_f_vs_fd",
-            *_within(fd, 1e-6, report=f" worst_rel={_e(np.max(fd_rel))}", tail=tail),
+            *_within(miss / np.maximum(1.0, chi), 1e-6, report=fd_rel, tail=f" n={chi.size}"),
         ),
         CheckResult("chi_n_vs_curvature", *_within(chi_n, FD_ORACLE_REL, tail=tail)),
         CheckResult("rho_prime_traceless", *_within(trace, 1e-10, tail=tail)),
@@ -257,11 +266,11 @@ def _suite_oracles(seed, instances, dim_max, out):
 
 def _suite_taylor(seed, instances, dim_max, out):
     fam = _random_family(_seeds(seed, 40, 1)[0], 4, 1.0)
-    rho0 = np.diag(fam.populations).astype(complex)
-    rp = rho_prime(fam)
+    rho0 = np.diag(fam.blocks[0].populations).astype(complex)
+    (rp,) = rho_prime(fam)
     h = 1e-2
     rho = {
-        step: perturbed_density(fam, step)
+        step: perturbed_density(fam, step)[0]
         for step in (h, -h, 0.5 * h, 0.25 * h, 0.125 * h, -0.125 * h)
     }
 
@@ -307,11 +316,11 @@ def _suite_taylor(seed, instances, dim_max, out):
 def _suite_limits(seed, instances, dim_max, out):
     fam = random_pair(4, 7, 1.0, 1.0, 1.0)
     chi = chi_f_spectral(fam).total
-    rho0 = np.diag(fam.populations).astype(complex)
+    rho0 = np.diag(fam.blocks[0].populations).astype(complex)
     # 1 - F = chi h^2 / 2 + O(h^3), so halving h divides the remainder by
     # about 8; under 4 it would still hold a piece of the h^2 term
     miss = [
-        abs((1.0 - uhlmann_fidelity(rho0, perturbed_density(fam, h))) - 0.5 * chi * h * h)
+        abs((1.0 - uhlmann_fidelity(rho0, perturbed_density(fam, h)[0])) - 0.5 * chi * h * h)
         for h in (1e-2, 5e-3, 2.5e-3)
     ]
     ratios = [miss[0] / miss[1], miss[1] / miss[2]]
@@ -325,19 +334,24 @@ def _suite_limits(seed, instances, dim_max, out):
 
     fam = random_pair(5, 77, 1.0, 1.0, 1.2)
     h = 1e-3
-    rho0 = np.diag(fam.populations).astype(complex)
-    db2 = bures_distance(rho0, perturbed_density(fam, h)) ** 2 / (h * h)
+    rho0 = np.diag(fam.blocks[0].populations).astype(complex)
+    db2 = bures_distance(rho0, perturbed_density(fam, h)[0]) ** 2 / (h * h)
     ds2 = ds2_spectral(fam)
     out.append(CheckResult("ds2_vs_bures", *_within([abs(db2 - ds2) / abs(ds2)], 2e-3)))
 
-    fam = random_pair(5, 66, 1.0, 1.0, 1.0)
-    gs = chi_f_ground_state(fam)
-    cold = [chi_f_spectral(family_at_beta(fam, beta)).total for beta in (1e2, 1e4)]
+    # a random pair, the chain's two parity blocks, and full-space Dicke
+    # with the ground state in the spin-3/2 block and copies below it
+    gaps = []
+    for fam in (
+        random_pair(5, 66, 1.0, 1.0, 1.0),
+        tfim(4, 1.0, 1.3, 1.0),
+        dicke(3, 8, 2.0, 1.0, 0.5, 1.0),
+    ):
+        gs = chi_f_ground_state(fam)
+        for beta in (1e2, 1e4):
+            gaps.append(abs(chi_f_spectral(family_at_beta(fam, beta)).total - gs) / abs(gs))
     out.append(
-        CheckResult(
-            "ground_state_limit",
-            *_within([abs(c - gs) / abs(gs) for c in cold], 1e-10, tail=" n=2"),
-        )
+        CheckResult("ground_state_limit", *_within(gaps, 1e-10, tail=f" n={len(gaps)}"))
     )
 
 
@@ -356,8 +370,9 @@ def _suite_commuting(seed, instances, dim_max, out):
         S = v @ np.diag(s_diag) @ v.conj().T
         fam = make_family(0.5 * (T + T.conj().T), 0.5 * (S + S.conj().T), beta)
         rep = bound_report(fam, check_chi_n=False)
-        p = fam.populations
-        d = np.real(np.diagonal(fam.s_eig))
+        (b,) = fam.blocks
+        p = b.populations
+        d = np.real(np.diagonal(b.s_eig))
         var = float(np.dot(p, (d - float(np.dot(p, d))) ** 2))
         ref = 0.25 * beta * beta * var
         norm = max(1.0, rep.chi_f)
@@ -404,8 +419,9 @@ def _suite_kondo(seed, instances, dim_max, out):
             rep = bound_report(fam, check_chi_n=False)
             total += 1
             sandwich += _sandwich_violation(rep)
-            rot1.append(abs(thermal_average(fam, fam.s_eig)))
-            rot2.append(abs(thermal_average(fam, fam.s_eig @ fam.s_eig) - 0.25))
+            (b,) = fam.blocks
+            rot1.append(abs(thermal_average(fam, [b.s_eig])))
+            rot2.append(abs(thermal_average(fam, [b.s_eig @ b.s_eig]) - 0.25))
             rec = kondo_roepstorff(beta, j, 1)
             chi4 = 4.0 * rep.chi_f / beta
             if rec.lower - 1e-9 <= chi4 <= rec.upper + 1e-9:
@@ -578,9 +594,9 @@ def _suite_determinism(seed, instances, dim_max, out):
     s0 = _seeds(seed, 50, 1)[0]
     f1 = _random_family(s0, 6, 1.7)
     f2 = _random_family(s0, 6, 1.7)
-    same = bool(
-        np.array_equal(f1.eigenvalues, f2.eigenvalues)
-        and np.array_equal(f1.s_eig, f2.s_eig)
+    same = all(
+        np.array_equal(b1.levels, b2.levels) and np.array_equal(b1.s_eig, b2.s_eig)
+        for b1, b2 in zip(f1.blocks, f2.blocks)
     )
     r1 = bound_report(f1)
     r2 = bound_report(f2)

@@ -42,6 +42,22 @@ def seeded_families(master_seed, count, dim_lo, dim_hi, beta_lo, beta_hi):
     return fams
 
 
+def all_levels(fam):
+    """Every level of the family's whole space, ascending, each block's
+    once per copy."""
+    return np.sort(np.concatenate([np.tile(b.levels, b.copies) for b in fam.blocks]))
+
+
+def same_blocks(f1, f2):
+    """Whether two families hold the same blocks, bit for bit: levels, S in
+    the eigenbasis and copies, in the same order."""
+    return len(f1.blocks) == len(f2.blocks) and all(
+        np.array_equal(b1.levels, b2.levels) and np.array_equal(b1.s_eig, b2.s_eig)
+        and b1.copies == b2.copies
+        for b1, b2 in zip(f1.blocks, f2.blocks)
+    )
+
+
 def random_hermitian(rng, dim, scale=1.0):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (g + g.conj().T)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from conftest import random_hermitian
+from conftest import all_levels, random_hermitian
 from fidsus.bounds import bound_report
 from fidsus.cli import main
 from fidsus.errors import CutoffConvergenceWarning
@@ -41,7 +41,7 @@ def _assert_same_family(fam, ref, check_chi_n=True):
     assert fam.dim == ref.dim
     assert fam.underflow_count == ref.underflow_count
     assert fam.sign_odd is ref.sign_odd
-    np.testing.assert_allclose(fam.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(all_levels(fam), all_levels(ref), rtol=0, atol=1e-12)
 
 
 @st.composite

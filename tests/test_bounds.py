@@ -31,7 +31,6 @@ from fidsus.gibbs import (
     correlation_G,
     family_at_beta,
     make_family,
-    thermal_average,
 )
 from fidsus.models import dicke, kondo_toy, random_pair, single_spin, tfim
 
@@ -105,7 +104,7 @@ def test_a_report_keeps_the_values_verify_reuses(monkeypatch, pair_passes):
     assert bound_report(fam).lower_aasc == fg
     assert pair_passes == [fresh, fam]
     calls = []
-    monkeypatch.setattr(fidsus.bounds, "_average", lambda *a: calls.append(a))
+    monkeypatch.setattr(fidsus.bounds, "thermal_average", lambda *a: calls.append(a))
     assert double_commutator_direct(fam) == direct
     assert chi_fg_spectral(fam) == fg
     assert calls == []
@@ -117,8 +116,9 @@ def test_bd_on_commuting_family_is_fluctuation():
     t = np.diag(rng.normal(size=6))
     s = np.diag(rng.normal(size=6))
     fam = make_family(t, s, 0.9)
-    p = fam.populations
-    sd = np.real(np.diagonal(fam.s_eig))
+    (b,) = fam.blocks
+    p = b.populations
+    sd = np.real(np.diagonal(b.s_eig))
     var = float(np.dot(p, (sd - np.dot(p, sd)) ** 2))
     assert bd_inner_product(fam) == pytest.approx(var, rel=1e-13)
 
@@ -204,8 +204,9 @@ def _both_signs_curvature(fam):
 
 
 def _top_step(fam):
-    """h_k of the oracle's ladder at the family's beta."""
-    s, n = fam.s_eig, fam.dim
+    """h_k of the oracle's ladder at the family's beta, for one block."""
+    (b,) = fam.blocks
+    s, n = b.s_eig, fam.dim
     spread = 2.0 * float(np.linalg.norm(s - (np.trace(s).real / n) * np.eye(n)))
     k = math.ceil(math.log2(max(1.0, fam.beta)))
     return math.ldexp(_FD_LADDER / (spread if spread > 0.0 else 1.0), -k)
@@ -327,8 +328,9 @@ def test_sign_odd_oracle_matches_four_solves(case):
     fam, odd = case
     fd, ref = free_energy_curvature(fam), _both_signs_curvature(fam)
     h = _top_step(fam)
-    s_norm = float(np.linalg.norm(fam.s_eig, 2))
-    a_norm = float(np.abs(fam.eigenvalues).max()) + h * s_norm
+    (b,) = fam.blocks
+    s_norm = float(np.linalg.norm(b.s_eig, 2))
+    a_norm = float(np.abs(b.levels).max()) + h * s_norm
     floor = 1.5 * fam.dim * _EPS * s_norm * max(1.0, fam.beta * a_norm) / h
     assert abs(fd - ref) <= floor
     assert fam.sign_odd is odd
@@ -465,16 +467,19 @@ def test_cold_chains_pass_the_chi_n_oracle(n, g, beta, solves_blocks, eig_calls)
 
 def test_double_commutator_direct_block_by_block():
     """On a block family the commutator is formed per block; it matches the
-    dense products on the dense assembly of the blocks."""
+    commutator route of one dense family, the direct sum of every copy of
+    every block in its eigenbasis."""
     for fam in (
         _dicke(3, 12, 2.0, 1.0, 1.0, 1.0),
         tfim(5, 1.0, 0.7, 1.5),
     ):
         assert len(fam.blocks) > 1
-        ev, s = fam.eigenvalues, fam.s_eig
-        k = s * (ev[None, :] - ev[:, None])
-        dense = thermal_average(fam, k @ s - s @ k)
-        assert double_commutator_direct(fam) == pytest.approx(dense, rel=1e-13, abs=0)
+        copies = [b for b in fam.blocks for _ in range(b.copies)]
+        t = block_diag(*(np.diag(b.levels) for b in copies))
+        dense = make_family(t, block_diag(*(b.s_eig for b in copies)), fam.beta)
+        assert double_commutator_direct(fam) == pytest.approx(
+            double_commutator_direct(dense), rel=1e-13, abs=0
+        )
 
 
 def test_thermo_check_can_be_disabled():

@@ -1,13 +1,16 @@
 """Susceptibility formulas against finite-difference and matrix oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.linalg import sqrtm
+from scipy.linalg import block_diag, sqrtm
 
 import fidsus.fidelity
 from conftest import random_hermitian, seeded_families
 from fidsus.errors import (
     CrossCheckError,
+    CutoffConvergenceWarning,
     DegenerateGroundStateError,
     NotDensityMatrixError,
 )
@@ -25,8 +28,8 @@ from fidsus.fidelity import (
     uhlmann_fidelity,
 )
 from fidsus.bounds import bd_inner_product, bd_integral_oracle, bound_report
-from fidsus.gibbs import family_at_beta, make_family
-from fidsus.models import random_pair, single_spin
+from fidsus.gibbs import block_family, family_at_beta, make_family
+from fidsus.models import dicke, random_pair, single_spin, tfim
 
 
 def random_density(rng, dim):
@@ -104,6 +107,24 @@ def test_chi_f_vs_finite_difference():
         assert abs(chi - fd) <= 1e-6 * max(1.0, chi)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: dicke(16, 12, 2.0, 1.0, 1.0, 1.0), lambda: tfim(10, 1.0, 1.0, 1.0)],
+    ids=["dicke_16", "tfim_10"],
+)
+def test_chi_f_fd_on_block_families_at_scale(build):
+    """chi_f_fd solves and sums one block at a time: full-space Dicke at
+    N = 16 (9 spin blocks of up to 221 levels, dim 13 2^16) and the chain
+    at N = 10 (two parity blocks of 512) meet the spectral chi_f within
+    1e-6 max(1, chi_f).  Both missed by about 4e-8 and 1e-8."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fam = build()
+    assert len(fam.blocks) > 1
+    chi = chi_f_spectral(fam).total
+    assert abs(chi_f_fd(fam, 1e-3) - chi) <= 1e-6 * max(1.0, chi)
+
+
 def test_split_adds_up_exactly():
     for fam in seeded_families(2002, 40, 2, 12, 0.1, 10.0):
         parts = chi_f_spectral(fam)
@@ -119,8 +140,9 @@ def test_quantum_part_vanishes_when_commuting():
     fam = make_family(d, s, 1.3)
     parts = chi_f_spectral(fam)
     assert parts.quantum == pytest.approx(0.0, abs=1e-18)
-    p = fam.populations
-    sd = np.real(np.diagonal(fam.s_eig))
+    (b,) = fam.blocks
+    p = b.populations
+    sd = np.real(np.diagonal(b.s_eig))
     var = float(np.dot(p, (sd - np.dot(p, sd)) ** 2))
     assert parts.total == pytest.approx(0.25 * 1.3**2 * var, rel=1e-14)
 
@@ -297,27 +319,39 @@ def test_chi_fg_between_half_and_full_ds2():
 # density derivative and expansion structure
 
 
+def _block_families():
+    """A tfim chain (two parity blocks) and full-space Dicke (spin blocks
+    with copies)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        return [tfim(4, 1.0, 0.7, 1.5), dicke(3, 6, 2.0, 1.0, 1.0, 1.2)]
+
+
 def test_rho_prime_traceless_hermitian():
-    for fam in seeded_families(2006, 20, 2, 9, 0.2, 6.0):
+    for fam in seeded_families(2006, 20, 2, 9, 0.2, 6.0) + _block_families():
         rp = rho_prime(fam)
-        assert abs(complex(np.trace(rp))) <= 1e-12
-        np.testing.assert_allclose(rp, rp.conj().T, atol=1e-14)
+        assert len(rp) == len(fam.blocks)
+        assert abs(sum(b.copies * np.trace(r) for b, r in zip(fam.blocks, rp))) <= 1e-12
+        for r in rp:
+            np.testing.assert_allclose(r, r.conj().T, atol=1e-14)
 
 
 def test_rho_prime_vs_central_difference():
-    fam = random_pair(5, 33, 1.0, 1.0, 1.5)
     h = 1e-4
-    fd = (perturbed_density(fam, h) - perturbed_density(fam, -h)) / (2.0 * h)
-    np.testing.assert_allclose(rho_prime(fam), fd, atol=5e-8)
+    for fam in [random_pair(5, 33, 1.0, 1.0, 1.5)] + _block_families():
+        plus, minus = perturbed_density(fam, h), perturbed_density(fam, -h)
+        for r, p, m in zip(rho_prime(fam), plus, minus):
+            np.testing.assert_allclose(r, (p - m) / (2.0 * h), atol=5e-8)
 
 
 def test_perturbed_density_is_density():
-    fam = random_pair(6, 44, 1.0, 1.0, 2.0)
-    for h in (-0.05, 0.01, 0.08):
-        rho = perturbed_density(fam, h)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-        ev = np.linalg.eigvalsh(rho)
-        assert ev.min() >= -1e-13
+    for fam in [random_pair(6, 44, 1.0, 1.0, 2.0)] + _block_families():
+        for h in (-0.05, 0.01, 0.08):
+            rho = perturbed_density(fam, h)
+            assert len(rho) == len(fam.blocks)
+            trace = sum(b.copies * np.trace(r) for b, r in zip(fam.blocks, rho))
+            assert trace.real == pytest.approx(1.0, abs=1e-12)
+            assert min(np.linalg.eigvalsh(r).min() for r in rho) >= -1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +363,18 @@ def test_ground_state_requires_gap():
     fam = make_family(t, np.eye(3), 1.0)
     with pytest.raises(DegenerateGroundStateError):
         chi_f_ground_state(fam)
+
+
+def test_ground_state_of_a_block_family():
+    """The ground state lies in one block: the limit is read there and
+    matches the dense direct sum.  Its level is degenerate, and the limit
+    refused, when its block has two copies or another block holds it too."""
+    s2 = np.array([[0.3, 1.0], [1.0, -0.3]])
+    s3 = np.array([[0.0, 0.5, 0.2], [0.5, 1.0, 0.0], [0.2, 0.0, -1.0]])
+    t2, t3 = np.diag([0.5, 1.5]), np.diag([0.0, 1.0, 2.5])
+    fam = block_family([(t2, s2, 2), (t3, s3, 1)], 1.0)
+    dense = make_family(block_diag(t2, t2, t3), block_diag(s2, s2, s3), 1.0)
+    assert chi_f_ground_state(fam) == pytest.approx(chi_f_ground_state(dense), rel=1e-14)
+    for blocks in ([(t3, s3, 2)], [(t3, s3, 1), (t2 - 0.5 * np.eye(2), s2, 1)]):
+        with pytest.raises(DegenerateGroundStateError):
+            chi_f_ground_state(block_family(blocks, 1.0))

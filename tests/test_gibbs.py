@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
-from conftest import clustered_families, random_hermitian
+from conftest import all_levels, clustered_families, random_hermitian
 from fidsus.bounds import double_commutator_direct
 from fidsus.config import DIMENSION_BUDGET
 from fidsus.errors import (
@@ -20,8 +20,8 @@ from fidsus.errors import (
     NotHermitianError,
     TauOutOfRangeError,
 )
-from fidsus.fidelity import _perturbed_spectrum
 from fidsus.gibbs import (
+    _perturbed_spectrum,
     block_family,
     correlation_G,
     family_at_beta,
@@ -39,7 +39,7 @@ def _unperturbed(t, beta):
 def test_two_level_partition_function():
     ens = _unperturbed(np.diag([0.0, 1.0]).astype(complex), beta=2.0)
     assert ens.log_z == pytest.approx(np.log(1.0 + np.exp(-2.0)), abs=1e-15)
-    p = ens.populations
+    p = ens.blocks[0].populations
     np.testing.assert_allclose(
         p, [1.0, np.exp(-2.0)] / (1.0 + np.exp(-2.0)), rtol=1e-15
     )
@@ -50,14 +50,14 @@ def test_populations_normalized_and_log_consistent():
     for _ in range(25):
         dim = int(rng.integers(2, 14))
         beta = float(10.0 ** rng.uniform(-2, 2))
-        ens = _unperturbed(random_hermitian(rng, dim), beta)
-        assert ens.populations.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.all(ens.populations >= 0.0)
+        (b,) = _unperturbed(random_hermitian(rng, dim), beta).blocks
+        assert b.populations.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.all(b.populations >= 0.0)
         np.testing.assert_allclose(
-            np.exp(ens.log_populations), ens.populations, atol=1e-300, rtol=1e-13
+            np.exp(b.log_populations), b.populations, atol=1e-300, rtol=1e-13
         )
         # log populations always finite, even if populations underflow
-        assert np.all(np.isfinite(ens.log_populations))
+        assert np.all(np.isfinite(b.log_populations))
 
 
 def test_extreme_beta_no_overflow():
@@ -65,10 +65,10 @@ def test_extreme_beta_no_overflow():
     h = random_hermitian(rng, 6)
     ens = _unperturbed(h, beta=1e8)
     assert np.isfinite(ens.log_z)
-    assert ens.populations[0] == pytest.approx(1.0, abs=1e-12)
+    assert ens.blocks[0].populations[0] == pytest.approx(1.0, abs=1e-12)
     assert ens.underflow_count > 0
     cold = _unperturbed(h, beta=1e-8)
-    np.testing.assert_allclose(cold.populations, np.full(6, 1 / 6), rtol=1e-6)
+    np.testing.assert_allclose(cold.blocks[0].populations, np.full(6, 1 / 6), rtol=1e-6)
 
 
 def test_beta_validation():
@@ -87,7 +87,7 @@ def test_thermal_average_against_expm():
         fam = make_family(t, s, beta)
         w = expm(-beta * t)
         ref = np.real(np.trace(w @ s) / np.trace(w))
-        assert thermal_average(fam, fam.s_eig) == pytest.approx(ref, abs=1e-11)
+        assert thermal_average(fam, [fam.blocks[0].s_eig]) == pytest.approx(ref, abs=1e-11)
         assert fam.s_mean == pytest.approx(ref, abs=1e-11)
 
 
@@ -108,7 +108,8 @@ def _kms_gap(fam, taus):
     keep: 1e-13 plus the rounding of (beta - tau)/beta, an ulp of 1 that
     moves the exponent of each pair by eps beta |T_m - T_n|."""
     g, mirror = correlation_G(fam, taus), correlation_G(fam, fam.beta - taus)
-    spread = float(fam.eigenvalues[-1] - fam.eigenvalues[0])
+    levels = all_levels(fam)
+    spread = float(levels[-1] - levels[0])
     gap = float(np.max(np.abs(g - mirror) / np.maximum(1.0, np.abs(g))))
     return gap, 1e-13 + 2.0 * _EPS * fam.beta * spread
 
@@ -145,8 +146,8 @@ def test_correlation_kms_symmetry_on_block_families(build):
 def test_correlation_at_zero_is_variance():
     rng = np.random.default_rng(14)
     fam = make_family(random_hermitian(rng, 6), random_hermitian(rng, 6), 1.1)
-    p = fam.populations
-    s2 = thermal_average(fam, fam.s_eig @ fam.s_eig)
+    (b,) = fam.blocks
+    s2 = thermal_average(fam, [b.s_eig @ b.s_eig])
     var = s2 - fam.s_mean**2
     assert correlation_G(fam, 0.0) == pytest.approx(var, rel=1e-12)
 
@@ -197,12 +198,13 @@ def test_family_at_beta_matches_fresh_build():
         base = make_family(t, s, 0.7, particle_count=3)
         moved = family_at_beta(base, 2.9)
         fresh = make_family(t, s, 2.9, particle_count=3)
-        for name in ("log_populations", "populations", "s_eig", "eigenvalues"):
-            np.testing.assert_array_equal(getattr(moved, name), getattr(fresh, name))
+        (got,), (want,) = moved.blocks, fresh.blocks
+        for name in ("log_populations", "populations", "s_eig", "levels"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         for name in ("beta", "log_z", "s_mean", "underflow_count", "particle_count"):
             assert getattr(moved, name) == getattr(fresh, name)
         assert moved.particle_count == 3
-        assert moved.s_eig.dtype == (np.float64 if np.isrealobj(t) else np.complex128)
+        assert got.s_eig.dtype == (np.float64 if np.isrealobj(t) else np.complex128)
 
 
 def test_family_at_beta_shares_the_beta_independent_state():
@@ -232,30 +234,35 @@ def test_family_at_beta_shares_the_beta_independent_state():
 )
 def test_builders_declare_their_blocks(build, sizes):
     """Each builder passes its symmetry blocks with their copies: the
-    sizes and copies are as declared, they add up to ``dim``, and the
-    dense assembly holds each block's S on its own levels, with no entry
-    between two blocks or two copies."""
+    sizes and copies are as declared, they add up to ``dim``, each block
+    holds its S on its own ascending levels, and the populations of every
+    copy of every block sum to one."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffConvergenceWarning)
         fam = build()
     assert [(b.spectrum.dim, b.copies) for b in fam.blocks] == sizes
     assert fam.dim == sum(n * c for n, c in sizes)
-    assert fam.s_eig.shape == (fam.dim, fam.dim)
-    inside = sum(b.copies * np.count_nonzero(b.s_eig) for b in fam.blocks)
-    assert np.count_nonzero(fam.s_eig) == inside
-    assert np.all(np.diff(fam.eigenvalues) >= 0.0)
-    assert np.sum(fam.populations) == pytest.approx(1.0, rel=1e-13)
+    for b in fam.blocks:
+        assert b.s_eig.shape == (b.spectrum.dim,) * 2
+        assert np.all(np.diff(b.levels) >= 0.0)
+    total = sum(b.copies * np.sum(b.populations) for b in fam.blocks)
+    assert total == pytest.approx(1.0, rel=1e-13)
 
 
 def test_unperturbed_spectrum_repeats_the_family_weights():
-    """At h = 0 the displaced-field route reproduces the family's own log
-    weights and log Z exactly: both come from one routine."""
-    for t, s in _real_and_complex_pairs(18, 6):
-        fam = make_family(t, s, 1.3)
-        d, lp, log_z = _perturbed_spectrum(fam, 0.0)
-        np.testing.assert_array_equal(d.eigenvalues, fam.eigenvalues)
-        np.testing.assert_array_equal(lp, fam.log_populations)
-        assert log_z == fam.log_z
+    """At h = 0 the displaced-field route reproduces each block's own levels
+    and log weights exactly, for one dense pair and for a block family
+    with copies: both weights come from one routine."""
+    fams = [make_family(t, s, 1.3) for t, s in _real_and_complex_pairs(18, 6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fams.append(dicke(3, 6, 2.0, 1.0, 1.0, 1.3))
+    for fam in fams:
+        solved, lps = _perturbed_spectrum(fam, 0.0)
+        assert len(solved) == len(lps) == len(fam.blocks)
+        for b, d, lp in zip(fam.blocks, solved, lps):
+            np.testing.assert_array_equal(d.eigenvalues, b.levels)
+            np.testing.assert_array_equal(lp, b.log_populations)
 
 
 def test_make_family_dimension_mismatch():
@@ -263,10 +270,36 @@ def test_make_family_dimension_mismatch():
         make_family(np.eye(3), np.eye(2), 1.0)
 
 
+# two copies of a 2-level block and one 3-level block, and their dense
+# direct sum over every copy
+_T2, _S2 = np.diag([0.0, 1.0]), np.array([[0.5, 1.0], [1.0, -0.5]])
+_T3 = np.diag([0.3, 0.7, 2.0])
+_S3 = np.array([[1.0, 0.2j, 0.0], [-0.2j, 2.0, 0.4], [0.0, 0.4, 3.0]])
+_TWO_BLOCKS = [(_T2, _S2, 2), (_T3, _S3, 1)]
+_DIRECT_SUM = (block_diag(_T2, _T2, _T3), block_diag(_S2, _S2, _S3))
+
+
 def test_thermal_average_shape_check():
-    fam = make_family(np.diag([0.0, 1.0]), np.eye(2), 1.0)
-    with pytest.raises(DimensionMismatchError):
-        thermal_average(fam, np.zeros((2, 3)))
+    """Each block's operator must have its block's shape."""
+    fam = block_family(_TWO_BLOCKS, 1.1)
+    for ops in ([np.eye(2), np.eye(2)], [np.eye(2), np.zeros((3, 2))], [np.eye(3), np.eye(3)]):
+        with pytest.raises(DimensionMismatchError, match="the blocks have sizes"):
+            thermal_average(fam, ops)
+
+
+def test_thermal_average_takes_one_operator_per_block():
+    """One operator per block, weighted by its copies, is the average of
+    their direct sum over every copy; fewer or more operators raise."""
+    fam = block_family(_TWO_BLOCKS, 1.1)
+    dense = make_family(*_DIRECT_SUM, 1.1)
+    squares = [b.s_eig @ b.s_eig for b in fam.blocks]
+    (d,) = dense.blocks
+    want = thermal_average(dense, [d.s_eig @ d.s_eig])
+    assert thermal_average(fam, squares) == pytest.approx(want, rel=1e-14)
+    assert thermal_average(fam, iter(squares)) == thermal_average(fam, squares)
+    for wrong in (squares[:1], squares + [np.eye(3)], []):
+        with pytest.raises(DimensionMismatchError, match="operator"):
+            thermal_average(fam, wrong)
 
 
 def test_thermal_average_rejects_a_nan_entry():
@@ -275,7 +308,7 @@ def test_thermal_average_rejects_a_nan_entry():
     a = np.eye(3)
     a[0, 1] = np.nan
     with pytest.raises(NotHermitianError, match="defect nan"):
-        thermal_average(random_pair(3, 0), a)
+        thermal_average(random_pair(3, 0), [a])
 
 
 def test_thermal_average_residue_warning_is_relative_to_the_norm():
@@ -284,12 +317,12 @@ def test_thermal_average_residue_warning_is_relative_to_the_norm():
     fam = make_family(np.diag([0.0, 1.0]), np.eye(2), 1.0)
     residue = 1e-11j * np.eye(2)
     with pytest.warns(UserWarning, match="imaginary residue"):
-        thermal_average(fam, np.eye(2) + residue)
+        thermal_average(fam, [np.eye(2) + residue])
     rng = np.random.default_rng(8)
     big = make_family(random_hermitian(rng, 6), random_hermitian(rng, 6, 1e6), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert thermal_average(fam, 1e6 * np.eye(2) + residue) == pytest.approx(1e6)
+        assert thermal_average(fam, [1e6 * np.eye(2) + residue]) == pytest.approx(1e6)
         double_commutator_direct(big)
 
 
@@ -305,12 +338,13 @@ def test_correlation_on_a_node_list_matches_the_per_tau_formula(dim):
 
     def reference(tau):
         lam = tau / fam.beta
-        lp = fam.log_populations
+        (b,) = fam.blocks
+        lp = b.log_populations
         weights = np.exp((1.0 - lam) * lp[:, None] + lam * lp[None, :])
         np.fill_diagonal(weights, 0.0)
-        off = float(np.sum(weights * np.abs(fam.s_eig) ** 2))
-        delta_d = np.real(np.diagonal(fam.s_eig)) - fam.s_mean
-        return off + float(np.dot(fam.populations, delta_d**2))
+        off = float(np.sum(weights * np.abs(b.s_eig) ** 2))
+        delta_d = np.real(np.diagonal(b.s_eig)) - fam.s_mean
+        return off + float(np.dot(b.populations, delta_d**2))
 
     ref = np.array([reference(float(t)) for t in taus])
     np.testing.assert_array_equal(correlation_G(fam, taus), ref)

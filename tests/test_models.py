@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fidsus.models
+from conftest import all_levels, same_blocks
 from fidsus.bounds import bound_report
 from fidsus.errors import (
     CrossCheckError,
@@ -45,7 +46,7 @@ def test_single_spin_structure():
     fam = single_spin(0.7)
     assert fam.dim == 2
     assert fam.beta == 1.0
-    np.testing.assert_allclose(fam.eigenvalues, [-0.7, 0.7], atol=1e-15)
+    np.testing.assert_allclose(all_levels(fam), [-0.7, 0.7], atol=1e-15)
 
 
 def test_single_spin_closed_forms_match_build():
@@ -101,16 +102,19 @@ def test_dicke_one_atom_sector_equals_full():
 
 def test_dicke_budget_enforced():
     """The budget bounds the largest block, spin N/2, of the full space as
-    of the sector, and the dense assembly of the whole space."""
+    of the sector, never the whole space: rho' and the finite-difference
+    chi_F run block by block on a family of dim 7168."""
     with pytest.raises(DimensionBudgetError):
         dicke(9, 500, 1.0, 1.0, 1.0, 1.0)  # 501 boson levels * 10 spin states
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffConvergenceWarning)
         fam = dicke(10, 6, 1.0, 1.0, 1.0, 1.0)  # blocks of at most 77, dim 7168
-    assert fam.dim == 7 * 2**10 and bound_report(fam).sandwich_ok
-    for dense in (lambda: fam.s_eig, lambda: rho_prime(fam), lambda: chi_f_fd(fam, 1e-3)):
-        with pytest.raises(DimensionBudgetError):
-            dense()
+    rep = bound_report(fam)
+    assert fam.dim == 7 * 2**10 and rep.sandwich_ok
+    rp = rho_prime(fam)
+    assert [r.shape[0] for r in rp] == [b.spectrum.dim for b in fam.blocks]
+    assert abs(sum(b.copies * np.trace(r) for b, r in zip(fam.blocks, rp))) <= 1e-12
+    assert abs(chi_f_fd(fam, 1e-3) - rep.chi_f) <= 1e-6 * max(1.0, rep.chi_f)
     with pytest.raises(DimensionBudgetError):
         dicke(2, 2000, 1.0, 1.0, 1.0, 1.0, symmetric_sector=True)
 
@@ -171,8 +175,9 @@ def test_tc_edge_cases():
 def test_kondo_rotation_invariance_visible_from_outside():
     fam = kondo_toy(1, (0.0, 0.4), 0.6, 1.2)
     assert fam.dim == 2 * 16
-    assert thermal_average(fam, fam.s_eig) == pytest.approx(0.0, abs=1e-12)
-    s3sq = thermal_average(fam, fam.s_eig @ fam.s_eig)
+    (b,) = fam.blocks
+    assert thermal_average(fam, [b.s_eig]) == pytest.approx(0.0, abs=1e-12)
+    s3sq = thermal_average(fam, [b.s_eig @ b.s_eig])
     assert s3sq == pytest.approx(0.25, abs=1e-10)
 
 
@@ -237,10 +242,9 @@ def test_roepstorff_lower_clips_to_zero():
 def test_random_pair_deterministic():
     a = random_pair(6, 123, 1.0, 1.0, 1.7)
     b = random_pair(6, 123, 1.0, 1.0, 1.7)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.s_eig, b.s_eig)
+    assert same_blocks(a, b)
     c = random_pair(6, 124, 1.0, 1.0, 1.7)
-    assert not np.array_equal(a.eigenvalues, c.eigenvalues)
+    assert not np.array_equal(all_levels(a), all_levels(c))
 
 
 def test_random_pair_dim_limits():
@@ -323,8 +327,7 @@ def test_file_round_trip(tmp_path):
     t = np.array([[c[0] + 1j * c[1] for c in row] for row in obj["T"]])
     s = np.array([[c[0] + 1j * c[1] for c in row] for row in obj["S"]])
     direct = make_family(t, s, 1.4)
-    assert np.array_equal(fam.eigenvalues, direct.eigenvalues)
-    assert np.array_equal(fam.s_eig, direct.s_eig)
+    assert same_blocks(fam, direct)
     assert fam.particle_count == 1
 
 
@@ -430,13 +433,13 @@ def test_build_model_matches_direct_constructors(tmp_path):
     ]
     for spec, direct in pairs:
         built = build_model(spec)
-        assert np.array_equal(built.eigenvalues, direct.eigenvalues)
+        assert same_blocks(built, direct)
 
 
 def test_build_model_random_seed_defaults_to_zero():
     spec = ModelSpec("random", {"beta": 1.0}, {"dim": 3})
     built = build_model(spec)
-    assert np.array_equal(built.eigenvalues, random_pair(3, 0, 1.0, 1.0, 1.0).eigenvalues)
+    assert same_blocks(built, random_pair(3, 0, 1.0, 1.0, 1.0))
 
 
 def test_build_model_validation():
@@ -487,8 +490,7 @@ def test_builders_take_only_integral_sizes(build, size):
         if isinstance(exact, KondoBoundRecord):
             assert whole == exact
         else:
-            assert np.array_equal(whole.s_eig, exact.s_eig)
-            assert np.array_equal(whole.eigenvalues, exact.eigenvalues)
+            assert same_blocks(whole, exact)
         for bad in (size + 0.5, size - 0.1, True, str(size), math.nan, math.inf):
             with pytest.raises(ValueError, match="must be an integer"):
                 build(bad)
@@ -512,7 +514,7 @@ def test_build_model_applies_declared_defaults():
     spec = ModelSpec("random", {"beta": 2.0, "s_scale": 0.5}, {"dim": 4}, seed=3)
     built = build_model(spec)
     direct = random_pair(4, 3, 1.0, 0.5, 2.0)
-    assert np.array_equal(built.s_eig, direct.s_eig)
+    assert same_blocks(built, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +563,9 @@ def _kron_tfim(n_sites, j_coupling, g_field):
 
 
 def _assert_same_physics(ref, fam):
+    levels = all_levels(ref)
     np.testing.assert_allclose(
-        fam.eigenvalues, ref.eigenvalues, rtol=0,
-        atol=1e-12 * max(1.0, float(np.abs(ref.eigenvalues).max())),
+        all_levels(fam), levels, rtol=0, atol=1e-12 * max(1.0, float(np.abs(levels).max()))
     )
     want = vars(bound_report(ref))
     got = vars(bound_report(fam))
