@@ -146,14 +146,22 @@ def _displaced(fam: PerturbedFamily, h: float) -> list:
 
     Both are beta independent, so they are kept in ``fam.displaced`` and
     shared with every `family_at_beta` of the family; the bases of
-    `_displaced_spectra` are dropped block by block.
+    `_displaced_spectra` are dropped block by block.  Where S_b links two
+    declared sectors only, its diagonal is 2 Re sum_(m, n) U*_mj S_mn U_nj
+    over the rectangle between them, a quarter of the products.
     """
     hit = fam.displaced.get(h)
     if hit is None:
         hit = fam.displaced[h] = []
         for b, d in zip(fam.blocks, _displaced_spectra(fam, h)):
             u = d.basis
-            hit.append((d.eigenvalues, np.einsum("ij,ij->j", u.conj(), b.s_eig @ u).real))
+            if b.sectors is None:
+                diag = np.einsum("ij,ij->j", u.conj(), b.s_eig @ u).real
+            else:
+                rows, cols = b.sectors
+                su = b.s_pairs @ u[cols]
+                diag = 2.0 * np.einsum("ij,ij->j", u[rows].conj(), su).real
+            hit.append((d.eigenvalues, diag))
     return hit
 
 
@@ -246,10 +254,19 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
         check "chi_n_oracle" if the smaller step h_(k+1) underflows to 0,
         which needs beta sigma(S) above about 3e321.
     """
-    mean = sum(b.copies * np.trace(b.s_eig).real for b in fam.blocks) / fam.dim
-    spread = 2.0 * max(
-        float(np.linalg.norm(b.s_eig - mean * np.eye(b.levels.size))) for b in fam.blocks
-    )
+    # a block with declared sectors has a zero diagonal and S_b on its
+    # rectangle R, so its trace is 0 and ||S_b - mean I||_F^2 is
+    # 2 ||R||_F^2 + n_b mean^2
+    whole = [b for b in fam.blocks if b.sectors is None]
+    mean = sum(b.copies * np.trace(b.s_pairs).real for b in whole) / fam.dim
+
+    def centred(b) -> float:
+        if b.sectors is None:
+            return float(np.linalg.norm(b.s_pairs - mean * np.eye(b.levels.size)))
+        rect = float(np.linalg.norm(b.s_pairs))
+        return math.hypot(math.sqrt(2.0) * rect, math.sqrt(b.levels.size) * mean)
+
+    spread = 2.0 * max(map(centred, fam.blocks))
     top = _FD_LADDER / (spread if spread > 0.0 else 1.0)
     k = math.ceil(math.log2(max(1.0, fam.beta)))
     if math.ldexp(top, -k - 1) == 0.0:

@@ -76,6 +76,11 @@ class DimensionBudgetError(ValueError):
     """A block, or a matrix a builder would form, exceeds DIMENSION_BUDGET."""
 
 
+class SectorDeclarationError(ValueError):
+    """A block's declared sectors are not what T and S do: T links two
+    sectors, S links a sector to itself, or the mask has the wrong shape."""
+
+
 class NoTransitionError(ValueError):
     """Model parameters admit no finite-temperature transition."""
 

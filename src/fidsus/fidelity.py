@@ -100,17 +100,18 @@ def _half_circle_G(fam: PerturbedFamily) -> tuple[np.ndarray, np.ndarray]:
     return taus, _freeze(correlation_G(fam, taus))
 
 
-def _pair_kernels(beta: float, b: Block) -> tuple:
-    """The pair quantities of one block: |T_m - T_n|, beta times it, the
-    larger population p_low of each pair, sqrt(p_m p_n), the mask
+def _pair_kernels(beta: float, b: Block, rows=slice(None), cols=slice(None)) -> tuple:
+    """The pair quantities of the levels ``rows`` x ``cols`` of one block
+    (all of them by default): |T_m - T_n|, beta times it, the larger
+    population p_low of each pair, sqrt(p_m p_n), the mask
     ``beta * gap < DEGENERATE_GAP`` and the ratio kernel (p_n - p_m)/X_mn
     of chi_F, rho' and the BD product, p_low (1 - e^{-2X})/X with
     X = beta|T_m - T_n|/2, and 2 sqrt(p_m p_n) in the window."""
     ev, lp = b.levels, b.log_populations
-    gap = np.abs(ev[:, None] - ev[None, :])
+    gap = np.abs(ev[rows, None] - ev[None, cols])
     bgap = beta * gap
-    p_low = np.exp(np.maximum(lp[:, None], lp[None, :]))
-    p_geo = np.exp(0.5 * (lp[:, None] + lp[None, :]))
+    p_low = np.exp(np.maximum(lp[rows, None], lp[None, cols]))
+    p_geo = np.exp(0.5 * (lp[rows, None] + lp[None, cols]))
     deg = bgap < DEGENERATE_GAP
     x = 0.5 * np.where(deg, 1.0, bgap)
     ratio = np.where(deg, 2.0 * p_geo, p_low * (-np.expm1(-2.0 * x)) / x)
@@ -121,9 +122,13 @@ def _rho_prime_block(fam: PerturbedFamily, b: Block, ratio: np.ndarray) -> np.nd
     """rho' of one block: S_mn (beta/2) ratio_mn off the diagonal and
     beta p_m (S_mm - <S>) on it."""
     r = b.s_eig * (0.5 * fam.beta * ratio)
-    delta_d = np.real(np.diagonal(b.s_eig)) - fam.s_mean
-    np.fill_diagonal(r, fam.beta * b.populations * delta_d)
+    np.fill_diagonal(r, _rho_prime_diagonal(fam, b))
     return r
+
+
+def _rho_prime_diagonal(fam: PerturbedFamily, b: Block) -> np.ndarray:
+    """beta p_m (S_mm - <S>), the diagonal of rho' in block b."""
+    return fam.beta * b.populations * (b.s_diagonal - fam.s_mean)
 
 
 class _PairSums(NamedTuple):
@@ -143,31 +148,59 @@ def _block_sums(fam: PerturbedFamily, b: Block):
     the diagonal times chi_F's ratio tanh(X)/X, the BD product's ratio,
     dcomm's p_low (1 - e^{-2X}) |T_m - T_n| and the kernels of
     `ds2_spectral` and `chi_fg_spectral`.  Each n_b x n_b array is dropped
-    once no later sum reads it."""
+    once no later sum reads it.
+
+    Every kernel is symmetric in m and n.  So a block with declared
+    sectors, whose S has no entry inside either, sums the rectangle
+    between them and counts it twice, plus chi_F's diagonal terms; every
+    pair it leaves out is exactly 0.
+    """
     beta = fam.beta
-    gap, bgap, p_low, p_geo, deg, ratio = _pair_kernels(beta, b)
-    den = 2.0 * (b.populations[:, None] + b.populations[None, :])
-    num = np.abs(_rho_prime_block(fam, b, ratio)) ** 2
+    s = b.s_pairs
+    rows, cols = b.sectors or (slice(None), slice(None))
+    twice = 1.0 if b.sectors is None else 2.0
+    gap, bgap, p_low, p_geo, deg, ratio = _pair_kernels(beta, b, rows, cols)
+    p = b.populations
+    den = 2.0 * (p[rows, None] + p[None, cols])
+    r = s * (0.5 * beta * ratio)
+    diagonal = _rho_prime_diagonal(fam, b)
+    if b.sectors is None:
+        np.fill_diagonal(r, diagonal)
+        lone = 0.0
+    else:  # rho'_mm / (2 (p_m + p_m)) lies outside the rectangle
+        lone = 0.25 * float(np.dot(diagonal, diagonal / np.where(p > 0.0, p, 1.0)))
+    num = np.abs(r) ** 2
+    del r
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = float(np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum())
     del den, num
-    yield direct
-    s_abs2 = np.abs(b.s_eig) ** 2
-    np.fill_diagonal(s_abs2, 0.0)
-    yield float((ratio * tanh_over_x(0.5 * bgap) * s_abs2).sum())
-    yield float((ratio * s_abs2).sum())
+    yield twice * direct + lone
+    s_abs2 = np.abs(s) ** 2
+    if b.sectors is None:
+        np.fill_diagonal(s_abs2, 0.0)
+    yield twice * float((ratio * tanh_over_x(0.5 * bgap) * s_abs2).sum())
+    yield twice * float((ratio * s_abs2).sum())
     del ratio
     q = -np.expm1(-bgap)
-    yield float((p_low * q * gap * s_abs2).sum())
+    yield twice * float((p_low * q * gap * s_abs2).sum())
     gap2 = np.where(deg, 1.0, gap)
     del gap
     gap2 *= gap2
     w = np.where(deg, 0.5 * beta * beta * p_geo, p_low * q * q / (gap2 * (2.0 - q)))
     del q
-    yield float((w * s_abs2).sum())
+    yield twice * float((w * s_abs2).sum())
     e = np.expm1(-0.5 * bgap)
     w = np.where(deg, 0.25 * beta * beta * p_geo, p_low * e * e / gap2)
-    yield float((w * s_abs2).sum())
+    yield twice * float((w * s_abs2).sum())
+
+
+def _summed(fam: PerturbedFamily, count: int) -> list:
+    """The first ``count`` floats of `_block_sums` over the family's
+    blocks, weighted by their copies; no block forms a later sum."""
+    sums = [0.0] * count
+    for b in fam.blocks:
+        sums = [t + b.copies * s for t, s in zip(sums, _block_sums(fam, b))]
+    return sums
 
 
 @_memoized
@@ -179,10 +212,7 @@ def _pair_sums(fam: PerturbedFamily) -> _PairSums:
     dropped before the next block's are formed, so memory is bounded by
     the largest block and the family keeps only the six floats.
     """
-    sums = [0.0] * len(_PairSums._fields)
-    for b in fam.blocks:
-        sums = [t + b.copies * s for t, s in zip(sums, _block_sums(fam, b))]
-    return _PairSums(*sums)
+    return _PairSums(*_summed(fam, len(_PairSums._fields)))
 
 
 def rho_prime(fam: PerturbedFamily) -> tuple:
@@ -204,7 +234,7 @@ def _degenerate_pairs(fam: PerturbedFamily, levels, copies, bgap: np.ndarray) ->
     """Unordered pairs of states within the degeneracy window: the copies of
     one level, then the sorted levels k = 1, 2, ... apart with their copies
     until none is in it; ``bgap`` is beta times the neighbouring gaps."""
-    total = sum(b.spectrum.dim * (b.copies * (b.copies - 1) // 2) for b in fam.blocks)
+    total = sum(b.levels.size * (b.copies * (b.copies - 1) // 2) for b in fam.blocks)
     close, k = bgap < DEGENERATE_GAP, 1
     while close.any():
         d = np.broadcast_to(copies, levels.shape)
@@ -241,15 +271,27 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
         check "chi_f_forms" if the kernel and direct routes disagree
         beyond ``CHI_INTERNAL_REL``.
     """
-    beta = fam.beta
     sums = _pair_sums(fam)
+    return _chi_f(fam, sums.chi_f_direct, sums.chi_f)
+
+
+def _chi_f_alone(fam: PerturbedFamily) -> FidelitySusceptibility:
+    """`chi_f_spectral`, bit for bit, from chi_F's two pair sums alone: for
+    a family read for chi_F only (the Dicke cutoff probe), which forms no
+    other pair sum and keeps nothing in ``fam.memo``."""
+    return _chi_f(fam, *_summed(fam, 2))
+
+
+def _chi_f(fam: PerturbedFamily, direct: float, kernel: float) -> FidelitySusceptibility:
+    """chi_F from its direct-form and kernel pair sums (`chi_f_spectral`)."""
+    beta = fam.beta
     # every level of the whole space in ascending order, with the log and
     # the weight d p_m of all its copies; a new eigenspace starts wherever
     # the sorted spectrum leaves the degeneracy window, and S_mm - <S> is
     # averaged over each one with weights d p_m / (d p)_first
     cols = [
         (b.levels, b.copies, b.log_populations, b.populations,
-         np.real(np.diagonal(b.s_eig)) - fam.s_mean)
+         b.s_diagonal - fam.s_mean)
         for b in fam.blocks
     ]
     if len(cols) == 1 and fam.blocks[0].copies == 1:  # already sorted and weighted
@@ -264,11 +306,11 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     w = np.exp(lp - lp[first][space])
     avg = (np.bincount(space, w * delta_d) / np.bincount(space, w))[space]
     spread = float(np.dot(p, (delta_d - avg) ** 2))
-    quantum = 0.125 * beta * beta * sums.chi_f + 0.25 * beta * beta * spread
+    quantum = 0.125 * beta * beta * kernel + 0.25 * beta * beta * spread
     classical = 0.25 * beta * beta * float(np.dot(p, avg**2))
     total = classical + quantum
     check_agreement(
-        "chi_f_forms", total, sums.chi_f_direct, CHI_INTERNAL_REL,
+        "chi_f_forms", total, direct, CHI_INTERNAL_REL,
         ("kernel form", "direct form"),
     )
 

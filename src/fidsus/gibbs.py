@@ -2,17 +2,20 @@
 
 A family is its symmetry blocks: a builder passes, per symmetry sector,
 its T_b, S_b and number d_b of identical copies, so dim = sum_b d_b n_b;
-a dense (T, S) is the one-block case.  `block_family` builds a family
-from blocks, `make_family` from one dense pair, and `family_at_beta`
-moves one to another temperature without re-diagonalizing.  Each block
-keeps its ascending levels, S_b in its eigenbasis and the log Boltzmann
-weights of its levels against the Z of the whole space.  S has no matrix
-element between two blocks or two copies, so every route runs block by
-block, weighted by the copies: the pair sums (`fidelity._pair_sums`),
-thermal averages and the solves of T_b - h S_b (`_displaced_spectra`).
-The whole space is never assembled, and ``DIMENSION_BUDGET`` bounds each
-block only.  Populations are kept in log space so that large inverse
-temperatures never overflow.
+a dense (T, S) is the one-block case.  A builder may also declare two
+sectors of a block that T keeps and S flips (Dicke's parity).
+`block_family` builds a family from blocks, `make_family` from one
+dense pair, and `family_at_beta` moves one to another temperature
+without re-diagonalizing.  Each block keeps its ascending levels, S_b
+in their eigenbasis (only the rectangle between declared sectors) and
+the log Boltzmann weights of its levels against the Z of the whole
+space; no eigenbasis is kept.  S has no matrix element between two blocks or two copies, so
+every route runs block by block, weighted by the copies: the pair sums
+(`fidelity._pair_sums`), thermal averages and the solves of
+T_b - h S_b (`_displaced_spectra`).  The whole space is never
+assembled, and ``DIMENSION_BUDGET`` bounds each block only.
+Populations are kept in log space so that large inverse temperatures
+never overflow.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     DimensionMismatchError,
     NonPositiveBetaError,
     NotHermitianError,
+    SectorDeclarationError,
     TauOutOfRangeError,
 )
 from .linalg import (
@@ -60,17 +64,39 @@ __all__ = [
 
 class Block(NamedTuple):
     """``copies`` identical copies of one symmetry sector at one beta: the
-    decomposition of its T_b (levels ascending), S_b in that eigenbasis
-    (Hermitian, read-only), and log p_n and p_n of the levels of one copy
-    against the Z of the whole family, so sum_b d_b sum_n p_n = 1."""
+    ascending levels of its T_b, S_b in their eigenbasis on the pairs
+    its sums run over (``s_pairs``, read-only), and log p_n and p_n of
+    the levels of one copy against the Z of the whole family, so
+    sum_b d_b sum_n p_n = 1.  ``sectors`` is None, or for declared
+    sectors (see `block_family`) the positions in ``levels`` of the
+    first sector's levels and of the second's; ``s_pairs`` is then the
+    rectangle S_b[first, second], S_b having no other entry."""
 
-    spectrum: SpectralDecomposition
-    s_eig: np.ndarray
+    levels: np.ndarray
+    s_pairs: np.ndarray
     copies: int
     log_populations: np.ndarray
     populations: np.ndarray
+    sectors: tuple | None
 
-    levels = property(lambda block: block.spectrum.eigenvalues)
+    @property
+    def s_eig(self) -> np.ndarray:
+        """S_b whole (Hermitian, read-only), formed anew from the rectangle
+        where sectors are declared."""
+        if self.sectors is None:
+            return self.s_pairs
+        rows, cols = self.sectors
+        s = np.zeros((self.levels.size,) * 2, dtype=self.s_pairs.dtype)
+        s[rows[:, None], cols] = self.s_pairs
+        s[cols[:, None], rows] = self.s_pairs.conj().T
+        return _freeze(s)
+
+    @property
+    def s_diagonal(self) -> np.ndarray:
+        """The real diagonal of S_b, zero where sectors are declared."""
+        if self.sectors is None:
+            return np.real(np.diagonal(self.s_pairs))
+        return np.zeros(self.levels.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +112,8 @@ class PerturbedFamily:
     sign_odd : bool
         Whether, in the basis the builder wrote each block in, a diagonal
         sign flip D = diag(+-1) keeps T_b and maps S_b to -S_b exactly
-        (see `_sign_odd`), so that <S>_{-h} = -<S>_h.
+        (see `_sign_odd`), so that <S>_{-h} = -<S>_h.  A block with
+        declared sectors is odd by construction, D being -1 on one.
     quasi_free : ndarray or None
         For a family of free fermions whose S is the total transverse
         field (`tfim`), the real N x N one-body matrix M(0) such that
@@ -182,13 +209,16 @@ def _sign_odd(t: np.ndarray, s: np.ndarray) -> bool:
     """Whether D t D = t and D s D = -s for some D = diag(+-1), in the
     basis the builder wrote t and s in: exactly when s has a zero
     diagonal and the states two-colour so that t links states of one
-    colour and s states of opposite colours.  Each connected component of
-    the joint nonzero pattern is coloured breadth first, a new state
-    taking its colour from one coloured neighbour, and then every link
-    is checked.  An all-zero s is odd."""
+    colour and s states of opposite colours.  A pair that both link can
+    take neither colouring, so it answers False at once; otherwise each
+    connected component of the joint nonzero pattern is coloured breadth
+    first, a new state taking its colour from one coloured neighbour, and
+    then every link is checked.  An all-zero s is odd."""
     if s.diagonal().any():
         return False
     same, flip = t != 0, s != 0
+    if np.any(same & flip):
+        return False
     linked = same | flip
     colour = np.zeros(s.shape[0], dtype=bool)
     seen = np.zeros(s.shape[0], dtype=bool)
@@ -210,22 +240,21 @@ def _sign_odd(t: np.ndarray, s: np.ndarray) -> bool:
 def _thermalize(
     beta: float, parts: list, particle_count: int, sign_odd: bool, quasi_free, displaced: dict
 ) -> PerturbedFamily:
-    """The family of (spectrum, s_eig, copies) blocks at beta."""
+    """The family of (levels, s_pairs, copies, sectors) blocks at beta."""
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
         raise NonPositiveBetaError(f"beta must be positive and finite, got {beta!r}")
-    spectra, s_eigs, copies = zip(*parts)
-    lps, log_z = _log_weights([sp.eigenvalues for sp in spectra], copies, beta)
+    lps, log_z = _log_weights([part[0] for part in parts], [part[2] for part in parts], beta)
     blocks, s_mean, underflow, dim = [], 0.0, 0, 0
-    for spectrum, s_eig, c, lp in zip(spectra, s_eigs, copies, lps):
+    for (levels, s_pairs, c, sectors), lp in zip(parts, lps):
         p = _freeze(np.exp(lp))
-        blocks.append(Block(spectrum, s_eig, c, _freeze(lp), p))
-        s_mean += c * float(np.dot(p, np.real(np.diagonal(s_eig))))
+        blocks.append(Block(levels, s_pairs, c, _freeze(lp), p, sectors))
+        s_mean += c * float(np.dot(p, blocks[-1].s_diagonal))
         underflow += c * int(np.count_nonzero(p == 0.0))
-        dim += c * spectrum.dim
+        dim += c * levels.size
     s_variance = 0.0
     for b in blocks:
-        delta_d = np.real(np.diagonal(b.s_eig)) - s_mean
+        delta_d = b.s_diagonal - s_mean
         s_variance += b.copies * float(np.dot(b.populations, delta_d**2))
     return PerturbedFamily(
         beta, tuple(blocks), sign_odd, quasi_free, displaced, log_z, s_mean, s_variance,
@@ -243,27 +272,79 @@ def _require_hermitian(a: np.ndarray, what: str) -> float:
     return scale
 
 
+def _solve_whole(T: HermitianOperator, S: HermitianOperator) -> tuple:
+    """(levels, S in their eigenbasis) from one solve of T."""
+    spectrum = eig_hermitian(T)
+    b = spectrum.basis
+    s_eig = b.conj().T @ S.matrix @ b
+    # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
+    # survives to the same order; re-symmetrize to make it exact
+    _require_hermitian(s_eig, "perturbation lost Hermiticity in the basis rotation")
+    return spectrum.eigenvalues, _freeze(0.5 * (s_eig + s_eig.conj().T))
+
+
+def _solve_sectors(T: HermitianOperator, S: HermitianOperator, first) -> tuple:
+    """(levels, the rectangle of S between the sectors, sectors) from one
+    solve per sector: the states where ``first`` is true and the rest.
+    The levels are merged ascending (stable, first sector first), and
+    ``sectors`` holds the positions of each sector's levels among them.
+    Raises `SectorDeclarationError` unless ``first`` is a boolean mask of
+    the block's size, T has no entry between the sectors and S none
+    inside either, each checked exactly."""
+    first = np.asarray(first)
+    if first.dtype != bool or first.shape != (T.dim,):
+        raise SectorDeclarationError(
+            f"a sector mask of the block's {T.dim} states must be boolean, "
+            f"got {first.dtype} of shape {first.shape}"
+        )
+    second = ~first
+    t, s = T.matrix, S.matrix
+    if t[np.ix_(first, second)].any():
+        raise SectorDeclarationError("T links the two declared sectors")
+    if s[np.ix_(first, first)].any() or s[np.ix_(second, second)].any():
+        raise SectorDeclarationError("S links a declared sector to itself")
+    # a square block of a validated matrix is exactly Hermitian itself
+    one, two = (
+        eig_hermitian(HermitianOperator(_freeze(t[np.ix_(k, k)]), int(np.count_nonzero(k))))
+        for k in (first, second)
+    )
+    rect = one.basis.conj().T @ s[np.ix_(first, second)] @ two.basis
+    levels = np.concatenate((one.eigenvalues, two.eigenvalues))
+    order = np.argsort(levels, kind="stable")
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    sectors = (_freeze(at[: one.dim]), _freeze(at[one.dim :]))
+    return _freeze(levels[order]), _freeze(rect), sectors
+
+
 def block_family(
-    blocks: Sequence, beta: float, particle_count: int = 1, quasi_free: np.ndarray | None = None
+    blocks: Iterable, beta: float, particle_count: int = 1, quasi_free: np.ndarray | None = None
 ) -> PerturbedFamily:
     """Diagonalize each block's T, rotate its S into that eigenbasis and
     thermalize the direct sum at beta.
 
-    ``blocks`` holds one (T_b, S_b, d_b) per symmetry sector: T and S as
+    ``blocks`` is any iterable, a generator too, of one (T_b, S_b, d_b) or
+    (T_b, S_b, d_b, first) per symmetry sector: T and S as
     HermitianOperators or arrays in one basis, and the number of identical
-    copies, an integer >= 1.  ``particle_count`` is the number of
-    particles the model builder says S sums over.  The family's
-    ``sign_odd`` is read from each validated T_b and S_b in that basis.
+    copies, an integer >= 1.  Each block is solved before the next one is
+    drawn, and only its levels and rotated S are kept.  A boolean mask
+    ``first`` declares two sectors, T linking none to the other and S
+    none to itself (a parity that T keeps and S flips): the block is
+    solved sector by sector (`_solve_sectors`) and is sign-odd by
+    construction.  For every other block ``sign_odd`` is read from its
+    validated T_b and S_b (`_sign_odd`).  ``particle_count`` is the
+    number of particles the model builder says S sums over.
     ``quasi_free`` is the builder's one-body M(0) of a free-fermion
     family (see `PerturbedFamily`), stored read-only, or None.
 
     Raises `DimensionBudgetError` for a block above ``DIMENSION_BUDGET``
-    before validating or solving it.
+    before validating or solving it, and `SectorDeclarationError` for a
+    declaration that T and S do not keep.
     """
     if particle_count < 1:
         raise ValueError(f"particle_count must be >= 1, got {particle_count}")
     parts, sign_odd = [], True
-    for T, S, copies in blocks:
+    for T, S, copies, *declared in blocks:
         for a in (T, S):
             n = a.dim if isinstance(a, HermitianOperator) else max(np.shape(a), default=0)
             if n > DIMENSION_BUDGET:
@@ -272,7 +353,6 @@ def block_family(
                 )
         if not isinstance(T, HermitianOperator):
             T = validate_hermitian(T)
-        spectrum = eig_hermitian(T)
         if not isinstance(S, HermitianOperator):
             S = validate_hermitian(S)
         if S.dim != T.dim:
@@ -282,14 +362,13 @@ def block_family(
         copies = operator.index(copies)
         if copies < 1:
             raise ValueError(f"a block needs at least one copy, got {copies}")
-        b = spectrum.basis
-        s_eig = b.conj().T @ S.matrix @ b
-        # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
-        # survives to the same order; re-symmetrize to make it exact
-        _require_hermitian(s_eig, "perturbation lost Hermiticity in the basis rotation")
-        s_eig = _freeze(0.5 * (s_eig + s_eig.conj().T))
-        parts.append((spectrum, s_eig, copies))
-        sign_odd = sign_odd and _sign_odd(T.matrix, S.matrix)
+        (first,) = declared or [None]
+        if first is None:
+            (levels, s_pairs), sectors = _solve_whole(T, S), None
+            sign_odd = sign_odd and _sign_odd(T.matrix, S.matrix)
+        else:
+            levels, s_pairs, sectors = _solve_sectors(T, S, first)
+        parts.append((levels, s_pairs, copies, sectors))
     if not parts:
         raise ValueError("a family needs at least one block")
     if quasi_free is not None:
@@ -317,7 +396,7 @@ def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     solved at one temperature is not solved again at another); only the
     weights, log Z and the perturbation mean change.
     """
-    parts = [(b.spectrum, b.s_eig, b.copies) for b in fam.blocks]
+    parts = [(b.levels, b.s_pairs, b.copies, b.sectors) for b in fam.blocks]
     return _thermalize(
         beta, parts, fam.particle_count, fam.sign_odd, fam.quasi_free, fam.displaced
     )
@@ -338,8 +417,8 @@ def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:
     total = 0.0
     for k, (b, a) in enumerate(itertools.zip_longest(fam.blocks, A)):
         a = np.asarray(a)
-        if b is None or a.shape != b.s_eig.shape:
-            sizes = [b.spectrum.dim for b in fam.blocks]
+        if b is None or a.shape != (b.levels.size,) * 2:
+            sizes = [b.levels.size for b in fam.blocks]
             raise DimensionMismatchError(
                 f"operator {k} has shape {a.shape}; the blocks have sizes {sizes}"
             )

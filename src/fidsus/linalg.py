@@ -6,11 +6,11 @@ pinned eigenvector phases) and checked (residual and unitarity) before it
 is returned, so downstream spectral sums can trust the decomposition
 without re-validating.  Every call is one ``eigh`` of the whole matrix;
 symmetry sectors are declared by the model builders, as the blocks of a
-family (see `gibbs.block_family`).  A matrix with no imaginary part is
-stored and decomposed as float64, so real models run LAPACK's real
-symmetric solver and real arithmetic throughout; complex input stays
-complex128.  `svd_checked` is LAPACK's real SVD through
-``np.linalg.svd``, with the same residual check.
+family and the sectors inside a block (see `gibbs.block_family`).  A
+matrix with no imaginary part is stored and decomposed as float64, so
+real models run LAPACK's real symmetric solver and real arithmetic
+throughout; complex input stays complex128.  `svd_checked` is LAPACK's
+real SVD through ``np.linalg.svd``, with the same residual check.
 """
 
 from dataclasses import dataclass
@@ -93,7 +93,10 @@ def validate_hermitian(matrix) -> HermitianOperator:
 
 
 def _pin_phases(basis: np.ndarray) -> None:
-    """Make each column's first largest-magnitude component real positive."""
+    """Make each column's first largest-magnitude component real positive
+    (an empty basis has none)."""
+    if not basis.size:
+        return
     # the pivot is nonzero in a unit vector; np.hypot divides by the libm
     # magnitude, which the SIMD np.abs of a complex array may miss in the
     # last bit (for a real basis the factor is the exact sign of the pivot)

@@ -25,7 +25,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     ModelSchemaError,
     NoTransitionError,
 )
-from .fidelity import chi_f_spectral
+from .fidelity import _chi_f_alone, chi_f_spectral
 from .gibbs import PerturbedFamily, block_family, make_family, thermal_average
 
 __all__ = [
@@ -171,25 +171,22 @@ def _spin_multiplicity(n_atoms: int, j2: int) -> int:
 
 def _dicke_blocks(
     n_atoms: int, n_max: int, omega: float, eps: float, lam: float, symmetric_sector: bool
-) -> List[tuple]:
-    """(T_j, S_j, d_j) of boson (x) spin-j for each total spin j."""
+) -> Iterator[tuple]:
+    """(T_j, S_j, d_j, even_j) of boson (x) spin-j for each total spin j,
+    formed one at a time.  even_j marks the states of even parity
+    (-1)^(n + j - m), n the boson number: T keeps it and S flips it."""
     a = _boson_annihilator(n_max)
     quad = a + a.T
-    number = a.T @ a
-    eye_b = np.eye(n_max + 1)
+    number = np.diagonal(a.T @ a)
     spins = [n_atoms] if symmetric_sector else range(n_atoms, -1, -2)
-    blocks = []
     for j2 in spins:
         jx, _, jz = (m.real for m in _spin_matrices(j2))
-        eye_a = np.eye(j2 + 1)
-        t = (
-            omega * np.kron(number, eye_a)
-            + eps * np.kron(eye_b, jz)
-            + (lam / math.sqrt(n_atoms)) * np.kron(quad, jx)
-        )
-        s = 0.5 * math.sqrt(n_atoms) * np.kron(quad, eye_a)
-        blocks.append((t, s, _spin_multiplicity(n_atoms, j2)))
-    return blocks
+        # omega a*a + eps J_z is diagonal, and (a + a*) J_x has a zero diagonal
+        t = (lam / math.sqrt(n_atoms)) * np.kron(quad, jx)
+        t[np.diag_indices_from(t)] = np.add.outer(omega * number, eps * np.diagonal(jz)).ravel()
+        s = np.kron(0.5 * math.sqrt(n_atoms) * quad, np.eye(j2 + 1))
+        even = np.add.outer(np.arange(n_max + 1), np.arange(j2 + 1)).ravel() % 2 == 0
+        yield t, s, _spin_multiplicity(n_atoms, j2), even
 
 
 def dicke(
@@ -220,11 +217,18 @@ def dicke(
     with the full space.  The dimension budget bounds the largest block,
     (n_max + 1)(N + 1).
 
+    Each block also declares its parity (-1)^(n + j - m), n the boson
+    number: T keeps it and S flips it, so `block_family` solves each
+    block as its two parity sectors and keeps only the rectangle of S
+    between them, and the family is sign-odd.  The blocks are formed one
+    at a time as they are solved.
+
     Every build is followed by a cutoff probe: the family is rebuilt at
-    n_max + 4 and the relative shift in chi_F is measured.  A shift
-    above 1e-4 triggers `CutoffConvergenceWarning` (the probe is skipped
-    with a warning if its largest block would exceed the budget).  The
-    probe's chi_F of the built family stays with it for the report.
+    n_max + 4 and the relative shift in chi_F is measured, the wider
+    family read for chi_F's two pair sums only.  A shift above 1e-4
+    triggers `CutoffConvergenceWarning` (the probe is skipped with a
+    warning if its largest block would exceed the budget).  The probe's
+    pair sums of the built family stay with it for the report.
     """
     n_atoms = _integer("n_atoms", n_atoms)
     n_max = _integer("n_max", n_max)
@@ -274,12 +278,11 @@ def dicke_cutoff_shift(
 ) -> float:
     """Relative chi_F shift between the given family and n_max + 4.
 
-    The wider family is dropped as soon as its chi_F is known, so its
-    blocks are not held while the pair sums of ``fam`` are formed.
+    The wider family is built block by block, read for chi_F's two pair
+    sums alone and dropped before the pair sums of ``fam`` are formed.
     """
     wide = _dicke_blocks(n_atoms, n_max + 4, omega, eps, lam, symmetric_sector)
-    chi_wide = chi_f_spectral(block_family(wide, beta, particle_count=n_atoms)).total
-    del wide
+    chi_wide = _chi_f_alone(block_family(wide, beta, particle_count=n_atoms)).total
     chi = chi_f_spectral(fam).total
     return abs(chi - chi_wide) / max(1.0, abs(chi))
 

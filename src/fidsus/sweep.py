@@ -19,6 +19,7 @@ the eigensolver is deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -153,8 +154,10 @@ def compute_rows(spec: SweepSpec) -> List[SweepRow]:
     """Evaluate every grid point; nothing touches the filesystem here."""
     grid = sweep_grid(spec)
     if spec.sweep_param == "beta":
+        # the first point is the built family, whose memo a builder's own
+        # checks (the Dicke cutoff probe) may have filled already
         base = build_model(_model_at(spec, grid[0]))
-        fams = (family_at_beta(base, float(value)) for value in grid)
+        fams = itertools.chain([base], (family_at_beta(base, float(v)) for v in grid[1:]))
     else:
         fams = (build_model(_model_at(spec, value)) for value in grid)
     return [

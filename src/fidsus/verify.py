@@ -372,7 +372,7 @@ def _suite_commuting(seed, instances, dim_max, out):
         rep = bound_report(fam, check_chi_n=False)
         (b,) = fam.blocks
         p = b.populations
-        d = np.real(np.diagonal(b.s_eig))
+        d = b.s_diagonal
         var = float(np.dot(p, (d - float(np.dot(p, d))) ** 2))
         ref = 0.25 * beta * beta * var
         norm = max(1.0, rep.chi_f)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import fidsus.cli  # noqa: F401  (loads every fidsus module eig_calls patches)
-from fidsus import linalg
+from fidsus import fidelity, linalg
 from fidsus.gibbs import make_family
 from fidsus.models import random_pair
 
@@ -28,6 +28,23 @@ def eig_calls(monkeypatch):
         if name.split(".")[0] == "fidsus" and getattr(mod, "eig_hermitian", None) is real:
             monkeypatch.setattr(mod, "eig_hermitian", counted)
     return calls
+
+
+@pytest.fixture
+def pair_passes(monkeypatch):
+    """Count the passes over the pair sums (`fidelity._block_sums`), one
+    list entry per family summed, recorded as the pass reaches the
+    family's first block."""
+    passes = []
+    real = fidelity._block_sums
+
+    def counted(fam, block):
+        if block is fam.blocks[0]:
+            passes.append(fam)
+        return real(fam, block)
+
+    monkeypatch.setattr(fidelity, "_block_sums", counted)
+    return passes
 
 
 def seeded_families(master_seed, count, dim_lo, dim_hi, beta_lo, beta_hi):

@@ -7,17 +7,19 @@ rows to the same gate: every reference column within 1e-8 of
 ``max(1, |ref|)`` and the sandwich intact; the degenerate-pair count
 must also match.  They only read the tables.  They also count the
 ``eig_hermitian`` calls.  A family is built from its symmetry blocks,
-one solve per block, and the chi_N oracle solves each field once per
+one solve per block, or one per sector of a block whose builder
+declares two, and the chi_N oracle solves each field once per whole
 block and keeps the result for every temperature of the family.  Each
 ``tfim`` point of ``field_sweep`` is a new build of two parity blocks,
 two solves of T; its oracle takes the four fields (+-h/2, +-h) from
 the chain's free fermions, one N x N SVD each and no eigensolve, so
 2 per point and 8 in all.  ``beta_sweep`` builds one ``dicke``
-family of two blocks, spin 3/2 and spin 1/2 with its two copies (two
-solves), and probes its cutoff (two more).  Its S is sign-odd, so only
-+h fields are solved, and its twelve temperatures fall on rungs 0 to 3
-of the step ladder, which share the five fields h_0 to h_4, each solved
-once per block: 2 + 2 + 5 x 2 = 14.
+family of two blocks, spin 3/2 and spin 1/2 with its two copies, each
+solved as its two parity sectors (four solves), and probes its cutoff
+(four more).  Its S is sign-odd, so only +h fields are solved, and its
+twelve temperatures fall on rungs 0 to 3 of the step ladder, which
+share the five fields h_0 to h_4, each solved once per block:
+4 + 4 + 5 x 2 = 18.
 """
 
 import csv
@@ -31,7 +33,7 @@ REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "referenc
 COLUMNS = ("param", "chi_f", "ub", "lb_paper", "chi_fg", "bd", "dcomm", "chi_n")
 TOL = 1e-8
 
-EIGENSOLVES = {"field_sweep": 8, "beta_sweep": 14}
+EIGENSOLVES = {"field_sweep": 8, "beta_sweep": 18}
 
 SWEEPS = {
     "field_sweep": (

@@ -520,22 +520,6 @@ def test_upper_gap_shrinks_at_least_linearly_in_beta():
         assert math.log2(hi / lo) >= 0.9
 
 
-@pytest.fixture
-def pair_passes(monkeypatch):
-    """Count the passes of fidelity._pair_sums, one list entry per family
-    summed, recorded as the pass reaches the family's first block."""
-    passes = []
-    real = fidsus.fidelity._block_sums
-
-    def counted(fam, block):
-        if block is fam.blocks[0]:
-            passes.append(fam)
-        return real(fam, block)
-
-    monkeypatch.setattr(fidsus.fidelity, "_block_sums", counted)
-    return passes
-
-
 def test_one_report_makes_one_pair_pass(pair_passes):
     """Every spectral sum of a report reads one pass over the blocks, and
     the family keeps only scalars of it: no pair array outlives the pass."""
@@ -649,14 +633,16 @@ def test_real_family_matches_its_complex_phase_conjugate(build):
         fam = build()
     rng = np.random.default_rng(fam.dim)
 
+    # one real rotation per block, so T is not diagonal in the rebuilt basis
+    turns = [np.linalg.qr(rng.normal(size=(b.levels.size,) * 2))[0] for b in fam.blocks]
+
     def rebuilt(phased):
         blocks = []
-        for blk in fam.blocks:
-            b = blk.spectrum.basis
-            n = blk.spectrum.dim
+        for blk, q in zip(fam.blocks, turns):
+            n = blk.levels.size
             d = np.diag(np.exp(2j * np.pi * rng.random(n)) if phased else np.ones(n))
-            t = d @ (b * blk.levels) @ b.T @ d.conj().T
-            s = d @ b @ blk.s_eig @ b.T @ d.conj().T
+            t = d @ (q * blk.levels) @ q.T @ d.conj().T
+            s = d @ q @ blk.s_eig @ q.T @ d.conj().T
             blocks.append((t, s, blk.copies))
         return block_family(blocks, fam.beta, fam.particle_count)
 

@@ -208,15 +208,15 @@ def test_family_at_beta_matches_fresh_build():
 
 
 def test_family_at_beta_shares_the_beta_independent_state():
-    """Each block's decomposition, S and copies, the sign parity and the
+    """Each block's levels, S, copies and sectors, the sign parity and the
     chi_N oracle's solves pass on unchanged: the new family holds the same
     objects."""
     base = dicke(2, 8, 2.0, 1.0, 0.5, 1.3)
     moved = family_at_beta(base, 0.4)
     assert len(moved.blocks) == len(base.blocks) == 2
     for new, old in zip(moved.blocks, base.blocks):
-        assert new.spectrum is old.spectrum and new.s_eig is old.s_eig
-        assert new.copies == old.copies
+        assert new.levels is old.levels and new.s_pairs is old.s_pairs
+        assert new.copies == old.copies and new.sectors is old.sectors
     assert moved.displaced is base.displaced
     assert moved.sign_odd is base.sign_odd
 
@@ -240,10 +240,10 @@ def test_builders_declare_their_blocks(build, sizes):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffConvergenceWarning)
         fam = build()
-    assert [(b.spectrum.dim, b.copies) for b in fam.blocks] == sizes
+    assert [(b.levels.size, b.copies) for b in fam.blocks] == sizes
     assert fam.dim == sum(n * c for n, c in sizes)
     for b in fam.blocks:
-        assert b.s_eig.shape == (b.spectrum.dim,) * 2
+        assert b.s_eig.shape == (b.levels.size,) * 2
         assert np.all(np.diff(b.levels) >= 0.0)
     total = sum(b.copies * np.sum(b.populations) for b in fam.blocks)
     assert total == pytest.approx(1.0, rel=1e-13)

@@ -149,6 +149,21 @@ def test_beta_fast_path_matches_pointwise_rebuild():
         assert row.chi_n == pytest.approx(rep.chi_n, rel=1e-9)
 
 
+def test_beta_sweep_reports_its_first_point_on_the_built_family(pair_passes):
+    """The first point of a beta sweep is the family the build returned, so
+    the pair pass that the Dicke cutoff probe made on it serves that
+    point's report: one pass for the probe's wider family, one for the
+    built family, then one per later point."""
+    model = ModelSpec(
+        "dicke", {"omega": 2.0, "eps": 1.0, "lambda": 1.0, "beta": 0.5},
+        {"n_atoms": 3, "n_max": 12},
+    )
+    rows = compute_rows(SweepSpec(model, "beta", 0.5, 4.0, 5, scale="log"))
+    assert len(pair_passes) == 1 + len(rows)
+    assert pair_passes[0].dim > pair_passes[1].dim
+    assert [fam.beta for fam in pair_passes[1:]] == [row.beta for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # file emission
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fidsus.fidelity
 import fidsus.models
 from conftest import all_levels, same_blocks
 from fidsus.bounds import bound_report
@@ -20,7 +21,7 @@ from fidsus.errors import (
     NotHermitianError,
 )
 from fidsus.fidelity import chi_f_fd, chi_f_spectral, rho_prime
-from fidsus.gibbs import make_family, thermal_average
+from fidsus.gibbs import block_family, make_family, thermal_average
 from fidsus.models import (
     MODEL_KINDS,
     KondoBoundRecord,
@@ -112,7 +113,7 @@ def test_dicke_budget_enforced():
     rep = bound_report(fam)
     assert fam.dim == 7 * 2**10 and rep.sandwich_ok
     rp = rho_prime(fam)
-    assert [r.shape[0] for r in rp] == [b.spectrum.dim for b in fam.blocks]
+    assert [r.shape[0] for r in rp] == [b.levels.size for b in fam.blocks]
     assert abs(sum(b.copies * np.trace(r) for b, r in zip(fam.blocks, rp))) <= 1e-12
     assert abs(chi_f_fd(fam, 1e-3) - rep.chi_f) <= 1e-6 * max(1.0, rep.chi_f)
     with pytest.raises(DimensionBudgetError):
@@ -141,6 +142,36 @@ def test_dicke_converged_cutoff_is_quiet():
         fam = dicke(2, 16, 1.0, 1.0, 1.0, 1.0, symmetric_sector=True)
     shift = dicke_cutoff_shift(fam, 2, 16, 1.0, 1.0, 1.0, 1.0, symmetric_sector=True)
     assert shift < 1e-4
+
+
+def test_cutoff_probe_reads_chi_f_from_its_two_pair_sums(monkeypatch):
+    """The probe reads its wider family for chi_F alone: each block's pass
+    stops after chi_F's two pair sums, the family's memo stays empty, and
+    the value is the one `chi_f_spectral` gives, bit for bit.  The built
+    family's pass forms all six sums, which its report reads back."""
+    fam, wide = (
+        block_family(fidsus.models._dicke_blocks(4, n_max, 2.0, 1.0, 1.0, False), 1.3, 4)
+        for n_max in (12, 16)
+    )
+    taken = []
+    real = fidsus.fidelity._block_sums
+
+    def counted(fam, b):
+        for value in real(fam, b):
+            taken.append(value)
+            yield value
+
+    monkeypatch.setattr(fidsus.fidelity, "_block_sums", counted)
+    alone = fidsus.fidelity._chi_f_alone(wide)
+    assert len(taken) == 2 * len(wide.blocks) == 6
+    assert wide.memo == {}
+    assert alone == chi_f_spectral(wide)
+    assert len(taken) == 8 * len(wide.blocks)
+
+    # the probe: two sums per block of the wider family, six of the built one
+    taken.clear()
+    dicke_cutoff_shift(fam, 4, 12, 2.0, 1.0, 1.0, 1.3)
+    assert len(taken) == 2 * len(wide.blocks) + 6 * len(fam.blocks)
 
 
 def test_dicke_particle_count():
@@ -269,8 +300,8 @@ def test_tfim_classical_part_vanishes():
 
 
 def test_real_models_run_in_float64():
-    """Every physical model is real symmetric in its basis, so its
-    eigensolve and its rotated S run in float64; GUE draws stay complex."""
+    """Every physical model is real symmetric in its basis, so S rotated
+    into its eigenbasis stays float64; GUE draws stay complex."""
     real = [
         single_spin(0.6),
         dicke(2, 6, 2.0, 1.0, 0.5, 1.0),
@@ -280,10 +311,8 @@ def test_real_models_run_in_float64():
     ]
     for fam in real:
         for b in fam.blocks:
-            assert b.spectrum.basis.dtype == np.float64
             assert b.s_eig.dtype == np.float64
     (b,) = random_pair(5, 0).blocks
-    assert b.spectrum.basis.dtype == np.complex128
     assert b.s_eig.dtype == np.complex128
 
 
@@ -588,8 +617,12 @@ def test_dicke_matches_the_product_space_build(n_atoms, sector):
         fam = dicke(*args, 1.3, symmetric_sector=sector)
     assert fam.dim == ref.dim
     if sector:
-        ((t, s, copies),) = fidsus.models._dicke_blocks(*args, True)
+        ((t, s, copies, even),) = fidsus.models._dicke_blocks(*args, True)
         assert np.array_equal(t, T) and np.array_equal(s, S) and copies == 1
+        # Fock (x) m order: state k has n = k // (N + 1) bosons and j - m = k % (N + 1)
+        k = np.arange(T.shape[0])
+        assert np.array_equal(even, (k // (n_atoms + 1) + k % (n_atoms + 1)) % 2 == 0)
+    assert all(b.sectors is not None for b in fam.blocks)
     _assert_same_physics(ref, fam)
 
 
