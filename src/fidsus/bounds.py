@@ -147,7 +147,7 @@ def _displaced(fam: PerturbedFamily, h: float) -> list:
     Both are beta independent, so they are kept in ``fam.displaced`` and
     shared with every `family_at_beta` of the family; the bases of
     `_displaced_spectra` are dropped block by block.  Where S_b links two
-    declared sectors only, its diagonal is 2 Re sum_(m, n) U*_mj S_mn U_nj
+    sectors only, its diagonal is 2 Re sum_(m, n) U*_mj S_mn U_nj
     over the rectangle between them, a quarter of the products.
     """
     hit = fam.displaced.get(h)
@@ -234,10 +234,10 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     2 ||S - (tr S / n) I||_F.  Neighbouring rungs share a
     field, h_k / 2 = h_(k+1), and each solve keeps only what `_mean_s`
     weights (see `_displaced`), which is beta independent, so a sweep
-    over beta solves each field once.  When the family is
-    ``sign_odd``, a diagonal sign flip D in the builder's basis maps
-    T - h S to T + h S, so the two are similar, <S>_{-h} = -<S>_h, and
-    only the two fields +h_k/2 and +h_k are solved.
+    over beta solves each field once.  When every block has sectors
+    (``sign_odd``), D = -1 on one sector of each maps T - h S to T + h S,
+    so the two are similar, <S>_{-h} = -<S>_h, and only the two fields
+    +h_k/2 and +h_k are solved.
 
     The truncation error goes as (beta sigma h)^4 at every beta, so on
     random complex families of dimension 4 to 40, beta from 1e-3 to 1e2,
@@ -254,7 +254,7 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
         check "chi_n_oracle" if the smaller step h_(k+1) underflows to 0,
         which needs beta sigma(S) above about 3e321.
     """
-    # a block with declared sectors has a zero diagonal and S_b on its
+    # a block with sectors has a zero diagonal and S_b on its
     # rectangle R, so its trace is 0 and ||S_b - mean I||_F^2 is
     # 2 ||R||_F^2 + n_b mean^2
     whole = [b for b in fam.blocks if b.sectors is None]

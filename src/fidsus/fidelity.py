@@ -150,8 +150,8 @@ def _block_sums(fam: PerturbedFamily, b: Block):
     `ds2_spectral` and `chi_fg_spectral`.  Each n_b x n_b array is dropped
     once no later sum reads it.
 
-    Every kernel is symmetric in m and n.  So a block with declared
-    sectors, whose S has no entry inside either, sums the rectangle
+    Every kernel is symmetric in m and n.  So a block with sectors,
+    whose S has no entry inside either, sums the rectangle
     between them and counts it twice, plus chi_F's diagonal terms; every
     pair it leaves out is exactly 0.
     """

@@ -2,12 +2,12 @@
 
 A family is its symmetry blocks: a builder passes, per symmetry sector,
 its T_b, S_b and number d_b of identical copies, so dim = sum_b d_b n_b;
-a dense (T, S) is the one-block case.  A builder may also declare two
-sectors of a block that T keeps and S flips (Dicke's parity).
+a dense (T, S) is the one-block case.  Two sectors of a block that T
+keeps and S flips are declared (Dicke's parity) or found (`_parity`).
 `block_family` builds a family from blocks, `make_family` from one
 dense pair, and `family_at_beta` moves one to another temperature
 without re-diagonalizing.  Each block keeps its ascending levels, S_b
-in their eigenbasis (only the rectangle between declared sectors) and
+in their eigenbasis (only the rectangle between its sectors) and
 the log Boltzmann weights of its levels against the Z of the whole
 space; no eigenbasis is kept.  S has no matrix element between two blocks or two copies, so
 every route runs block by block, weighted by the copies: the pair sums
@@ -67,8 +67,8 @@ class Block(NamedTuple):
     ascending levels of its T_b, S_b in their eigenbasis on the pairs
     its sums run over (``s_pairs``, read-only), and log p_n and p_n of
     the levels of one copy against the Z of the whole family, so
-    sum_b d_b sum_n p_n = 1.  ``sectors`` is None, or for declared
-    sectors (see `block_family`) the positions in ``levels`` of the
+    sum_b d_b sum_n p_n = 1.  ``sectors`` is None, or for a block with
+    two sectors (see `block_family`) the positions in ``levels`` of the
     first sector's levels and of the second's; ``s_pairs`` is then the
     rectangle S_b[first, second], S_b having no other entry."""
 
@@ -82,7 +82,7 @@ class Block(NamedTuple):
     @property
     def s_eig(self) -> np.ndarray:
         """S_b whole (Hermitian, read-only), formed anew from the rectangle
-        where sectors are declared."""
+        where the block has sectors."""
         if self.sectors is None:
             return self.s_pairs
         rows, cols = self.sectors
@@ -93,7 +93,7 @@ class Block(NamedTuple):
 
     @property
     def s_diagonal(self) -> np.ndarray:
-        """The real diagonal of S_b, zero where sectors are declared."""
+        """The real diagonal of S_b, zero where the block has sectors."""
         if self.sectors is None:
             return np.real(np.diagonal(self.s_pairs))
         return np.zeros(self.levels.size)
@@ -109,11 +109,6 @@ class PerturbedFamily:
         Inverse temperature, strictly positive.
     blocks : tuple of Block
         The symmetry blocks, in the order the builder passed them.
-    sign_odd : bool
-        Whether, in the basis the builder wrote each block in, a diagonal
-        sign flip D = diag(+-1) keeps T_b and maps S_b to -S_b exactly
-        (see `_sign_odd`), so that <S>_{-h} = -<S>_h.  A block with
-        declared sectors is odd by construction, D being -1 on one.
     quasi_free : ndarray or None
         For a family of free fermions whose S is the total transverse
         field (`tfim`), the real N x N one-body matrix M(0) such that
@@ -149,7 +144,6 @@ class PerturbedFamily:
 
     beta: float
     blocks: tuple = field(repr=False)
-    sign_odd: bool
     quasi_free: np.ndarray | None = field(repr=False)
     displaced: dict = field(repr=False)
     log_z: float
@@ -159,6 +153,11 @@ class PerturbedFamily:
     particle_count: int
     dim: int
     memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def sign_odd(self) -> bool:
+        """Whether every block has sectors, so that <S>_{-h} = -<S>_h."""
+        return all(b.sectors is not None for b in self.blocks)
 
 
 def _memoized(fn: Callable[[PerturbedFamily], object]) -> Callable:
@@ -205,40 +204,43 @@ def _perturbed_spectrum(fam: PerturbedFamily, h: float) -> tuple[list, list]:
     return solved, _log_weights([d.eigenvalues for d in solved], copies, fam.beta)[0]
 
 
-def _sign_odd(t: np.ndarray, s: np.ndarray) -> bool:
-    """Whether D t D = t and D s D = -s for some D = diag(+-1), in the
-    basis the builder wrote t and s in: exactly when s has a zero
-    diagonal and the states two-colour so that t links states of one
-    colour and s states of opposite colours.  A pair that both link can
-    take neither colouring, so it answers False at once; otherwise each
-    connected component of the joint nonzero pattern is coloured breadth
-    first, a new state taking its colour from one coloured neighbour, and
-    then every link is checked.  An all-zero s is odd."""
-    if s.diagonal().any():
-        return False
+def _flips(t: np.ndarray, s: np.ndarray, first: np.ndarray) -> bool:
+    """Whether D = diag(+-1), +1 where ``first`` is true, keeps t and flips
+    s exactly: t has no entry between the sectors and s none inside either."""
+    second = ~first
+    inside = s[np.ix_(first, first)].any() or s[np.ix_(second, second)].any()
+    return not (inside or t[np.ix_(first, second)].any())
+
+
+def _parity(t: np.ndarray, s: np.ndarray) -> np.ndarray | None:
+    """The sector of state 0, as a boolean mask, under a D = diag(+-1) that
+    keeps t and flips s in the basis the builder wrote them in; None if
+    no D does.  D exists exactly when s has a zero diagonal and the
+    states two-colour so that t links states of one colour and s states
+    of opposite colours, so a pair that both link answers None at once.
+    Each connected component of the joint nonzero pattern is coloured
+    breadth first, a new state taking its colour from one coloured
+    neighbour, and the colouring is then checked (`_flips`)."""
     same, flip = t != 0, s != 0
-    if np.any(same & flip):
-        return False
+    if s.diagonal().any() or np.any(same & flip):
+        return None
     linked = same | flip
     colour = np.zeros(s.shape[0], dtype=bool)
     seen = np.zeros(s.shape[0], dtype=bool)
-    for seed in range(s.shape[0]):
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        level = np.array([seed])
+    while not seen.all():
+        level = np.flatnonzero(~seen)[:1]
+        seen[level] = True
         while level.size:
             new = np.flatnonzero(linked[level].any(axis=0) & ~seen)
             parent = level[np.argmax(linked[np.ix_(level, new)], axis=0)]
             colour[new] = colour[parent] ^ flip[parent, new]
             seen[new] = True
             level = new
-    differ = colour[:, None] != colour[None, :]
-    return not (np.any(same & differ) or np.any(flip & ~differ))
+    return ~colour if _flips(t, s, ~colour) else None
 
 
 def _thermalize(
-    beta: float, parts: list, particle_count: int, sign_odd: bool, quasi_free, displaced: dict
+    beta: float, parts: list, particle_count: int, quasi_free, displaced: dict
 ) -> PerturbedFamily:
     """The family of (levels, s_pairs, copies, sectors) blocks at beta."""
     beta = float(beta)
@@ -257,8 +259,8 @@ def _thermalize(
         delta_d = b.s_diagonal - s_mean
         s_variance += b.copies * float(np.dot(b.populations, delta_d**2))
     return PerturbedFamily(
-        beta, tuple(blocks), sign_odd, quasi_free, displaced, log_z, s_mean, s_variance,
-        underflow, particle_count, dim,
+        beta, tuple(blocks), quasi_free, displaced, log_z, s_mean, s_variance, underflow,
+        particle_count, dim,
     )
 
 
@@ -289,20 +291,17 @@ def _solve_sectors(T: HermitianOperator, S: HermitianOperator, first) -> tuple:
     The levels are merged ascending (stable, first sector first), and
     ``sectors`` holds the positions of each sector's levels among them.
     Raises `SectorDeclarationError` unless ``first`` is a boolean mask of
-    the block's size, T has no entry between the sectors and S none
-    inside either, each checked exactly."""
+    the block's size that T keeps and S flips exactly (`_flips`)."""
     first = np.asarray(first)
     if first.dtype != bool or first.shape != (T.dim,):
         raise SectorDeclarationError(
             f"a sector mask of the block's {T.dim} states must be boolean, "
             f"got {first.dtype} of shape {first.shape}"
         )
-    second = ~first
     t, s = T.matrix, S.matrix
-    if t[np.ix_(first, second)].any():
-        raise SectorDeclarationError("T links the two declared sectors")
-    if s[np.ix_(first, first)].any() or s[np.ix_(second, second)].any():
-        raise SectorDeclarationError("S links a declared sector to itself")
+    if not _flips(t, s, first):
+        raise SectorDeclarationError("T links the two sectors or S links one to itself")
+    second = ~first
     # a square block of a validated matrix is exactly Hermitian itself
     one, two = (
         eig_hermitian(HermitianOperator(_freeze(t[np.ix_(k, k)]), int(np.count_nonzero(k))))
@@ -329,21 +328,22 @@ def block_family(
     copies, an integer >= 1.  Each block is solved before the next one is
     drawn, and only its levels and rotated S are kept.  A boolean mask
     ``first`` declares two sectors, T linking none to the other and S
-    none to itself (a parity that T keeps and S flips): the block is
-    solved sector by sector (`_solve_sectors`) and is sign-odd by
-    construction.  For every other block ``sign_odd`` is read from its
-    validated T_b and S_b (`_sign_odd`).  ``particle_count`` is the
-    number of particles the model builder says S sums over.
+    none to itself; a block without one has them searched for
+    (`_parity`).  A block with sectors is solved sector by sector
+    (`_solve_sectors`), every other block whole.  ``particle_count``, an
+    integer, is the number of particles the builder says S sums over.
     ``quasi_free`` is the builder's one-body M(0) of a free-fermion
     family (see `PerturbedFamily`), stored read-only, or None.
 
     Raises `DimensionBudgetError` for a block above ``DIMENSION_BUDGET``
-    before validating or solving it, and `SectorDeclarationError` for a
-    declaration that T and S do not keep.
+    before validating or solving it, `SectorDeclarationError` for a
+    declaration that T and S do not keep, and ValueError for a block
+    with no state or no copy.
     """
+    particle_count = operator.index(particle_count)
     if particle_count < 1:
         raise ValueError(f"particle_count must be >= 1, got {particle_count}")
-    parts, sign_odd = [], True
+    parts = []
     for T, S, copies, *declared in blocks:
         for a in (T, S):
             n = a.dim if isinstance(a, HermitianOperator) else max(np.shape(a), default=0)
@@ -359,13 +359,14 @@ def block_family(
             raise DimensionMismatchError(
                 f"perturbation is {S.dim}x{S.dim} but T is {T.dim}x{T.dim}"
             )
+        if T.dim < 1:
+            raise ValueError("a block needs at least one state")
         copies = operator.index(copies)
         if copies < 1:
             raise ValueError(f"a block needs at least one copy, got {copies}")
-        (first,) = declared or [None]
+        (first,) = declared or [_parity(T.matrix, S.matrix)]
         if first is None:
             (levels, s_pairs), sectors = _solve_whole(T, S), None
-            sign_odd = sign_odd and _sign_odd(T.matrix, S.matrix)
         else:
             levels, s_pairs, sectors = _solve_sectors(T, S, first)
         parts.append((levels, s_pairs, copies, sectors))
@@ -373,7 +374,7 @@ def block_family(
         raise ValueError("a family needs at least one block")
     if quasi_free is not None:
         quasi_free = _freeze(np.array(quasi_free, dtype=float))
-    return _thermalize(beta, parts, particle_count, sign_odd, quasi_free, {})
+    return _thermalize(beta, parts, particle_count, quasi_free, {})
 
 
 def make_family(
@@ -389,17 +390,15 @@ def make_family(
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     """Rebuild the family at a different temperature without re-diagonalizing.
 
-    Each block's eigenbasis, S_eig and copies, the sign parity, the
+    Each block's levels, S in their eigenbasis, copies and sectors, the
     one-body matrices and the chi_N oracle's displaced spectra are
-    temperature independent, and the
-    new family shares them (the same ``displaced`` dict, so a field
-    solved at one temperature is not solved again at another); only the
-    weights, log Z and the perturbation mean change.
+    temperature independent, and the new family shares them (the same
+    ``displaced`` dict, so a field solved at one temperature is not
+    solved again at another); only the weights, log Z and the
+    perturbation mean change.
     """
     parts = [(b.levels, b.s_pairs, b.copies, b.sectors) for b in fam.blocks]
-    return _thermalize(
-        beta, parts, fam.particle_count, fam.sign_odd, fam.quasi_free, fam.displaced
-    )
+    return _thermalize(beta, parts, fam.particle_count, fam.quasi_free, fam.displaced)
 
 
 def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:

@@ -5,8 +5,8 @@ The eigensolver is LAPACK's symmetric or Hermitian solver through
 pinned eigenvector phases) and checked (residual and unitarity) before it
 is returned, so downstream spectral sums can trust the decomposition
 without re-validating.  Every call is one ``eigh`` of the whole matrix;
-symmetry sectors are declared by the model builders, as the blocks of a
-family and the sectors inside a block (see `gibbs.block_family`).  A
+symmetry sectors are a family's blocks and the two sectors of a block,
+declared by the model builders or found (see `gibbs.block_family`).  A
 matrix with no imaginary part is stored and decomposed as float64, so
 real models run LAPACK's real symmetric solver and real arithmetic
 throughout; complex input stays complex128.  `svd_checked` is LAPACK's

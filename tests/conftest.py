@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import fidsus.cli  # noqa: F401  (loads every fidsus module eig_calls patches)
-from fidsus import fidelity, linalg
+from fidsus import fidelity, gibbs, linalg
 from fidsus.gibbs import make_family
 from fidsus.models import random_pair
 
@@ -73,6 +73,17 @@ def same_blocks(f1, f2):
         and b1.copies == b2.copies
         for b1, b2 in zip(f1.blocks, f2.blocks)
     )
+
+
+def whole_family(blocks, beta, particle_count=1, quasi_free=None):
+    """The family of (T_b, S_b, d_b) blocks, any sector mask after them
+    ignored, with every block solved whole (`gibbs._solve_whole`), so it
+    has no sectors: the reference for the solves by sectors."""
+    parts = []
+    for t, s, copies, *_ in blocks:
+        T, S = linalg.validate_hermitian(t), linalg.validate_hermitian(s)
+        parts.append((*gibbs._solve_whole(T, S), copies, None))
+    return gibbs._thermalize(beta, parts, particle_count, quasi_free, {})
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -1,6 +1,7 @@
 """Block families against the dense direct sums they stand for."""
 
 import dataclasses
+import json
 import tracemalloc
 import warnings
 
@@ -10,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from conftest import all_levels, random_hermitian
+from conftest import all_levels, random_hermitian, same_blocks, whole_family
+from fidsus import gibbs
 from fidsus.bounds import bound_report
 from fidsus.cli import main
 from fidsus.errors import CutoffConvergenceWarning, SectorDeclarationError
 from fidsus.fidelity import chi_f_spectral
-from fidsus.gibbs import _sign_odd, block_family, make_family
-from fidsus.models import _dicke_blocks, dicke
+from fidsus.gibbs import _parity, block_family, make_family
+from fidsus.models import _dicke_blocks, dicke, model_from_file, single_spin, tfim
 
 # the acceptance rule of a report against a reference: each float within
 # 1e-12 of max(1, |reference|)
@@ -29,7 +31,10 @@ def _dense_pair(blocks):
     return block_diag(*(t for t, _ in copies)), block_diag(*(s for _, s in copies))
 
 
-def _assert_same_family(fam, ref, check_chi_n=True):
+def _assert_same_family(fam, ref, check_chi_n=True, same_sign=True):
+    """Every report field and log Z within REL of ``ref``'s, the counts
+    and levels equal, and with ``same_sign`` ``sign_odd`` too: a
+    `whole_family` reference has no sectors, so it is never sign-odd."""
     got = dataclasses.asdict(bound_report(fam, check_chi_n=check_chi_n))
     want = dataclasses.asdict(bound_report(ref, check_chi_n=check_chi_n))
     for key, value in want.items():
@@ -40,7 +45,7 @@ def _assert_same_family(fam, ref, check_chi_n=True):
     assert abs(fam.log_z - ref.log_z) <= REL * max(1.0, abs(ref.log_z))
     assert fam.dim == ref.dim
     assert fam.underflow_count == ref.underflow_count
-    assert fam.sign_odd is ref.sign_odd
+    assert fam.sign_odd is ref.sign_odd or not same_sign
     np.testing.assert_allclose(all_levels(fam), all_levels(ref), rtol=0, atol=1e-12)
 
 
@@ -178,15 +183,17 @@ def sector_blocks(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(case=sector_blocks())
 def test_declared_sectors_match_the_whole_block_solve(case):
-    """A block solved sector by sector gives every report field, log Z,
-    the counts and ``sign_odd`` of the same block solved whole, with its
-    levels ascending and S zero inside each sector."""
+    """A block solved sector by sector, its sectors declared or found,
+    gives every report field, log Z and the counts of the same block
+    solved whole, with its levels ascending and S zero inside each
+    sector.  Every block but one with a nonzero diagonal of S has
+    sectors."""
     blocks, beta = case
     fam = block_family(blocks, beta, particle_count=2)
-    ref = block_family([b[:3] for b in blocks], beta, particle_count=2)
-    _assert_same_family(fam, ref, check_chi_n=beta <= 10.0)
-    for b, given_block in zip(fam.blocks, blocks):
-        assert (b.sectors is None) == (len(given_block) == 3)
+    ref = whole_family(blocks, beta, particle_count=2)
+    _assert_same_family(fam, ref, check_chi_n=beta <= 10.0, same_sign=False)
+    for b, (_, s, *_) in zip(fam.blocks, blocks):
+        assert (b.sectors is None) == bool(np.diagonal(s).any())
         assert np.all(np.diff(b.levels) >= 0.0)
         if b.sectors is not None:
             rows, cols = b.sectors
@@ -220,18 +227,70 @@ def test_a_false_sector_declaration_raises(t, s, first):
         block_family([(t, s, 1, first)], 1.0)
 
 
+def _bipartite_family(_):
+    """A dense complex block of 7 states in two shuffled halves: T links
+    states of one half, S states of opposite halves."""
+    rng = np.random.default_rng(5)
+    side = rng.permutation(np.arange(7) % 2 == 0)
+    same = side[:, None] == side[None, :]
+    t, s = random_hermitian(rng, 7), random_hermitian(rng, 7)
+    return make_family(np.where(same, t, 0.0), np.where(same, 0.0, s), 1.3)
+
+
+def _spin_file(path):
+    """The single-spin matrix file of ``fidsus verify``: T = -sigma_z,
+    S = sigma_x at beta = 1, written to ``path``."""
+
+    def entries(rows):
+        return [[[float(x), 0.0] for x in row] for row in rows]
+
+    spec = {"dim": 2, "beta": 1.0, "T": entries([[-1, 0], [0, 1]]), "S": entries([[0, 1], [1, 0]])}
+    (path / "m.json").write_text(json.dumps(spec), encoding="utf-8")
+    return model_from_file(path / "m.json")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda _: single_spin(0.8), lambda _: tfim(4, 1.0, 0.0, 1.0), _bipartite_family, _spin_file],
+    ids=["single_spin", "tfim_g0", "bipartite", "matrix_file"],
+)
+def test_a_found_sign_flip_splits_the_block_into_sectors(build, monkeypatch, tmp_path):
+    """A block given without a mask, whose T a diagonal sign flip keeps
+    and whose S it flips, is solved by the sectors found in it, and the
+    family is sign-odd.  Every report field, log Z and the levels are
+    those of the same blocks solved whole, which has no sectors."""
+    solved = []
+    by_sectors = gibbs._solve_sectors
+
+    def recorded(T, S, first):
+        solved.append((T.matrix, S.matrix))
+        return by_sectors(T, S, first)
+
+    monkeypatch.setattr(gibbs, "_solve_sectors", recorded)
+    fam = build(tmp_path)
+    assert len(solved) == len(fam.blocks)
+    assert all(b.sectors is not None for b in fam.blocks) and fam.sign_odd
+    blocks = [(t, s, b.copies) for (t, s), b in zip(solved, fam.blocks)]
+    ref = whole_family(blocks, fam.beta, fam.particle_count, fam.quasi_free)
+    assert not ref.sign_odd
+    _assert_same_family(fam, ref, same_sign=False)
+
+
 @pytest.mark.parametrize("n_atoms", [1, 2, 5, 6])
 def test_dicke_parity_is_the_sign_flip_of_every_block(n_atoms):
-    """Each Dicke block declares its parity (-1)^(n + j - m), and so is
-    sign-odd by declaration; the breadth-first `_sign_odd` finds every
-    block odd too, and a family built without the declarations agrees."""
+    """Each Dicke block declares its parity (-1)^(n + j - m), the sign
+    flip that keeps T and flips S; the breadth-first `_parity` finds that
+    same mask in every block, so a family built without the declarations
+    holds the same blocks, bit for bit, and both are sign-odd."""
     blocks = list(_dicke_blocks(n_atoms, 6, 2.0, 1.0, 0.7, False))
     for t, s, _, even in blocks:
-        assert _sign_odd(t, s)
+        assert np.array_equal(_parity(t, s), even)
         d = np.where(even, 1.0, -1.0)
         assert np.array_equal(d[:, None] * t * d, t) and np.array_equal(d[:, None] * s * d, -s)
-    assert block_family(blocks, 1.1).sign_odd is True
-    assert block_family([b[:3] for b in blocks], 1.1).sign_odd is True
+    declared = block_family(blocks, 1.1)
+    found = block_family([b[:3] for b in blocks], 1.1)
+    assert declared.sign_odd is found.sign_odd is True
+    assert same_blocks(declared, found)
 
 
 def test_dicke_build_streams_its_blocks():

@@ -13,7 +13,7 @@ from scipy.linalg import block_diag
 
 import fidsus.bounds
 import fidsus.fidelity
-from conftest import clustered_families, random_hermitian, seeded_families
+from conftest import clustered_families, random_hermitian, seeded_families, whole_family
 from fidsus.bounds import (
     _FD_LADDER,
     bd_inner_product,
@@ -199,8 +199,12 @@ def test_chi_n_closed_form_on_single_spin():
 
 def _both_signs_curvature(fam):
     """The chi_N oracle with both signs of every field solved, at +-h_k/2
-    and +-h_k: the reference for the sign-odd shortcut."""
-    return free_energy_curvature(dataclasses.replace(fam, sign_odd=False, displaced={}))
+    and +-h_k, on the family's blocks solved whole: the reference for the
+    sign-odd shortcut."""
+    blocks = [(np.diag(b.levels), b.s_eig, b.copies) for b in fam.blocks]
+    return free_energy_curvature(
+        whole_family(blocks, fam.beta, fam.particle_count, fam.quasi_free)
+    )
 
 
 def _top_step(fam):

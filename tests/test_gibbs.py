@@ -208,9 +208,9 @@ def test_family_at_beta_matches_fresh_build():
 
 
 def test_family_at_beta_shares_the_beta_independent_state():
-    """Each block's levels, S, copies and sectors, the sign parity and the
-    chi_N oracle's solves pass on unchanged: the new family holds the same
-    objects."""
+    """Each block's levels, S, copies and sectors and the chi_N oracle's
+    solves pass on unchanged: the new family holds the same objects, and
+    so is sign-odd with it."""
     base = dicke(2, 8, 2.0, 1.0, 0.5, 1.3)
     moved = family_at_beta(base, 0.4)
     assert len(moved.blocks) == len(base.blocks) == 2
@@ -268,6 +268,30 @@ def test_unperturbed_spectrum_repeats_the_family_weights():
 def test_make_family_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         make_family(np.eye(3), np.eye(2), 1.0)
+
+
+def test_a_block_with_no_state_is_refused():
+    """An empty block is refused by name, alone or after a good one; an
+    empty sector is valid."""
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError, match="at least one state"):
+        make_family(empty, empty, 1.0)
+    with pytest.raises(ValueError, match="at least one state"):
+        block_family([(np.eye(2), np.eye(2), 1), (empty, empty, 2)], 1.0)
+    t, s = np.diag([0.0, 1.0]), np.zeros((2, 2))
+    (b,) = block_family([(t, s, 1, np.ones(2, dtype=bool))], 1.0).blocks
+    assert b.sectors[1].size == 0
+
+
+def test_particle_count_is_an_integer():
+    """``particle_count`` is read as an integer, as the copies are: a
+    fractional count is refused, and a numpy integer is kept as an int."""
+    t, s = np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(TypeError):
+        make_family(t, s, 1.0, particle_count=1.5)
+    with pytest.raises(ValueError):
+        make_family(t, s, 1.0, particle_count=0)
+    assert type(make_family(t, s, 1.0, particle_count=np.int64(3)).particle_count) is int
 
 
 # two copies of a 2-level block and one 3-level block, and their dense
