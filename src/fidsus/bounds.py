@@ -31,7 +31,15 @@ from .fidelity import (
     chi_fg_spectral,
     ds2_spectral,
 )
-from .gibbs import PerturbedFamily, _displaced_spectra, _log_weights, _memoized, thermal_average
+from .gibbs import (
+    Block,
+    PerturbedFamily,
+    _diagonal,
+    _displaced_spectra,
+    _log_weights,
+    _memoized,
+    _weigh,
+)
 from .linalg import svd_checked
 
 __all__ = [
@@ -116,18 +124,49 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
     spectral sum and the commutator route can legitimately differ at the
     cutoff boundary) can evaluate this route on its own.
 
-    S and K are block diagonal, so K S - S K is formed one block at a
-    time and handed to ``thermal_average``.  Kept in ``fam.memo``, so a
-    report's route is read back, not formed again.
+    S and K = [S, T] are block diagonal, so K S - S K is formed by matrix
+    products one block at a time (`_commutator_diagonal`), checked for
+    Hermiticity and reduced to its diagonal by the routine
+    `thermal_average` runs on each of its blocks.  The diagonals do not
+    depend on beta: they are kept in ``fam.shared``, so every
+    `family_at_beta` of the family only weighs them by its populations,
+    and the value is kept in ``fam.memo``, so a report's route is read
+    back, not weighed again.
     """
+    diagonals = fam.shared.get("double_commutator")
+    if diagonals is None:
+        diagonals = fam.shared["double_commutator"] = [
+            _commutator_diagonal(b) for b in fam.blocks
+        ]
+    return _weigh(zip(fam.blocks, diagonals))
 
-    def commutators():
-        for b in fam.blocks:
-            ev, s = b.levels, b.s_eig
-            k = s * (ev[None, :] - ev[:, None])
-            yield k @ s - s @ k
 
-    return thermal_average(fam, commutators())
+def _commutator_diagonal(b: Block) -> tuple:
+    """The checked diagonal (`gibbs._diagonal`) of K S - S K in one block,
+    K_mn = S_mn (T_n - T_m) in its eigenbasis.
+
+    A whole block takes the two n_b x n_b products.  In a block with
+    sectors S and K link the sectors only, so K S - S K has no entry
+    between them; with R = S[first, second] and K's rectangles
+    K_12 = K[first, second] and K_21 = K[second, first], its two square
+    blocks are K_12 R^H - R K_21 and K_21 R - R^H K_12, four rectangular
+    products.
+    """
+    ev = b.levels
+    if b.sectors is None:
+        s = b.s_pairs
+        k = s * (ev[None, :] - ev[:, None])
+        parts = [k @ s - s @ k]
+    else:
+        rows, cols = b.sectors
+        r = b.s_pairs
+        rh = r.conj().T
+        k12 = r * (ev[cols][None, :] - ev[rows][:, None])
+        k21 = rh * (ev[rows][None, :] - ev[cols][:, None])
+        parts = [k12 @ rh - r @ k21, k21 @ r - rh @ k12]
+    re, im, scale = _diagonal(parts, b.sectors, "double commutator is not Hermitian")
+    # copies, so that fam.shared does not keep a whole block's product alive
+    return re.copy(), None if im is None else im.copy(), scale
 
 
 # h_0 sigma(S) of the chi_N oracle's step ladder: rung k differences at
@@ -144,19 +183,22 @@ def _displaced(fam: PerturbedFamily, h: float) -> list:
     """Per block, the ascending levels of T_b - h S_b and the diagonal of
     S_b in their eigenbasis.
 
-    Both are beta independent, so they are kept in ``fam.displaced`` and
-    shared with every `family_at_beta` of the family; the bases of
-    `_displaced_spectra` are dropped block by block.  Where S_b links two
-    sectors only, its diagonal is 2 Re sum_(m, n) U*_mj S_mn U_nj
-    over the rectangle between them, a quarter of the products.
+    Both are beta independent, so they are kept in ``fam.shared``, which
+    every `family_at_beta` of the family holds too; the bases of
+    `_displaced_spectra` are dropped block by block.  Every solve, and
+    this diagonal, reads S_b as the block stores it: where S_b links two
+    sectors only, T_b - h S_b is written from the rectangle between them
+    and its conjugate transpose, and the diagonal is
+    2 Re sum_(m, n) U*_mj S_mn U_nj over that rectangle, a quarter of the
+    products; the whole S_b is never formed.
     """
-    hit = fam.displaced.get(h)
+    hit = fam.shared.get(h)
     if hit is None:
-        hit = fam.displaced[h] = []
+        hit = fam.shared[h] = []
         for b, d in zip(fam.blocks, _displaced_spectra(fam, h)):
             u = d.basis
             if b.sectors is None:
-                diag = np.einsum("ij,ij->j", u.conj(), b.s_eig @ u).real
+                diag = np.einsum("ij,ij->j", u.conj(), b.s_pairs @ u).real
             else:
                 rows, cols = b.sectors
                 su = b.s_pairs @ u[cols]
@@ -171,14 +213,14 @@ def _one_body_terms(fam: PerturbedFamily, h: float) -> np.ndarray:
 
     One `svd_checked` of M(h) = M(0) + 2 h I gives the quasiparticle
     energies s_k and, by Hellmann-Feynman, the slopes ds_k/dh / 2 =
-    u_k . v_k; both are kept in ``fam.displaced`` like `_displaced`.
+    u_k . v_k; both are kept in ``fam.shared`` like `_displaced`.
     """
     key = ("one_body", h)
-    hit = fam.displaced.get(key)
+    hit = fam.shared.get(key)
     if hit is None:
         m = fam.quasi_free
         u, s, v = svd_checked(m + 2.0 * h * np.eye(m.shape[0]))
-        hit = fam.displaced[key] = (s, np.einsum("ik,ik->k", u, v))
+        hit = fam.shared[key] = (s, np.einsum("ik,ik->k", u, v))
     energies, slopes = hit
     return slopes * np.tanh(0.5 * fam.beta * energies)
 

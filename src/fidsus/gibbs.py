@@ -114,14 +114,17 @@ class PerturbedFamily:
         field (`tfim`), the real N x N one-body matrix M(0) such that
         T - h S = sum_k s_k (eta_k^dag eta_k - 1/2), s_k the singular
         values of M(h) = M(0) + 2 h I; None for every other family.
-    displaced : dict
-        The chi_N oracle's solves of T - h S.  Keyed by the field h: per
+    shared : dict
+        Values that do not depend on beta, formed on first use.
+        `family_at_beta` hands the same dict on, so every temperature
+        of the family reads them and a beta sweep forms each once.
+        Keyed by the field h, the chi_N oracle's solves of T - h S: per
         block, the ascending levels and the diagonal of S in their
         eigenbasis.  Keyed by ("one_body", h), for a ``quasi_free``
         family: the singular values s_k of M(h) and the slopes
-        ds_k/dh / 2 (see `bounds._one_body_terms`).  All are beta
-        independent, so `family_at_beta` hands the same dict on and a
-        beta sweep solves each field once.
+        ds_k/dh / 2 (see `bounds._one_body_terms`).  Keyed by
+        "double_commutator": per block, the checked diagonal of
+        K S - S K, K = [S, T] (see `bounds.double_commutator_direct`).
     log_z, s_mean, s_variance : float
         log Z, the thermal mean <S> and the population variance of the
         diagonal of S, sum_m p_m (S_mm - <S>)^2.
@@ -145,7 +148,7 @@ class PerturbedFamily:
     beta: float
     blocks: tuple = field(repr=False)
     quasi_free: np.ndarray | None = field(repr=False)
-    displaced: dict = field(repr=False)
+    shared: dict = field(repr=False)
     log_z: float
     s_mean: float
     s_variance: float
@@ -190,9 +193,23 @@ def _displaced_spectra(fam: PerturbedFamily, h: float) -> Iterator[SpectralDecom
     """The checked decomposition of T_b - h S_b in each block's
     T-eigenbasis, one block at a time in ``fam.blocks`` order, once for all
     its copies: a caller that keeps less than the basis holds one at a
-    time.  Nothing is cached."""
+    time.  Nothing is cached.
+
+    Each matrix is written from the block's levels and its stored S: S_b
+    whole, or the rectangle between the sectors and its conjugate
+    transpose.  S_b is exactly Hermitian, so the matrix is too, and it
+    goes to `eig_hermitian`, whose residual and unitarity checks still
+    run, without `validate_hermitian`."""
     for b in fam.blocks:
-        yield eig_hermitian(validate_hermitian(np.diag(b.levels) - h * b.s_eig))
+        if b.sectors is None:
+            m = np.diag(b.levels) - h * b.s_pairs
+        else:
+            rows, cols = b.sectors
+            m = np.diag(b.levels).astype(b.s_pairs.dtype, copy=False)
+            rect = -h * b.s_pairs
+            m[rows[:, None], cols] = rect
+            m[cols[:, None], rows] = rect.conj().T
+        yield eig_hermitian(HermitianOperator(_freeze(m), b.levels.size))
 
 
 def _perturbed_spectrum(fam: PerturbedFamily, h: float) -> tuple[list, list]:
@@ -240,7 +257,7 @@ def _parity(t: np.ndarray, s: np.ndarray) -> np.ndarray | None:
 
 
 def _thermalize(
-    beta: float, parts: list, particle_count: int, quasi_free, displaced: dict
+    beta: float, parts: list, particle_count: int, quasi_free, shared: dict
 ) -> PerturbedFamily:
     """The family of (levels, s_pairs, copies, sectors) blocks at beta."""
     beta = float(beta)
@@ -259,19 +276,49 @@ def _thermalize(
         delta_d = b.s_diagonal - s_mean
         s_variance += b.copies * float(np.dot(b.populations, delta_d**2))
     return PerturbedFamily(
-        beta, tuple(blocks), quasi_free, displaced, log_z, s_mean, s_variance, underflow,
+        beta, tuple(blocks), quasi_free, shared, log_z, s_mean, s_variance, underflow,
         particle_count, dim,
     )
 
 
-def _require_hermitian(a: np.ndarray, what: str) -> float:
-    """max(1, ||A||_F), after checking max |A - A^H| against
-    ``EIGENBASIS_HERMITIAN`` times it; a NaN defect fails."""
-    scale = max(1.0, float(np.linalg.norm(a)))
-    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def _require_hermitian(parts: Sequence[np.ndarray], what: str) -> float:
+    """max(1, ||A||_F) of the direct sum A of the square ``parts``, after
+    checking max |A - A^H| against ``EIGENBASIS_HERMITIAN`` times it; a
+    NaN defect fails."""
+    scale = max(1.0, math.hypot(*(float(np.linalg.norm(a)) for a in parts)))
+    asym = max((float(np.max(np.abs(a - a.conj().T))) for a in parts if a.size), default=0.0)
     if not (asym <= EIGENBASIS_HERMITIAN * scale):
         raise NotHermitianError(f"{what}: defect {asym:.3e}")
     return scale
+
+
+def _diagonal(parts: Sequence[np.ndarray], sectors: tuple | None, what: str) -> tuple:
+    """The diagonal of a block operator A_b that must be Hermitian
+    (`_require_hermitian`), as (Re, Im or None where A_b is real,
+    max(1, ||A_b||_F)).  A_b is ``parts[0]`` when ``sectors`` is None,
+    and the diagonal is then a view of it; else A_b is ``parts[k]`` on
+    the positions ``sectors[k]`` and 0 between them."""
+    scale = _require_hermitian(parts, what)
+    if sectors is None:
+        d = np.diagonal(parts[0])
+    else:
+        d = np.empty(sum(k.size for k in sectors), dtype=np.result_type(*parts))
+        for k, a in zip(sectors, parts):
+            d[k] = np.diagonal(a)
+    return np.real(d), np.imag(d) if np.iscomplexobj(d) else None, scale
+
+
+def _weigh(diagonals: Iterable) -> float:
+    """sum_b d_b sum_m p_m Re (A_b)_mm over (block, `_diagonal` of A_b)
+    pairs, warning when an imaginary residue sum_m p_m Im (A_b)_mm
+    exceeds ``THERMAL_AVERAGE_RESIDUE`` max(1, ||A_b||_F)."""
+    total = 0.0
+    for b, (re, im, scale) in diagonals:
+        residue = 0.0 if im is None else abs(float(np.dot(b.populations, im)))
+        if residue > THERMAL_AVERAGE_RESIDUE * scale:
+            warnings.warn(f"thermal average has imaginary residue {residue:.3e}", stacklevel=3)
+        total += b.copies * float(np.dot(b.populations, re))
+    return total
 
 
 def _solve_whole(T: HermitianOperator, S: HermitianOperator) -> tuple:
@@ -281,7 +328,7 @@ def _solve_whole(T: HermitianOperator, S: HermitianOperator) -> tuple:
     s_eig = b.conj().T @ S.matrix @ b
     # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
     # survives to the same order; re-symmetrize to make it exact
-    _require_hermitian(s_eig, "perturbation lost Hermiticity in the basis rotation")
+    _require_hermitian([s_eig], "perturbation lost Hermiticity in the basis rotation")
     return spectrum.eigenvalues, _freeze(0.5 * (s_eig + s_eig.conj().T))
 
 
@@ -391,14 +438,14 @@ def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     """Rebuild the family at a different temperature without re-diagonalizing.
 
     Each block's levels, S in their eigenbasis, copies and sectors, the
-    one-body matrices and the chi_N oracle's displaced spectra are
-    temperature independent, and the new family shares them (the same
-    ``displaced`` dict, so a field solved at one temperature is not
-    solved again at another); only the weights, log Z and the
-    perturbation mean change.
+    one-body matrices and the ``shared`` dict (the chi_N oracle's
+    displaced spectra and the commutator diagonals) are temperature
+    independent, and the new family holds the same objects, so a field
+    solved or a commutator formed at one temperature is not formed again
+    at another; only the weights, log Z and the perturbation mean change.
     """
     parts = [(b.levels, b.s_pairs, b.copies, b.sectors) for b in fam.blocks]
-    return _thermalize(beta, parts, fam.particle_count, fam.quasi_free, fam.displaced)
+    return _thermalize(beta, parts, fam.particle_count, fam.quasi_free, fam.shared)
 
 
 def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:
@@ -409,26 +456,24 @@ def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:
     ``A`` may be a generator, so a caller can form one A_b at a time.  An
     imaginary residue above ``THERMAL_AVERAGE_RESIDUE`` relative to
     ``max(1, ||A_b||_F)`` (which a Hermitian A_b cannot produce beyond
-    rounding of order eps ||A_b||) is reported as a warning.  Raises
-    `DimensionMismatchError` unless there is one A_b per block, of its
-    block's shape, and `NotHermitianError` for a non-Hermitian A_b.
+    rounding of order eps ||A_b||) is reported as a warning.  Each A_b is
+    checked and reduced to its diagonal by the same per-block routine
+    (`_diagonal`, then `_weigh`) as `bounds.double_commutator_direct`.
+    Raises `DimensionMismatchError` unless there is one A_b per block, of
+    its block's shape, and `NotHermitianError` for a non-Hermitian A_b.
     """
-    total = 0.0
-    for k, (b, a) in enumerate(itertools.zip_longest(fam.blocks, A)):
-        a = np.asarray(a)
-        if b is None or a.shape != (b.levels.size,) * 2:
-            sizes = [b.levels.size for b in fam.blocks]
-            raise DimensionMismatchError(
-                f"operator {k} has shape {a.shape}; the blocks have sizes {sizes}"
-            )
-        scale = _require_hermitian(a, "operator is not Hermitian")
-        diag = np.diagonal(a)
-        value = float(np.dot(b.populations, np.real(diag)))
-        residue = abs(float(np.dot(b.populations, np.imag(diag))))
-        if residue > THERMAL_AVERAGE_RESIDUE * scale:
-            warnings.warn(f"thermal average has imaginary residue {residue:.3e}", stacklevel=2)
-        total += b.copies * value
-    return total
+
+    def diagonals():
+        for k, (b, a) in enumerate(itertools.zip_longest(fam.blocks, A)):
+            a = np.asarray(a)
+            if b is None or a.shape != (b.levels.size,) * 2:
+                sizes = [b.levels.size for b in fam.blocks]
+                raise DimensionMismatchError(
+                    f"operator {k} has shape {a.shape}; the blocks have sizes {sizes}"
+                )
+            yield b, _diagonal([a], None, "operator is not Hermitian")
+
+    return _weigh(diagonals())
 
 
 # correlation_G takes tau nodes in chunks whose (nodes, n, n) temporaries

@@ -99,8 +99,14 @@ def _pin_phases(basis: np.ndarray) -> None:
         return
     # the pivot is nonzero in a unit vector; np.hypot divides by the libm
     # magnitude, which the SIMD np.abs of a complex array may miss in the
-    # last bit (for a real basis the factor is the exact sign of the pivot)
-    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    # last bit (for a real basis the factor is the exact sign of the pivot).
+    # The first maximum of each column is found from the boolean of where
+    # |B| meets its column maximum: an argmax down the columns of a
+    # row-major array copies it transposed, and the boolean is the
+    # smallest array to copy.
+    mag = np.abs(basis)
+    rows = (mag == mag.max(axis=0)).argmax(axis=0)
+    pivots = basis[rows, np.arange(basis.shape[1])]
     basis *= pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
 
 
@@ -128,9 +134,13 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
         evals, basis = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    basis = basis[:, order]
+    # LAPACK returns the eigenvalues ascending, so the sort and its copy of
+    # the basis are almost never needed; a NaN fails the comparison, takes
+    # the sort and then fails the residual check
+    if not (evals[1:] >= evals[:-1]).all():
+        order = np.argsort(evals, kind="stable")
+        evals = evals[order]
+        basis = basis[:, order]
     _pin_phases(basis)
     resid = float(np.linalg.norm(m @ basis - basis * evals))
     unit = float(np.linalg.norm(basis.conj().T @ basis - np.eye(n)))

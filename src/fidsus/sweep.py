@@ -20,7 +20,8 @@ the eigensolver is deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass, fields, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,6 +112,10 @@ class SweepRow:
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
+# a row's values in column order, read shallowly (dataclasses.astuple
+# deep-copies every field)
+_row_values = operator.attrgetter(*CSV_HEADER.split(","))
+
 # the columns whose BoundReport attribute has another name
 _REPORT_ATTR = {
     "ub": "upper",
@@ -169,7 +174,7 @@ def compute_rows(spec: SweepSpec) -> List[SweepRow]:
 def format_csv(rows: Sequence[SweepRow]) -> str:
     """Render rows as the fixed-schema CSV text, 17 significant digits."""
     lines = [CSV_HEADER]
-    lines += [",".join(map(format_cell, astuple(r))) for r in rows]
+    lines += [",".join(map(format_cell, _row_values(r))) for r in rows]
     return "\n".join(lines) + "\n"
 
 

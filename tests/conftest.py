@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import fidsus.cli  # noqa: F401  (loads every fidsus module eig_calls patches)
-from fidsus import fidelity, gibbs, linalg
+from fidsus import bounds, fidelity, gibbs, linalg
 from fidsus.gibbs import make_family
 from fidsus.models import random_pair
 
@@ -27,6 +27,21 @@ def eig_calls(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "fidsus" and getattr(mod, "eig_hermitian", None) is real:
             monkeypatch.setattr(mod, "eig_hermitian", counted)
+    return calls
+
+
+@pytest.fixture
+def commutator_calls(monkeypatch):
+    """Record the size of every block whose K S - S K is formed
+    (`bounds._commutator_diagonal`)."""
+    calls = []
+    real = bounds._commutator_diagonal
+
+    def counted(block):
+        calls.append(block.levels.size)
+        return real(block)
+
+    monkeypatch.setattr(bounds, "_commutator_diagonal", counted)
     return calls
 
 
@@ -84,6 +99,19 @@ def whole_family(blocks, beta, particle_count=1, quasi_free=None):
         T, S = linalg.validate_hermitian(t), linalg.validate_hermitian(s)
         parts.append((*gibbs._solve_whole(T, S), copies, None))
     return gibbs._thermalize(beta, parts, particle_count, quasi_free, {})
+
+
+def complex_sector_family(seed, beta):
+    """A one-block family with found sectors and a complex S: T a real
+    symmetric matrix on each half of 7 states, S a complex rectangle
+    linking the halves only."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros((7, 7))
+    t[:3, :3], t[3:, 3:] = random_hermitian(rng, 3).real, random_hermitian(rng, 4).real
+    s = np.zeros((7, 7), dtype=complex)
+    s[:3, 3:] = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    s[3:, :3] = s[:3, 3:].conj().T
+    return make_family(t, s, beta)
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -20,6 +20,12 @@ solved as its two parity sectors (four solves), and probes its cutoff
 twelve temperatures fall on rungs 0 to 3 of the step ladder, which
 share the five fields h_0 to h_4, each solved once per block:
 4 + 4 + 5 x 2 = 18.
+
+They also count the commutator formations of the double commutator's
+direct route, one K S - S K per block of a family, kept for every
+temperature of it.  ``field_sweep`` forms 2 per point, 8 in all;
+``beta_sweep`` forms its two blocks' once for all twelve temperatures,
+and its cutoff probe forms none, so 2.
 """
 
 import csv
@@ -34,6 +40,7 @@ COLUMNS = ("param", "chi_f", "ub", "lb_paper", "chi_fg", "bd", "dcomm", "chi_n")
 TOL = 1e-8
 
 EIGENSOLVES = {"field_sweep": 8, "beta_sweep": 18}
+COMMUTATORS = {"field_sweep": 8, "beta_sweep": 2}
 
 SWEEPS = {
     "field_sweep": (
@@ -54,7 +61,7 @@ def _rows(path):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_passes_the_benchmark_reference_gate(name, tmp_path, eig_calls):
+def test_sweep_passes_the_benchmark_reference_gate(name, tmp_path, eig_calls, commutator_calls):
     refs = _rows(REFERENCE_DIR / f"{name}.csv")
     model, sweep = SWEEPS[name]
     out = tmp_path / "out.csv"
@@ -62,6 +69,7 @@ def test_sweep_passes_the_benchmark_reference_gate(name, tmp_path, eig_calls):
             refs[-1]["param"], "--steps", str(len(refs)), "--out", str(out)]
     assert main(argv) == 0
     assert len(eig_calls) == EIGENSOLVES[name]
+    assert len(commutator_calls) == COMMUTATORS[name]
     rows = _rows(out)
     assert len(rows) == len(refs)
     for row, ref in zip(rows, refs):

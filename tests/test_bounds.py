@@ -13,7 +13,13 @@ from scipy.linalg import block_diag
 
 import fidsus.bounds
 import fidsus.fidelity
-from conftest import clustered_families, random_hermitian, seeded_families, whole_family
+from conftest import (
+    clustered_families,
+    complex_sector_family,
+    random_hermitian,
+    seeded_families,
+    whole_family,
+)
 from fidsus.bounds import (
     _FD_LADDER,
     bd_inner_product,
@@ -23,7 +29,7 @@ from fidsus.bounds import (
     double_commutator_direct,
     free_energy_curvature,
 )
-from fidsus.config import DEGENERATE_GAP
+from fidsus.config import DCOMM_AGREEMENT_REL, DEGENERATE_GAP
 from fidsus.errors import CrossCheckError, CutoffConvergenceWarning
 from fidsus.fidelity import chi_f_spectral, chi_fg_spectral, ds2_spectral
 from fidsus.gibbs import (
@@ -32,7 +38,8 @@ from fidsus.gibbs import (
     family_at_beta,
     make_family,
 )
-from fidsus.models import dicke, kondo_toy, random_pair, single_spin, tfim
+from fidsus.models import ModelSpec, build_model, dicke, kondo_toy, random_pair, single_spin, tfim
+from fidsus.sweep import SweepSpec, compute_rows
 
 _EPS = float(np.finfo(float).eps)
 
@@ -104,7 +111,8 @@ def test_a_report_keeps_the_values_verify_reuses(monkeypatch, pair_passes):
     assert bound_report(fam).lower_aasc == fg
     assert pair_passes == [fresh, fam]
     calls = []
-    monkeypatch.setattr(fidsus.bounds, "thermal_average", lambda *a: calls.append(a))
+    for name in ("_commutator_diagonal", "_weigh"):
+        monkeypatch.setattr(fidsus.bounds, name, lambda *a: calls.append(a))
     assert double_commutator_direct(fam) == direct
     assert chi_fg_spectral(fam) == fg
     assert calls == []
@@ -273,7 +281,7 @@ def test_sign_odd_rule(case, eig_calls):
     eig_calls.clear()
     fd = free_energy_curvature(fam)
     fields = 2 if odd else 4
-    assert len(fam.displaced) == fields
+    assert len(fam.shared) == fields
     blocks = 0 if fam.quasi_free is not None else len(fam.blocks)
     assert len(eig_calls) == fields * blocks
     ref = _both_signs_curvature(fam)
@@ -420,7 +428,7 @@ def test_beta_sweep_solves_each_oracle_field_once(eig_calls):
         chain.append(free_energy_curvature(fam))
     assert chain == fresh
     # rungs 0 to 4 step h_0 to h_5, each field at both signs
-    assert len(fam.displaced) == 12
+    assert len(fam.shared) == 12
     assert len(eig_calls) == 2 + 12 * 2
     # the declared copies and their dense direct sum agree
     dense = make_family(block_diag(ta, tb, ta), block_diag(sa, sb, sa), betas[-1])
@@ -443,11 +451,11 @@ def test_tfim_oracle_reuses_its_free_fermion_solves(monkeypatch, eig_calls):
     fam = tfim(5, 1.0, 0.7, 5.0)
     eig_calls.clear()
     first = free_energy_curvature(fam)
-    assert len(fam.displaced) == 4 and svds == [5] * 4 and not eig_calls
+    assert len(fam.shared) == 4 and svds == [5] * 4 and not eig_calls
     warm = family_at_beta(fam, 6.0)
     assert math.ceil(math.log2(6.0)) == math.ceil(math.log2(5.0))
     second = free_energy_curvature(warm)
-    assert len(warm.displaced) == 4 and len(svds) == 4 and not eig_calls
+    assert len(warm.shared) == 4 and len(svds) == 4 and not eig_calls
     for f, value in ((fam, first), (warm, second)):
         chi = f.beta * bd_inner_product(f) / f.particle_count
         assert abs(value - chi) <= 1e-9 * max(1.0, abs(chi))
@@ -484,6 +492,59 @@ def test_double_commutator_direct_block_by_block():
         assert double_commutator_direct(fam) == pytest.approx(
             double_commutator_direct(dense), rel=1e-13, abs=0
         )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _dicke(4, 6, 2.0, 1.0, 1.0, 1.0),
+        lambda: tfim(4, 1.0, 0.0, 1.0),
+        lambda: complex_sector_family(29, 0.8),
+    ],
+    ids=["dicke", "tfim_found_sectors", "complex_found_sectors"],
+)
+def test_sector_commutator_diagonal_matches_the_whole_block_product(build):
+    """Where a block has sectors the commutator is formed sector by sector;
+    its diagonal is that of the whole-block k @ s - s @ k, and the
+    route's value is the one those whole-block diagonals give."""
+    fam = build()
+    assert fam.sign_odd
+    want = 0.0
+    for b in fam.blocks:
+        ev, s = b.levels, b.s_eig
+        k = s * (ev[None, :] - ev[:, None])
+        whole = np.diagonal(k @ s - s @ k)
+        re, im, _ = fidsus.bounds._commutator_diagonal(b)
+        assert np.all(np.abs(re - whole.real) <= 1e-12 * np.maximum(1.0, np.abs(whole.real)))
+        if im is not None:
+            assert np.all(np.abs(im - whole.imag) <= 1e-12)
+        want += b.copies * float(np.dot(b.populations, whole.real))
+    assert abs(double_commutator_direct(fam) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_beta_sweep_forms_each_commutator_once(commutator_calls):
+    """A beta sweep's families share one commutator diagonal per block: the
+    sweep forms each once, and every row's dcomm and the direct route of
+    every temperature are those of a family rebuilt at that beta."""
+    model = ModelSpec(
+        "dicke", {"omega": 2.0, "eps": 1.0, "lambda": 1.0, "beta": 1.0},
+        {"n_atoms": 2, "n_max": 8},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        rows = compute_rows(SweepSpec(model, "beta", 0.5, 4.0, 6, scale="log"))
+        base = build_model(model)
+        assert commutator_calls == [b.levels.size for b in base.blocks]
+        direct = []
+        for row in rows:
+            spec = dataclasses.replace(model, parameters={**model.parameters, "beta": row.param})
+            fresh = build_model(spec)
+            assert row.dcomm == double_commutator(fresh)
+            direct.append(double_commutator_direct(fresh))
+            assert abs(row.dcomm - direct[-1]) <= DCOMM_AGREEMENT_REL * max(1.0, row.dcomm)
+    commutator_calls.clear()
+    assert [double_commutator_direct(family_at_beta(base, row.param)) for row in rows] == direct
+    assert len(commutator_calls) == len(base.blocks)
 
 
 def test_thermo_check_can_be_disabled():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from conftest import all_levels, clustered_families, random_hermitian
+from conftest import all_levels, clustered_families, complex_sector_family, random_hermitian
 from fidsus.bounds import double_commutator_direct
 from fidsus.config import DIMENSION_BUDGET
 from fidsus.errors import (
@@ -21,6 +21,7 @@ from fidsus.errors import (
     TauOutOfRangeError,
 )
 from fidsus.gibbs import (
+    _displaced_spectra,
     _perturbed_spectrum,
     block_family,
     correlation_G,
@@ -28,6 +29,7 @@ from fidsus.gibbs import (
     make_family,
     thermal_average,
 )
+from fidsus.linalg import eig_hermitian, validate_hermitian
 from fidsus.models import dicke, kondo_toy, random_pair, tfim
 
 
@@ -217,7 +219,7 @@ def test_family_at_beta_shares_the_beta_independent_state():
     for new, old in zip(moved.blocks, base.blocks):
         assert new.levels is old.levels and new.s_pairs is old.s_pairs
         assert new.copies == old.copies and new.sectors is old.sectors
-    assert moved.displaced is base.displaced
+    assert moved.shared is base.shared
     assert moved.sign_odd is base.sign_odd
 
 
@@ -263,6 +265,36 @@ def test_unperturbed_spectrum_repeats_the_family_weights():
         for b, d, lp in zip(fam.blocks, solved, lps):
             np.testing.assert_array_equal(d.eigenvalues, b.levels)
             np.testing.assert_array_equal(lp, b.log_populations)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dicke(3, 6, 2.0, 1.0, 1.0, 1.3),
+        lambda: complex_sector_family(23, 1.3),
+        lambda: make_family(*_real_and_complex_pairs(19, 7)[0], 1.3),
+        lambda: make_family(*_real_and_complex_pairs(19, 7)[1], 1.3),
+    ],
+    ids=["sectors", "complex_sectors", "real_whole", "complex_whole"],
+)
+@pytest.mark.parametrize("h", [0.37, -0.05])
+def test_displaced_spectra_match_the_validated_whole_matrix(build, h):
+    """T_b - h S_b written from the stored levels and S (the rectangle and
+    its conjugate transpose where the block has sectors) solves to the
+    levels and S diagonal of the matrix formed whole and validated."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffConvergenceWarning)
+        fam = build()
+    kinds = {(b.sectors is None, b.s_pairs.dtype.kind) for b in fam.blocks}
+    assert len(kinds) == 1
+    for b, got in zip(fam.blocks, _displaced_spectra(fam, h)):
+        s = b.s_eig
+        want = eig_hermitian(validate_hermitian(np.diag(b.levels) - h * s))
+        assert got.basis.dtype == want.basis.dtype
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(want.eigenvalues))))
+        assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= tol
+        diags = [np.einsum("ij,ij->j", u.conj(), s @ u).real for u in (got.basis, want.basis)]
+        assert np.max(np.abs(diags[0] - diags[1])) <= 1e-12 * max(1.0, np.max(np.abs(diags[1])))
 
 
 def test_make_family_dimension_mismatch():

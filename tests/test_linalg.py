@@ -243,3 +243,42 @@ def test_irreducible_matrix_keeps_the_single_call_result(real, shape):
     assert np.array_equal(dec.eigenvalues, evals)
     assert np.array_equal(dec.basis, basis)
 
+
+
+def test_sorted_eigenvalues_keep_the_basis_eigh_returned(monkeypatch):
+    """LAPACK returns the eigenvalues ascending, and the basis is then pinned
+    where eigh left it, not gathered into a copy.  An unsorted return is
+    still sorted stably, ties in the order eigh gave them, and a NaN
+    eigenvalue takes the sort and fails the residual check."""
+    eigh = np.linalg.eigh
+    returned = []
+    perm = []
+
+    def spy(matrix):
+        evals, basis = eigh(matrix)
+        if perm:
+            evals, basis = evals[perm], np.ascontiguousarray(basis[:, perm])
+        returned.append(basis)
+        return evals, basis
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    op = validate_hermitian(random_hermitian(np.random.default_rng(31), 6))
+    dec = eig_hermitian(op)
+    assert np.shares_memory(dec.basis, returned[-1])
+
+    op = validate_hermitian(np.diag([1.0, 1.0, 2.0, 0.0]))
+    perm[:] = [1, 3, 2, 0]
+    dec = eig_hermitian(op)
+    evals, basis = _reference_eig_hermitian(op)
+    assert not np.shares_memory(dec.basis, returned[-1])
+    assert np.array_equal(dec.eigenvalues, evals) and np.array_equal(dec.basis, basis)
+    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+
+    def nan_level(matrix):
+        evals, basis = eigh(matrix)
+        evals[1] = np.nan
+        return evals, basis
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_level)
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergenceError, match="residual"):
+        eig_hermitian(op)
