@@ -273,7 +273,8 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
     sigma(S) is an O(sum_b n_b^2) bound on its spread that needs no
     eigensolve, ignores a multiple of the identity added to S and does
     not grow with the number of blocks or copies; for one block it is
-    2 ||S - (tr S / n) I||_F.  Neighbouring rungs share a
+    2 ||S - (tr S / n) I||_F.  It does not depend on beta, so it is kept
+    in ``fam.shared`` with the solves.  Neighbouring rungs share a
     field, h_k / 2 = h_(k+1), and each solve keeps only what `_mean_s`
     weights (see `_displaced`), which is beta independent, so a sweep
     over beta solves each field once.  When every block has sectors
@@ -296,19 +297,21 @@ def free_energy_curvature(fam: PerturbedFamily) -> float:
         check "chi_n_oracle" if the smaller step h_(k+1) underflows to 0,
         which needs beta sigma(S) above about 3e321.
     """
-    # a block with sectors has a zero diagonal and S_b on its
-    # rectangle R, so its trace is 0 and ||S_b - mean I||_F^2 is
-    # 2 ||R||_F^2 + n_b mean^2
-    whole = [b for b in fam.blocks if b.sectors is None]
-    mean = sum(b.copies * np.trace(b.s_pairs).real for b in whole) / fam.dim
+    spread = fam.shared.get("spread")
+    if spread is None:
+        # a block with sectors has a zero diagonal and S_b on its
+        # rectangle R, so its trace is 0 and ||S_b - mean I||_F^2 is
+        # 2 ||R||_F^2 + n_b mean^2
+        whole = [b for b in fam.blocks if b.sectors is None]
+        mean = sum(b.copies * np.trace(b.s_pairs).real for b in whole) / fam.dim
 
-    def centred(b) -> float:
-        if b.sectors is None:
-            return float(np.linalg.norm(b.s_pairs - mean * np.eye(b.levels.size)))
-        rect = float(np.linalg.norm(b.s_pairs))
-        return math.hypot(math.sqrt(2.0) * rect, math.sqrt(b.levels.size) * mean)
+        def centred(b) -> float:
+            if b.sectors is None:
+                return float(np.linalg.norm(b.s_pairs - mean * np.eye(b.levels.size)))
+            rect = float(np.linalg.norm(b.s_pairs))
+            return math.hypot(math.sqrt(2.0) * rect, math.sqrt(b.levels.size) * mean)
 
-    spread = 2.0 * max(map(centred, fam.blocks))
+        spread = fam.shared["spread"] = 2.0 * max(map(centred, fam.blocks))
     top = _FD_LADDER / (spread if spread > 0.0 else 1.0)
     k = math.ceil(math.log2(max(1.0, fam.beta)))
     if math.ldexp(top, -k - 1) == 0.0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import (
     StepTooSmallError,
     check_agreement,
 )
+from . import gibbs
 from .gibbs import Block, PerturbedFamily, _memoized, _perturbed_spectrum, correlation_G
 from .kernels import tanh_over_x
 from .linalg import HermitianOperator, _freeze, eig_hermitian, validate_hermitian
@@ -100,18 +101,19 @@ def _half_circle_G(fam: PerturbedFamily) -> tuple[np.ndarray, np.ndarray]:
     return taus, _freeze(correlation_G(fam, taus))
 
 
-def _pair_kernels(beta: float, b: Block, rows=slice(None), cols=slice(None)) -> tuple:
-    """The pair quantities of the levels ``rows`` x ``cols`` of one block
-    (all of them by default): |T_m - T_n|, beta times it, the larger
-    population p_low of each pair, sqrt(p_m p_n), the mask
-    ``beta * gap < DEGENERATE_GAP`` and the ratio kernel (p_n - p_m)/X_mn
-    of chi_F, rho' and the BD product, p_low (1 - e^{-2X})/X with
-    X = beta|T_m - T_n|/2, and 2 sqrt(p_m p_n) in the window."""
-    ev, lp = b.levels, b.log_populations
+def _pair_kernels(beta, ev: np.ndarray, lp, rows=slice(None), cols=slice(None)) -> tuple:
+    """The pair quantities of the levels ``ev[rows]`` x ``ev[cols]`` of one
+    block (all of them by default) with log populations ``lp``: |T_m - T_n|,
+    beta times it, the larger population p_low of each pair, sqrt(p_m p_n),
+    the mask ``beta * gap < DEGENERATE_GAP`` and the ratio kernel
+    (p_n - p_m)/X_mn of chi_F, rho' and the BD product,
+    p_low (1 - e^{-2X})/X with X = beta|T_m - T_n|/2, and 2 sqrt(p_m p_n)
+    in the window.  ``beta`` and ``lp`` may carry a leading temperature
+    axis, as in `_block_sums`; |T_m - T_n| never does."""
     gap = np.abs(ev[rows, None] - ev[None, cols])
     bgap = beta * gap
-    p_low = np.exp(np.maximum(lp[rows, None], lp[None, cols]))
-    p_geo = np.exp(0.5 * (lp[rows, None] + lp[None, cols]))
+    p_low = np.exp(np.maximum(lp[..., rows, None], lp[..., None, cols]))
+    p_geo = np.exp(0.5 * (lp[..., rows, None] + lp[..., None, cols]))
     deg = bgap < DEGENERATE_GAP
     x = 0.5 * np.where(deg, 1.0, bgap)
     ratio = np.where(deg, 2.0 * p_geo, p_low * (-np.expm1(-2.0 * x)) / x)
@@ -122,13 +124,14 @@ def _rho_prime_block(fam: PerturbedFamily, b: Block, ratio: np.ndarray) -> np.nd
     """rho' of one block: S_mn (beta/2) ratio_mn off the diagonal and
     beta p_m (S_mm - <S>) on it."""
     r = b.s_eig * (0.5 * fam.beta * ratio)
-    np.fill_diagonal(r, _rho_prime_diagonal(fam, b))
+    np.fill_diagonal(r, _rho_prime_diagonal(fam.beta, b.populations, b.s_diagonal, fam.s_mean))
     return r
 
 
-def _rho_prime_diagonal(fam: PerturbedFamily, b: Block) -> np.ndarray:
-    """beta p_m (S_mm - <S>), the diagonal of rho' in block b."""
-    return fam.beta * b.populations * (b.s_diagonal - fam.s_mean)
+def _rho_prime_diagonal(beta, p, s_diagonal, s_mean):
+    """beta p_m (S_mm - <S>), the diagonal of rho' in a block whose
+    populations are ``p`` and whose S has the diagonal ``s_diagonal``."""
+    return beta * p * (s_diagonal - s_mean)
 
 
 class _PairSums(NamedTuple):
@@ -142,64 +145,74 @@ class _PairSums(NamedTuple):
     chi_fg: float
 
 
-def _block_sums(fam: PerturbedFamily, b: Block):
-    """The pair sums of block b, one float at a time: chi_F's direct form
+def _block_sums(b: Block, beta, lp, p, diagonal):
+    """The pair sums of block b, one sum at a time: chi_F's direct form
     |rho'_mn|^2 / (2(p_m + p_n)), its diagonal included, then |S_mn|^2 off
     the diagonal times chi_F's ratio tanh(X)/X, the BD product's ratio,
     dcomm's p_low (1 - e^{-2X}) |T_m - T_n| and the kernels of
-    `ds2_spectral` and `chi_fg_spectral`.  Each n_b x n_b array is dropped
+    `ds2_spectral` and `chi_fg_spectral`.  Each pair array is dropped
     once no later sum reads it.
+
+    ``beta`` is one inverse temperature or a (B, 1, 1) array of them, and
+    ``lp``, ``p`` and ``diagonal`` are the block's log populations,
+    populations and rho' diagonal at them, (n_b,) or (B, n_b).  Every
+    pair array then has the leading temperature axis, every sum runs over
+    the last two axes, and each yield is a float or a (B,) array; an
+    entry is the same float whether its temperature is summed alone or
+    in a stack.
 
     Every kernel is symmetric in m and n.  So a block with sectors,
     whose S has no entry inside either, sums the rectangle
     between them and counts it twice, plus chi_F's diagonal terms; every
     pair it leaves out is exactly 0.
     """
-    beta = fam.beta
     s = b.s_pairs
     rows, cols = b.sectors or (slice(None), slice(None))
     twice = 1.0 if b.sectors is None else 2.0
-    gap, bgap, p_low, p_geo, deg, ratio = _pair_kernels(beta, b, rows, cols)
-    p = b.populations
-    den = 2.0 * (p[rows, None] + p[None, cols])
+    gap, bgap, p_low, p_geo, deg, ratio = _pair_kernels(beta, b.levels, lp, rows, cols)
+    den = 2.0 * (p[..., rows, None] + p[..., None, cols])
     r = s * (0.5 * beta * ratio)
-    diagonal = _rho_prime_diagonal(fam, b)
     if b.sectors is None:
-        np.fill_diagonal(r, diagonal)
+        on = np.arange(b.levels.size)
+        r[..., on, on] = diagonal
         lone = 0.0
     else:  # rho'_mm / (2 (p_m + p_m)) lies outside the rectangle
-        lone = 0.25 * float(np.dot(diagonal, diagonal / np.where(p > 0.0, p, 1.0)))
+        lone = 0.25 * np.vecdot(diagonal, diagonal / np.where(p > 0.0, p, 1.0))
     num = np.abs(r) ** 2
     del r
+    pairs = (-2, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = float(np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum())
+        direct = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0).sum(pairs)
     del den, num
     yield twice * direct + lone
     s_abs2 = np.abs(s) ** 2
     if b.sectors is None:
         np.fill_diagonal(s_abs2, 0.0)
-    yield twice * float((ratio * tanh_over_x(0.5 * bgap) * s_abs2).sum())
-    yield twice * float((ratio * s_abs2).sum())
+    yield twice * (ratio * tanh_over_x(0.5 * bgap) * s_abs2).sum(pairs)
+    yield twice * (ratio * s_abs2).sum(pairs)
     del ratio
     q = -np.expm1(-bgap)
-    yield twice * float((p_low * q * gap * s_abs2).sum())
+    yield twice * (p_low * q * gap * s_abs2).sum(pairs)
     gap2 = np.where(deg, 1.0, gap)
     del gap
     gap2 *= gap2
     w = np.where(deg, 0.5 * beta * beta * p_geo, p_low * q * q / (gap2 * (2.0 - q)))
     del q
-    yield twice * float((w * s_abs2).sum())
+    yield twice * (w * s_abs2).sum(pairs)
     e = np.expm1(-0.5 * bgap)
     w = np.where(deg, 0.25 * beta * beta * p_geo, p_low * e * e / gap2)
-    yield twice * float((w * s_abs2).sum())
+    yield twice * (w * s_abs2).sum(pairs)
 
 
 def _summed(fam: PerturbedFamily, count: int) -> list:
     """The first ``count`` floats of `_block_sums` over the family's
-    blocks, weighted by their copies; no block forms a later sum."""
+    blocks at its beta, weighted by their copies; no block forms a later
+    sum."""
     sums = [0.0] * count
     for b in fam.blocks:
-        sums = [t + b.copies * s for t, s in zip(sums, _block_sums(fam, b))]
+        diagonal = _rho_prime_diagonal(fam.beta, b.populations, b.s_diagonal, fam.s_mean)
+        terms = _block_sums(b, fam.beta, b.log_populations, b.populations, diagonal)
+        sums = [t + b.copies * float(s) for t, s in zip(sums, terms)]
     return sums
 
 
@@ -215,6 +228,36 @@ def _pair_sums(fam: PerturbedFamily) -> _PairSums:
     return _PairSums(*_summed(fam, len(_PairSums._fields)))
 
 
+def _pair_sums_over(fams: Sequence[PerturbedFamily]) -> None:
+    """Fill `_pair_sums` of each family of ``fams`` that has not formed it
+    with the floats it would form, from one pass per block for them all.
+
+    ``fams`` are temperatures of one `family_at_beta` chain, so they share
+    every block's levels, S and copies.  Each block's sums are taken over
+    a leading temperature axis (`_block_sums`), as many temperatures at a
+    time as keep a (B, rows, cols) temporary within
+    ``gibbs._CHUNK_ELEMENTS`` elements: a block larger than that takes
+    one temperature at a time, as `_pair_sums` would.
+    """
+    todo = [fam for fam in fams if _pair_sums.__name__ not in fam.memo]
+    if not todo:
+        return
+    betas = np.array([fam.beta for fam in todo])
+    means = np.array([fam.s_mean for fam in todo])
+    sums = np.zeros((len(_PairSums._fields), len(todo)))
+    for k, b in enumerate(todo[0].blocks):
+        step = max(1, gibbs._CHUNK_ELEMENTS // max(1, b.s_pairs.size))
+        for lo in range(0, len(todo), step):
+            at = slice(lo, lo + step)
+            lp = np.stack([fam.blocks[k].log_populations for fam in todo[at]])
+            p = np.stack([fam.blocks[k].populations for fam in todo[at]])
+            diagonal = _rho_prime_diagonal(betas[at, None], p, b.s_diagonal, means[at, None])
+            terms = _block_sums(b, betas[at, None, None], lp, p, diagonal)
+            sums[:, at] += b.copies * np.array(list(terms))
+    for fam, column in zip(todo, sums.T.tolist()):
+        fam.memo[_pair_sums.__name__] = _PairSums(*column)
+
+
 def rho_prime(fam: PerturbedFamily) -> tuple:
     """Derivative of the Gibbs state at h = 0, one matrix per block as in
     `perturbed_density`.
@@ -227,7 +270,10 @@ def rho_prime(fam: PerturbedFamily) -> tuple:
     beta p_m (S_mm - <S>).  rho' is block diagonal like S, sum_b d_b
     tr(rho'_b) vanishes up to rounding, and rho'_b is real when S_b is.
     """
-    return tuple(_rho_prime_block(fam, b, _pair_kernels(fam.beta, b)[-1]) for b in fam.blocks)
+    return tuple(
+        _rho_prime_block(fam, b, _pair_kernels(fam.beta, b.levels, b.log_populations)[-1])
+        for b in fam.blocks
+    )
 
 
 def _degenerate_pairs(fam: PerturbedFamily, levels, copies, bgap: np.ndarray) -> int:
@@ -289,17 +335,24 @@ def _chi_f(fam: PerturbedFamily, direct: float, kernel: float) -> FidelitySuscep
     # the weight d p_m of all its copies; a new eigenspace starts wherever
     # the sorted spectrum leaves the degeneracy window, and S_mm - <S> is
     # averaged over each one with weights d p_m / (d p)_first
-    cols = [
-        (b.levels, b.copies, b.log_populations, b.populations,
-         b.s_diagonal - fam.s_mean)
-        for b in fam.blocks
-    ]
-    if len(cols) == 1 and fam.blocks[0].copies == 1:  # already sorted and weighted
-        levels, copies, lp, p, delta_d = cols[0]
+    if len(fam.blocks) == 1 and fam.blocks[0].copies == 1:  # already sorted and weighted
+        (b,) = fam.blocks
+        levels, copies, lp, p = b.levels, 1, b.log_populations, b.populations
+        delta_d = b.s_diagonal - fam.s_mean
     else:
-        cols = [(e, np.full(e.size, c), q + math.log(c), c * r, d) for e, c, q, r, d in cols]
-        order = np.argsort(np.concatenate([c[0] for c in cols]), kind="stable")
-        levels, copies, lp, p, delta_d = (np.concatenate(c)[order] for c in zip(*cols))
+        # the order does not depend on beta: one sort per family chain
+        if "sorted_levels" not in fam.shared:
+            levels = np.concatenate([b.levels for b in fam.blocks])
+            copies = np.concatenate([np.full(b.levels.size, b.copies) for b in fam.blocks])
+            order = np.argsort(levels, kind="stable")
+            fam.shared["sorted_levels"] = tuple(map(_freeze, (order, levels[order], copies[order])))
+        order, levels, copies = fam.shared["sorted_levels"]
+        cols = [
+            (b.log_populations + math.log(b.copies), b.copies * b.populations,
+             b.s_diagonal - fam.s_mean)
+            for b in fam.blocks
+        ]
+        lp, p, delta_d = (np.concatenate(c)[order] for c in zip(*cols))
     bgap = beta * (levels[1:] - levels[:-1])
     first = np.concatenate(([True], bgap >= DEGENERATE_GAP))
     space = np.cumsum(first) - 1

@@ -125,6 +125,11 @@ class PerturbedFamily:
         ds_k/dh / 2 (see `bounds._one_body_terms`).  Keyed by
         "double_commutator": per block, the checked diagonal of
         K S - S K, K = [S, T] (see `bounds.double_commutator_direct`).
+        Keyed by "spread": the chi_N oracle's sigma(S) (see
+        `bounds.free_energy_curvature`).  Keyed by "sorted_levels", for
+        a family of more than one block or copy: the stable ascending
+        order of all blocks' levels, the sorted levels and the copies of
+        each, read by `fidelity.chi_f_spectral`.
     log_z, s_mean, s_variance : float
         log Z, the thermal mean <S> and the population variance of the
         diagonal of S, sum_m p_m (S_mm - <S>)^2.
@@ -138,7 +143,9 @@ class PerturbedFamily:
     memo : dict
         Values computed from this family, so a second request is free:
         the scalars of `fidelity._pair_sums` (every spectral pair sum, from
-        one pass that keeps no pair array), the results of
+        one pass that keeps no pair array, or from one pass per block
+        over a leading temperature axis that a beta sweep makes for all
+        its temperatures, `fidelity._pair_sums_over`), the results of
         `chi_f_spectral` and `double_commutator_direct`, and
         `fidelity._half_circle_G`, the quadrature oracles' read-only G
         grid.  Every family starts with it empty, a `family_at_beta` copy
@@ -439,10 +446,11 @@ def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
 
     Each block's levels, S in their eigenbasis, copies and sectors, the
     one-body matrices and the ``shared`` dict (the chi_N oracle's
-    displaced spectra and the commutator diagonals) are temperature
-    independent, and the new family holds the same objects, so a field
-    solved or a commutator formed at one temperature is not formed again
-    at another; only the weights, log Z and the perturbation mean change.
+    displaced spectra and sigma(S), the commutator diagonals and the
+    sorted levels) are temperature independent, and the new family holds
+    the same objects, so a field solved or a commutator formed at one
+    temperature is not formed again at another; only the weights, log Z
+    and the perturbation mean change.
     """
     parts = [(b.levels, b.s_pairs, b.copies, b.sectors) for b in fam.blocks]
     return _thermalize(beta, parts, fam.particle_count, fam.quasi_free, fam.shared)
@@ -476,9 +484,10 @@ def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:
     return _weigh(diagonals())
 
 
-# correlation_G takes tau nodes in chunks whose (nodes, n, n) temporaries
-# hold about this many float64 elements (2 MiB), which bounds its memory
-# at any block size and any node count.
+# correlation_G takes tau nodes, and fidelity._pair_sums_over temperatures,
+# in chunks whose (nodes, n, n) temporaries hold about this many float64
+# elements (2 MiB), which bounds their memory at any block size and any
+# node or temperature count.
 _CHUNK_ELEMENTS = 2**18
 
 

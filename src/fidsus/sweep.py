@@ -13,13 +13,17 @@ their names and order, and `format_cell` prints every value.
 Sweeps over ``beta`` take a fast path: the Hamiltonian and perturbation
 do not depend on beta for any registered kind, so the model is built
 (and eigendecomposed) once and only the Gibbs weights are recomputed per
-point.  The result is bit-identical to rebuilding from scratch because
-the eigensolver is deterministic.
+point (`family_at_beta`).  Every point's pair sums then come from one
+pass per block over a leading temperature axis
+(`fidelity._pair_sums_over`), in chunks whose (temperatures, rows, cols)
+arrays stay within ``gibbs._CHUNK_ELEMENTS`` elements, before the points
+are reported one by one.  The result is bit-identical to rebuilding from
+scratch, point by point, because the eigensolver is deterministic and
+each temperature's sums are the floats a pass of its own would give.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -28,6 +32,7 @@ import numpy as np
 
 from .bounds import BoundReport, bound_report
 from .errors import ModelSchemaError
+from .fidelity import _pair_sums_over
 from .gibbs import family_at_beta
 from .models import ModelSpec, _kind_entry, build_model
 from .plotting import emit_plot, write_text_atomic
@@ -162,7 +167,8 @@ def compute_rows(spec: SweepSpec) -> List[SweepRow]:
         # the first point is the built family, whose memo a builder's own
         # checks (the Dicke cutoff probe) may have filled already
         base = build_model(_model_at(spec, grid[0]))
-        fams = itertools.chain([base], (family_at_beta(base, float(v)) for v in grid[1:]))
+        fams = [base, *(family_at_beta(base, float(v)) for v in grid[1:])]
+        _pair_sums_over(fams)
     else:
         fams = (build_model(_model_at(spec, value)) for value in grid)
     return [

@@ -47,19 +47,42 @@ def commutator_calls(monkeypatch):
 
 @pytest.fixture
 def pair_passes(monkeypatch):
-    """Count the passes over the pair sums (`fidelity._block_sums`), one
-    list entry per family summed, recorded as the pass reaches the
-    family's first block."""
+    """Record each family whose pair sums are formed, in the order formed:
+    alone (`fidelity._summed`) or in a stacked pass over the temperatures
+    of one chain (`fidelity._pair_sums_over`), which adds the families
+    whose `_pair_sums` it filled."""
     passes = []
+    alone, stacked = fidelity._summed, fidelity._pair_sums_over
+
+    def counted_alone(fam, count):
+        passes.append(fam)
+        return alone(fam, count)
+
+    def counted_stacked(fams):
+        empty = [fam for fam in fams if "_pair_sums" not in fam.memo]
+        stacked(fams)
+        passes.extend(fam for fam in empty if "_pair_sums" in fam.memo)
+
+    monkeypatch.setattr(fidelity, "_summed", counted_alone)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "fidsus" and getattr(mod, "_pair_sums_over", None) is stacked:
+            monkeypatch.setattr(mod, "_pair_sums_over", counted_stacked)
+    return passes
+
+
+@pytest.fixture
+def block_sums_calls(monkeypatch):
+    """Record the number of temperatures of every `fidelity._block_sums`
+    call, one pass over the pairs of one block."""
+    calls = []
     real = fidelity._block_sums
 
-    def counted(fam, block):
-        if block is fam.blocks[0]:
-            passes.append(fam)
-        return real(fam, block)
+    def counted(b, beta, *arrays):
+        calls.append(np.size(beta))
+        return real(b, beta, *arrays)
 
     monkeypatch.setattr(fidelity, "_block_sums", counted)
-    return passes
+    return calls
 
 
 def seeded_families(master_seed, count, dim_lo, dim_hi, beta_lo, beta_hi):

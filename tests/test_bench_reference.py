@@ -26,6 +26,13 @@ direct route, one K S - S K per block of a family, kept for every
 temperature of it.  ``field_sweep`` forms 2 per point, 8 in all;
 ``beta_sweep`` forms its two blocks' once for all twelve temperatures,
 and its cutoff probe forms none, so 2.
+
+And they count the passes over the pair sums, one `_block_sums` call
+over one block at one or more temperatures.  ``field_sweep`` sums each
+point's two blocks on their own, 8 in all.  ``beta_sweep``'s cutoff
+probe sums the two blocks of its wider family and of the built family,
+the first point; the eleven later temperatures then take one stacked
+pass per block: 2 + 2 + 2 = 6.
 """
 
 import csv
@@ -41,6 +48,7 @@ TOL = 1e-8
 
 EIGENSOLVES = {"field_sweep": 8, "beta_sweep": 18}
 COMMUTATORS = {"field_sweep": 8, "beta_sweep": 2}
+PAIR_PASSES = {"field_sweep": 8, "beta_sweep": 6}
 
 SWEEPS = {
     "field_sweep": (
@@ -61,7 +69,9 @@ def _rows(path):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_passes_the_benchmark_reference_gate(name, tmp_path, eig_calls, commutator_calls):
+def test_sweep_passes_the_benchmark_reference_gate(
+    name, tmp_path, eig_calls, commutator_calls, block_sums_calls
+):
     refs = _rows(REFERENCE_DIR / f"{name}.csv")
     model, sweep = SWEEPS[name]
     out = tmp_path / "out.csv"
@@ -70,6 +80,7 @@ def test_sweep_passes_the_benchmark_reference_gate(name, tmp_path, eig_calls, co
     assert main(argv) == 0
     assert len(eig_calls) == EIGENSOLVES[name]
     assert len(commutator_calls) == COMMUTATORS[name]
+    assert len(block_sums_calls) == PAIR_PASSES[name]
     rows = _rows(out)
     assert len(rows) == len(refs)
     for row, ref in zip(rows, refs):

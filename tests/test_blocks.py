@@ -16,8 +16,8 @@ from fidsus import gibbs
 from fidsus.bounds import bound_report
 from fidsus.cli import main
 from fidsus.errors import CutoffConvergenceWarning, SectorDeclarationError
-from fidsus.fidelity import chi_f_spectral
-from fidsus.gibbs import _parity, block_family, make_family
+from fidsus.fidelity import _pair_sums, _pair_sums_over, chi_f_spectral
+from fidsus.gibbs import _parity, block_family, family_at_beta, make_family
 from fidsus.models import _dicke_blocks, dicke, model_from_file, single_spin, tfim
 
 # the acceptance rule of a report against a reference: each float within
@@ -200,6 +200,27 @@ def test_declared_sectors_match_the_whole_block_solve(case):
             assert sorted([*rows, *cols]) == list(range(b.levels.size))
             for k in (rows, cols):
                 assert not b.s_eig[np.ix_(k, k)].any()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=sector_blocks(), chunk=st.sampled_from([gibbs._CHUNK_ELEMENTS, 1, 40]))
+def test_a_stacked_pass_gives_each_temperature_its_own_pair_sums(case, chunk):
+    """`_pair_sums_over` sums the temperatures of one chain in one stack
+    per block, in chunks of at most ``_CHUNK_ELEMENTS`` pair entries, and
+    gives each family the floats of a pass of its own: blocks with and
+    without sectors, with copies, and a whole block whose S has a
+    diagonal, so <S> != 0 puts rho' terms on the sectors' diagonal.  A
+    family whose sums are formed already keeps them."""
+    blocks, beta = case
+    fam = block_family(blocks, beta)
+    chain = [family_at_beta(fam, b) for b in beta * np.geomspace(0.1, 30.0, 7)]
+    kept = _pair_sums(chain[3])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "_CHUNK_ELEMENTS", chunk)
+        _pair_sums_over(chain)
+    assert chain[3].memo["_pair_sums"] is kept
+    for f in chain:
+        assert f.memo["_pair_sums"] == _pair_sums(family_at_beta(f, f.beta))
 
 
 _T4 = np.diag([0.0, 1.0, 2.0, 3.0])

@@ -1,5 +1,6 @@
 """Sweeps, CSV/SVG emission, the verify runner, and the CLI entry point."""
 
+import argparse
 import importlib
 import itertools
 import json
@@ -30,14 +31,17 @@ from fidsus.errors import (
     ModelSchemaError,
     RowLengthError,
 )
+from fidsus.gibbs import family_at_beta
 from fidsus.models import MODEL_KINDS, ModelSpec, build_model
 from fidsus.bounds import bound_report
 from fidsus.plotting import emit_plot, read_columns, render_svg, write_text_atomic
 from fidsus.sweep import (
     CSV_HEADER,
+    SweepRow,
     SweepSpec,
     compute_rows,
     format_csv,
+    report_columns,
     run_sweep,
     sweep_grid,
 )
@@ -149,11 +153,57 @@ def test_beta_fast_path_matches_pointwise_rebuild():
         assert row.chi_n == pytest.approx(rep.chi_n, rel=1e-9)
 
 
+_BETA_GRIDS = {
+    # sectors, and a block of two copies
+    "dicke": (ModelSpec("dicke", {"omega": 2.0, "eps": 1.0, "lambda": 1.0, "beta": 0.5},
+                        {"n_atoms": 3, "n_max": 12}), 0.5, 4.0),
+    # two whole parity blocks
+    "tfim": (ModelSpec("tfim", {"j": 1.0, "g": 0.7, "beta": 0.1}, {"n_sites": 6}), 0.1, 30.0),
+    # degenerate pairs at every temperature
+    "tfim_g0": (ModelSpec("tfim", {"j": 1.0, "g": 0.0, "beta": 0.1}, {"n_sites": 6}), 0.1, 20.0),
+    # populations that underflow to 0
+    "random": (ModelSpec("random", {"beta": 0.01}, {"dim": 12}, seed=3), 0.01, 800.0),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 500, 3 * 26 * 26])
+@pytest.mark.parametrize("case", sorted(_BETA_GRIDS))
+def test_beta_sweep_equals_a_report_per_temperature(case, chunk, monkeypatch, block_sums_calls):
+    """A beta sweep sums every temperature's pairs in one stacked pass per
+    block, yet each row is, float for float, the report of that
+    temperature's own family.  A small ``_CHUNK_ELEMENTS`` splits the
+    stack into chunks (3 temperatures per chunk of dicke's 26 x 26
+    rectangle), or, below one block's pair count (500 < 676), sums that
+    block one temperature at a time."""
+    model, start, stop = _BETA_GRIDS[case]
+    spec = SweepSpec(model, "beta", start, stop, 12, scale="log")
+    if chunk is not None:
+        monkeypatch.setattr(fidsus.gibbs, "_CHUNK_ELEMENTS", chunk)
+    rows = compute_rows(spec)
+    stacked = list(block_sums_calls)
+    base = build_model(model)
+    ref = [
+        SweepRow(float(v), **dict(report_columns(bound_report(family_at_beta(base, float(v))))))
+        for v in sweep_grid(spec)
+    ]
+    assert rows == ref
+    if case == "dicke":
+        # the probe's two families, then the later 11 temperatures stacked
+        per_block = {None: [[11], [11]], 500: [[1] * 11, [2] * 5 + [1]],
+                     3 * 26 * 26: [[3, 3, 3, 2], [11]]}[chunk]
+        assert stacked == [1] * 4 + [n for sizes in per_block for n in sizes]
+    if case == "random":
+        assert rows[-1].beta == 800.0 and base.underflow_count == 0
+        assert family_at_beta(base, 800.0).underflow_count > 0
+    if case == "tfim_g0":
+        assert all(row.degenerate_pairs > 0 for row in rows)
+
+
 def test_beta_sweep_reports_its_first_point_on_the_built_family(pair_passes):
     """The first point of a beta sweep is the family the build returned, so
     the pair pass that the Dicke cutoff probe made on it serves that
-    point's report: one pass for the probe's wider family, one for the
-    built family, then one per later point."""
+    point's report: the probe sums its wider family and the built family,
+    then the later points are summed, each once, in one stacked pass."""
     model = ModelSpec(
         "dicke", {"omega": 2.0, "eps": 1.0, "lambda": 1.0, "beta": 0.5},
         {"n_atoms": 3, "n_max": 12},
@@ -597,6 +647,17 @@ def test_cli_has_a_flag_for_every_declared_parameter_and_cutoff(command):
                 args = parser.parse_args([command, "--model", kind, flag, "3"])
                 value = getattr(args, name)
                 assert type(value) is typ and value == 3, (kind, flag)
+
+
+def test_cli_parses_a_sweep_without_the_other_subcommands_arguments():
+    """Only the subcommand argv names gets its arguments; every other one
+    is listed with its help and has none."""
+    parser = fidsus.cli._build_parser(["sweep", "--model", "tfim", "--sweep-param", "g"])
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
+    assert dests.pop("sweep") >= {"model", "g", "sweep_param", "start", "svg", "config"}
+    assert dests == {"report": set(), "verify": set(), "plot": set(), "models": set()}
+    assert all(a.help for a in sub._choices_actions)
 
 
 def test_every_exported_name_resolves():
