@@ -108,9 +108,9 @@ def _pair_kernels(beta, ev: np.ndarray, lp, rows=slice(None), cols=slice(None)) 
     the mask ``beta * gap < DEGENERATE_GAP`` and the ratio kernel
     (p_n - p_m)/X_mn of chi_F, rho' and the BD product,
     p_low (1 - e^{-2X})/X with X = beta|T_m - T_n|/2, and 2 sqrt(p_m p_n)
-    in the window.  ``beta`` and ``lp`` may carry a leading temperature
-    axis, as in `_block_sums`; |T_m - T_n| never does."""
-    gap = np.abs(ev[rows, None] - ev[None, cols])
+    in the window.  ``beta``, ``ev`` and ``lp`` may carry a leading
+    family axis, as in `_block_sums`."""
+    gap = np.abs(ev[..., rows, None] - ev[..., None, cols])
     bgap = beta * gap
     p_low = np.exp(np.maximum(lp[..., rows, None], lp[..., None, cols]))
     p_geo = np.exp(0.5 * (lp[..., rows, None] + lp[..., None, cols]))
@@ -155,11 +155,12 @@ def _block_sums(b: Block, beta, lp, p, diagonal):
 
     ``beta`` is one inverse temperature or a (B, 1, 1) array of them, and
     ``lp``, ``p`` and ``diagonal`` are the block's log populations,
-    populations and rho' diagonal at them, (n_b,) or (B, n_b).  Every
-    pair array then has the leading temperature axis, every sum runs over
-    the last two axes, and each yield is a float or a (B,) array; an
-    entry is the same float whether its temperature is summed alone or
-    in a stack.
+    populations and rho' diagonal at them, (n_b,) or (B, n_b).  The
+    levels and ``s_pairs`` of b may carry the same leading axis, for B
+    families whose blocks differ but match in shape.  Every pair array
+    then has the leading axis, every sum runs over the last two axes,
+    and each yield is a float or a (B,) array; an entry is the same
+    float whether its family is summed alone or in a stack.
 
     Every kernel is symmetric in m and n.  So a block with sectors,
     whose S has no entry inside either, sums the rectangle
@@ -173,7 +174,7 @@ def _block_sums(b: Block, beta, lp, p, diagonal):
     den = 2.0 * (p[..., rows, None] + p[..., None, cols])
     r = s * (0.5 * beta * ratio)
     if b.sectors is None:
-        on = np.arange(b.levels.size)
+        on = np.arange(b.levels.shape[-1])
         r[..., on, on] = diagonal
         lone = 0.0
     else:  # rho'_mm / (2 (p_m + p_m)) lies outside the rectangle
@@ -187,7 +188,7 @@ def _block_sums(b: Block, beta, lp, p, diagonal):
     yield twice * direct + lone
     s_abs2 = np.abs(s) ** 2
     if b.sectors is None:
-        np.fill_diagonal(s_abs2, 0.0)
+        s_abs2[..., on, on] = 0.0
     yield twice * (ratio * tanh_over_x(0.5 * bgap) * s_abs2).sum(pairs)
     yield twice * (ratio * s_abs2).sum(pairs)
     del ratio
@@ -232,27 +233,44 @@ def _pair_sums_over(fams: Sequence[PerturbedFamily]) -> None:
     """Fill `_pair_sums` of each family of ``fams`` that has not formed it
     with the floats it would form, from one pass per block for them all.
 
-    ``fams`` are temperatures of one `family_at_beta` chain, so they share
-    every block's levels, S and copies.  Each block's sums are taken over
-    a leading temperature axis (`_block_sums`), as many temperatures at a
-    time as keep a (B, rows, cols) temporary within
-    ``gibbs._CHUNK_ELEMENTS`` elements: a block larger than that takes
-    one temperature at a time, as `_pair_sums` would.
+    The families' blocks must match in count, sizes and copies, and
+    each block's sectors must be one object in all (as in a
+    `family_at_beta` chain) or None, else ValueError is raised.  Each
+    block's sums are taken over a leading family axis (`_block_sums`),
+    its levels and S stacked only where the families do not share them,
+    as many families at a time as keep a (B, rows, cols) temporary within
+    ``gibbs._CHUNK_ELEMENTS`` elements: a block larger than that takes one
+    family at a time, as `_pair_sums` would.
     """
     todo = [fam for fam in fams if _pair_sums.__name__ not in fam.memo]
     if not todo:
         return
+    for fam in todo:
+        if len(fam.blocks) != len(todo[0].blocks) or any(
+            c.levels.size != b.levels.size or c.copies != b.copies or c.sectors is not b.sectors
+            for b, c in zip(todo[0].blocks, fam.blocks)
+        ):
+            raise ValueError("a stacked pass needs families whose blocks match in shape")
     betas = np.array([fam.beta for fam in todo])
     means = np.array([fam.s_mean for fam in todo])
     sums = np.zeros((len(_PairSums._fields), len(todo)))
     for k, b in enumerate(todo[0].blocks):
+        blocks = [fam.blocks[k] for fam in todo]
+        shared = all(c.levels is b.levels and c.s_pairs is b.s_pairs for c in blocks)
         step = max(1, gibbs._CHUNK_ELEMENTS // max(1, b.s_pairs.size))
         for lo in range(0, len(todo), step):
             at = slice(lo, lo + step)
-            lp = np.stack([fam.blocks[k].log_populations for fam in todo[at]])
-            p = np.stack([fam.blocks[k].populations for fam in todo[at]])
-            diagonal = _rho_prime_diagonal(betas[at, None], p, b.s_diagonal, means[at, None])
-            terms = _block_sums(b, betas[at, None, None], lp, p, diagonal)
+            lp = np.stack([c.log_populations for c in blocks[at]])
+            p = np.stack([c.populations for c in blocks[at]])
+            stack, s_diagonal = b, b.s_diagonal
+            if not shared:
+                stack = b._replace(
+                    levels=np.stack([c.levels for c in blocks[at]]),
+                    s_pairs=np.stack([c.s_pairs for c in blocks[at]]),
+                )
+                s_diagonal = np.stack([c.s_diagonal for c in blocks[at]])
+            diagonal = _rho_prime_diagonal(betas[at, None], p, s_diagonal, means[at, None])
+            terms = _block_sums(stack, betas[at, None, None], lp, p, diagonal)
             sums[:, at] += b.copies * np.array(list(terms))
     for fam, column in zip(todo, sums.T.tolist()):
         fam.memo[_pair_sums.__name__] = _PairSums(*column)

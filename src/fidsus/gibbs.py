@@ -144,8 +144,9 @@ class PerturbedFamily:
         Values computed from this family, so a second request is free:
         the scalars of `fidelity._pair_sums` (every spectral pair sum, from
         one pass that keeps no pair array, or from one pass per block
-        over a leading temperature axis that a beta sweep makes for all
-        its temperatures, `fidelity._pair_sums_over`), the results of
+        over a leading family axis, `fidelity._pair_sums_over`, which a
+        beta sweep makes for all its temperatures and ``verify`` for
+        each stack of random families of one dimension), the results of
         `chi_f_spectral` and `double_commutator_direct`, and
         `fidelity._half_circle_G`, the quadrature oracles' read-only G
         grid.  Every family starts with it empty, a `family_at_beta` copy
@@ -484,10 +485,11 @@ def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:
     return _weigh(diagonals())
 
 
-# correlation_G takes tau nodes, and fidelity._pair_sums_over temperatures,
-# in chunks whose (nodes, n, n) temporaries hold about this many float64
+# correlation_G takes tau nodes, and fidelity._pair_sums_over families (the
+# temperatures of one chain, or independent families of one shape), in
+# chunks whose (nodes, n, n) temporaries hold about this many float64
 # elements (2 MiB), which bounds their memory at any block size and any
-# node or temperature count.
+# node or family count.
 _CHUNK_ELEMENTS = 2**18
 
 

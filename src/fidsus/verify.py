@@ -18,6 +18,10 @@ remainder ratio can fall below 4, and beta = 1e4 need not be cold
 enough for the ground-state limit.  The ground-state limit and the
 finite-difference chi_F also run on fixed block families.
 
+The random and oracle suites take their families in stacks of one
+dimension (`_stacked_families`); every check reduces its instances by
+max, min or sum, so neither the stacks nor their order reach the text.
+
 The summary is a pure function of (seed, instances, dim_max): no wall
 times, no file paths, no machine-dependent formatting enter the text, so
 two runs with the same arguments produce identical bytes.
@@ -54,6 +58,7 @@ from .errors import (
     NotHermitianError,
 )
 from .fidelity import (
+    _pair_sums_over,
     bures_distance,
     chi_f_fd,
     chi_f_ground_state,
@@ -143,6 +148,28 @@ def _sandwich_violation(rep: BoundReport) -> List[float]:
 
 # _suite_kernels's chunk of tanh_over_x arguments: 64 KiB temporaries
 _KERNEL_CHUNK = 8192
+# the random families whose pair sums are formed in one stacked pass: at
+# dim 12 its (16, 12, 12) temporaries take 18-36 KiB each
+_STACK = 16
+
+
+def _stacked_families(fam_seeds, dims, betas):
+    """Every instance's random family, by ascending dimension in stacks of
+    at most `_STACK`, each stack built and its pair sums formed in one
+    pass (`fidelity._pair_sums_over`) before its families are yielded."""
+    # grouped in Python: np.unique's first call faults in about 1 MiB,
+    # which would raise verify's peak RSS by as much
+    by_dim = {}
+    for k, dim in enumerate(dims.tolist()):
+        by_dim.setdefault(dim, []).append(k)
+    for dim in sorted(by_dim):
+        at = by_dim[dim]
+        for lo in range(0, len(at), _STACK):
+            fams = [
+                _random_family(fam_seeds[k], dim, float(betas[k])) for k in at[lo : lo + _STACK]
+            ]
+            _pair_sums_over(fams)
+            yield from fams
 
 
 def _suite_kernels(seed, instances, dim_max, out):
@@ -187,8 +214,7 @@ def _suite_random(seed, instances, dim_max, out):
 
     sandwich, ds2, window, fg_le, fg_quad, bd_quad, dcomm, parts = ([] for _ in range(8))
     deg_total = 0
-    for k in range(instances):
-        fam = _random_family(fam_seeds[k], int(dims[k]), float(betas[k]))
+    for fam in _stacked_families(fam_seeds, dims, betas):
         rep = bound_report(fam, check_chi_n=False)
         sandwich += _sandwich_violation(rep)
         ds2.append(abs(rep.ds2 - rep.chi_f) / max(rep.chi_f, 1e-300))
@@ -236,8 +262,7 @@ def _suite_oracles(seed, instances, dim_max, out):
     betas = 10.0 ** rng.uniform(-1.0, 1.0, size=count)
 
     chi, miss, chi_n, trace = [], [], [], []
-    for k in range(count):
-        fam = _random_family(fam_seeds[k], int(dims[k]), float(betas[k]))
+    for fam in _stacked_families(fam_seeds, dims, betas):
         rep = bound_report(fam, check_chi_n=False)
         chi.append(rep.chi_f)
         miss.append(abs(rep.chi_f - chi_f_fd(fam, 1e-3)))

@@ -48,9 +48,10 @@ def commutator_calls(monkeypatch):
 @pytest.fixture
 def pair_passes(monkeypatch):
     """Record each family whose pair sums are formed, in the order formed:
-    alone (`fidelity._summed`) or in a stacked pass over the temperatures
-    of one chain (`fidelity._pair_sums_over`), which adds the families
-    whose `_pair_sums` it filled."""
+    alone (`fidelity._summed`) or in a stacked pass over families of one
+    shape, the temperatures of one chain or independent families
+    (`fidelity._pair_sums_over`), which adds the families whose
+    `_pair_sums` it filled."""
     passes = []
     alone, stacked = fidelity._summed, fidelity._pair_sums_over
 
@@ -72,8 +73,9 @@ def pair_passes(monkeypatch):
 
 @pytest.fixture
 def block_sums_calls(monkeypatch):
-    """Record the number of temperatures of every `fidelity._block_sums`
-    call, one pass over the pairs of one block."""
+    """Record the number of families, temperatures of one chain or
+    independent families, of every `fidelity._block_sums` call, one pass
+    over the pairs of one block."""
     calls = []
     real = fidelity._block_sums
 

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from conftest import all_levels, random_hermitian, same_blocks, whole_family
+from conftest import (
+    all_levels,
+    complex_sector_family,
+    random_hermitian,
+    same_blocks,
+    whole_family,
+)
 from fidsus import gibbs
 from fidsus.bounds import bound_report
 from fidsus.cli import main
@@ -221,6 +227,71 @@ def test_a_stacked_pass_gives_each_temperature_its_own_pair_sums(case, chunk):
     assert chain[3].memo["_pair_sums"] is kept
     for f in chain:
         assert f.memo["_pair_sums"] == _pair_sums(family_at_beta(f, f.beta))
+
+
+def _independent_stack(rng, dim, real, degenerate):
+    """Five independent one-block families of one dimension at betas from
+    0.1 to 800 (where populations underflow), each T drawn anew; with
+    ``degenerate`` T repeats each of its levels, rotated by a random
+    unitary, so pairs fall in the degeneracy window."""
+    fams = []
+    for beta in np.geomspace(0.1, 800.0, 5):
+        t, s, g = (random_hermitian(rng, dim) for _ in range(3))
+        if real:
+            t, s, g = t.real, s.real, g.real
+        if degenerate:
+            q, _ = np.linalg.qr(g)
+            t = q @ np.diag(0.7 * (np.arange(dim) // 2)) @ q.conj().T
+        fams.append(make_family(0.5 * (t + t.conj().T), 0.5 * (s + s.conj().T), beta))
+    return fams
+
+
+@pytest.mark.parametrize("chunk", [gibbs._CHUNK_ELEMENTS, 1, 40])
+def test_a_stacked_pass_gives_each_independent_family_its_own_pair_sums(chunk, monkeypatch):
+    """`_pair_sums_over` over independent families of one shape, their
+    levels and S stacked, gives each family the floats of a pass of its
+    own, field by field: dims 1 to 12, real and complex S, T with
+    repeated levels, betas up to 800, and chunks of the default size,
+    of one family and of whatever fits 40 entries."""
+    rng = np.random.default_rng(28)
+    monkeypatch.setattr(gibbs, "_CHUNK_ELEMENTS", chunk)
+    underflow = 0
+    for dim in range(1, 13):
+        for real in (True, False):
+            for degenerate in (False, True):
+                fams = _independent_stack(rng, dim, real, degenerate)
+                assert all(f.blocks[0].sectors is None for f in fams)
+                _pair_sums_over(fams)
+                for f in fams:
+                    assert f.memo["_pair_sums"] == _pair_sums(family_at_beta(f, f.beta))
+                if degenerate and dim > 1:
+                    assert chi_f_spectral(fams[0]).degenerate_pair_count > 0
+                underflow += sum(f.underflow_count for f in fams)
+    assert underflow > 0
+
+
+def test_a_stacked_pass_refuses_families_of_different_shapes():
+    """Families whose blocks differ in size, copies or sectors, or in
+    number, cannot share a stack; sectors equal in value but built apart
+    are not the same object, so they cannot either."""
+    rng = np.random.default_rng(3)
+
+    def whole(dim, copies=1, count=1):
+        blocks = [(random_hermitian(rng, dim), random_hermitian(rng, dim), copies)]
+        return block_family(blocks * count, 1.0)
+
+    odd = complex_sector_family(5, 1.0)
+    cases = [
+        [whole(3), whole(4)],
+        [whole(3), whole(3, copies=2)],
+        [odd, whole(7)],
+        [odd, complex_sector_family(5, 2.0)],
+        [whole(3), whole(3, count=2)],
+    ]
+    for fams in cases:
+        with pytest.raises(ValueError):
+            _pair_sums_over(fams)
+        assert not any("_pair_sums" in f.memo for f in fams)
 
 
 _T4 = np.diag([0.0, 1.0, 2.0, 3.0])

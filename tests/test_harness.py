@@ -426,6 +426,33 @@ def test_random_suite_evaluates_G_once_per_family(monkeypatch):
     assert len(calls) == 50
 
 
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_verify_text_is_the_same_without_the_stacked_pass(seed, monkeypatch):
+    """The random and oracle suites form each stack's pair sums in one
+    pass; with that pass a no-op, each report forms its own, and the
+    text is the same bytes."""
+    stacked = run_verify(seed, 60, 12).text
+    monkeypatch.setattr(fidsus.verify, "_pair_sums_over", lambda fams: None)
+    assert run_verify(seed, 60, 12).text == stacked
+
+
+@pytest.mark.parametrize("instances, passes", [(50, 11), (1000, 66)])
+def test_random_suite_sums_each_stack_in_one_pass(instances, passes, block_sums_calls):
+    """The random suite draws its families one dimension at a time, in
+    stacks of at most 16, and sums each stack's pairs in one pass: one
+    `_block_sums` call per stack, not one per family.  At seed 0 the 50
+    instances fall on all 11 dims from 2 to 12, 2 to 7 on each, so one
+    stack each: 11.  The 1000 instances put 92, 108, 73, 94, 98, 93,
+    101, 94, 76, 91 and 80 on dims 2 to 12, in ceil(n / 16) stacks each:
+    6 + 7 + 5 + 6 + 7 + 6 + 7 + 6 + 5 + 6 + 5 = 66."""
+    out = []
+    fidsus.verify._suite_random(0, instances, 12, out)
+    assert all(r.passed for r in out)
+    assert len(block_sums_calls) == passes
+    assert sum(block_sums_calls) == instances
+    assert max(block_sums_calls) <= 16
+
+
 def _nan_on_fifth_call(real):
     calls = itertools.count(1)
     return lambda fam: math.nan if next(calls) == 5 else real(fam)
