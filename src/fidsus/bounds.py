@@ -195,15 +195,14 @@ def _displaced(fam: PerturbedFamily, h: float) -> list:
     hit = fam.shared.get(h)
     if hit is None:
         hit = fam.shared[h] = []
-        for b, d in zip(fam.blocks, _displaced_spectra(fam, h)):
-            u = d.basis
+        for b, (w, u) in zip(fam.blocks, _displaced_spectra(fam, h)):
             if b.sectors is None:
                 diag = np.einsum("ij,ij->j", u.conj(), b.s_pairs @ u).real
             else:
                 rows, cols = b.sectors
                 su = b.s_pairs @ u[cols]
                 diag = 2.0 * np.einsum("ij,ij->j", u[rows].conj(), su).real
-            hit.append((d.eigenvalues, diag))
+            hit.append((w, diag))
     return hit
 
 

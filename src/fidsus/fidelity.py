@@ -29,6 +29,7 @@ from .config import (
 from .errors import (
     DegenerateGroundStateError,
     DimensionMismatchError,
+    NoConvergenceError,
     NonFiniteError,
     NotDensityMatrixError,
     NotHermitianError,
@@ -39,7 +40,7 @@ from .errors import (
 from . import gibbs
 from .gibbs import Block, PerturbedFamily, _memoized, _perturbed_spectrum, correlation_G
 from .kernels import tanh_over_x
-from .linalg import HermitianOperator, _freeze, eig_hermitian, validate_hermitian
+from .linalg import _freeze, eig_hermitian, validate_hermitian
 
 __all__ = [
     "FidelitySusceptibility",
@@ -472,24 +473,22 @@ def perturbed_density(fam: PerturbedFamily, h: float) -> tuple:
     Hamiltonian is diagonalized in full, once for all its copies.
     """
     solved, lps = _perturbed_spectrum(fam, float(h))
-    rhos = [(d.basis * np.exp(lp)) @ d.basis.conj().T for d, lp in zip(solved, lps)]
+    rhos = [(u * np.exp(lp)) @ u.conj().T for (_, u), lp in zip(solved, lps)]
     return tuple(0.5 * (rho + rho.conj().T) for rho in rhos)
 
 
 def _density_spectrum(rho):
     try:
-        op = rho if isinstance(rho, HermitianOperator) else validate_hermitian(rho)
+        op = validate_hermitian(rho)
     except (NotSquareError, NotHermitianError, NonFiniteError) as exc:
         raise NotDensityMatrixError(str(exc)) from exc
-    d = eig_hermitian(op)
-    tr = float(d.eigenvalues.sum())
+    w, u = eig_hermitian(op)
+    tr = float(w.sum())
     if abs(tr - 1.0) > DENSITY_TRACE:
         raise NotDensityMatrixError(f"trace is {tr!r}, not 1 within {DENSITY_TRACE:g}")
-    if float(d.eigenvalues[0]) < -PSD_CLIP:
-        raise NotDensityMatrixError(
-            f"eigenvalue {float(d.eigenvalues[0])!r} below -{PSD_CLIP:g}"
-        )
-    return d
+    if float(w[0]) < -PSD_CLIP:
+        raise NotDensityMatrixError(f"eigenvalue {float(w[0])!r} below -{PSD_CLIP:g}")
+    return w, u
 
 
 def _nuclear_fidelity(a: np.ndarray, b: np.ndarray, overlap: np.ndarray) -> float:
@@ -501,10 +500,13 @@ def _nuclear_fidelity(a: np.ndarray, b: np.ndarray, overlap: np.ndarray) -> floa
     the sum of the singular values of the bracket.  The factor is formed
     entrywise in log space, so it never overflows, and LAPACK's
     ``np.linalg.svd`` takes its singular values (real or complex, as the
-    factor is).
+    factor is); a LAPACK failure raises `NoConvergenceError`.
     """
     factor = np.exp(a[:, None] + b[None, :]) * overlap
-    return float(np.linalg.svd(factor, compute_uv=False).sum())
+    try:
+        return float(np.linalg.svd(factor, compute_uv=False).sum())
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"svd did not converge: {exc}") from exc
 
 
 def uhlmann_fidelity(rho1, rho2) -> float:
@@ -514,18 +516,16 @@ def uhlmann_fidelity(rho1, rho2) -> float:
     Taken as the nuclear norm ||sqrt(rho1) sqrt(rho2)||_1, with one SVD,
     from the checked spectra of the two inputs: the route of `chi_f_fd`,
     which explains why the square roots of the eigenvalues of the formed
-    product would lose sqrt(eps).  ``rho1`` and ``rho2`` (arrays or
-    HermitianOperators) must be Hermitian, of unit trace and positive
-    semidefinite within the clip tolerance, or `NotDensityMatrixError`
-    is raised.
+    product would lose sqrt(eps).  The arrays ``rho1`` and ``rho2`` must
+    be Hermitian, of unit trace and positive semidefinite within the clip
+    tolerance, or `NotDensityMatrixError` is raised.
     """
-    d1 = _density_spectrum(rho1)
-    d2 = _density_spectrum(rho2)
-    if d1.dim != d2.dim:
-        raise DimensionMismatchError(f"dimensions {d1.dim} and {d2.dim} differ")
+    (w1, u1), (w2, u2) = _density_spectrum(rho1), _density_spectrum(rho2)
+    if w1.size != w2.size:
+        raise DimensionMismatchError(f"dimensions {w1.size} and {w2.size} differ")
     with np.errstate(divide="ignore"):  # a zero eigenvalue has weight exp(-inf) = 0
-        a, b = (0.5 * np.log(np.clip(d.eigenvalues, 0.0, None)) for d in (d1, d2))
-    return _nuclear_fidelity(a, b, d1.basis.conj().T @ d2.basis)
+        a, b = (0.5 * np.log(np.clip(w, 0.0, None)) for w in (w1, w2))
+    return _nuclear_fidelity(a, b, u1.conj().T @ u2)
 
 
 def bures_distance(rho1, rho2) -> float:
@@ -577,8 +577,8 @@ def chi_f_fd(fam: PerturbedFamily, h: float) -> float:
         for sign in (1.0, -1.0):
             solved, lps = _perturbed_spectrum(fam, sign * step)
             loss = 1.0 - sum(
-                b.copies * _nuclear_fidelity(0.5 * b.log_populations, 0.5 * lp, d.basis)
-                for b, d, lp in zip(fam.blocks, solved, lps)
+                b.copies * _nuclear_fidelity(0.5 * b.log_populations, 0.5 * lp, u)
+                for b, (_, u), lp in zip(fam.blocks, solved, lps)
             )
             if loss < floor:
                 raise StepTooSmallError(

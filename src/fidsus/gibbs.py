@@ -45,7 +45,6 @@ from .errors import (
 )
 from .linalg import (
     HermitianOperator,
-    SpectralDecomposition,
     _freeze,
     eig_hermitian,
     validate_hermitian,
@@ -197,8 +196,8 @@ def _log_weights(levels: list, copies: list, beta: float) -> tuple[list, float]:
     return [s - lse for s in shifted], lse - beta * float(low)
 
 
-def _displaced_spectra(fam: PerturbedFamily, h: float) -> Iterator[SpectralDecomposition]:
-    """The checked decomposition of T_b - h S_b in each block's
+def _displaced_spectra(fam: PerturbedFamily, h: float) -> Iterator[tuple]:
+    """The checked (levels, basis) of T_b - h S_b in each block's
     T-eigenbasis, one block at a time in ``fam.blocks`` order, once for all
     its copies: a caller that keeps less than the basis holds one at a
     time.  Nothing is cached.
@@ -226,7 +225,7 @@ def _perturbed_spectrum(fam: PerturbedFamily, h: float) -> tuple[list, list]:
     family at its beta."""
     solved = list(_displaced_spectra(fam, h))
     copies = [b.copies for b in fam.blocks]
-    return solved, _log_weights([d.eigenvalues for d in solved], copies, fam.beta)[0]
+    return solved, _log_weights([w for w, _ in solved], copies, fam.beta)[0]
 
 
 def _flips(t: np.ndarray, s: np.ndarray, first: np.ndarray) -> bool:
@@ -331,13 +330,12 @@ def _weigh(diagonals: Iterable) -> float:
 
 def _solve_whole(T: HermitianOperator, S: HermitianOperator) -> tuple:
     """(levels, S in their eigenbasis) from one solve of T."""
-    spectrum = eig_hermitian(T)
-    b = spectrum.basis
+    levels, b = eig_hermitian(T)
     s_eig = b.conj().T @ S.matrix @ b
     # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
     # survives to the same order; re-symmetrize to make it exact
     _require_hermitian([s_eig], "perturbation lost Hermiticity in the basis rotation")
-    return spectrum.eigenvalues, _freeze(0.5 * (s_eig + s_eig.conj().T))
+    return levels, _freeze(0.5 * (s_eig + s_eig.conj().T))
 
 
 def _solve_sectors(T: HermitianOperator, S: HermitianOperator, first) -> tuple:
@@ -358,16 +356,16 @@ def _solve_sectors(T: HermitianOperator, S: HermitianOperator, first) -> tuple:
         raise SectorDeclarationError("T links the two sectors or S links one to itself")
     second = ~first
     # a square block of a validated matrix is exactly Hermitian itself
-    one, two = (
+    (w1, u1), (w2, u2) = (
         eig_hermitian(HermitianOperator(_freeze(t[np.ix_(k, k)]), int(np.count_nonzero(k))))
         for k in (first, second)
     )
-    rect = one.basis.conj().T @ s[np.ix_(first, second)] @ two.basis
-    levels = np.concatenate((one.eigenvalues, two.eigenvalues))
+    rect = u1.conj().T @ s[np.ix_(first, second)] @ u2
+    levels = np.concatenate((w1, w2))
     order = np.argsort(levels, kind="stable")
     at = np.empty_like(order)
     at[order] = np.arange(order.size)
-    sectors = (_freeze(at[: one.dim]), _freeze(at[one.dim :]))
+    sectors = (_freeze(at[: w1.size]), _freeze(at[w1.size :]))
     return _freeze(levels[order]), _freeze(rect), sectors
 
 
@@ -378,17 +376,16 @@ def block_family(
     thermalize the direct sum at beta.
 
     ``blocks`` is any iterable, a generator too, of one (T_b, S_b, d_b) or
-    (T_b, S_b, d_b, first) per symmetry sector: T and S as
-    HermitianOperators or arrays in one basis, and the number of identical
-    copies, an integer >= 1.  Each block is solved before the next one is
-    drawn, and only its levels and rotated S are kept.  A boolean mask
-    ``first`` declares two sectors, T linking none to the other and S
-    none to itself; a block without one has them searched for
-    (`_parity`).  A block with sectors is solved sector by sector
-    (`_solve_sectors`), every other block whole.  ``particle_count``, an
-    integer, is the number of particles the builder says S sums over.
-    ``quasi_free`` is the builder's one-body M(0) of a free-fermion
-    family (see `PerturbedFamily`), stored read-only, or None.
+    (T_b, S_b, d_b, first) per symmetry sector: T and S as arrays in one
+    basis, and the number of identical copies, an integer >= 1.  Each
+    block is solved before the next one is drawn, and only its levels and
+    rotated S are kept.  A boolean mask ``first`` declares two sectors, T
+    linking none to the other and S none to itself; a block without one
+    has them searched for (`_parity`).  A block with sectors is solved
+    sector by sector (`_solve_sectors`), every other block whole.
+    ``particle_count``, an integer, is the number of particles the builder
+    says S sums over.  ``quasi_free`` is the builder's one-body M(0) of a
+    free-fermion family (see `PerturbedFamily`), stored read-only, or None.
 
     Raises `DimensionBudgetError` for a block above ``DIMENSION_BUDGET``
     before validating or solving it, `SectorDeclarationError` for a
@@ -401,15 +398,12 @@ def block_family(
     parts = []
     for T, S, copies, *declared in blocks:
         for a in (T, S):
-            n = a.dim if isinstance(a, HermitianOperator) else max(np.shape(a), default=0)
+            n = max(np.shape(a), default=0)
             if n > DIMENSION_BUDGET:
                 raise DimensionBudgetError(
                     f"block dimension {n} exceeds budget {DIMENSION_BUDGET}"
                 )
-        if not isinstance(T, HermitianOperator):
-            T = validate_hermitian(T)
-        if not isinstance(S, HermitianOperator):
-            S = validate_hermitian(S)
+        T, S = validate_hermitian(T), validate_hermitian(S)
         if S.dim != T.dim:
             raise DimensionMismatchError(
                 f"perturbation is {S.dim}x{S.dim} but T is {T.dim}x{T.dim}"
@@ -433,12 +427,9 @@ def block_family(
 
 
 def make_family(
-    T: HermitianOperator | np.ndarray,
-    S: HermitianOperator | np.ndarray,
-    beta: float,
-    particle_count: int = 1,
+    T: np.ndarray, S: np.ndarray, beta: float, particle_count: int = 1
 ) -> PerturbedFamily:
-    """The one-block family of a dense T and S in one basis: see `block_family`."""
+    """The one-block family of dense arrays T and S in one basis: see `block_family`."""
     return block_family([(T, S, 1)], beta, particle_count)
 
 

@@ -1,10 +1,11 @@
 """Dense Hermitian linear algebra, and the checked real SVD of a one-body matrix.
 
-The eigensolver is LAPACK's symmetric or Hermitian solver through
-``np.linalg.eigh``.  Its output is normalized (nondecreasing eigenvalues,
-pinned eigenvector phases) and checked (residual and unitarity) before it
-is returned, so downstream spectral sums can trust the decomposition
-without re-validating.  Every call is one ``eigh`` of the whole matrix;
+`eig_hermitian` takes the `HermitianOperator` that `validate_hermitian`
+builds and returns two read-only arrays, ``(eigenvalues, basis)``, from
+LAPACK's symmetric or Hermitian solver through ``np.linalg.eigh``,
+normalized (nondecreasing eigenvalues, pinned eigenvector phases) and
+checked (residual and unitarity), so downstream spectral sums can trust
+them without re-validating.  Every call is one ``eigh`` of the whole matrix;
 symmetry sectors are a family's blocks and the two sectors of a block,
 declared by the model builders or found (see `gibbs.block_family`).  A
 matrix with no imaginary part is stored and decomposed as float64, so
@@ -27,7 +28,6 @@ from .errors import (
 
 __all__ = [
     "HermitianOperator",
-    "SpectralDecomposition",
     "validate_hermitian",
     "eig_hermitian",
     "svd_checked",
@@ -36,24 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A validated Hermitian matrix of dimension ``dim``: ``matrix`` is
-    symmetrized and read-only, float64 when it has no nonzero imaginary
-    entry and complex128 otherwise."""
+    """A validated Hermitian matrix of dimension ``dim``, the argument of
+    `eig_hermitian`: ``matrix`` is symmetrized and read-only, float64 when
+    it has no nonzero imaginary entry and complex128 otherwise.  The
+    bench's tracer reads ``dim`` from each solve's argument."""
 
     matrix: np.ndarray
-    dim: int
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenvalues and eigenbasis of a Hermitian operator of dimension
-    ``dim``: real ``eigenvalues`` in nondecreasing order, and the unitary
-    ``basis`` of eigenvectors in the same order, with the dtype of the
-    decomposed matrix (real orthogonal for a float64 operator) and each
-    column's largest-magnitude component real and positive."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
     dim: int
 
 
@@ -110,8 +98,9 @@ def _pin_phases(basis: np.ndarray) -> None:
     basis *= pivots.conjugate() / np.hypot(pivots.real, pivots.imag)
 
 
-def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
-    """Diagonalize a Hermitian operator.
+def eig_hermitian(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a Hermitian operator into read-only arrays
+    ``(eigenvalues, basis)``, the eigenvectors in the basis's columns.
 
     Eigenvalues are sorted nondecreasing with ties broken by the order
     ``np.linalg.eigh`` returns them in (stable sort), and each
@@ -149,9 +138,7 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
         raise NoConvergenceError(f"eigendecomposition residual {resid:.3e} too large")
     if not unit <= BASIS_UNITARITY * n:
         raise NoConvergenceError(f"eigenbasis unitarity defect {unit:.3e} too large")
-    return SpectralDecomposition(
-        eigenvalues=_freeze(evals), basis=_freeze(basis), dim=n
-    )
+    return _freeze(evals), _freeze(basis)
 
 
 def svd_checked(matrix: np.ndarray) -> tuple:

@@ -115,10 +115,6 @@ def _seeds(seed: int, stream: int, count: int) -> List[int]:
     return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]
 
 
-def _random_family(seed: int, dim: int, beta: float):
-    return random_pair(dim, seed, 1.0, 1.0, beta)
-
-
 def _within(values, tol: float, label: str = "worst", report: str = "", tail: str = ""):
     """The rule of every "worst <= tol" check: (passed, detail).
 
@@ -166,7 +162,7 @@ def _stacked_families(fam_seeds, dims, betas):
         at = by_dim[dim]
         for lo in range(0, len(at), _STACK):
             fams = [
-                _random_family(fam_seeds[k], dim, float(betas[k])) for k in at[lo : lo + _STACK]
+                random_pair(dim, fam_seeds[k], beta=float(betas[k])) for k in at[lo : lo + _STACK]
             ]
             _pair_sums_over(fams)
             yield from fams
@@ -290,7 +286,7 @@ def _suite_oracles(seed, instances, dim_max, out):
 
 
 def _suite_taylor(seed, instances, dim_max, out):
-    fam = _random_family(_seeds(seed, 40, 1)[0], 4, 1.0)
+    fam = random_pair(4, _seeds(seed, 40, 1)[0], beta=1.0)
     rho0 = np.diag(fam.blocks[0].populations).astype(complex)
     (rp,) = rho_prime(fam)
     h = 1e-2
@@ -617,8 +613,8 @@ def _suite_file(seed, instances, dim_max, out):
 
 def _suite_determinism(seed, instances, dim_max, out):
     s0 = _seeds(seed, 50, 1)[0]
-    f1 = _random_family(s0, 6, 1.7)
-    f2 = _random_family(s0, 6, 1.7)
+    f1 = random_pair(6, s0, beta=1.7)
+    f2 = random_pair(6, s0, beta=1.7)
     same = all(
         np.array_equal(b1.levels, b2.levels) and np.array_equal(b1.s_eig, b2.s_eig)
         for b1, b2 in zip(f1.blocks, f2.blocks)
@@ -636,7 +632,7 @@ def _suite_determinism(seed, instances, dim_max, out):
 
 
 def _suite_beta_scaling(seed, instances, dim_max, out):
-    fam0 = _random_family(_seeds(seed, 60, 1)[0], 6, 0.4)
+    fam0 = random_pair(6, _seeds(seed, 60, 1)[0], beta=0.4)
     ratios = []
     for k in range(4):
         fam = family_at_beta(fam0, 0.4 / 2**k)

@@ -12,6 +12,7 @@ from fidsus.errors import (
     CrossCheckError,
     CutoffConvergenceWarning,
     DegenerateGroundStateError,
+    NoConvergenceError,
     NotDensityMatrixError,
 )
 from fidsus.fidelity import (
@@ -85,6 +86,23 @@ def test_uhlmann_rejects_non_density():
         uhlmann_fidelity(np.eye(2), np.eye(2) / 2.0)  # trace 2
     with pytest.raises(NotDensityMatrixError):
         uhlmann_fidelity(np.diag([1.5, -0.5]), np.eye(2) / 2.0)
+
+
+def test_svd_failure_in_the_fidelity_is_a_typed_error(monkeypatch):
+    """A LAPACK failure of the nuclear-norm SVD leaves `uhlmann_fidelity`
+    and `chi_f_fd` as `NoConvergenceError`, like every other factorization."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    rng = np.random.default_rng(54)
+    a, b = random_density(rng, 3), random_density(rng, 3)
+    fam = random_pair(4, 3, 1.0, 1.0, 1.0)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergenceError, match="svd did not converge"):
+        uhlmann_fidelity(a, b)
+    with pytest.raises(NoConvergenceError, match="svd did not converge"):
+        chi_f_fd(fam, 1e-3)
 
 
 def test_bures_distance_relation():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_hermitian
 from fidsus.errors import NoConvergenceError, NotHermitianError, NotSquareError
-from fidsus.linalg import eig_hermitian, svd_checked, validate_hermitian
+from fidsus.linalg import HermitianOperator, eig_hermitian, svd_checked, validate_hermitian
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21])
@@ -13,16 +13,16 @@ def test_eigenvalues_match_numpy(dim):
     rng = np.random.default_rng(100 + dim)
     for _ in range(5):
         h = random_hermitian(rng, dim)
-        dec = eig_hermitian(validate_hermitian(h))
+        w, _ = eig_hermitian(validate_hermitian(h))
         np.testing.assert_allclose(
-            dec.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=1e-11 * dim
+            w, np.linalg.eigvalsh(h), rtol=0, atol=1e-11 * dim
         )
     # a spectrum known by construction, independent of any eigensolver
     lam = np.sort(rng.normal(size=dim))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     u = np.linalg.qr(g)[0]
-    dec = eig_hermitian(validate_hermitian((u * lam) @ u.conj().T))
-    np.testing.assert_allclose(dec.eigenvalues, lam, rtol=0, atol=1e-12 * dim)
+    w, _ = eig_hermitian(validate_hermitian((u * lam) @ u.conj().T))
+    np.testing.assert_allclose(w, lam, rtol=0, atol=1e-12 * dim)
 
 
 def _hermitian_with_spectrum(rng, lam, real):
@@ -57,12 +57,12 @@ def test_eigenbasis_reconstructs_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
     for h in inputs:
         dim = h.shape[0]
-        dec = eig_hermitian(validate_hermitian(h))
-        rebuilt = (dec.basis * dec.eigenvalues) @ dec.basis.conj().T
+        w, vecs = eig_hermitian(validate_hermitian(h))
+        rebuilt = (vecs * w) @ vecs.conj().T
         np.testing.assert_allclose(rebuilt, h, atol=1e-12 * dim)
         # unitary columns
         np.testing.assert_allclose(
-            dec.basis.conj().T @ dec.basis, np.eye(dim), atol=1e-12 * dim
+            vecs.conj().T @ vecs, np.eye(dim), atol=1e-12 * dim
         )
     # one eigh of the whole matrix per call, reducible or not
     assert shapes == [h.shape for h in inputs]
@@ -72,8 +72,8 @@ def test_eigenvalues_ascending():
     rng = np.random.default_rng(3)
     for _ in range(20):
         dim = int(rng.integers(2, 16))
-        dec = eig_hermitian(validate_hermitian(random_hermitian(rng, dim)))
-        assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+        w, _ = eig_hermitian(validate_hermitian(random_hermitian(rng, dim)))
+        assert np.all(np.diff(w) >= 0.0)
 
 
 def test_degenerate_spectrum():
@@ -83,20 +83,20 @@ def test_degenerate_spectrum():
     g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     u = np.linalg.qr(g)[0]
     h = u @ d @ u.conj().T
-    dec = eig_hermitian(validate_hermitian(h))
+    w, vecs = eig_hermitian(validate_hermitian(h))
     np.testing.assert_allclose(
-        dec.eigenvalues, [1.0, 1.0, 2.0, 2.0, 5.0], atol=1e-12
+        w, [1.0, 1.0, 2.0, 2.0, 5.0], atol=1e-12
     )
-    rebuilt = (dec.basis * dec.eigenvalues) @ dec.basis.conj().T
+    rebuilt = (vecs * w) @ vecs.conj().T
     np.testing.assert_allclose(rebuilt, h, atol=1e-12)
 
 
 def test_already_diagonal_is_fixed_point():
     h = np.diag([3.0, -1.0, 0.5]).astype(complex)
-    dec = eig_hermitian(validate_hermitian(h))
-    np.testing.assert_allclose(dec.eigenvalues, [-1.0, 0.5, 3.0], atol=0)
+    w, vecs = eig_hermitian(validate_hermitian(h))
+    np.testing.assert_allclose(w, [-1.0, 0.5, 3.0], atol=0)
     # basis must be a signed permutation (here: a permutation)
-    np.testing.assert_allclose(np.abs(dec.basis), np.eye(3)[:, [1, 2, 0]], atol=0)
+    np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]], atol=0)
 
 
 def test_eigensolver_failure_is_a_typed_error(monkeypatch):
@@ -106,6 +106,16 @@ def test_eigensolver_failure_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NoConvergenceError, match="did not converge"):
         eig_hermitian(validate_hermitian(np.diag([1.0, 2.0])))
+
+
+@pytest.mark.parametrize("upper", [0.0, 1.0 + 1e-9], ids=["triangular", "asymmetry_1e-9"])
+def test_residual_rejects_an_operator_built_without_validation(upper):
+    """An operator built directly, as the exactly Hermitian internal writes
+    are, relies on the residual check: a matrix that is not Hermitian,
+    even by 1e-9, fails it."""
+    op = HermitianOperator(np.array([[1.0, upper], [1.0, 1.0]]), 2)
+    with pytest.raises(NoConvergenceError, match="residual"):
+        eig_hermitian(op)
 
 
 _CORRUPTIONS = [
@@ -194,14 +204,14 @@ def test_real_operators_are_stored_and_decomposed_as_float64():
     for given in (sym, sym.astype(complex), sym.astype(np.float32), np.eye(3, dtype=int)):
         op = validate_hermitian(given)
         assert op.matrix.dtype == np.float64
-        dec = eig_hermitian(op)
-        assert dec.basis.dtype == np.float64 and dec.eigenvalues.dtype == np.float64
-    real = eig_hermitian(validate_hermitian(sym))
-    cplx = eig_hermitian(validate_hermitian(h))
-    assert cplx.basis.dtype == np.complex128
-    np.testing.assert_allclose(real.eigenvalues, np.linalg.eigvalsh(sym), rtol=0, atol=1e-13)
+        w, vecs = eig_hermitian(op)
+        assert vecs.dtype == np.float64 and w.dtype == np.float64
+    real_w, real_vecs = eig_hermitian(validate_hermitian(sym))
+    _, cplx_vecs = eig_hermitian(validate_hermitian(h))
+    assert cplx_vecs.dtype == np.complex128
+    np.testing.assert_allclose(real_w, np.linalg.eigvalsh(sym), rtol=0, atol=1e-13)
     # the phase pin of a real basis is a sign: the pivot is +|pivot|
-    pivots = real.basis[np.argmax(np.abs(real.basis), axis=0), np.arange(7)]
+    pivots = real_vecs[np.argmax(np.abs(real_vecs), axis=0), np.arange(7)]
     assert np.all(pivots > 0.0)
 
 
@@ -238,10 +248,10 @@ def test_irreducible_matrix_keeps_the_single_call_result(real, shape):
     if shape == "tridiagonal":
         h = np.triu(np.tril(h, 1), -1)
     op = validate_hermitian(h)
-    dec = eig_hermitian(op)
+    w, vecs = eig_hermitian(op)
     evals, basis = _reference_eig_hermitian(op)
-    assert np.array_equal(dec.eigenvalues, evals)
-    assert np.array_equal(dec.basis, basis)
+    assert np.array_equal(w, evals)
+    assert np.array_equal(vecs, basis)
 
 
 
@@ -263,16 +273,16 @@ def test_sorted_eigenvalues_keep_the_basis_eigh_returned(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     op = validate_hermitian(random_hermitian(np.random.default_rng(31), 6))
-    dec = eig_hermitian(op)
-    assert np.shares_memory(dec.basis, returned[-1])
+    _, vecs = eig_hermitian(op)
+    assert np.shares_memory(vecs, returned[-1])
 
     op = validate_hermitian(np.diag([1.0, 1.0, 2.0, 0.0]))
     perm[:] = [1, 3, 2, 0]
-    dec = eig_hermitian(op)
+    w, vecs = eig_hermitian(op)
     evals, basis = _reference_eig_hermitian(op)
-    assert not np.shares_memory(dec.basis, returned[-1])
-    assert np.array_equal(dec.eigenvalues, evals) and np.array_equal(dec.basis, basis)
-    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+    assert not np.shares_memory(vecs, returned[-1])
+    assert np.array_equal(w, evals) and np.array_equal(vecs, basis)
+    assert np.all(np.diff(w) >= 0.0)
 
     def nan_level(matrix):
         evals, basis = eigh(matrix)
