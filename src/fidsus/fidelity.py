@@ -480,6 +480,8 @@ def perturbed_density(fam: PerturbedFamily, h: float) -> tuple:
 def _density_spectrum(rho):
     try:
         op = validate_hermitian(rho)
+        if op.matrix.ndim != 2:
+            raise NotSquareError(f"expected a square matrix, got shape {op.matrix.shape}")
     except (NotSquareError, NotHermitianError, NonFiniteError) as exc:
         raise NotDensityMatrixError(str(exc)) from exc
     w, u = eig_hermitian(op)

@@ -5,12 +5,14 @@ its T_b, S_b and number d_b of identical copies, so dim = sum_b d_b n_b;
 a dense (T, S) is the one-block case.  Two sectors of a block that T
 keeps and S flips are declared (Dicke's parity) or found (`_parity`).
 `block_family` builds a family from blocks, `make_family` from one
-dense pair, and `family_at_beta` moves one to another temperature
-without re-diagonalizing.  Each block keeps its ascending levels, S_b
-in their eigenbasis (only the rectangle between its sectors) and
-the log Boltzmann weights of its levels against the Z of the whole
-space; no eigenbasis is kept.  S has no matrix element between two blocks or two copies, so
-every route runs block by block, weighted by the copies: the pair sums
+dense pair, `make_families` one family from each member of a stack of
+dense pairs of one shape, with one stacked solve, and `family_at_beta`
+moves one to another temperature without re-diagonalizing.  Each block
+keeps its ascending levels, S_b in their eigenbasis (only the rectangle
+between its sectors) and the log Boltzmann weights of its levels against
+the Z of the whole space; no eigenbasis is kept.  S has no matrix
+element between two blocks or two copies, so every route runs block by
+block, weighted by the copies: the pair sums
 (`fidelity._pair_sums`), thermal averages and the solves of
 T_b - h S_b (`_displaced_spectra`).  The whole space is never
 assembled, and ``DIMENSION_BUDGET`` bounds each block only.
@@ -38,14 +40,18 @@ from .config import (
 from .errors import (
     DimensionBudgetError,
     DimensionMismatchError,
+    NoConvergenceError,
     NonPositiveBetaError,
     NotHermitianError,
+    NotSquareError,
     SectorDeclarationError,
     TauOutOfRangeError,
 )
 from .linalg import (
     HermitianOperator,
     _freeze,
+    _norms,
+    _require,
     eig_hermitian,
     validate_hermitian,
 )
@@ -55,6 +61,7 @@ __all__ = [
     "PerturbedFamily",
     "block_family",
     "make_family",
+    "make_families",
     "family_at_beta",
     "thermal_average",
     "correlation_G",
@@ -245,8 +252,10 @@ def _parity(t: np.ndarray, s: np.ndarray) -> np.ndarray | None:
     Each connected component of the joint nonzero pattern is coloured
     breadth first, a new state taking its colour from one coloured
     neighbour, and the colouring is then checked (`_flips`)."""
+    if s.diagonal().any():
+        return None
     same, flip = t != 0, s != 0
-    if s.diagonal().any() or np.any(same & flip):
+    if np.any(same & flip):
         return None
     linked = same | flip
     colour = np.zeros(s.shape[0], dtype=bool)
@@ -288,14 +297,17 @@ def _thermalize(
     )
 
 
-def _require_hermitian(parts: Sequence[np.ndarray], what: str) -> float:
+def _require_hermitian(parts: Sequence[np.ndarray], what: str) -> np.ndarray:
     """max(1, ||A||_F) of the direct sum A of the square ``parts``, after
     checking max |A - A^H| against ``EIGENBASIS_HERMITIAN`` times it; a
-    NaN defect fails."""
-    scale = max(1.0, math.hypot(*(float(np.linalg.norm(a)) for a in parts)))
-    asym = max((float(np.max(np.abs(a - a.conj().T))) for a in parts if a.size), default=0.0)
-    if not (asym <= EIGENBASIS_HERMITIAN * scale):
-        raise NotHermitianError(f"{what}: defect {asym:.3e}")
+    NaN defect fails.  Parts of shape (..., n, n) give a scale and a check
+    per member, and a failure names the member."""
+    scale = np.maximum(1.0, functools.reduce(np.hypot, map(_norms, parts)))
+    asym = functools.reduce(
+        np.maximum, (np.abs(a - a.conj().mT).max(axis=(-2, -1), initial=0.0) for a in parts)
+    )
+    _require(asym <= EIGENBASIS_HERMITIAN * scale, NotHermitianError,
+             lambda k: f"{what}: defect {asym[k]:.3e}")
     return scale
 
 
@@ -329,13 +341,14 @@ def _weigh(diagonals: Iterable) -> float:
 
 
 def _solve_whole(T: HermitianOperator, S: HermitianOperator) -> tuple:
-    """(levels, S in their eigenbasis) from one solve of T."""
+    """(levels, S in their eigenbasis) from one solve of T, or stacks of
+    both from one solve of a stack."""
     levels, b = eig_hermitian(T)
-    s_eig = b.conj().T @ S.matrix @ b
+    s_eig = b.conj().mT @ S.matrix @ b
     # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
     # survives to the same order; re-symmetrize to make it exact
     _require_hermitian([s_eig], "perturbation lost Hermiticity in the basis rotation")
-    return levels, _freeze(0.5 * (s_eig + s_eig.conj().T))
+    return levels, _freeze(0.5 * (s_eig + s_eig.conj().mT))
 
 
 def _solve_sectors(T: HermitianOperator, S: HermitianOperator, first) -> tuple:
@@ -369,6 +382,37 @@ def _solve_sectors(T: HermitianOperator, S: HermitianOperator, first) -> tuple:
     return _freeze(levels[order]), _freeze(rect), sectors
 
 
+def _solve(T: HermitianOperator, S: HermitianOperator, first, copies: int) -> tuple:
+    """A block's (levels, s_pairs, copies, sectors), solved whole where
+    ``first`` is None and else by its sectors."""
+    if first is None:
+        return (*_solve_whole(T, S), copies, None)
+    levels, s_pairs, sectors = _solve_sectors(T, S, first)
+    return levels, s_pairs, copies, sectors
+
+
+def _validated(T, S, ndim: int) -> tuple:
+    """T and S through `validate_hermitian`, of one shape of ``ndim`` axes
+    (2 for one block, 3 for a stack), their side checked against
+    ``DIMENSION_BUDGET`` before either is read; a block has a state."""
+    for a in (T, S):
+        n = max(np.shape(a)[-2:], default=0)
+        if n > DIMENSION_BUDGET:
+            raise DimensionBudgetError(
+                f"block dimension {n} exceeds budget {DIMENSION_BUDGET}"
+            )
+    T, S = validate_hermitian(T), validate_hermitian(S)
+    if T.matrix.ndim != ndim:
+        raise NotSquareError(f"expected {ndim} axes, got shape {T.matrix.shape}")
+    if S.matrix.shape != T.matrix.shape:
+        raise DimensionMismatchError(
+            f"perturbation has shape {S.matrix.shape} but T {T.matrix.shape}"
+        )
+    if T.dim < 1:
+        raise ValueError("a block needs at least one state")
+    return T, S
+
+
 def block_family(
     blocks: Iterable, beta: float, particle_count: int = 1, quasi_free: np.ndarray | None = None
 ) -> PerturbedFamily:
@@ -397,28 +441,12 @@ def block_family(
         raise ValueError(f"particle_count must be >= 1, got {particle_count}")
     parts = []
     for T, S, copies, *declared in blocks:
-        for a in (T, S):
-            n = max(np.shape(a), default=0)
-            if n > DIMENSION_BUDGET:
-                raise DimensionBudgetError(
-                    f"block dimension {n} exceeds budget {DIMENSION_BUDGET}"
-                )
-        T, S = validate_hermitian(T), validate_hermitian(S)
-        if S.dim != T.dim:
-            raise DimensionMismatchError(
-                f"perturbation is {S.dim}x{S.dim} but T is {T.dim}x{T.dim}"
-            )
-        if T.dim < 1:
-            raise ValueError("a block needs at least one state")
+        T, S = _validated(T, S, 2)
         copies = operator.index(copies)
         if copies < 1:
             raise ValueError(f"a block needs at least one copy, got {copies}")
         (first,) = declared or [_parity(T.matrix, S.matrix)]
-        if first is None:
-            (levels, s_pairs), sectors = _solve_whole(T, S), None
-        else:
-            levels, s_pairs, sectors = _solve_sectors(T, S, first)
-        parts.append((levels, s_pairs, copies, sectors))
+        parts.append(_solve(T, S, first, copies))
     if not parts:
         raise ValueError("a family needs at least one block")
     if quasi_free is not None:
@@ -431,6 +459,37 @@ def make_family(
 ) -> PerturbedFamily:
     """The one-block family of dense arrays T and S in one basis: see `block_family`."""
     return block_family([(T, S, 1)], beta, particle_count)
+
+
+def make_families(T: np.ndarray, S: np.ndarray, betas: Sequence[float]) -> list[PerturbedFamily]:
+    """The one-block family of each member of the (B, n, n) stacks T and
+    S at ``betas[k]``, each bit for bit ``make_family(T[k], S[k],
+    betas[k])``: the stacks are checked as `block_family` checks one
+    block and solved in one stacked `_solve_whole`, an error naming the
+    first failing member.  A member with sectors (`_parity`) or, in a
+    complex stack, with no imaginary part (which `make_family` stores as
+    float64) is zeroed in the stack and solved again alone.
+    """
+    T, S = _validated(T, S, 3)
+    if np.shape(betas) != T.matrix.shape[:1]:
+        raise DimensionMismatchError(f"{np.shape(betas)} betas for stacks {T.matrix.shape}")
+    t, s = T.matrix, S.matrix
+    firsts = [_parity(tk, sk) for tk, sk in zip(t, s)]
+    alone = np.array([first is not None for first in firsts], dtype=bool)
+    for a in (t, s):
+        if np.iscomplexobj(a):
+            alone |= ~a.imag.any(axis=(1, 2))
+    if alone.any():
+        t, s = (_freeze(np.where(alone[:, None, None], 0, a)) for a in (t, s))
+    solved = _solve_whole(HermitianOperator(t, T.dim), HermitianOperator(s, S.dim))
+    parts = [(levels, s_eig, 1, None) for levels, s_eig in zip(*solved)]
+    for k in np.flatnonzero(alone):
+        try:
+            Tk, Sk = validate_hermitian(T.matrix[k]), validate_hermitian(S.matrix[k])
+            parts[k] = _solve(Tk, Sk, firsts[k], 1)
+        except (NoConvergenceError, NotHermitianError) as exc:
+            raise type(exc)(f"member {k}: {exc}") from exc
+    return [_thermalize(b, [part], 1, None, {}) for b, part in zip(betas, parts)]
 
 
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:

@@ -535,6 +535,12 @@ def random_pair(
     symmetrized as (G + G*)/2 and scaled.  Changing either scale to 0
     gives the corresponding zero operator.
     """
+    return make_family(*_random_operators(dim, seed, t_scale, s_scale), beta)
+
+
+def _random_operators(dim: int, seed: int, t_scale: float = 1.0, s_scale: float = 1.0) -> tuple:
+    """The arrays (T, S) of `random_pair`, which ``verify`` stacks by
+    dimension for `gibbs.make_families`."""
     dim = _integer("dim", dim)
     if not 2 <= dim <= 64:
         raise ValueError(f"dim must be between 2 and 64, got {dim}")
@@ -546,7 +552,7 @@ def random_pair(
 
     T = draw(float(t_scale))
     S = draw(float(s_scale))
-    return make_family(T, S, beta)
+    return T, S
 
 
 def tfim(

@@ -19,8 +19,11 @@ enough for the ground-state limit.  The ground-state limit and the
 finite-difference chi_F also run on fixed block families.
 
 The random and oracle suites take their families in stacks of one
-dimension (`_stacked_families`); every check reduces its instances by
-max, min or sum, so neither the stacks nor their order reach the text.
+dimension (`_stacked_families`), each stack built with one stacked
+eigensolve (`gibbs.make_families`) and its pair sums formed in one pass;
+every family is bit for bit the one `models.random_pair` builds alone,
+and every check reduces its instances by max, min or sum, so neither
+the stacks nor their order reach the text.
 
 The summary is a pure function of (seed, instances, dim_max): no wall
 times, no file paths, no machine-dependent formatting enter the text, so
@@ -69,10 +72,11 @@ from .fidelity import (
     rho_prime,
     uhlmann_fidelity,
 )
-from .gibbs import family_at_beta, make_family, thermal_average
+from .gibbs import family_at_beta, make_families, make_family, thermal_average
 from .kernels import tanh_over_x
 from .models import (
     _integer,
+    _random_operators,
     dicke,
     dicke_tc,
     kondo_roepstorff,
@@ -144,15 +148,17 @@ def _sandwich_violation(rep: BoundReport) -> List[float]:
 
 # _suite_kernels's chunk of tanh_over_x arguments: 64 KiB temporaries
 _KERNEL_CHUNK = 8192
-# the random families whose pair sums are formed in one stacked pass: at
-# dim 12 its (16, 12, 12) temporaries take 18-36 KiB each
+# the random families built with one stacked eigensolve and whose pair sums
+# are formed in one stacked pass: at dim 12 its (16, 12, 12) temporaries
+# take 18-36 KiB each
 _STACK = 16
 
 
 def _stacked_families(fam_seeds, dims, betas):
     """Every instance's random family, by ascending dimension in stacks of
-    at most `_STACK`, each stack built and its pair sums formed in one
-    pass (`fidelity._pair_sums_over`) before its families are yielded."""
+    at most `_STACK`, each stack built in one `make_families` call and its
+    pair sums formed in one pass (`fidelity._pair_sums_over`) before its
+    families are yielded."""
     # grouped in Python: np.unique's first call faults in about 1 MiB,
     # which would raise verify's peak RSS by as much
     by_dim = {}
@@ -161,9 +167,9 @@ def _stacked_families(fam_seeds, dims, betas):
     for dim in sorted(by_dim):
         at = by_dim[dim]
         for lo in range(0, len(at), _STACK):
-            fams = [
-                random_pair(dim, fam_seeds[k], beta=float(betas[k])) for k in at[lo : lo + _STACK]
-            ]
+            stack = at[lo : lo + _STACK]
+            pairs = [_random_operators(dim, fam_seeds[k]) for k in stack]
+            fams = make_families(*map(np.stack, zip(*pairs)), betas[stack])
             _pair_sums_over(fams)
             yield from fams
 

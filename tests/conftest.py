@@ -12,7 +12,8 @@ from fidsus.models import random_pair
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Record the dimension of every ``eig_hermitian`` call.
+    """Record the dimension of every ``eig_hermitian`` call: ``op.dim``,
+    the side of each member, once for a stacked call.
 
     The function is imported by name into its consumer modules, so the
     counter replaces it in every loaded ``fidsus`` module that holds it.
@@ -145,13 +146,16 @@ def random_hermitian(rng, dim, scale=1.0):
 
 
 @st.composite
-def clustered_families(draw, s_scales=st.just(1.0)):
-    """Families whose T has clusters of levels, exactly degenerate or split
-    by tiny gaps, at any beta in [1e-3, 1e3]; S is a random Hermitian
-    matrix times a factor drawn from ``s_scales``.  Both operators are
-    drawn either complex or real symmetric, so the family runs on the
-    complex or the float64 path."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+def clustered_pairs(
+    draw, s_scales=st.just(1.0), sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4)
+):
+    """Arrays (T, S) and a beta in [1e-3, 1e3], T having clusters of
+    levels, exactly degenerate or split by tiny gaps, of the sizes drawn
+    from ``sizes``, 1 to 4 clusters of 1 to 3 levels by default; S is a
+    random Hermitian matrix times a factor drawn from ``s_scales``.  Both
+    operators are drawn either complex or real symmetric, so the family
+    runs on the complex or the float64 path."""
+    sizes = draw(sizes)
     width = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-4]))
     spacing = draw(st.floats(0.05, 3.0))
     levels = np.concatenate(
@@ -170,4 +174,19 @@ def clustered_families(draw, s_scales=st.just(1.0)):
         t = q @ t @ q.conj().T
     beta = 10.0 ** draw(st.floats(-3.0, 3.0))
     s = hermitian(draw(s_scales))
-    return make_family(t, s, beta)
+    return t, s, beta
+
+
+def clustered_families(s_scales=st.just(1.0)):
+    """The families of `clustered_pairs`."""
+    return clustered_pairs(s_scales).map(lambda pair: make_family(*pair))
+
+
+@st.composite
+def clustered_stacks(draw):
+    """One to four `clustered_pairs` of one cluster layout, so of one
+    dimension, real, complex or both: the arrays (T, S, betas) of a stack."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    pairs = draw(st.lists(clustered_pairs(sizes=st.just(sizes)), min_size=1, max_size=4))
+    t, s, betas = zip(*pairs)
+    return np.stack(t), np.stack(s), list(betas)

@@ -86,6 +86,10 @@ def test_uhlmann_rejects_non_density():
         uhlmann_fidelity(np.eye(2), np.eye(2) / 2.0)  # trace 2
     with pytest.raises(NotDensityMatrixError):
         uhlmann_fidelity(np.diag([1.5, -0.5]), np.eye(2) / 2.0)
+    # a stack of one density matrix is not one: the validation takes
+    # stacks, the fidelity does not
+    with pytest.raises(NotDensityMatrixError, match="square matrix"):
+        uhlmann_fidelity(np.eye(2)[None] / 2.0, np.eye(2) / 2.0)
 
 
 def test_svd_failure_in_the_fidelity_is_a_typed_error(monkeypatch):

@@ -9,15 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from conftest import all_levels, clustered_families, complex_sector_family, random_hermitian
+from conftest import (
+    all_levels,
+    clustered_families,
+    clustered_stacks,
+    complex_sector_family,
+    random_hermitian,
+)
 from fidsus.bounds import double_commutator_direct
 from fidsus.config import DIMENSION_BUDGET
 from fidsus.errors import (
     CutoffConvergenceWarning,
     DimensionBudgetError,
     DimensionMismatchError,
+    NoConvergenceError,
+    NonFiniteError,
     NonPositiveBetaError,
     NotHermitianError,
+    NotSquareError,
     TauOutOfRangeError,
 )
 from fidsus.gibbs import (
@@ -26,6 +35,7 @@ from fidsus.gibbs import (
     block_family,
     correlation_G,
     family_at_beta,
+    make_families,
     make_family,
     thermal_average,
 )
@@ -458,3 +468,172 @@ def test_a_block_above_the_budget_is_refused_before_it_is_read():
     assert peak < 2**20
     with pytest.raises(DimensionBudgetError):
         make_family(big, big, 1.0)
+
+
+def _assert_members_match(t, s, betas):
+    """`make_families` builds each member bit for bit as `make_family`
+    builds it alone, dtypes included."""
+    fams = make_families(t, s, betas)
+    assert len(fams) == len(betas)
+    for k, fam in enumerate(fams):
+        alone = make_family(t[k], s[k], betas[k])
+        (got,), (want,) = fam.blocks, alone.blocks
+        for name in ("levels", "s_pairs", "log_populations", "populations"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (k, name)
+        assert (got.sectors is None) == (want.sectors is None), k
+        if want.sectors is not None:
+            assert all(np.array_equal(x, y) for x, y in zip(got.sectors, want.sectors))
+        scalars = ("beta", "log_z", "s_mean", "s_variance", "underflow_count", "dim")
+        assert [getattr(fam, a) for a in scalars] == [getattr(alone, a) for a in scalars], k
+
+
+def _bipartite(rng, n, real):
+    """A (T, S) pair that `_parity` splits into sectors, the even and the
+    odd states: T links states of one parity only, S of opposite ones."""
+    even = np.arange(n) % 2 == 0
+    t, s = (random_hermitian(rng, n) for _ in range(2))
+    t[even[:, None] != even] = 0.0
+    s[even[:, None] == even] = 0.0
+    return (t.real, s.real) if real else (t, s)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_make_families_matches_make_family_member_by_member(n, real):
+    """A stack of six: GUE members, one whose T has repeated levels, one
+    solved by sectors (from n = 2) and one at beta = 800, where
+    populations underflow; a complex stack also holds a member with no
+    imaginary part, which `make_family` stores as float64."""
+    rng = np.random.default_rng(n)
+    pairs = [tuple(random_hermitian(rng, n) for _ in range(2)) for _ in range(6)]
+    q, _ = np.linalg.qr(random_hermitian(rng, n))
+    pairs[1] = (q @ np.diag(np.repeat([-1.0, 0.5], n)[:n]) @ q.conj().T, pairs[1][1])
+    if n > 1:
+        pairs[2] = _bipartite(rng, n, real)
+    if real:
+        pairs = [(a.real, b.real) for a, b in pairs]
+    else:
+        pairs[4] = (pairs[4][0].real, pairs[4][1].real)
+    t, s = (np.stack(x) for x in zip(*pairs))
+    betas = [0.3, 1.0, 2.0, 800.0, 7.0, 0.1]
+    _assert_members_match(t, s, betas)
+    fams = make_families(t, s, betas)
+    assert (fams[2].blocks[0].sectors is not None) == (n > 1)
+    assert fams[3].underflow_count > 0 or n == 1
+
+
+def test_make_families_of_one_member_and_of_none():
+    rng = np.random.default_rng(3)
+    t, s = random_hermitian(rng, 5), random_hermitian(rng, 5)
+    _assert_members_match(t[None], s[None], [2.5])
+    empty = np.zeros((0, 5, 5), dtype=complex)
+    assert make_families(empty, empty, []) == []
+
+
+def test_make_families_of_sector_members_only():
+    """A stack whose every member has sectors makes no stacked solve."""
+    rng = np.random.default_rng(4)
+    t, s = (np.stack(x) for x in zip(*(_bipartite(rng, 6, False) for _ in range(3))))
+    _assert_members_match(t, s, [0.5, 1.0, 3.0])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(stack=clustered_stacks())
+def test_make_families_on_clustered_spectra(stack):
+    """Clustered and exactly degenerate levels, real, complex and mixed
+    stacks, beta from 1e-3 to 1e3."""
+    _assert_members_match(*stack)
+
+
+def _stack(n=4, count=5):
+    rng = np.random.default_rng(8)
+    return (np.stack([random_hermitian(rng, n) for _ in range(count)]) for _ in range(2))
+
+
+def test_make_families_names_a_failing_member():
+    """A NaN or an asymmetric member fails as it would alone, by the same
+    error type, and the message names the member."""
+    t, s = _stack()
+    bad = t.copy()
+    bad[3, 1, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="member 3: "):
+        make_families(bad, s, [1.0] * 5)
+    bad = s.copy()
+    bad[2, 0, 1] += 1e-3
+    with pytest.raises(NotHermitianError, match="member 2: asymmetry"):
+        make_families(t, bad, [1.0] * 5)
+
+
+def test_make_families_checks_the_shapes():
+    t, s = _stack()
+    with pytest.raises(DimensionMismatchError):
+        make_families(t, s[:4], [1.0] * 5)
+    with pytest.raises(DimensionMismatchError):
+        make_families(t, s[:, :3, :3], [1.0] * 5)
+    with pytest.raises(DimensionMismatchError, match="betas"):
+        make_families(t, s, [1.0] * 4)
+    with pytest.raises(NotSquareError):
+        make_families(t[0], s[0], [1.0])
+    with pytest.raises(NotSquareError):
+        make_family(t, s, 1.0)
+    with pytest.raises(ValueError, match="at least one state"):
+        make_families(np.zeros((2, 0, 0)), np.zeros((2, 0, 0)), [1.0, 1.0])
+
+
+def test_an_over_budget_stack_is_refused_before_it_is_read():
+    """The budget bounds each member's side, not the stack: a stack of
+    side 4097 is refused from its shape, before validation copies it."""
+    big = np.broadcast_to(0.0, (3,) + (DIMENSION_BUDGET + 1,) * 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetError):
+            make_families(big, big, [1.0] * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    count = DIMENSION_BUDGET + 1
+    assert len(make_families(*_stack(2, count), [1.0] * count)) == count
+
+
+def _stack_with_sectors():
+    """Five complex members, member 1 solved alone by its sectors."""
+    t, s = _stack()
+    t[1], s[1] = _bipartite(np.random.default_rng(9), 4, False)
+    return t, s
+
+
+@pytest.mark.parametrize("corrupt", ["basis", "nan_level"])
+def test_a_stack_whose_later_member_fails_its_solve(monkeypatch, corrupt):
+    """An eigh result wrong in one later member only, a rolled basis or
+    a NaN level, fails the stacked solve with the member's index in the
+    input, also behind a member solved alone."""
+    eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        evals, basis = eigh(matrix)
+        if matrix.ndim == 3:
+            if corrupt == "basis":
+                basis[3] = np.roll(basis[3], 1, axis=1)
+            else:
+                evals[3, 1] = np.nan
+        return evals, basis
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    for stack in (_stack(), _stack_with_sectors()):
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergenceError, match="member 3: "):
+            make_families(*stack, [1.0] * 5)
+
+
+def test_a_member_solved_alone_names_itself(monkeypatch):
+    """A member solved alone by its sectors fails with its index too."""
+    eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        evals, basis = eigh(matrix)
+        return evals, (basis if matrix.ndim == 3 else np.roll(basis, 1, axis=1))
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(NoConvergenceError, match="member 1: eigendecomposition residual"):
+        make_families(*_stack_with_sectors(), [1.0] * 5)

@@ -22,6 +22,7 @@ import fidsus.gibbs
 import fidsus.plotting
 import fidsus.sweep
 import fidsus.verify
+from conftest import same_blocks
 from fidsus.cli import main
 from fidsus.errors import (
     CrossCheckError,
@@ -31,8 +32,8 @@ from fidsus.errors import (
     ModelSchemaError,
     RowLengthError,
 )
-from fidsus.gibbs import family_at_beta
-from fidsus.models import MODEL_KINDS, ModelSpec, build_model
+from fidsus.gibbs import family_at_beta, make_family
+from fidsus.models import MODEL_KINDS, ModelSpec, build_model, random_pair
 from fidsus.bounds import bound_report
 from fidsus.plotting import emit_plot, read_columns, render_svg, write_text_atomic
 from fidsus.sweep import (
@@ -434,6 +435,46 @@ def test_verify_text_is_the_same_without_the_stacked_pass(seed, monkeypatch):
     stacked = run_verify(seed, 60, 12).text
     monkeypatch.setattr(fidsus.verify, "_pair_sums_over", lambda fams: None)
     assert run_verify(seed, 60, 12).text == stacked
+
+
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_verify_text_is_the_same_without_the_stacked_build(seed, monkeypatch):
+    """The random and oracle suites build each stack with one stacked
+    eigensolve; with each family built alone by `make_family` instead,
+    the text is the same bytes."""
+    stacked = run_verify(seed, 60, 12).text
+    monkeypatch.setattr(
+        fidsus.verify,
+        "make_families",
+        lambda T, S, betas: [make_family(t, s, beta) for t, s, beta in zip(T, S, betas)],
+    )
+    assert run_verify(seed, 60, 12).text == stacked
+
+
+def test_stacked_families_are_the_random_pairs():
+    """Each family that `verify` builds in a stack is bit for bit the
+    `random_pair` of its seed, dimension and beta, in order of ascending
+    dimension."""
+    rng = np.random.default_rng(5)
+    seeds = [int(x) for x in rng.integers(0, 2**31, 40)]
+    dims = rng.integers(2, 6, size=40)
+    betas = 10.0 ** rng.uniform(-1.0, 1.0, size=40)
+    fams = list(fidsus.verify._stacked_families(seeds, dims, betas))
+    order = sorted(range(40), key=lambda k: dims[k])
+    assert len(fams) == 40
+    for fam, k in zip(fams, order):
+        want = random_pair(int(dims[k]), seeds[k], beta=float(betas[k]))
+        assert same_blocks(fam, want)
+        assert (fam.beta, fam.log_z, fam.s_mean) == (want.beta, want.log_z, want.s_mean)
+
+
+def test_random_suite_builds_each_stack_with_one_eigensolve(eig_calls):
+    """The 1000 instances at seed 0 fall in 66 stacks of one dimension
+    (see below), each built with one stacked eigensolve: 66 calls, one per
+    stack, not 1000."""
+    fidsus.verify._suite_random(0, 1000, 12, [])
+    assert len(eig_calls) == 66
+    assert sorted(set(eig_calls)) == list(range(2, 13))
 
 
 @pytest.mark.parametrize("instances, passes", [(50, 11), (1000, 66)])

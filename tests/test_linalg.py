@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from fidsus.errors import NoConvergenceError, NotHermitianError, NotSquareError
+from fidsus.errors import NoConvergenceError, NonFiniteError, NotHermitianError, NotSquareError
 from fidsus.linalg import HermitianOperator, eig_hermitian, svd_checked, validate_hermitian
 
 
@@ -292,3 +292,78 @@ def test_sorted_eigenvalues_keep_the_basis_eigh_returned(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", nan_level)
     with np.errstate(invalid="ignore"), pytest.raises(NoConvergenceError, match="residual"):
         eig_hermitian(op)
+
+
+def _stack(real, shape=(6,), n=7, seed=41):
+    rng = np.random.default_rng(seed)
+    h = np.stack([random_hermitian(rng, n) for _ in range(int(np.prod(shape)))])
+    return (h.real if real else h).reshape(*shape, n, n)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_stack_decomposes_each_member_as_it_would_alone(monkeypatch, real):
+    """One validation and one eigh for the stack, each member's operator,
+    levels and basis bit for bit those it gets alone; ``dim`` is each
+    member's side.  A member that eigh returns unsorted makes the whole
+    stack take the stable sort, which leaves the sorted members as they
+    are and restores that member's order."""
+    h = _stack(real, shape=(2, 3))
+    op = validate_hermitian(h)
+    assert op.dim == 7 and op.matrix.shape == h.shape
+    eigh = np.linalg.eigh
+
+    def unsorted(matrix):
+        evals, basis = eigh(matrix)
+        if matrix.ndim > 2:
+            evals[1, 2], basis[1, 2] = evals[1, 2, ::-1], basis[1, 2, :, ::-1]
+        return evals, basis
+
+    monkeypatch.setattr(np.linalg, "eigh", unsorted)
+    w, vecs = eig_hermitian(op)
+    for k in np.ndindex(2, 3):
+        alone = validate_hermitian(h[k])
+        assert alone.matrix.dtype == op.matrix.dtype
+        assert np.array_equal(alone.matrix, op.matrix[k])
+        w_k, vecs_k = eig_hermitian(alone)
+        assert np.array_equal(w[k], w_k) and np.array_equal(vecs[k], vecs_k)
+
+
+def test_a_failing_member_of_a_stack_is_named():
+    """Each check runs per member against its own scale, and the error
+    names the first member that fails it, by its index along the stack
+    axes."""
+    h = _stack(False)
+    bad = h.copy()
+    bad[4, 0, 0] = np.inf
+    with pytest.raises(NonFiniteError, match="member 4: "):
+        validate_hermitian(bad)
+    # an asymmetry of 1e-8 is below HERMITIAN_REL = 1e-12 relative to a
+    # member of norm ~1e7, not to one of norm ~10
+    bad = np.stack([1e6 * h[0], h[1]])
+    bad[:, 0, 1] += 1e-8
+    with pytest.raises(NotHermitianError, match="member 1: asymmetry"):
+        validate_hermitian(bad)
+    with pytest.raises(NotHermitianError, match=r"member \(1, 0\): "):
+        validate_hermitian(np.stack([h[:2], np.stack([bad[1], h[2]])]))
+    with pytest.raises(NotSquareError):
+        validate_hermitian(np.zeros((3, 2, 3)))
+    # so is the residual, where a member of norm ~1e7 would let it pass
+    h = _stack(True)[:3].copy()
+    h[0] *= 1e6
+    h[2, 0, 1] += 1e-9
+    op = HermitianOperator(h, 7)
+    with pytest.raises(NoConvergenceError, match="member 2: eigendecomposition residual"):
+        eig_hermitian(op)
+
+
+def test_unitarity_is_checked_per_member(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def stretched(matrix):
+        evals, basis = eigh(matrix)
+        basis[5] *= 1.0 + 1e-6
+        return evals, basis
+
+    monkeypatch.setattr(np.linalg, "eigh", stretched)
+    with pytest.raises(NoConvergenceError, match="member 5: eigenbasis unitarity"):
+        eig_hermitian(validate_hermitian(_stack(True)))
