@@ -185,12 +185,10 @@ def _displaced(fam: PerturbedFamily, h: float) -> list:
 
     Both are beta independent, so they are kept in ``fam.shared``, which
     every `family_at_beta` of the family holds too; the bases of
-    `_displaced_spectra` are dropped block by block.  Every solve, and
-    this diagonal, reads S_b as the block stores it: where S_b links two
-    sectors only, T_b - h S_b is written from the rectangle between them
-    and its conjugate transpose, and the diagonal is
-    2 Re sum_(m, n) U*_mj S_mn U_nj over that rectangle, a quarter of the
-    products; the whole S_b is never formed.
+    `_displaced_spectra` are dropped block by block.  This diagonal
+    reads S_b as the block stores it: where S_b links two sectors only,
+    it is 2 Re sum_(m, n) U*_mj S_mn U_nj over the rectangle between
+    them, a quarter of the products.
     """
     hit = fam.shared.get(h)
     if hit is None:

@@ -7,6 +7,10 @@ from the side of the lower energy level, so every exponential argument is
 nonpositive and nothing overflows at any inverse temperature.  Pairs
 closer than the degeneracy window get the analytic limit of their kernel,
 taken in the symmetric form sqrt(p_m p_n) so Hermiticity survives exactly.
+Every pair sum comes from one function, `_pair_sums_over`: one pass per
+block for a family alone, the temperatures of a beta chain or a stack of
+independent families, the six sums of a block formed together
+(`_block_sums`) and kept in each family's memo.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ class _PairSums(NamedTuple):
     chi_fg: float
 
 
-def _block_sums(b: Block, beta, lp, p, diagonal):
+def _block_sums(b: Block, beta, diagonal):
     """The pair sums of block b, one sum at a time: chi_F's direct form
     |rho'_mn|^2 / (2(p_m + p_n)), its diagonal included, then |S_mn|^2 off
     the diagonal times chi_F's ratio tanh(X)/X, the BD product's ratio,
@@ -154,21 +158,21 @@ def _block_sums(b: Block, beta, lp, p, diagonal):
     `ds2_spectral` and `chi_fg_spectral`.  Each pair array is dropped
     once no later sum reads it.
 
-    ``beta`` is one inverse temperature or a (B, 1, 1) array of them, and
-    ``lp``, ``p`` and ``diagonal`` are the block's log populations,
-    populations and rho' diagonal at them, (n_b,) or (B, n_b).  The
-    levels and ``s_pairs`` of b may carry the same leading axis, for B
-    families whose blocks differ but match in shape.  Every pair array
-    then has the leading axis, every sum runs over the last two axes,
-    and each yield is a float or a (B,) array; an entry is the same
-    float whether its family is summed alone or in a stack.
+    ``beta`` is the inverse temperature and ``diagonal`` the diagonal of
+    rho' at it (`_rho_prime_diagonal`).  For one family, b is its own
+    block, ``beta`` a float and each yield a float.  For B families whose
+    blocks match in shape, any array of b may carry a leading family
+    axis, ``beta`` is then a (B, 1, 1) array and ``diagonal`` (B, n_b):
+    every pair array has the leading axis, every sum runs over the last
+    two axes, and each yield is a (B,) array whose entries are the floats
+    each family gives alone.
 
     Every kernel is symmetric in m and n.  So a block with sectors,
     whose S has no entry inside either, sums the rectangle
     between them and counts it twice, plus chi_F's diagonal terms; every
     pair it leaves out is exactly 0.
     """
-    s = b.s_pairs
+    s, lp, p = b.s_pairs, b.log_populations, b.populations
     rows, cols = b.sectors or (slice(None), slice(None))
     twice = 1.0 if b.sectors is None else 2.0
     gap, bgap, p_low, p_geo, deg, ratio = _pair_kernels(beta, b.levels, lp, rows, cols)
@@ -206,74 +210,78 @@ def _block_sums(b: Block, beta, lp, p, diagonal):
     yield twice * (w * s_abs2).sum(pairs)
 
 
-def _summed(fam: PerturbedFamily, count: int) -> list:
-    """The first ``count`` floats of `_block_sums` over the family's
-    blocks at its beta, weighted by their copies; no block forms a later
-    sum."""
-    sums = [0.0] * count
-    for b in fam.blocks:
-        diagonal = _rho_prime_diagonal(fam.beta, b.populations, b.s_diagonal, fam.s_mean)
-        terms = _block_sums(b, fam.beta, b.log_populations, b.populations, diagonal)
-        sums = [t + b.copies * float(s) for t, s in zip(sums, terms)]
-    return sums
-
-
-@_memoized
 def _pair_sums(fam: PerturbedFamily) -> _PairSums:
-    """Every spectral pair sum of the family from one pass over its blocks.
+    """Every spectral pair sum of the family, from one pass over its
+    blocks (`_pair_sums_over` of the family alone) on first use.
 
     S has no matrix element between blocks, so each sum runs over the
     pairs inside one block, weighted by its copies.  A block's arrays are
     dropped before the next block's are formed, so memory is bounded by
     the largest block and the family keeps only the six floats.
     """
-    return _PairSums(*_summed(fam, len(_PairSums._fields)))
+    if _pair_sums.__name__ not in fam.memo:
+        _pair_sums_over([fam])
+    return fam.memo[_pair_sums.__name__]
+
+
+_STACKED = ("levels", "s_pairs", "s_diagonal", "log_populations", "populations")
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The one array all of ``arrays`` are, else their stack."""
+    first = arrays[0]
+    return first if all(a is first for a in arrays) else np.stack(arrays)
 
 
 def _pair_sums_over(fams: Sequence[PerturbedFamily]) -> None:
-    """Fill `_pair_sums` of each family of ``fams`` that has not formed it
-    with the floats it would form, from one pass per block for them all.
+    """Fill `_pair_sums` of each family of ``fams`` that has not formed it,
+    from one pass per block for them all: the one pass that forms pair
+    sums, for a family alone as for a beta chain or a stack.
 
     The families' blocks must match in count, sizes and copies, and
     each block's sectors must be one object in all (as in a
     `family_at_beta` chain) or None, else ValueError is raised.  Each
-    block's sums are taken over a leading family axis (`_block_sums`),
-    its levels and S stacked only where the families do not share them,
-    as many families at a time as keep a (B, rows, cols) temporary within
-    ``gibbs._CHUNK_ELEMENTS`` elements: a block larger than that takes one
-    family at a time, as `_pair_sums` would.
+    block is summed as many families at a time as keep a (B, rows, cols)
+    temporary within ``gibbs._CHUNK_ELEMENTS`` elements, so a block larger
+    than that takes one family at a time.  A chunk of one family reaches
+    `_block_sums` with its own block and a float beta.  A larger chunk
+    stacks beta, and each array of the block only where the families
+    hold different objects: a chain shares its levels and S.  Each
+    family's floats are the same in any chunk.
     """
     todo = [fam for fam in fams if _pair_sums.__name__ not in fam.memo]
     if not todo:
         return
-    for fam in todo:
-        if len(fam.blocks) != len(todo[0].blocks) or any(
+    blocks = todo[0].blocks
+    for fam in todo[1:]:
+        if len(fam.blocks) != len(blocks) or any(
             c.levels.size != b.levels.size or c.copies != b.copies or c.sectors is not b.sectors
-            for b, c in zip(todo[0].blocks, fam.blocks)
+            for b, c in zip(blocks, fam.blocks)
         ):
             raise ValueError("a stacked pass needs families whose blocks match in shape")
-    betas = np.array([fam.beta for fam in todo])
-    means = np.array([fam.s_mean for fam in todo])
-    sums = np.zeros((len(_PairSums._fields), len(todo)))
-    for k, b in enumerate(todo[0].blocks):
-        blocks = [fam.blocks[k] for fam in todo]
-        shared = all(c.levels is b.levels and c.s_pairs is b.s_pairs for c in blocks)
+    sums = [(0.0,) * len(_PairSums._fields)] * len(todo)
+    for k, b in enumerate(blocks):
         step = max(1, gibbs._CHUNK_ELEMENTS // max(1, b.s_pairs.size))
         for lo in range(0, len(todo), step):
-            at = slice(lo, lo + step)
-            lp = np.stack([c.log_populations for c in blocks[at]])
-            p = np.stack([c.populations for c in blocks[at]])
-            stack, s_diagonal = b, b.s_diagonal
-            if not shared:
-                stack = b._replace(
-                    levels=np.stack([c.levels for c in blocks[at]]),
-                    s_pairs=np.stack([c.s_pairs for c in blocks[at]]),
-                )
-                s_diagonal = np.stack([c.s_diagonal for c in blocks[at]])
-            diagonal = _rho_prime_diagonal(betas[at, None], p, s_diagonal, means[at, None])
-            terms = _block_sums(stack, betas[at, None, None], lp, p, diagonal)
-            sums[:, at] += b.copies * np.array(list(terms))
-    for fam, column in zip(todo, sums.T.tolist()):
+            chunk = todo[lo : lo + step]
+            if len(chunk) == 1:  # no stack axis
+                (fam,) = chunk
+                c = fam.blocks[k]
+                diagonal = _rho_prime_diagonal(fam.beta, c.populations, c.s_diagonal, fam.s_mean)
+                columns = [_block_sums(c, fam.beta, diagonal)]
+            else:
+                stack = b._replace(**{
+                    name: _stacked([getattr(fam.blocks[k], name) for fam in chunk])
+                    for name in _STACKED
+                })
+                beta = np.array([fam.beta for fam in chunk])[:, None]
+                s_mean = np.array([fam.s_mean for fam in chunk])[:, None]
+                diagonal = _rho_prime_diagonal(beta, stack.populations, stack.s_diagonal, s_mean)
+                terms = _block_sums(stack, beta[..., None], diagonal)
+                columns = zip(*(t.tolist() for t in terms))
+            for j, column in enumerate(columns, lo):
+                sums[j] = [t + b.copies * float(x) for t, x in zip(sums[j], column)]
+    for fam, column in zip(todo, sums):
         fam.memo[_pair_sums.__name__] = _PairSums(*column)
 
 
@@ -338,13 +346,6 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
     """
     sums = _pair_sums(fam)
     return _chi_f(fam, sums.chi_f_direct, sums.chi_f)
-
-
-def _chi_f_alone(fam: PerturbedFamily) -> FidelitySusceptibility:
-    """`chi_f_spectral`, bit for bit, from chi_F's two pair sums alone: for
-    a family read for chi_F only (the Dicke cutoff probe), which forms no
-    other pair sum and keeps nothing in ``fam.memo``."""
-    return _chi_f(fam, *_summed(fam, 2))
 
 
 def _chi_f(fam: PerturbedFamily, direct: float, kernel: float) -> FidelitySusceptibility:

@@ -71,15 +71,20 @@ __all__ = [
 class Block(NamedTuple):
     """``copies`` identical copies of one symmetry sector at one beta: the
     ascending levels of its T_b, S_b in their eigenbasis on the pairs
-    its sums run over (``s_pairs``, read-only), and log p_n and p_n of
-    the levels of one copy against the Z of the whole family, so
+    its sums run over (``s_pairs``, read-only), the real diagonal of S_b
+    (``s_diagonal``, zero where the block has sectors), and log p_n and
+    p_n of the levels of one copy against the Z of the whole family, so
     sum_b d_b sum_n p_n = 1.  ``sectors`` is None, or for a block with
     two sectors (see `block_family`) the positions in ``levels`` of the
     first sector's levels and of the second's; ``s_pairs`` is then the
-    rectangle S_b[first, second], S_b having no other entry."""
+    rectangle S_b[first, second], S_b having no other entry.
+
+    Every array field may also carry a leading family axis: the stack
+    that `fidelity._pair_sums_over` hands `fidelity._block_sums`."""
 
     levels: np.ndarray
     s_pairs: np.ndarray
+    s_diagonal: np.ndarray
     copies: int
     log_populations: np.ndarray
     populations: np.ndarray
@@ -96,13 +101,6 @@ class Block(NamedTuple):
         s[rows[:, None], cols] = self.s_pairs
         s[cols[:, None], rows] = self.s_pairs.conj().T
         return _freeze(s)
-
-    @property
-    def s_diagonal(self) -> np.ndarray:
-        """The real diagonal of S_b, zero where the block has sectors."""
-        if self.sectors is None:
-            return np.real(np.diagonal(self.s_pairs))
-        return np.zeros(self.levels.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,12 +146,12 @@ class PerturbedFamily:
         sum_b d_b n_b, the dimension of the whole space.
     memo : dict
         Values computed from this family, so a second request is free:
-        the scalars of `fidelity._pair_sums` (every spectral pair sum, from
-        one pass that keeps no pair array, or from one pass per block
-        over a leading family axis, `fidelity._pair_sums_over`, which a
-        beta sweep makes for all its temperatures and ``verify`` for
-        each stack of random families of one dimension), the results of
-        `chi_f_spectral` and `double_commutator_direct`, and
+        the scalars of `fidelity._pair_sums` (every spectral pair sum,
+        from one pass per block that keeps no pair array,
+        `fidelity._pair_sums_over`, made for the family alone or over a
+        leading family axis: a beta sweep for all its temperatures,
+        ``verify`` for each stack of random families of one dimension),
+        the results of `chi_f_spectral` and `double_commutator_direct`, and
         `fidelity._half_circle_G`, the quadrature oracles' read-only G
         grid.  Every family starts with it empty, a `family_at_beta` copy
         too.
@@ -209,20 +207,12 @@ def _displaced_spectra(fam: PerturbedFamily, h: float) -> Iterator[tuple]:
     its copies: a caller that keeps less than the basis holds one at a
     time.  Nothing is cached.
 
-    Each matrix is written from the block's levels and its stored S: S_b
-    whole, or the rectangle between the sectors and its conjugate
-    transpose.  S_b is exactly Hermitian, so the matrix is too, and it
-    goes to `eig_hermitian`, whose residual and unitarity checks still
+    Each matrix is written from the block's levels and its whole S_b
+    (`Block.s_eig`).  S_b is exactly Hermitian, so the matrix is too, and
+    it goes to `eig_hermitian`, whose residual and unitarity checks still
     run, without `validate_hermitian`."""
     for b in fam.blocks:
-        if b.sectors is None:
-            m = np.diag(b.levels) - h * b.s_pairs
-        else:
-            rows, cols = b.sectors
-            m = np.diag(b.levels).astype(b.s_pairs.dtype, copy=False)
-            rect = -h * b.s_pairs
-            m[rows[:, None], cols] = rect
-            m[cols[:, None], rows] = rect.conj().T
+        m = np.diag(b.levels) - h * b.s_eig
         yield eig_hermitian(HermitianOperator(_freeze(m), b.levels.size))
 
 
@@ -283,8 +273,12 @@ def _thermalize(
     blocks, s_mean, underflow, dim = [], 0.0, 0, 0
     for (levels, s_pairs, c, sectors), lp in zip(parts, lps):
         p = _freeze(np.exp(lp))
-        blocks.append(Block(levels, s_pairs, c, _freeze(lp), p, sectors))
-        s_mean += c * float(np.dot(p, blocks[-1].s_diagonal))
+        if sectors is None:
+            s_diagonal = np.real(np.diagonal(s_pairs))
+        else:
+            s_diagonal = _freeze(np.zeros(levels.size))
+        blocks.append(Block(levels, s_pairs, s_diagonal, c, _freeze(lp), p, sectors))
+        s_mean += c * float(np.dot(p, s_diagonal))
         underflow += c * int(np.count_nonzero(p == 0.0))
         dim += c * levels.size
     s_variance = 0.0

@@ -20,6 +20,7 @@ Conventions fixed here and relied on by the matrix-file round trip:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -44,7 +45,7 @@ from .errors import (
     ModelSchemaError,
     NoTransitionError,
 )
-from .fidelity import _chi_f_alone, chi_f_spectral
+from .fidelity import chi_f_spectral
 from .gibbs import PerturbedFamily, block_family, make_family, thermal_average
 
 __all__ = [
@@ -143,10 +144,7 @@ def single_spin_closed_forms(h3: float) -> SingleSpinClosedForms:
 
 
 def _boson_annihilator(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max + 1, n_max + 1))
-    for n in range(1, n_max + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
 
 
 def _spin_matrices(s2: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,10 +152,8 @@ def _spin_matrices(s2: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = 0.5 * s2
     m = s - np.arange(s2 + 1)
     s3 = np.diag(m).astype(complex)
-    lower = np.zeros((s2 + 1, s2 + 1), dtype=complex)
-    for i in range(s2):
-        # S- |s, m> = sqrt(s(s+1) - m(m-1)) |s, m-1>
-        lower[i + 1, i] = math.sqrt(s * (s + 1.0) - m[i] * (m[i] - 1.0))
+    # S- |s, m> = sqrt(s(s+1) - m(m-1)) |s, m-1>
+    lower = np.diag(np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] - 1.0)), -1).astype(complex)
     s1 = 0.5 * (lower + lower.conj().T)
     s2m = 0.5j * (lower - lower.conj().T)
     return s1, s2m, s3
@@ -224,11 +220,11 @@ def dicke(
     at a time as they are solved.
 
     Every build is followed by a cutoff probe: the family is rebuilt at
-    n_max + 4 and the relative shift in chi_F is measured, the wider
-    family read for chi_F's two pair sums only.  A shift above 1e-4
-    triggers `CutoffConvergenceWarning` (the probe is skipped with a
-    warning if its largest block would exceed the budget).  The probe's
-    pair sums of the built family stay with it for the report.
+    n_max + 4 and the relative shift in chi_F is measured, each family
+    read through `chi_f_spectral`.  A shift above 1e-4 triggers
+    `CutoffConvergenceWarning` (the probe is skipped with a warning if
+    its largest block would exceed the budget).  The probe's pair sums
+    of the built family stay with it for the report.
     """
     n_atoms = _integer("n_atoms", n_atoms)
     n_max = _integer("n_max", n_max)
@@ -278,11 +274,12 @@ def dicke_cutoff_shift(
 ) -> float:
     """Relative chi_F shift between the given family and n_max + 4.
 
-    The wider family is built block by block, read for chi_F's two pair
-    sums alone and dropped before the pair sums of ``fam`` are formed.
+    The wider family is built block by block, read for its
+    `chi_f_spectral` (one pass of all six pair sums per block) and
+    dropped before the pair sums of ``fam`` are formed.
     """
     wide = _dicke_blocks(n_atoms, n_max + 4, omega, eps, lam, symmetric_sector)
-    chi_wide = _chi_f_alone(block_family(wide, beta, particle_count=n_atoms)).total
+    chi_wide = chi_f_spectral(block_family(wide, beta, particle_count=n_atoms)).total
     chi = chi_f_spectral(fam).total
     return abs(chi - chi_wide) / max(1.0, abs(chi))
 
@@ -370,14 +367,10 @@ def _jw_annihilators(n_modes: int) -> List[np.ndarray]:
     z = np.diag([1.0, -1.0]).astype(complex)
     drop = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
-    ops = []
-    for j in range(n_modes):
-        factors = [z] * j + [drop] + [eye] * (n_modes - j - 1)
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        ops.append(op)
-    return ops
+    return [
+        functools.reduce(np.kron, [z] * j + [drop] + [eye] * (n_modes - j - 1))
+        for j in range(n_modes)
+    ]
 
 
 def kondo_toy(

@@ -14,12 +14,12 @@ Sweeps over ``beta`` take a fast path: the Hamiltonian and perturbation
 do not depend on beta for any registered kind, so the model is built
 (and eigendecomposed) once and only the Gibbs weights are recomputed per
 point (`family_at_beta`).  Every point's pair sums then come from one
-pass per block over a leading temperature axis
-(`fidelity._pair_sums_over`), in chunks whose (temperatures, rows, cols)
+call of the one pair-sum pass, `fidelity._pair_sums_over`, over a
+leading temperature axis, in chunks whose (temperatures, rows, cols)
 arrays stay within ``gibbs._CHUNK_ELEMENTS`` elements, before the points
 are reported one by one.  The result is bit-identical to rebuilding from
 scratch, point by point, because the eigensolver is deterministic and
-each temperature's sums are the floats a pass of its own would give.
+each temperature's sums are the floats the same pass gives it alone.
 """
 
 from __future__ import annotations

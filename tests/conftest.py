@@ -48,27 +48,21 @@ def commutator_calls(monkeypatch):
 
 @pytest.fixture
 def pair_passes(monkeypatch):
-    """Record each family whose pair sums are formed, in the order formed:
-    alone (`fidelity._summed`) or in a stacked pass over families of one
-    shape, the temperatures of one chain or independent families
-    (`fidelity._pair_sums_over`), which adds the families whose
-    `_pair_sums` it filled."""
+    """Record each family whose pair sums are formed, in the order formed,
+    by the one pass that forms them (`fidelity._pair_sums_over`): a family
+    alone, the temperatures of one chain or independent families of one
+    shape, each added once its `_pair_sums` is filled."""
     passes = []
-    alone, stacked = fidelity._summed, fidelity._pair_sums_over
+    real = fidelity._pair_sums_over
 
-    def counted_alone(fam, count):
-        passes.append(fam)
-        return alone(fam, count)
-
-    def counted_stacked(fams):
+    def counted(fams):
         empty = [fam for fam in fams if "_pair_sums" not in fam.memo]
-        stacked(fams)
+        real(fams)
         passes.extend(fam for fam in empty if "_pair_sums" in fam.memo)
 
-    monkeypatch.setattr(fidelity, "_summed", counted_alone)
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "fidsus" and getattr(mod, "_pair_sums_over", None) is stacked:
-            monkeypatch.setattr(mod, "_pair_sums_over", counted_stacked)
+        if name.split(".")[0] == "fidsus" and getattr(mod, "_pair_sums_over", None) is real:
+            monkeypatch.setattr(mod, "_pair_sums_over", counted)
     return passes
 
 

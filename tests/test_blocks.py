@@ -18,7 +18,7 @@ from conftest import (
     same_blocks,
     whole_family,
 )
-from fidsus import gibbs
+from fidsus import fidelity, gibbs
 from fidsus.bounds import bound_report
 from fidsus.cli import main
 from fidsus.errors import CutoffConvergenceWarning, SectorDeclarationError
@@ -268,6 +268,38 @@ def test_a_stacked_pass_gives_each_independent_family_its_own_pair_sums(chunk, m
                     assert chi_f_spectral(fams[0]).degenerate_pair_count > 0
                 underflow += sum(f.underflow_count for f in fams)
     assert underflow > 0
+
+
+@pytest.mark.parametrize("kind", ["random", "dicke"])
+def test_a_family_alone_is_summed_with_no_stack_axis(kind, monkeypatch):
+    """A family alone reaches `_block_sums` with its own blocks, 1-D
+    arrays and a float beta, one call per block, and its `_pair_sums` are
+    its column in a `family_at_beta` chain and, for a one-block family,
+    in a stack with independent families, bit for bit.  The Dicke family
+    has blocks with sectors and copies."""
+    if kind == "random":
+        stack = _independent_stack(np.random.default_rng(31), 6, False, False)
+        fam = stack[2]
+    else:
+        fam, stack = block_family(_dicke_blocks(3, 6, 2.0, 1.0, 1.0, False), 1.3, 3), None
+    alone = family_at_beta(fam, fam.beta)
+    seen = []
+    real = fidelity._block_sums
+
+    def spy(b, beta, diagonal):
+        seen.append((type(beta), b.levels.ndim, b.populations.ndim, diagonal.ndim))
+        return real(b, beta, diagonal)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fidelity, "_block_sums", spy)
+        sums = _pair_sums(alone)
+    assert seen == [(float, 1, 1, 1)] * len(fam.blocks)
+    chain = [family_at_beta(fam, b) for b in (0.5 * fam.beta, fam.beta, 2.0 * fam.beta)]
+    _pair_sums_over(chain)
+    assert chain[1].memo["_pair_sums"] == sums
+    if stack is not None:
+        _pair_sums_over(stack)
+        assert stack[2].memo["_pair_sums"] == sums
 
 
 def test_a_stacked_pass_refuses_families_of_different_shapes():

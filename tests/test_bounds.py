@@ -394,6 +394,25 @@ def test_chi_n_oracle_where_populations_underflow():
     assert (True, "agreed") in outcomes and (True, "raised") in outcomes
 
 
+@pytest.mark.xfail(strict=True, raises=CrossCheckError)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_family(np.diag([0.0, 1.0]), np.array([[1e3, 1e-2], [1e-2, -1e3]]), 100.0),
+        lambda: random_pair(12, 5, 1.0, 1.0, 1e8),
+        lambda: random_pair(12, 5, 1.0, 1.0, 1e12),
+    ],
+    ids=["two_level_beta_1e2", "random_12_beta_1e8", "random_12_beta_1e12"],
+)
+def test_chi_n_oracle_accepts_cold_and_stiff_families(build):
+    """Valid families the chi_N oracle refuses today, its step shrinking as
+    1/beta where the curvature is set by the gaps: the 2x2 reads 1.9665e-4
+    against the spectral 2.0000e-4, and random_pair(12, 5) reads 4.7293592
+    at beta 1e8 and 4.8225 at 1e12 against 4.7293874.  Each report must
+    pass once the oracle picks its step from its own error estimate."""
+    bound_report(build())
+
+
 def test_overflowing_beta_raises_instead_of_returning_nan():
     """beta^2 overflows at beta = 1e200, and the report returned NaN for
     chi_f, ds2 and both lower bounds because NaN > tol is false."""

@@ -7,9 +7,12 @@ import json
 import math
 import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,6 +586,24 @@ def test_cli_usage_errors_exit_one(capsys):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_test_or_scipy_module():
+    """``fidsus.cli`` imported in a fresh interpreter loads neither scipy
+    (``import scipy.linalg`` alone takes a few tenths of a second),
+    ``numpy.polynomial`` (loaded on first use by the quadrature oracles)
+    nor hypothesis, a test dependency."""
+    code = (
+        "import sys, fidsus.cli; "
+        "print([m for m in ('scipy', 'numpy.polynomial', 'hypothesis') if m in sys.modules])"
+    )
+    src = Path(fidsus.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_cli_models_list(capsys):

@@ -144,11 +144,11 @@ def test_dicke_converged_cutoff_is_quiet():
     assert shift < 1e-4
 
 
-def test_cutoff_probe_reads_chi_f_from_its_two_pair_sums(monkeypatch):
-    """The probe reads its wider family for chi_F alone: each block's pass
-    stops after chi_F's two pair sums, the family's memo stays empty, and
-    the value is the one `chi_f_spectral` gives, bit for bit.  The built
-    family's pass forms all six sums, which its report reads back."""
+def test_cutoff_probe_reads_chi_f_spectral_of_its_wider_family(monkeypatch):
+    """The probe reads the wider family's `chi_f_spectral`: one pass of all
+    six pair sums per block of the wider family, then one per block of
+    the built family, which its report reads back.  The shift is the one
+    the two `chi_f_spectral` values give, bit for bit."""
     fam, wide = (
         block_family(fidsus.models._dicke_blocks(4, n_max, 2.0, 1.0, 1.0, False), 1.3, 4)
         for n_max in (12, 16)
@@ -157,21 +157,17 @@ def test_cutoff_probe_reads_chi_f_from_its_two_pair_sums(monkeypatch):
     real = fidsus.fidelity._block_sums
 
     def counted(*args):
+        taken.append(0)
         for value in real(*args):
-            taken.append(value)
+            taken[-1] += 1
             yield value
 
     monkeypatch.setattr(fidsus.fidelity, "_block_sums", counted)
-    alone = fidsus.fidelity._chi_f_alone(wide)
-    assert len(taken) == 2 * len(wide.blocks) == 6
-    assert wide.memo == {}
-    assert alone == chi_f_spectral(wide)
-    assert len(taken) == 8 * len(wide.blocks)
-
-    # the probe: two sums per block of the wider family, six of the built one
-    taken.clear()
-    dicke_cutoff_shift(fam, 4, 12, 2.0, 1.0, 1.0, 1.3)
-    assert len(taken) == 2 * len(wide.blocks) + 6 * len(fam.blocks)
+    shift = dicke_cutoff_shift(fam, 4, 12, 2.0, 1.0, 1.0, 1.3)
+    assert taken == [6] * (len(wide.blocks) + len(fam.blocks))
+    chi, chi_wide = chi_f_spectral(fam).total, chi_f_spectral(wide).total
+    assert shift == abs(chi - chi_wide) / max(1.0, abs(chi))
+    assert len(taken) == 2 * len(wide.blocks) + len(fam.blocks)
 
 
 def test_dicke_particle_count():
