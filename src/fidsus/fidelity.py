@@ -246,8 +246,8 @@ def _pair_sums_over(fams: Sequence[PerturbedFamily]) -> None:
     than that takes one family at a time.  A chunk of one family reaches
     `_block_sums` with its own block and a float beta.  A larger chunk
     stacks beta, and each array of the block only where the families
-    hold different objects: a chain shares its levels and S.  Each
-    family's floats are the same in any chunk.
+    hold different objects: a chain shares its levels, S and S's
+    diagonal.  Each family's floats are the same in any chunk.
     """
     todo = [fam for fam in fams if _pair_sums.__name__ not in fam.memo]
     if not todo:
@@ -345,11 +345,6 @@ def chi_f_spectral(fam: PerturbedFamily) -> FidelitySusceptibility:
         beyond ``CHI_INTERNAL_REL``.
     """
     sums = _pair_sums(fam)
-    return _chi_f(fam, sums.chi_f_direct, sums.chi_f)
-
-
-def _chi_f(fam: PerturbedFamily, direct: float, kernel: float) -> FidelitySusceptibility:
-    """chi_F from its direct-form and kernel pair sums (`chi_f_spectral`)."""
     beta = fam.beta
     # every level of the whole space in ascending order, with the log and
     # the weight d p_m of all its copies; a new eigenspace starts wherever
@@ -379,11 +374,11 @@ def _chi_f(fam: PerturbedFamily, direct: float, kernel: float) -> FidelitySuscep
     w = np.exp(lp - lp[first][space])
     avg = (np.bincount(space, w * delta_d) / np.bincount(space, w))[space]
     spread = float(np.dot(p, (delta_d - avg) ** 2))
-    quantum = 0.125 * beta * beta * kernel + 0.25 * beta * beta * spread
+    quantum = 0.125 * beta * beta * sums.chi_f + 0.25 * beta * beta * spread
     classical = 0.25 * beta * beta * float(np.dot(p, avg**2))
     total = classical + quantum
     check_agreement(
-        "chi_f_forms", total, direct, CHI_INTERNAL_REL,
+        "chi_f_forms", total, sums.chi_f_direct, CHI_INTERNAL_REL,
         ("kernel form", "direct form"),
     )
 

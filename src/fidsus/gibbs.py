@@ -4,20 +4,21 @@ A family is its symmetry blocks: a builder passes, per symmetry sector,
 its T_b, S_b and number d_b of identical copies, so dim = sum_b d_b n_b;
 a dense (T, S) is the one-block case.  Two sectors of a block that T
 keeps and S flips are declared (Dicke's parity) or found (`_parity`).
-`block_family` builds a family from blocks, `make_family` from one
-dense pair, `make_families` one family from each member of a stack of
-dense pairs of one shape, with one stacked solve, and `family_at_beta`
-moves one to another temperature without re-diagonalizing.  Each block
-keeps its ascending levels, S_b in their eigenbasis (only the rectangle
-between its sectors) and the log Boltzmann weights of its levels against
-the Z of the whole space; no eigenbasis is kept.  S has no matrix
-element between two blocks or two copies, so every route runs block by
-block, weighted by the copies: the pair sums
-(`fidelity._pair_sums`), thermal averages and the solves of
-T_b - h S_b (`_displaced_spectra`).  The whole space is never
-assembled, and ``DIMENSION_BUDGET`` bounds each block only.
-Populations are kept in log space so that large inverse temperatures
-never overflow.
+A block is a `Block` from its solve (`_solve`) on, which `_thermalize`
+weighs at one beta.  `block_family` builds a family from blocks,
+`make_family` from one dense pair, `make_families` one family from each
+member of a stack of dense pairs of one shape, every member solved
+whole by one stacked solve, and `family_at_beta` weighs a family's very
+blocks at another beta without re-diagonalizing.  Each block keeps its
+ascending levels, S_b in their eigenbasis (only the rectangle between its
+sectors) and the log Boltzmann weights of its levels against the Z of
+the whole space; no eigenbasis is kept.  S has no matrix element
+between two blocks or two copies, so every route runs block by block,
+weighted by the copies: the pair sums (`fidelity._pair_sums`), thermal
+averages and the solves of T_b - h S_b (`_displaced_spectra`).  The
+whole space is never assembled, and ``DIMENSION_BUDGET`` bounds each
+block only.  Populations are kept in log space so that large inverse
+temperatures never overflow.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .config import (
 from .errors import (
     DimensionBudgetError,
     DimensionMismatchError,
-    NoConvergenceError,
     NonPositiveBetaError,
     NotHermitianError,
     NotSquareError,
@@ -79,8 +79,10 @@ class Block(NamedTuple):
     first sector's levels and of the second's; ``s_pairs`` is then the
     rectangle S_b[first, second], S_b having no other entry.
 
-    Every array field may also carry a leading family axis: the stack
-    that `fidelity._pair_sums_over` hands `fidelity._block_sums`."""
+    A block is made when it is solved (`_solve`), its two weight fields
+    None until `_thermalize` fills them.  Every array field may also
+    carry a leading family axis: a stack solved at once (`_solve_whole`)
+    or handed by `fidelity._pair_sums_over` to `fidelity._block_sums`."""
 
     levels: np.ndarray
     s_pairs: np.ndarray
@@ -263,30 +265,26 @@ def _parity(t: np.ndarray, s: np.ndarray) -> np.ndarray | None:
 
 
 def _thermalize(
-    beta: float, parts: list, particle_count: int, quasi_free, shared: dict
+    beta: float, blocks: Sequence[Block], particle_count: int, quasi_free, shared: dict
 ) -> PerturbedFamily:
-    """The family of (levels, s_pairs, copies, sectors) blocks at beta."""
+    """The family of the solved blocks at beta, their weights filled."""
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
         raise NonPositiveBetaError(f"beta must be positive and finite, got {beta!r}")
-    lps, log_z = _log_weights([part[0] for part in parts], [part[2] for part in parts], beta)
-    blocks, s_mean, underflow, dim = [], 0.0, 0, 0
-    for (levels, s_pairs, c, sectors), lp in zip(parts, lps):
+    lps, log_z = _log_weights([b.levels for b in blocks], [b.copies for b in blocks], beta)
+    weighed, s_mean, underflow, dim = [], 0.0, 0, 0
+    for b, lp in zip(blocks, lps):
         p = _freeze(np.exp(lp))
-        if sectors is None:
-            s_diagonal = np.real(np.diagonal(s_pairs))
-        else:
-            s_diagonal = _freeze(np.zeros(levels.size))
-        blocks.append(Block(levels, s_pairs, s_diagonal, c, _freeze(lp), p, sectors))
-        s_mean += c * float(np.dot(p, s_diagonal))
-        underflow += c * int(np.count_nonzero(p == 0.0))
-        dim += c * levels.size
+        weighed.append(b._replace(log_populations=_freeze(lp), populations=p))
+        s_mean += b.copies * float(np.dot(p, b.s_diagonal))
+        underflow += b.copies * int(np.count_nonzero(p == 0.0))
+        dim += b.copies * b.levels.size
     s_variance = 0.0
-    for b in blocks:
+    for b in weighed:
         delta_d = b.s_diagonal - s_mean
         s_variance += b.copies * float(np.dot(b.populations, delta_d**2))
     return PerturbedFamily(
-        beta, tuple(blocks), quasi_free, shared, log_z, s_mean, s_variance, underflow,
+        beta, tuple(weighed), quasi_free, shared, log_z, s_mean, s_variance, underflow,
         particle_count, dim,
     )
 
@@ -334,15 +332,19 @@ def _weigh(diagonals: Iterable) -> float:
     return total
 
 
-def _solve_whole(T: HermitianOperator, S: HermitianOperator) -> tuple:
-    """(levels, S in their eigenbasis) from one solve of T, or stacks of
-    both from one solve of a stack."""
+def _solve_whole(T: HermitianOperator, S: HermitianOperator, copies: int) -> Block:
+    """The block of T and S solved whole, its weights unset: the levels
+    from one solve of T, S in their eigenbasis and its real diagonal.  A
+    stack gives the block of every member from one solve, each array
+    field with a leading member axis."""
     levels, b = eig_hermitian(T)
     s_eig = b.conj().mT @ S.matrix @ b
     # the rotation is unitary up to BASIS_UNITARITY, so Hermiticity
     # survives to the same order; re-symmetrize to make it exact
     _require_hermitian([s_eig], "perturbation lost Hermiticity in the basis rotation")
-    return levels, _freeze(0.5 * (s_eig + s_eig.conj().mT))
+    s_eig = _freeze(0.5 * (s_eig + s_eig.conj().mT))
+    s_diagonal = np.real(np.diagonal(s_eig, axis1=-2, axis2=-1))
+    return Block(levels, s_eig, s_diagonal, copies, None, None, None)
 
 
 def _solve_sectors(T: HermitianOperator, S: HermitianOperator, first) -> tuple:
@@ -376,13 +378,14 @@ def _solve_sectors(T: HermitianOperator, S: HermitianOperator, first) -> tuple:
     return _freeze(levels[order]), _freeze(rect), sectors
 
 
-def _solve(T: HermitianOperator, S: HermitianOperator, first, copies: int) -> tuple:
-    """A block's (levels, s_pairs, copies, sectors), solved whole where
-    ``first`` is None and else by its sectors."""
+def _solve(T: HermitianOperator, S: HermitianOperator, first, copies: int) -> Block:
+    """The block of T and S, solved whole where ``first`` is None and else
+    by its sectors (its ``s_diagonal`` then zero), with its weights unset
+    until `_thermalize` weighs it."""
     if first is None:
-        return (*_solve_whole(T, S), copies, None)
+        return _solve_whole(T, S, copies)
     levels, s_pairs, sectors = _solve_sectors(T, S, first)
-    return levels, s_pairs, copies, sectors
+    return Block(levels, s_pairs, _freeze(np.zeros(levels.size)), copies, None, None, sectors)
 
 
 def _validated(T, S, ndim: int) -> tuple:
@@ -433,19 +436,19 @@ def block_family(
     particle_count = operator.index(particle_count)
     if particle_count < 1:
         raise ValueError(f"particle_count must be >= 1, got {particle_count}")
-    parts = []
+    solved = []
     for T, S, copies, *declared in blocks:
         T, S = _validated(T, S, 2)
         copies = operator.index(copies)
         if copies < 1:
             raise ValueError(f"a block needs at least one copy, got {copies}")
         (first,) = declared or [_parity(T.matrix, S.matrix)]
-        parts.append(_solve(T, S, first, copies))
-    if not parts:
+        solved.append(_solve(T, S, first, copies))
+    if not solved:
         raise ValueError("a family needs at least one block")
     if quasi_free is not None:
         quasi_free = _freeze(np.array(quasi_free, dtype=float))
-    return _thermalize(beta, parts, particle_count, quasi_free, {})
+    return _thermalize(beta, solved, particle_count, quasi_free, {})
 
 
 def make_family(
@@ -457,48 +460,38 @@ def make_family(
 
 def make_families(T: np.ndarray, S: np.ndarray, betas: Sequence[float]) -> list[PerturbedFamily]:
     """The one-block family of each member of the (B, n, n) stacks T and
-    S at ``betas[k]``, each bit for bit ``make_family(T[k], S[k],
-    betas[k])``: the stacks are checked as `block_family` checks one
-    block and solved in one stacked `_solve_whole`, an error naming the
-    first failing member.  A member with sectors (`_parity`) or, in a
-    complex stack, with no imaginary part (which `make_family` stores as
-    float64) is zeroed in the stack and solved again alone.
+    S at ``betas[k]``, every member solved whole in the stack's dtype by
+    one stacked `_solve_whole`: the stacks are checked as `block_family`
+    checks one block, an error naming the first failing member.  No
+    sectors are searched for, so a member is bit for bit ``make_family(
+    T[k], S[k], betas[k])`` where that finds none and keeps the dtype, as
+    for every GUE pair; a member with no imaginary part in a complex
+    stack stays complex128.
     """
     T, S = _validated(T, S, 3)
     if np.shape(betas) != T.matrix.shape[:1]:
         raise DimensionMismatchError(f"{np.shape(betas)} betas for stacks {T.matrix.shape}")
-    t, s = T.matrix, S.matrix
-    firsts = [_parity(tk, sk) for tk, sk in zip(t, s)]
-    alone = np.array([first is not None for first in firsts], dtype=bool)
-    for a in (t, s):
-        if np.iscomplexobj(a):
-            alone |= ~a.imag.any(axis=(1, 2))
-    if alone.any():
-        t, s = (_freeze(np.where(alone[:, None, None], 0, a)) for a in (t, s))
-    solved = _solve_whole(HermitianOperator(t, T.dim), HermitianOperator(s, S.dim))
-    parts = [(levels, s_eig, 1, None) for levels, s_eig in zip(*solved)]
-    for k in np.flatnonzero(alone):
-        try:
-            Tk, Sk = validate_hermitian(T.matrix[k]), validate_hermitian(S.matrix[k])
-            parts[k] = _solve(Tk, Sk, firsts[k], 1)
-        except (NoConvergenceError, NotHermitianError) as exc:
-            raise type(exc)(f"member {k}: {exc}") from exc
-    return [_thermalize(b, [part], 1, None, {}) for b, part in zip(betas, parts)]
+    stack = _solve_whole(T, S, 1)
+    members = zip(stack.levels, stack.s_pairs, stack.s_diagonal)
+    return [
+        _thermalize(beta, [Block(*member, 1, None, None, None)], 1, None, {})
+        for beta, member in zip(betas, members)
+    ]
 
 
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
     """Rebuild the family at a different temperature without re-diagonalizing.
 
-    Each block's levels, S in their eigenbasis, copies and sectors, the
-    one-body matrices and the ``shared`` dict (the chi_N oracle's
-    displaced spectra and sigma(S), the commutator diagonals and the
-    sorted levels) are temperature independent, and the new family holds
-    the same objects, so a field solved or a commutator formed at one
-    temperature is not formed again at another; only the weights, log Z
-    and the perturbation mean change.
+    Each block's levels, S in their eigenbasis and its diagonal, copies
+    and sectors, the one-body matrices and the ``shared`` dict (the chi_N
+    oracle's displaced spectra and sigma(S), the commutator diagonals and
+    the sorted levels) are temperature independent, and the new family
+    holds the same objects (`_thermalize` weighs the family's own blocks
+    again), so a field solved or a commutator formed at one temperature is
+    not formed again at another, nor a chain's arrays stacked for its pair
+    sums; only the weights, log Z and the perturbation mean change.
     """
-    parts = [(b.levels, b.s_pairs, b.copies, b.sectors) for b in fam.blocks]
-    return _thermalize(beta, parts, fam.particle_count, fam.quasi_free, fam.shared)
+    return _thermalize(beta, fam.blocks, fam.particle_count, fam.quasi_free, fam.shared)
 
 
 def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:

@@ -532,8 +532,8 @@ def random_pair(
 
 
 def _random_operators(dim: int, seed: int, t_scale: float = 1.0, s_scale: float = 1.0) -> tuple:
-    """The arrays (T, S) of `random_pair`, which ``verify`` stacks by
-    dimension for `gibbs.make_families`."""
+    """The arrays (T, S) of `random_pair`, complex and S's diagonal nonzero,
+    which ``verify`` stacks by dimension for `gibbs.make_families`."""
     dim = _integer("dim", dim)
     if not 2 <= dim <= 64:
         raise ValueError(f"dim must be between 2 and 64, got {dim}")

@@ -20,9 +20,11 @@ finite-difference chi_F also run on fixed block families.
 
 The random and oracle suites take their families in stacks of one
 dimension (`_stacked_families`), each stack built with one stacked
-eigensolve (`gibbs.make_families`) and its pair sums formed in one pass;
-every family is bit for bit the one `models.random_pair` builds alone,
-and every check reduces its instances by max, min or sum, so neither
+eigensolve (`gibbs.make_families`, every member solved whole) and its
+pair sums formed in one pass.  A GUE draw has a nonzero imaginary part
+and S a nonzero diagonal, so no sectors, and `models.random_pair` solves
+it whole and complex too: every family is bit for bit the one it builds
+alone.  Every check reduces its instances by max, min or sum, so neither
 the stacks nor their order reach the text.
 
 The summary is a pure function of (seed, instances, dim_max): no wall

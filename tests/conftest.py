@@ -112,13 +112,14 @@ def same_blocks(f1, f2):
 
 def whole_family(blocks, beta, particle_count=1, quasi_free=None):
     """The family of (T_b, S_b, d_b) blocks, any sector mask after them
-    ignored, with every block solved whole (`gibbs._solve_whole`), so it
-    has no sectors: the reference for the solves by sectors."""
-    parts = []
-    for t, s, copies, *_ in blocks:
-        T, S = linalg.validate_hermitian(t), linalg.validate_hermitian(s)
-        parts.append((*gibbs._solve_whole(T, S), copies, None))
-    return gibbs._thermalize(beta, parts, particle_count, quasi_free, {})
+    ignored, with every block solved whole (`gibbs._solve` with no mask),
+    so it has no sectors: the reference for the solves by sectors and for
+    the members of a stacked build."""
+    solved = [
+        gibbs._solve(linalg.validate_hermitian(t), linalg.validate_hermitian(s), None, copies)
+        for t, s, copies, *_ in blocks
+    ]
+    return gibbs._thermalize(beta, solved, particle_count, quasi_free, {})
 
 
 def complex_sector_family(seed, beta):

@@ -13,6 +13,7 @@ from scipy.linalg import block_diag
 
 import fidsus.bounds
 import fidsus.fidelity
+import fidsus.gibbs
 from conftest import (
     clustered_families,
     complex_sector_family,
@@ -411,6 +412,28 @@ def test_chi_n_oracle_accepts_cold_and_stiff_families(build):
     at beta 1e8 and 4.8225 at 1e12 against 4.7293874.  Each report must
     pass once the oracle picks its step from its own error estimate."""
     bound_report(build())
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception)
+def test_a_wrong_sector_rotation_fails_the_chi_n_oracle(monkeypatch):
+    """ROADMAP item 10: with the position arrays of two equal-size sectors
+    swapped in `gibbs._solve_sectors`, S sits on the wrong levels, and
+    dicke(8, 11, 2, 1, 1, 1) reads chi_F 0.536472 for 0.523859 and chi_N
+    0.337970 for 0.321884.  The chi_N oracle solves the same misplaced S
+    and agrees, so nothing raises.  The report must raise chi_n_oracle
+    once the oracle solves T_b - h S_b in the builder's basis."""
+    solve = fidsus.gibbs._solve_sectors
+
+    def swapped(T, S, first):
+        levels, s_pairs, (one, two) = solve(T, S, first)
+        return levels, s_pairs, ((two, one) if one.size == two.size else (one, two))
+
+    monkeypatch.setattr(fidsus.gibbs, "_solve_sectors", swapped)
+    fam = dicke(8, 11, 2.0, 1.0, 1.0, 1.0)
+    assert chi_f_spectral(fam).total == pytest.approx(0.536472, abs=1e-6)
+    with pytest.raises(CrossCheckError) as err:
+        bound_report(fam)
+    assert err.value.check == "chi_n_oracle"
 
 
 def test_overflowing_beta_raises_instead_of_returning_nan():

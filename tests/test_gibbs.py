@@ -15,6 +15,7 @@ from conftest import (
     clustered_stacks,
     complex_sector_family,
     random_hermitian,
+    whole_family,
 )
 from fidsus.bounds import double_commutator_direct
 from fidsus.config import DIMENSION_BUDGET
@@ -29,6 +30,7 @@ from fidsus.errors import (
     NotSquareError,
     TauOutOfRangeError,
 )
+from fidsus.fidelity import _pair_sums_over
 from fidsus.gibbs import (
     _displaced_spectra,
     _perturbed_spectrum,
@@ -231,6 +233,23 @@ def test_family_at_beta_shares_the_beta_independent_state():
         assert new.copies == old.copies and new.sectors is old.sectors
     assert moved.shared is base.shared
     assert moved.sign_odd is base.sign_odd
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: dicke(3, 12, 2.0, 1.0, 1.0, 1.0), lambda: random_pair(7, 3, 1.0, 1.0, 1.0)],
+    ids=["dicke", "random"],
+)
+def test_a_beta_chain_holds_the_very_arrays_of_each_block(build):
+    """A `family_at_beta` copy holds each block's levels, S, diagonal of S
+    and sectors as the very objects of the family it came from, so a
+    chain's stacked pass stacks none of them."""
+    fam = build()
+    for beta in (0.3, fam.beta, 4.0):
+        moved = family_at_beta(fam, beta)
+        for new, old in zip(moved.blocks, fam.blocks, strict=True):
+            for name in ("levels", "s_pairs", "s_diagonal", "sectors"):
+                assert getattr(new, name) is getattr(old, name), name
 
 
 @pytest.mark.parametrize(
@@ -471,19 +490,28 @@ def test_a_block_above_the_budget_is_refused_before_it_is_read():
 
 
 def _assert_members_match(t, s, betas):
-    """`make_families` builds each member bit for bit as `make_family`
-    builds it alone, dtypes included."""
+    """`make_families` builds each member bit for bit as `whole_family`
+    builds its block alone, solved whole, dtypes included.  An operator
+    with no imaginary part in a complex stack, which alone would be
+    float64, is solved as complex128 instead, the member's levels those
+    of its float64 solve to rounding."""
     fams = make_families(t, s, betas)
     assert len(fams) == len(betas)
+    stacked = [validate_hermitian(a).matrix.dtype for a in (t, s)]
     for k, fam in enumerate(fams):
-        alone = make_family(t[k], s[k], betas[k])
+        alone = whole_family([(t[k], s[k], 1)], betas[k])
         (got,), (want,) = fam.blocks, alone.blocks
-        for name in ("levels", "s_pairs", "log_populations", "populations"):
+        assert got.sectors is None, k
+        dtypes = [validate_hermitian(a[k]).matrix.dtype for a in (t, s)]
+        if dtypes != stacked:
+            assert got.s_pairs.dtype == np.result_type(*stacked) == np.complex128, k
+            assert want.s_pairs.dtype == np.result_type(*dtypes), k
+            scale = max(1.0, np.linalg.norm(t[k]))
+            np.testing.assert_allclose(got.levels, want.levels, rtol=0.0, atol=1e-12 * scale)
+            continue
+        for name in ("levels", "s_pairs", "s_diagonal", "log_populations", "populations"):
             x, y = getattr(got, name), getattr(want, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), (k, name)
-        assert (got.sectors is None) == (want.sectors is None), k
-        if want.sectors is not None:
-            assert all(np.array_equal(x, y) for x, y in zip(got.sectors, want.sectors))
         scalars = ("beta", "log_z", "s_mean", "s_variance", "underflow_count", "dim")
         assert [getattr(fam, a) for a in scalars] == [getattr(alone, a) for a in scalars], k
 
@@ -502,9 +530,11 @@ def _bipartite(rng, n, real):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_make_families_matches_make_family_member_by_member(n, real):
     """A stack of six: GUE members, one whose T has repeated levels, one
-    solved by sectors (from n = 2) and one at beta = 800, where
-    populations underflow; a complex stack also holds a member with no
-    imaginary part, which `make_family` stores as float64."""
+    that `make_family` solves by sectors (from n = 2) and the stack
+    solves whole, and one at beta = 800, where populations underflow; a
+    complex stack also holds a member with no imaginary part, which
+    `make_family` stores as float64 and the stack as complex128.  The
+    stack's pair sums are formed in one pass."""
     rng = np.random.default_rng(n)
     pairs = [tuple(random_hermitian(rng, n) for _ in range(2)) for _ in range(6)]
     q, _ = np.linalg.qr(random_hermitian(rng, n))
@@ -519,8 +549,11 @@ def test_make_families_matches_make_family_member_by_member(n, real):
     betas = [0.3, 1.0, 2.0, 800.0, 7.0, 0.1]
     _assert_members_match(t, s, betas)
     fams = make_families(t, s, betas)
-    assert (fams[2].blocks[0].sectors is not None) == (n > 1)
+    assert (make_family(t[2], s[2], 2.0).blocks[0].sectors is not None) == (n > 1)
     assert fams[3].underflow_count > 0 or n == 1
+    assert fams[4].blocks[0].s_pairs.dtype == (np.float64 if real or n == 1 else np.complex128)
+    _pair_sums_over(fams)
+    assert all("_pair_sums" in fam.memo for fam in fams)
 
 
 def test_make_families_of_one_member_and_of_none():
@@ -529,13 +562,6 @@ def test_make_families_of_one_member_and_of_none():
     _assert_members_match(t[None], s[None], [2.5])
     empty = np.zeros((0, 5, 5), dtype=complex)
     assert make_families(empty, empty, []) == []
-
-
-def test_make_families_of_sector_members_only():
-    """A stack whose every member has sectors makes no stacked solve."""
-    rng = np.random.default_rng(4)
-    t, s = (np.stack(x) for x in zip(*(_bipartite(rng, 6, False) for _ in range(3))))
-    _assert_members_match(t, s, [0.5, 1.0, 3.0])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -598,7 +624,8 @@ def test_an_over_budget_stack_is_refused_before_it_is_read():
 
 
 def _stack_with_sectors():
-    """Five complex members, member 1 solved alone by its sectors."""
+    """Five complex members, member 1 of which `make_family` would solve by
+    its sectors; the stack solves it whole."""
     t, s = _stack()
     t[1], s[1] = _bipartite(np.random.default_rng(9), 4, False)
     return t, s
@@ -608,7 +635,7 @@ def _stack_with_sectors():
 def test_a_stack_whose_later_member_fails_its_solve(monkeypatch, corrupt):
     """An eigh result wrong in one later member only, a rolled basis or
     a NaN level, fails the stacked solve with the member's index in the
-    input, also behind a member solved alone."""
+    input, also behind a member that has sectors."""
     eigh = np.linalg.eigh
 
     def corrupted(matrix):
@@ -625,15 +652,3 @@ def test_a_stack_whose_later_member_fails_its_solve(monkeypatch, corrupt):
         with np.errstate(invalid="ignore"), pytest.raises(NoConvergenceError, match="member 3: "):
             make_families(*stack, [1.0] * 5)
 
-
-def test_a_member_solved_alone_names_itself(monkeypatch):
-    """A member solved alone by its sectors fails with its index too."""
-    eigh = np.linalg.eigh
-
-    def corrupted(matrix):
-        evals, basis = eigh(matrix)
-        return evals, (basis if matrix.ndim == 3 else np.roll(basis, 1, axis=1))
-
-    monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    with pytest.raises(NoConvergenceError, match="member 1: eigendecomposition residual"):
-        make_families(*_stack_with_sectors(), [1.0] * 5)
