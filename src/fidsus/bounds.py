@@ -37,7 +37,9 @@ from .gibbs import (
     _diagonal,
     _displaced_spectra,
     _log_weights,
+    _matched,
     _memoized,
+    _stacked_block,
     _weigh,
 )
 from .linalg import svd_checked
@@ -128,22 +130,30 @@ def double_commutator_direct(fam: PerturbedFamily) -> float:
     products one block at a time (`_commutator_diagonal`), checked for
     Hermiticity and reduced to its diagonal by the routine
     `thermal_average` runs on each of its blocks.  The diagonals do not
-    depend on beta: they are kept in ``fam.shared``, so every
-    `family_at_beta` of the family only weighs them by its populations,
-    and the value is kept in ``fam.memo``, so a report's route is read
-    back, not weighed again.
+    depend on beta: they are kept in ``fam.shared`` (`_commutators_over`,
+    for a ``verify`` stack at once), so every `family_at_beta` of the
+    family only weighs them by its populations, and the value is kept in
+    ``fam.memo``, so a report's route is read back, not weighed again.
     """
-    diagonals = fam.shared.get("double_commutator")
-    if diagonals is None:
-        diagonals = fam.shared["double_commutator"] = [
-            _commutator_diagonal(b) for b in fam.blocks
-        ]
-    return _weigh(zip(fam.blocks, diagonals))
+    _commutators_over([fam])
+    return _weigh(zip(fam.blocks, fam.shared["double_commutator"]))
+
+
+def _commutators_over(fams) -> None:
+    """Form the ``fams``' missing commutator diagonals, one call per block for all."""
+    todo = [fam for fam in fams if "double_commutator" not in fam.shared]
+    if todo:
+        blocks = range(len(_matched(todo)))
+        diagonals = [_commutator_diagonal(_stacked_block(todo, k)) for k in blocks]
+        for j, fam in enumerate(todo):
+            fam.shared["double_commutator"] = diagonals if len(todo) == 1 else [
+                tuple(None if x is None else x[j] for x in d) for d in diagonals]
 
 
 def _commutator_diagonal(b: Block) -> tuple:
     """The checked diagonal (`gibbs._diagonal`) of K S - S K in one block,
-    K_mn = S_mn (T_n - T_m) in its eigenbasis.
+    K_mn = S_mn (T_n - T_m) in its eigenbasis; a stacked whole block
+    (`gibbs._stacked_block`) gives one per family, by stacked products.
 
     A whole block takes the two n_b x n_b products.  In a block with
     sectors S and K link the sectors only, so K S - S K has no entry
@@ -155,7 +165,7 @@ def _commutator_diagonal(b: Block) -> tuple:
     ev = b.levels
     if b.sectors is None:
         s = b.s_pairs
-        k = s * (ev[None, :] - ev[:, None])
+        k = s * (ev[..., None, :] - ev[..., :, None])
         parts = [k @ s - s @ k]
     else:
         rows, cols = b.sectors

@@ -97,13 +97,21 @@ def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@_memoized
 def _half_circle_G(fam: PerturbedFamily) -> tuple[np.ndarray, np.ndarray]:
     """The 64 Gauss-Legendre nodes tau_i on [0, beta/2] and G(tau_i), both
-    read-only: one `correlation_G` call per family, which by the symmetry
-    G(tau) = G(beta - tau) serves both quadrature oracles."""
-    taus = _freeze(0.25 * fam.beta * (_gauss_legendre_64()[0] + 1.0))
-    return taus, _freeze(correlation_G(fam, taus))
+    read-only: by G(tau) = G(beta - tau) one grid serves both quadratures."""
+    _half_circles_over([fam])
+    return fam.memo[_half_circle_G.__name__]
+
+
+def _half_circles_over(fams: Sequence[PerturbedFamily]) -> None:
+    """Form `_half_circle_G` of the ``fams`` without it by one `correlation_G` call."""
+    todo = [fam for fam in fams if _half_circle_G.__name__ not in fam.memo]
+    if todo:
+        taus = 0.25 * np.array([f.beta for f in todo])[:, None] * (_gauss_legendre_64()[0] + 1.0)
+        g = correlation_G(todo, taus) if todo[1:] else correlation_G(todo[0], taus[0])
+        for fam, t, row in zip(todo, taus, np.reshape(g, taus.shape)):
+            fam.memo[_half_circle_G.__name__] = _freeze(t), _freeze(row)
 
 
 def _pair_kernels(beta, ev: np.ndarray, lp, rows=slice(None), cols=slice(None)) -> tuple:
@@ -224,26 +232,15 @@ def _pair_sums(fam: PerturbedFamily) -> _PairSums:
     return fam.memo[_pair_sums.__name__]
 
 
-_STACKED = ("levels", "s_pairs", "s_diagonal", "log_populations", "populations")
-
-
-def _stacked(arrays: list) -> np.ndarray:
-    """The one array all of ``arrays`` are, else their stack."""
-    first = arrays[0]
-    return first if all(a is first for a in arrays) else np.stack(arrays)
-
-
 def _pair_sums_over(fams: Sequence[PerturbedFamily]) -> None:
     """Fill `_pair_sums` of each family of ``fams`` that has not formed it,
     from one pass per block for them all: the one pass that forms pair
     sums, for a family alone as for a beta chain or a stack.
 
-    The families' blocks must match in count, sizes and copies, and
-    each block's sectors must be one object in all (as in a
-    `family_at_beta` chain) or None, else ValueError is raised.  Each
-    block is summed as many families at a time as keep a (B, rows, cols)
-    temporary within ``gibbs._CHUNK_ELEMENTS`` elements, so a block larger
-    than that takes one family at a time.  A chunk of one family reaches
+    The families' blocks must match (`gibbs._matched`).  Each block is
+    summed as many families at a time as keep a (B, rows, cols) temporary
+    within ``gibbs._CHUNK_ELEMENTS`` elements, so a block larger than that
+    takes one family at a time.  A chunk of one family reaches
     `_block_sums` with its own block and a float beta.  A larger chunk
     stacks beta, and each array of the block only where the families
     hold different objects: a chain shares its levels, S and S's
@@ -252,13 +249,7 @@ def _pair_sums_over(fams: Sequence[PerturbedFamily]) -> None:
     todo = [fam for fam in fams if _pair_sums.__name__ not in fam.memo]
     if not todo:
         return
-    blocks = todo[0].blocks
-    for fam in todo[1:]:
-        if len(fam.blocks) != len(blocks) or any(
-            c.levels.size != b.levels.size or c.copies != b.copies or c.sectors is not b.sectors
-            for b, c in zip(blocks, fam.blocks)
-        ):
-            raise ValueError("a stacked pass needs families whose blocks match in shape")
+    blocks = gibbs._matched(todo)
     sums = [(0.0,) * len(_PairSums._fields)] * len(todo)
     for k, b in enumerate(blocks):
         step = max(1, gibbs._CHUNK_ELEMENTS // max(1, b.s_pairs.size))
@@ -270,10 +261,7 @@ def _pair_sums_over(fams: Sequence[PerturbedFamily]) -> None:
                 diagonal = _rho_prime_diagonal(fam.beta, c.populations, c.s_diagonal, fam.s_mean)
                 columns = [_block_sums(c, fam.beta, diagonal)]
             else:
-                stack = b._replace(**{
-                    name: _stacked([getattr(fam.blocks[k], name) for fam in chunk])
-                    for name in _STACKED
-                })
+                stack = gibbs._stacked_block(chunk, k, gibbs._stacked)
                 beta = np.array([fam.beta for fam in chunk])[:, None]
                 s_mean = np.array([fam.s_mean for fam in chunk])[:, None]
                 diagonal = _rho_prime_diagonal(beta, stack.populations, stack.s_diagonal, s_mean)

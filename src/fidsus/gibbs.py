@@ -8,17 +8,17 @@ A block is a `Block` from its solve (`_solve`) on, which `_thermalize`
 weighs at one beta.  `block_family` builds a family from blocks,
 `make_family` from one dense pair, `make_families` one family from each
 member of a stack of dense pairs of one shape, every member solved
-whole by one stacked solve, and `family_at_beta` weighs a family's very
-blocks at another beta without re-diagonalizing.  Each block keeps its
-ascending levels, S_b in their eigenbasis (only the rectangle between its
-sectors) and the log Boltzmann weights of its levels against the Z of
-the whole space; no eigenbasis is kept.  S has no matrix element
-between two blocks or two copies, so every route runs block by block,
-weighted by the copies: the pair sums (`fidelity._pair_sums`), thermal
-averages and the solves of T_b - h S_b (`_displaced_spectra`).  The
-whole space is never assembled, and ``DIMENSION_BUDGET`` bounds each
-block only.  Populations are kept in log space so that large inverse
-temperatures never overflow.
+whole by one stacked solve and weighed in one pass, and `family_at_beta`
+weighs a family's very blocks at another beta without re-diagonalizing.
+Each block keeps its ascending levels, S_b in their eigenbasis (only the
+rectangle between its sectors) and the log Boltzmann weights of its
+levels against the Z of the whole space; no eigenbasis is kept.  S has
+no matrix element between two blocks or two copies, so every route runs
+block by block, weighted by the copies: the pair sums
+(`fidelity._pair_sums`), thermal averages and the solves of T_b - h S_b
+(`_displaced_spectra`).  The whole space is never assembled, and
+``DIMENSION_BUDGET`` bounds each block only.  Populations are kept in
+log space so that large inverse temperatures never overflow.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class Block(NamedTuple):
 
     A block is made when it is solved (`_solve`), its two weight fields
     None until `_thermalize` fills them.  Every array field may also
-    carry a leading family axis: a stack solved at once (`_solve_whole`)
-    or handed by `fidelity._pair_sums_over` to `fidelity._block_sums`."""
+    carry a leading family axis: a stack solved and weighed at once
+    (`_solve_whole`, `_thermalize`) or stacked by `_stacked_block`."""
 
     levels: np.ndarray
     s_pairs: np.ndarray
@@ -130,7 +130,7 @@ class PerturbedFamily:
         family: the singular values s_k of M(h) and the slopes
         ds_k/dh / 2 (see `bounds._one_body_terms`).  Keyed by
         "double_commutator": per block, the checked diagonal of
-        K S - S K, K = [S, T] (see `bounds.double_commutator_direct`).
+        K S - S K, K = [S, T] (`bounds._commutators_over`, also stacked).
         Keyed by "spread": the chi_N oracle's sigma(S) (see
         `bounds.free_energy_curvature`).  Keyed by "sorted_levels", for
         a family of more than one block or copy: the stable ascending
@@ -155,8 +155,8 @@ class PerturbedFamily:
         ``verify`` for each stack of random families of one dimension),
         the results of `chi_f_spectral` and `double_commutator_direct`, and
         `fidelity._half_circle_G`, the quadrature oracles' read-only G
-        grid.  Every family starts with it empty, a `family_at_beta` copy
-        too.
+        grid (`fidelity._half_circles_over`, also stacked).  Every family
+        starts with it empty, a `family_at_beta` copy too.
     """
 
     beta: float
@@ -177,6 +177,31 @@ class PerturbedFamily:
         return all(b.sectors is not None for b in self.blocks)
 
 
+_STACKED = ("levels", "s_pairs", "s_diagonal", "log_populations", "populations")  # Block arrays
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The one array all of ``arrays`` are, else their stack."""
+    first = arrays[0]
+    return first if all(a is first for a in arrays) else np.array(arrays)
+
+
+def _matched(fams: Sequence[PerturbedFamily]) -> tuple:
+    """``fams[0].blocks``; ValueError unless all match in count, size, copies and sectors."""
+    shapes = [[(b.levels.size, b.copies, id(b.sectors)) for b in fam.blocks] for fam in fams]
+    if any(shape != shapes[0] for shape in shapes):
+        raise ValueError("a stacked pass needs families whose blocks match in shape")
+    return fams[0].blocks
+
+
+def _stacked_block(fams: Sequence[PerturbedFamily], k: int, stack=np.array) -> Block:
+    """Block k of `_matched` families ``stack``ed on a leading axis (alone: its own)."""
+    if len(fams) == 1:
+        return fams[0].blocks[k]
+    fields = {name: stack([getattr(f.blocks[k], name) for f in fams]) for name in _STACKED}
+    return fams[0].blocks[k]._replace(**fields)
+
+
 def _memoized(fn: Callable[[PerturbedFamily], object]) -> Callable:
     """``fn(fam)``, computed once per family and kept in ``fam.memo``."""
 
@@ -189,18 +214,18 @@ def _memoized(fn: Callable[[PerturbedFamily], object]) -> Callable:
     return cached
 
 
-def _log_weights(levels: list, copies: list, beta: float) -> tuple[list, float]:
+def _log_weights(levels: list, copies: list, beta) -> tuple[list, float | np.ndarray]:
     """Log Boltzmann weights of each block's levels and log Z at beta, the
-    levels of block b counting ``copies[b]`` times in Z.  The exponents are
-    taken from the lowest level, so the log-sum-exp never overflows."""
-    low = min(w[0] for w in levels)
+    levels of block b counting ``copies[b]`` times, from the lowest level so
+    nothing overflows; (n_b, B) levels and a (B,) beta weigh B families."""
+    low = functools.reduce(np.minimum, [w[0] for w in levels])
     shifted = [-beta * (w - low) for w in levels]
     if len(shifted) == 1 and copies[0] == 1:
-        lse = float(np.logaddexp.reduce(shifted[0]))
+        lse = np.logaddexp.reduce(shifted[0])
     else:
         logs = [s + math.log(c) for s, c in zip(shifted, copies)]
-        lse = float(np.logaddexp.reduce(np.concatenate(logs)))
-    return [s - lse for s in shifted], lse - beta * float(low)
+        lse = np.logaddexp.reduce(np.concatenate(logs))
+    return [s - lse for s in shifted], lse - beta * low
 
 
 def _displaced_spectra(fam: PerturbedFamily, h: float) -> Iterator[tuple]:
@@ -264,29 +289,42 @@ def _parity(t: np.ndarray, s: np.ndarray) -> np.ndarray | None:
     return ~colour if _flips(t, s, ~colour) else None
 
 
-def _thermalize(
-    beta: float, blocks: Sequence[Block], particle_count: int, quasi_free, shared: dict
-) -> PerturbedFamily:
-    """The family of the solved blocks at beta, their weights filled."""
-    beta = float(beta)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise NonPositiveBetaError(f"beta must be positive and finite, got {beta!r}")
-    lps, log_z = _log_weights([b.levels for b in blocks], [b.copies for b in blocks], beta)
+def _betas(beta) -> np.ndarray:
+    """beta, or each of a sequence, as float64 checked positive and finite."""
+    beta = np.asarray(beta, dtype=float)
+    _require(np.isfinite(beta) & (beta > 0.0), NonPositiveBetaError,
+             lambda k: f"beta must be positive and finite, got {float(beta[k])!r}")
+    return beta
+
+
+def _thermalize(beta, blocks: Sequence[Block], particle_count: int, quasi_free, shared):
+    """The family of the solved blocks at beta, weights filled, ``shared``
+    its beta-independent values (None: new).  A (B,) beta and blocks with
+    a leading member axis give B families in one pass, each as alone."""
+    beta = _betas(beta)
+    lps, log_z = _log_weights([b.levels.T for b in blocks], [b.copies for b in blocks], beta[()])
     weighed, s_mean, underflow, dim = [], 0.0, 0, 0
     for b, lp in zip(blocks, lps):
+        lp = _freeze(lp.T)
         p = _freeze(np.exp(lp))
-        weighed.append(b._replace(log_populations=_freeze(lp), populations=p))
-        s_mean += b.copies * float(np.dot(p, b.s_diagonal))
-        underflow += b.copies * int(np.count_nonzero(p == 0.0))
-        dim += b.copies * b.levels.size
+        weighed.append(b._replace(log_populations=lp, populations=p))
+        s_mean = s_mean + b.copies * np.vecdot(p, b.s_diagonal)
+        underflow = underflow + b.copies * np.add.reduce(p == 0.0, -1)
+        dim += b.copies * b.levels.shape[-1]
     s_variance = 0.0
     for b in weighed:
-        delta_d = b.s_diagonal - s_mean
-        s_variance += b.copies * float(np.dot(b.populations, delta_d**2))
-    return PerturbedFamily(
-        beta, tuple(weighed), quasi_free, shared, log_z, s_mean, s_variance, underflow,
-        particle_count, dim,
-    )
+        delta_d = b.s_diagonal - s_mean[..., None]
+        s_variance = s_variance + b.copies * np.vecdot(b.populations, delta_d**2)
+    def family(blocks, beta, log_z, s_mean, s_variance, underflow):
+        return PerturbedFamily(beta, blocks, quasi_free, {} if shared is None else shared,
+                               log_z, s_mean, s_variance, underflow, particle_count, dim)
+    scalars = beta, log_z, s_mean, s_variance, underflow
+    if beta.ndim == 0:
+        return family(tuple(weighed), *(x.item() for x in scalars))
+    members = (
+        tuple(b._replace(**{name: getattr(b, name)[k] for name in _STACKED}) for b in weighed)
+        for k in range(beta.size))
+    return list(map(family, members, *(x.tolist() for x in scalars)))
 
 
 def _require_hermitian(parts: Sequence[np.ndarray], what: str) -> np.ndarray:
@@ -306,12 +344,12 @@ def _require_hermitian(parts: Sequence[np.ndarray], what: str) -> np.ndarray:
 def _diagonal(parts: Sequence[np.ndarray], sectors: tuple | None, what: str) -> tuple:
     """The diagonal of a block operator A_b that must be Hermitian
     (`_require_hermitian`), as (Re, Im or None where A_b is real,
-    max(1, ||A_b||_F)).  A_b is ``parts[0]`` when ``sectors`` is None,
-    and the diagonal is then a view of it; else A_b is ``parts[k]`` on
-    the positions ``sectors[k]`` and 0 between them."""
+    max(1, ||A_b||_F)), per member of a stack.  A_b is ``parts[0]`` when
+    ``sectors`` is None, and the diagonal is then a view of it; else A_b
+    is ``parts[k]`` on the positions ``sectors[k]`` and 0 between them."""
     scale = _require_hermitian(parts, what)
     if sectors is None:
-        d = np.diagonal(parts[0])
+        d = np.diagonal(parts[0], axis1=-2, axis2=-1)
     else:
         d = np.empty(sum(k.size for k in sectors), dtype=np.result_type(*parts))
         for k, a in zip(sectors, parts):
@@ -461,8 +499,9 @@ def make_family(
 def make_families(T: np.ndarray, S: np.ndarray, betas: Sequence[float]) -> list[PerturbedFamily]:
     """The one-block family of each member of the (B, n, n) stacks T and
     S at ``betas[k]``, every member solved whole in the stack's dtype by
-    one stacked `_solve_whole`: the stacks are checked as `block_family`
-    checks one block, an error naming the first failing member.  No
+    one stacked `_solve_whole` and weighed by one `_thermalize` pass: the
+    stacks are checked as `block_family` checks one block, and the betas
+    before the solve, an error naming the first failing member.  No
     sectors are searched for, so a member is bit for bit ``make_family(
     T[k], S[k], betas[k])`` where that finds none and keeps the dtype, as
     for every GUE pair; a member with no imaginary part in a complex
@@ -471,12 +510,7 @@ def make_families(T: np.ndarray, S: np.ndarray, betas: Sequence[float]) -> list[
     T, S = _validated(T, S, 3)
     if np.shape(betas) != T.matrix.shape[:1]:
         raise DimensionMismatchError(f"{np.shape(betas)} betas for stacks {T.matrix.shape}")
-    stack = _solve_whole(T, S, 1)
-    members = zip(stack.levels, stack.s_pairs, stack.s_diagonal)
-    return [
-        _thermalize(beta, [Block(*member, 1, None, None, None)], 1, None, {})
-        for beta, member in zip(betas, members)
-    ]
+    return _thermalize(_betas(betas), [_solve_whole(T, S, 1)], 1, None, None)
 
 
 def family_at_beta(fam: PerturbedFamily, beta: float) -> PerturbedFamily:
@@ -522,15 +556,16 @@ def thermal_average(fam: PerturbedFamily, A: Iterable) -> float:
     return _weigh(diagonals())
 
 
-# correlation_G takes tau nodes, and fidelity._pair_sums_over families (the
-# temperatures of one chain, or independent families of one shape), in
-# chunks whose (nodes, n, n) temporaries hold about this many float64
-# elements (2 MiB), which bounds their memory at any block size and any
-# node or family count.
+# fidelity._pair_sums_over takes families (the temperatures of one chain, or
+# independent families of one shape) in chunks whose (families, n, n)
+# temporaries hold about this many float64 elements (2 MiB), which bounds
+# their memory at any block size and family count; correlation_G's hold
+# 64 KiB, a dim-12 grid: at 128 KiB ``verify``'s peak RSS rose 0.2 MiB
 _CHUNK_ELEMENTS = 2**18
+_G_CHUNK_ELEMENTS = 2**13
 
 
-def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float | np.ndarray:
+def correlation_G(fam, tau) -> float | np.ndarray:
     """Imaginary-time autocorrelation G(tau) of the perturbation.
 
     G(tau) = sum_{m,n} p_m e^{tau (T_m - T_n)} |S_mn|^2 - <S>^2 for
@@ -538,51 +573,54 @@ def correlation_G(fam: PerturbedFamily, tau: float | Sequence[float]) -> float |
     copies.  The exponent is the convex combination
     (1 - tau/beta) log p_m + (tau/beta) log p_n, at most zero, so the sum
     never overflows; the diagonal part is the family's ``s_variance``,
-    free of cancellation.  Swapping m and n maps tau to
-    beta - tau, so G(tau) = G(beta - tau) (KMS) and the quadrature
-    oracles need G on [0, beta/2] only.
+    free of cancellation.  Swapping m and n maps tau to beta - tau, so
+    G(tau) = G(beta - tau) (KMS): the quadrature oracles need [0, beta/2].
 
     ``tau`` is a float, or a 1-d sequence of floats for which an array of
-    G values is returned.  The nodes are evaluated in chunks broadcast
-    over a (nodes, n, n) array of one block, max(1, 2**18 // n**2) nodes
-    at a time, so a temporary holds about 2 MiB (one n x n grid once
-    n > 512) whatever the node count.  Each value is still one exp and
-    one sum per block over its own slice, bit-identical to a scalar call.
+    G values is returned; or, for a sequence of F `_matched` families, an
+    (F, nodes) array of their nodes, for one pass giving (F, nodes) values.
+    A block runs as many families at a time, all nodes, as keep a (families,
+    nodes, n, n) temporary within ``_G_CHUNK_ELEMENTS``, else one family
+    and as many nodes (one at least).  Each value is one exp and one sum
+    over its own n x n slice, the same bits in any chunk or stack.
 
     Raises
     ------
     TauOutOfRangeError
-        If ``tau`` is not a float or a 1-d sequence of floats, or a value
-        lies outside [0, beta].
+        If ``tau`` is not of that shape or a value lies outside [0, beta].
     """
-    beta = fam.beta
+    alone = isinstance(fam, PerturbedFamily)
+    fams = [fam] if alone else list(fam)
     try:
         taus = np.asarray(tau)
-        well_formed = taus.ndim <= 1 and taus.dtype.kind in "iuf"
+        well_formed = taus.dtype.kind in "iuf" and (
+            taus.ndim <= 1 if alone else taus.shape[:1] == (len(fams),) and taus.ndim == 2)
     except ValueError:  # ragged nested sequences
         well_formed = False
     if not well_formed:
-        raise TauOutOfRangeError(
-            f"tau must be a float or a 1-d sequence of floats in [0, beta={beta!r}], "
-            f"got {tau!r}"
-        )
-    flat = np.atleast_1d(taus).astype(float)
-    outside = flat[~((flat >= 0.0) & (flat <= beta))]
-    if outside.size:
-        raise TauOutOfRangeError(
-            f"tau must lie in [0, beta={beta!r}], got {float(outside[0])!r}"
-        )
-    lam = flat / beta
-    values = np.zeros(lam.shape)
-    for b in fam.blocks:
-        lp = b.log_populations
-        s_abs2 = np.abs(b.s_eig) ** 2
-        np.fill_diagonal(s_abs2, 0.0)
-        step = max(1, _CHUNK_ELEMENTS // lp.size**2)
-        for lo in range(0, lam.size, step):
-            chunk = lam[lo : lo + step, None, None]
-            weights = np.exp((1.0 - chunk) * lp[:, None] + chunk * lp[None, :])
-            weights *= s_abs2
-            values[lo : lo + step] += b.copies * np.sum(weights, axis=(1, 2))
-    values += fam.s_variance
-    return float(values[0]) if taus.ndim == 0 else values
+        shape = "a float or a 1-d sequence" if alone else f"a ({len(fams)}, nodes) array"
+        raise TauOutOfRangeError(f"tau must be {shape} of floats in [0, beta], got {tau!r}")
+    beta, s_variance = (np.array([getattr(f, a) for f in fams])[:, None]
+                        for a in ("beta", "s_variance"))
+    grid = taus.astype(float).reshape(len(fams), -1)
+    inside = (grid >= 0.0) & (grid <= beta)
+    _require(inside.all() if alone else inside.all(axis=-1), TauOutOfRangeError, lambda k: (
+        f"tau must lie in [0, beta={fams[k[0] if k else 0].beta!r}], "
+        f"got {float(grid[~inside][0])!r}"))
+    lam = grid / beta
+    (count, nodes), values = lam.shape, np.zeros(lam.shape)
+    for k in range(len(_matched(fams))):
+        b = _stacked_block(fams, k)
+        n = b.levels.shape[-1]
+        lp = b.log_populations.reshape(-1, n)
+        s_abs2 = np.abs(b.s_eig.reshape(-1, n, n)) ** 2
+        s_abs2[:, range(n), range(n)] = 0.0
+        per = max(1, _G_CHUNK_ELEMENTS // max(1, nodes * n * n))
+        step = nodes if per > 1 else max(1, _G_CHUNK_ELEMENTS // (n * n))
+        for f, lo in itertools.product(range(0, count, per), range(0, nodes, step)):
+            at, x = slice(f, f + per), lam[f : f + per, lo : lo + step, None, None]
+            w = np.exp((1.0 - x) * lp[at, None, :, None] + x * lp[at, None, None, :])
+            w *= s_abs2[at, None]
+            values[at, lo : lo + step] += b.copies * np.sum(w, axis=(-2, -1))
+    values += s_variance
+    return values if not alone else float(values[0, 0]) if taus.ndim == 0 else values[0]

@@ -20,12 +20,13 @@ finite-difference chi_F also run on fixed block families.
 
 The random and oracle suites take their families in stacks of one
 dimension (`_stacked_families`), each stack built with one stacked
-eigensolve (`gibbs.make_families`, every member solved whole) and its
-pair sums formed in one pass.  A GUE draw has a nonzero imaginary part
-and S a nonzero diagonal, so no sectors, and `models.random_pair` solves
-it whole and complex too: every family is bit for bit the one it builds
-alone.  Every check reduces its instances by max, min or sum, so neither
-the stacks nor their order reach the text.
+eigensolve and weighed in one pass (`gibbs.make_families`, every member
+solved whole), and its pair sums, G grids (random suite) and commutator
+diagonals formed in one pass each.  A GUE draw has a nonzero imaginary
+part and S a nonzero diagonal, so no sectors, and `models.random_pair`
+solves it whole and complex too: every family is bit for bit the one it
+builds alone.  Every check reduces its instances by max, min or sum, so
+neither the stacks nor their order reach the text.
 
 The summary is a pure function of (seed, instances, dim_max): no wall
 times, no file paths, no machine-dependent formatting enter the text, so
@@ -46,6 +47,7 @@ import numpy as np
 
 from .bounds import (
     BoundReport,
+    _commutators_over,
     _mean_s,
     _one_body_terms,
     bd_inner_product,
@@ -63,6 +65,7 @@ from .errors import (
     NotHermitianError,
 )
 from .fidelity import (
+    _half_circles_over,
     _pair_sums_over,
     bures_distance,
     chi_f_fd,
@@ -156,11 +159,10 @@ _KERNEL_CHUNK = 8192
 _STACK = 16
 
 
-def _stacked_families(fam_seeds, dims, betas):
+def _stacked_families(fam_seeds, dims, betas, fills=()):
     """Every instance's random family, by ascending dimension in stacks of
-    at most `_STACK`, each stack built in one `make_families` call and its
-    pair sums formed in one pass (`fidelity._pair_sums_over`) before its
-    families are yielded."""
+    at most `_STACK`, each built by one `make_families` call and filled in
+    one pass by each of ``fills`` (pair sums, G grids...) before yielding."""
     # grouped in Python: np.unique's first call faults in about 1 MiB,
     # which would raise verify's peak RSS by as much
     by_dim = {}
@@ -172,7 +174,8 @@ def _stacked_families(fam_seeds, dims, betas):
             stack = at[lo : lo + _STACK]
             pairs = [_random_operators(dim, fam_seeds[k]) for k in stack]
             fams = make_families(*map(np.stack, zip(*pairs)), betas[stack])
-            _pair_sums_over(fams)
+            for fill in fills:
+                fill(fams)
             yield from fams
 
 
@@ -218,7 +221,8 @@ def _suite_random(seed, instances, dim_max, out):
 
     sandwich, ds2, window, fg_le, fg_quad, bd_quad, dcomm, parts = ([] for _ in range(8))
     deg_total = 0
-    for fam in _stacked_families(fam_seeds, dims, betas):
+    fills = (_pair_sums_over, _half_circles_over, _commutators_over)
+    for fam in _stacked_families(fam_seeds, dims, betas, fills):
         rep = bound_report(fam, check_chi_n=False)
         sandwich += _sandwich_violation(rep)
         ds2.append(abs(rep.ds2 - rep.chi_f) / max(rep.chi_f, 1e-300))
@@ -266,7 +270,7 @@ def _suite_oracles(seed, instances, dim_max, out):
     betas = 10.0 ** rng.uniform(-1.0, 1.0, size=count)
 
     chi, miss, chi_n, trace = [], [], [], []
-    for fam in _stacked_families(fam_seeds, dims, betas):
+    for fam in _stacked_families(fam_seeds, dims, betas, (_pair_sums_over, _commutators_over)):
         rep = bound_report(fam, check_chi_n=False)
         chi.append(rep.chi_f)
         miss.append(abs(rep.chi_f - chi_f_fd(fam, 1e-3)))

@@ -101,6 +101,64 @@ def test_block_family_matches_its_dense_direct_sum(case):
     _assert_same_family(fam, ref, check_chi_n=beta <= 10.0)
 
 
+def _window_across_blocks(split):
+    """A real and a complex 4-level block at beta = 10, each T rotated by a
+    random unitary of its kind and each S dense, whose lowest levels are 0
+    and ``split``: 5.2e-9 puts them inside the degeneracy window
+    (beta x gap 5.2e-8 < DEGENERATE_GAP) across the blocks, 0 makes them
+    exactly degenerate."""
+    rng = np.random.default_rng(61)
+    blocks = []
+    for levels, real in (([0.0, 0.1, 0.25, 0.4], True), ([split, 0.15, 0.3, 0.5], False)):
+        h = random_hermitian(rng, 4)
+        q = np.linalg.qr(h.real if real else h)[0]
+        t = q @ np.diag(levels) @ q.conj().T
+        s = random_hermitian(rng, 4)
+        blocks.append((0.5 * (t + t.conj().T), s.real if real else s, 1))
+    return blocks, 10.0
+
+
+@pytest.mark.parametrize("split", [5.2e-9, 0.0])
+def test_a_window_across_a_real_and_a_complex_block(split):
+    """Two levels of different blocks inside one degeneracy window count as
+    one eigenspace.  chi_f, ds2 and every other report field but the split
+    agree with the dense direct sum within REL.  The split is README's:
+    chi_f_classical is (beta^2/4) times the population variance of the
+    eigenspace averages, the window's average weighted by populations,
+    and whatever the split moves between the routes moves between its
+    parts.  Only for exactly degenerate levels is the split itself
+    promised within REL of the dense one."""
+    blocks, beta = _window_across_blocks(split)
+    fam = block_family(blocks, beta)
+    ref = make_family(*_dense_pair(blocks), beta)
+    got = dataclasses.asdict(bound_report(fam))
+    want = dataclasses.asdict(bound_report(ref))
+    split_keys = ("chi_f_classical", "chi_f_quantum")
+    for key, value in want.items():
+        if key in split_keys:
+            continue
+        if isinstance(value, float):
+            assert abs(got[key] - value) <= REL * max(1.0, abs(value)), key
+        else:
+            assert got[key] == value, key
+    assert got["degenerate_pair_count"] == 1
+    moved = [got[key] - want[key] for key in split_keys]
+    assert abs(sum(moved)) <= REL * max(1.0, want["chi_f"])
+    if split == 0.0:
+        assert max(map(abs, moved)) <= REL * max(1.0, want["chi_f"])
+
+    # README's classical part, from the block family's own levels, weights
+    # and diagonals: the two lowest levels, one per block, share a window
+    (a, b) = fam.blocks
+    p = np.concatenate([a.populations, b.populations])
+    delta = np.concatenate([a.s_diagonal, b.s_diagonal]) - fam.s_mean
+    window = [0, 4]
+    avg = delta.copy()
+    avg[window] = np.dot(p[window], delta[window]) / p[window].sum()
+    classical = 0.25 * beta**2 * float(np.dot(p, avg**2))
+    assert abs(got["chi_f_classical"] - classical) <= REL * max(1.0, classical)
+
+
 def test_eigenspace_spanning_two_blocks_is_averaged_whole():
     """Level 0 is shared by block A and both copies of block B, so its
     eigenspace spans two blocks: the classical part is the population

@@ -1,5 +1,6 @@
 """Thermal-state construction and imaginary-time correlators."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -17,7 +18,8 @@ from conftest import (
     random_hermitian,
     whole_family,
 )
-from fidsus.bounds import double_commutator_direct
+from fidsus import gibbs
+from fidsus.bounds import _commutators_over, double_commutator_direct
 from fidsus.config import DIMENSION_BUDGET
 from fidsus.errors import (
     CutoffConvergenceWarning,
@@ -30,7 +32,7 @@ from fidsus.errors import (
     NotSquareError,
     TauOutOfRangeError,
 )
-from fidsus.fidelity import _pair_sums_over
+from fidsus.fidelity import _half_circle_G, _half_circles_over, _pair_sums_over
 from fidsus.gibbs import (
     _displaced_spectra,
     _perturbed_spectrum,
@@ -570,6 +572,83 @@ def test_make_families_on_clustered_spectra(stack):
     """Clustered and exactly degenerate levels, real, complex and mixed
     stacks, beta from 1e-3 to 1e3."""
     _assert_members_match(*stack)
+
+
+@st.composite
+def _weighed_stacks(draw):
+    """The arrays (T, S, betas) of a stack of 2 to 5 members with one layout
+    of clustered levels, exactly degenerate or split by tiny gaps, as
+    `clustered_pairs` draws them: all real or all complex, each T rotated
+    by a unitary of the stack's kind, so each member alone keeps the
+    stack's dtype (two clusters at least, so T is never a multiple of the
+    identity).  Member 0 has S = 0, and the betas span 1e-3 to 1e8 in one
+    stack, so the coldest member's populations flush to 0."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    width = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-4]))
+    spacing = draw(st.floats(0.05, 3.0))
+    levels = np.concatenate([k * spacing + width * np.arange(n) for k, n in enumerate(sizes)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    count = draw(st.integers(2, 5))
+
+    def hermitian():
+        h = random_hermitian(rng, levels.size)
+        return h.real if real else h
+
+    t, s = [], []
+    for k in range(count):
+        q, _ = np.linalg.qr(hermitian())
+        t.append(q @ np.diag(levels) @ q.conj().T)
+        s.append(0.0 * hermitian() if k == 0 else hermitian())
+    exponents = [8.0, -3.0] + draw(st.lists(st.floats(-3.0, 8.0), min_size=count - 2,
+                                            max_size=count - 2))
+    betas = [10.0**e for e in draw(st.permutations(exponents))]
+    return np.stack(t), np.stack(s), betas
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(stack=_weighed_stacks(), chunk=st.sampled_from([gibbs._G_CHUNK_ELEMENTS, 256, 1]))
+def test_each_stacked_member_is_weighed_gridded_and_commuted_as_alone(stack, chunk):
+    """A stack is weighed by one `_thermalize` pass, its G grids formed by
+    one `correlation_G` pass, in chunks of ``chunk`` elements (so of one
+    family and a few nodes at the smaller two), and its commutator
+    diagonals by one `_commutator_diagonal` per block; each member's
+    weights, log Z, mean, variance, underflow count, G grid and commutator
+    diagonal are bit for bit those of the member built alone."""
+    t, s, betas = stack
+    fams = make_families(t, s, betas)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "_G_CHUNK_ELEMENTS", chunk)
+        _half_circles_over(fams)
+    _commutators_over(fams)
+    for k, fam in enumerate(fams):
+        alone = whole_family([(t[k], s[k], 1)], betas[k])
+        (got,), (want,) = fam.blocks, alone.blocks
+        for name in ("levels", "s_pairs", "s_diagonal", "log_populations", "populations"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (k, name)
+        scalars = ("beta", "log_z", "s_mean", "s_variance", "underflow_count", "dim")
+        assert [getattr(fam, a) for a in scalars] == [getattr(alone, a) for a in scalars], k
+        for x, y in zip(fam.memo["_half_circle_G"], _half_circle_G(alone)):
+            assert np.array_equal(x, y), k
+        double_commutator_direct(alone)
+        ((re, im, scale),), ((re0, im0, scale0),) = (
+            f.shared["double_commutator"] for f in (fam, alone)
+        )
+        assert np.array_equal(re, re0) and scale == scale0, k
+        assert (im is None) == (im0 is None) and (im is None or np.array_equal(im, im0)), k
+    assert fams[int(np.argmax(betas))].underflow_count > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+def test_make_families_names_a_bad_beta_before_the_solve(bad, eig_calls):
+    """A NaN, zero or negative beta fails with the member named, as a bad
+    T does, before the stack is solved."""
+    t, s = _stack(count=3)
+    with pytest.raises(NonPositiveBetaError, match=rf"^member 2: beta must be positive and "
+                       rf"finite, got {re.escape(repr(bad))}$"):
+        make_families(t, s, [1.0, 1.0, bad])
+    assert eig_calls == []
 
 
 def _stack(n=4, count=5):

@@ -412,13 +412,14 @@ def test_kernel_suite_memory_is_bounded_by_chunks():
 
 
 def test_random_suite_evaluates_G_once_per_family(monkeypatch):
-    """Both quadrature oracles of a family read one G grid: 50 families make
-    50 correlation_G calls."""
-    calls = []
+    """Each family's G grid is formed once and both quadrature oracles read
+    it: the correlation_G calls of 50 families, a stack of them or one
+    family a call, cover each family exactly once."""
+    covered = []
     real = fidsus.gibbs.correlation_G
 
     def counted(fam, tau):
-        calls.append(fam)
+        covered.extend([fam] if isinstance(fam, fidsus.gibbs.PerturbedFamily) else fam)
         return real(fam, tau)
 
     for mod in (fidsus.gibbs, fidsus.fidelity, fidsus.bounds, fidsus.verify):
@@ -427,7 +428,7 @@ def test_random_suite_evaluates_G_once_per_family(monkeypatch):
     out = []
     fidsus.verify._suite_random(0, 50, 12, out)
     assert all(r.passed for r in out)
-    assert len(calls) == 50
+    assert len(covered) == len({id(fam) for fam in covered}) == 50
 
 
 @pytest.mark.parametrize("seed", [0, 4242])
@@ -437,6 +438,38 @@ def test_verify_text_is_the_same_without_the_stacked_pass(seed, monkeypatch):
     text is the same bytes."""
     stacked = run_verify(seed, 60, 12).text
     monkeypatch.setattr(fidsus.verify, "_pair_sums_over", lambda fams: None)
+    assert run_verify(seed, 60, 12).text == stacked
+
+
+def _weigh_each_member_alone(monkeypatch):
+    """`gibbs._thermalize` weighs a stack member by member instead."""
+    real = fidsus.gibbs._thermalize
+
+    def alone(beta, blocks, particle_count, quasi_free, shared):
+        if np.ndim(beta) == 0:
+            return real(beta, blocks, particle_count, quasi_free, shared)
+        solved = ("levels", "s_pairs", "s_diagonal")
+        rows = [
+            [b._replace(**{name: getattr(b, name)[k] for name in solved}) for b in blocks]
+            for k in range(len(beta))
+        ]
+        return [real(x, row, particle_count, quasi_free, None) for x, row in zip(beta, rows)]
+
+    monkeypatch.setattr(fidsus.gibbs, "_thermalize", alone)
+
+
+@pytest.mark.parametrize("fill", ["weights", "_half_circles_over", "_commutators_over"])
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_verify_text_is_the_same_without_each_stacked_fill(seed, fill, monkeypatch):
+    """Each stack of random families is weighed in one pass, and its G
+    grids and commutator diagonals are formed in one pass each; with any
+    one of them done family by family instead, the text is the same
+    bytes."""
+    stacked = run_verify(seed, 60, 12).text
+    if fill == "weights":
+        _weigh_each_member_alone(monkeypatch)
+    else:
+        monkeypatch.setattr(fidsus.verify, fill, lambda fams: None)
     assert run_verify(seed, 60, 12).text == stacked
 
 
